@@ -18,14 +18,12 @@
 // it then runs the minimum-channel-width search twice through the
 // pipeline, warm-started and cold. Results go to stdout as a table and to
 // a machine-readable JSON file (see bench/README.md for the
-// vbs.flow_bench.v6 schema).
+// vbs.flow_bench.v7 schema).
 //
-// Two in-run identity legs guard the SoA data-layout kernels: a
+// An in-run identity leg guards the placer's SoA data-layout kernel: a
 // bounding-box kernel micro-bench times cost sweeps over the committed
 // placement in both the SoA layout and the retained AoS reference and
-// requires bit-identical per-net costs, and a fourth route leg reruns the
-// bounded route with the precomputed congestion-cost stride disabled and
-// requires identical trees and heap pops. Either mismatch fails the run.
+// requires bit-identical per-net costs. A mismatch fails the run.
 //
 // Usage:
 //   flow_bench [--smoke] [--circuits a,b] [--seeds N] [--width W]
@@ -142,12 +140,6 @@ struct RunRecord {
   RouteSample parallel;
   bool parallel_identical = false;  ///< parallel trees == serial trees
   RouteSample unbounded;
-  // Reference-cost route leg: the bounded route rerun with the precomputed
-  // congestion-cost stride disabled (RouterOptions::precomputed_cost =
-  // false); trees and counters must match the bounded leg exactly.
-  RouteSample route_ref;
-  bool route_ref_checked = false;
-  bool route_ref_identical = false;
   // Checkpoint/resume verification: save after route, resume, rerun the
   // route stage from the loaded placement, compare byte for byte.
   bool checkpoint_checked = false;
@@ -375,20 +367,6 @@ RunRecord run_one(const std::string& name, Netlist nl, int grid,
   baseline.incremental_reroute = false;
   baseline.astar_fac = 1.15;
   rec.unbounded = route_once(pipe->fabric(), pipe->route_request(), baseline);
-  // Reference-cost leg: the bounded route with the precomputed
-  // congestion-cost stride turned off, i.e. the pre-refactor inner loop
-  // recomputing each node's cost inline. The stride is identity-preserving
-  // by construction, so trees, pops and iterations must all match the
-  // bounded leg — this cross-checks the SoA router layout in-run.
-  RouterOptions refc = pipe->options().route;
-  refc.precomputed_cost = false;
-  RoutingResult ref_routes;
-  rec.route_ref =
-      route_once(pipe->fabric(), pipe->route_request(), refc, &ref_routes);
-  rec.route_ref_checked = true;
-  rec.route_ref_identical = identical_routes(pipe->routing(), ref_routes) &&
-                            rec.route_ref.heap_pops == rec.bounded.heap_pops &&
-                            rec.route_ref.iterations == rec.bounded.iterations;
 
   // Checkpoint/resume verification (scratch dir; --checkpoint-dir keeps
   // only the pack+place prefix, this leg exercises the full chain).
@@ -423,7 +401,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
   long long pspec_c = 0, pspec_r = 0;
   int ok_b = 0, ok_u = 0, identical = 0, place_identical = 0, mcw_match = 0;
   int ckpt_identical = 0;
-  int kernel_identical = 0, refcost_identical = 0;
+  int kernel_identical = 0;
   double ksecs_soa = 0, ksecs_ref = 0;
   for (const RunRecord& r : runs) {
     pops_b += r.bounded.heap_pops;
@@ -441,7 +419,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
     place_identical += r.place_identical ? 1 : 0;
     ckpt_identical += r.checkpoint_identical ? 1 : 0;
     kernel_identical += r.kernel_checked && r.kernel.identical ? 1 : 0;
-    refcost_identical += r.route_ref_checked && r.route_ref_identical ? 1 : 0;
     ksecs_soa += r.kernel.soa_seconds;
     ksecs_ref += r.kernel.ref_seconds;
     mcw_w += r.mcw_warm.heap_pops;
@@ -451,7 +428,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
   const char* stage_names[] = {"pack", "place", "route", "all"};
   const std::string ckpt_json =
       ckpt_root.empty() ? "null" : "\"" + ckpt_root + "\"";
-  std::fprintf(f, "{\n  \"schema\": \"vbs.flow_bench.v6\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"vbs.flow_bench.v7\",\n");
   std::fprintf(f,
                "  \"options\": {\"smoke\": %s, \"chan_width\": %d, \"seeds\": "
                "%d, \"threads\": %d, \"bb_margin\": %d, \"effort\": %.3f, "
@@ -536,13 +513,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
                  r.parallel.spec_wasted_pops,
                  r.parallel_identical ? "true" : "false");
     route_json("route_unbounded", r.unbounded, ",");
-    if (r.route_ref_checked) {
-      std::fprintf(f,
-                   "     \"route_refcost\": {\"seconds\": %.4f, "
-                   "\"heap_pops\": %lld, \"identical_to_bounded\": %s},\n",
-                   r.route_ref.seconds, r.route_ref.heap_pops,
-                   r.route_ref_identical ? "true" : "false");
-    }
     std::fprintf(f,
                  "     \"checkpoint\": {\"checked\": %s, "
                  "\"resume_identical\": %s}%s\n",
@@ -575,7 +545,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
       "\"place_spec_commit_rate\": %.3f, \"place_identical\": %d, "
       "\"kernel_identical\": %d, \"kernel_soa_seconds\": %.4f, "
       "\"kernel_ref_seconds\": %.4f, \"kernel_speedup\": %.3f, "
-      "\"route_refcost_identical\": %d, "
       "\"checkpoint_identical\": %d, "
       "\"mcw_heap_pops_warm\": %lld, "
       "\"mcw_heap_pops_cold\": %lld, \"mcw_pop_ratio\": %.3f, "
@@ -591,7 +560,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
                 static_cast<double>(pspec_c + pspec_r)
           : 0.0,
       place_identical, kernel_identical, ksecs_soa, ksecs_ref,
-      ksecs_soa > 0 ? ksecs_ref / ksecs_soa : 0.0, refcost_identical,
+      ksecs_soa > 0 ? ksecs_ref / ksecs_soa : 0.0,
       ckpt_identical, mcw_w, mcw_c,
       mcw_w > 0 ? static_cast<double>(mcw_c) / static_cast<double>(mcw_w)
                 : 0.0,
@@ -770,13 +739,6 @@ int main(int argc, char** argv) try {
     if (!r.parallel_identical) {
       std::fprintf(stderr,
                    "FAIL: %s seed %llu parallel routing diverged from serial\n",
-                   r.circuit.c_str(), static_cast<unsigned long long>(r.seed));
-      return 1;
-    }
-    if (r.route_ref_checked && !r.route_ref_identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s seed %llu precomputed-cost route diverged from "
-                   "the reference-cost route\n",
                    r.circuit.c_str(), static_cast<unsigned long long>(r.seed));
       return 1;
     }

@@ -1,9 +1,9 @@
 #include "flow/artifact_io.h"
 
-#include <bit>
 #include <fstream>
 
 #include "util/bitio.h"
+#include "util/hash.h"
 #include "util/io.h"
 #include "vbs/vbs_file.h"
 
@@ -37,27 +37,6 @@ std::uint64_t content_hash(const std::string& payload_bytes,
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime64;
-  }
-  return h;
-}
-
-std::uint64_t hash_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime64;
-  }
-  return h;
-}
-
-std::uint64_t hash_double(std::uint64_t h, double v) {
-  return hash_u64(h, std::bit_cast<std::uint64_t>(v));
-}
 
 BitVector serialize_packed(const PackedDesign& pd) {
   BitWriter w;

@@ -61,19 +61,6 @@ enum class ArtifactStage : std::uint8_t {
   kServiceSnapshot = 5,  ///< ReconfigService journal snapshot (journal.h)
 };
 
-// --- hashing -----------------------------------------------------------------
-
-inline constexpr std::uint64_t kFnvOffset64 = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kFnvPrime64 = 0x100000001b3ull;
-
-/// FNV-1a over a byte range, continuing from `h`.
-std::uint64_t fnv1a64(const void* data, std::size_t n,
-                      std::uint64_t h = kFnvOffset64);
-
-/// Folds one 64-bit value into a running FNV-1a hash (8 bytes, LE order).
-std::uint64_t hash_u64(std::uint64_t h, std::uint64_t v);
-std::uint64_t hash_double(std::uint64_t h, double v);
-
 // --- payload field primitives ------------------------------------------------
 
 // The artifact format's canonical fixed-width field codings: signed values

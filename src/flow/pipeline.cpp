@@ -7,6 +7,7 @@
 #include "netlist/netlist_io.h"
 #include "route/route_request.h"
 #include "util/bitio.h"
+#include "util/hash.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -116,9 +117,6 @@ std::uint64_t FlowPipeline::stage_fingerprint(Stage s) const {
     h = hash_bool(h, r.bounded_box);
     h = hash_u64(h, static_cast<std::uint64_t>(r.bb_margin));
     h = hash_bool(h, r.incremental_reroute);
-    // precomputed_cost excluded: the per-iteration congestion-cost stride
-    // is bit-identical to the inline recompute path by contract (see
-    // RouterOptions), so both settings produce interchangeable artifacts.
     return h;
   }
   h = hash_u64(h, stage_fingerprint(Stage::kRoute));
@@ -306,9 +304,6 @@ BitVector FlowPipeline::serialize_meta() const {
   w.write_bit(opts_.route.bounded_box);
   put_i32(w, opts_.route.bb_margin);
   w.write_bit(opts_.route.incremental_reroute);
-  // route.precomputed_cost is NOT serialized: it is identity-preserving
-  // (resumed flows behave the same either way) and adding it would change
-  // every existing checkpoint's metadata bytes.
   put_i32(w, opts_.route.threads);
   put_i32(w, opts_.route.spec_batch_per_thread);
   put_i32(w, encode_opts_.cluster);

@@ -5,16 +5,11 @@
 
 #include <cerrno>
 
+#include "util/hash.h"
+
 namespace vbs::net {
 
 namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 constexpr std::size_t kShortBytes = 3;  ///< net_short truncation size
@@ -34,7 +29,7 @@ void Conn::close() {
 }
 
 std::uint64_t Conn::fault_seq() {
-  return mix64(id_) ^ op_count_++;
+  return splitmix64(id_) ^ op_count_++;
 }
 
 IoStatus Conn::on_readable() {

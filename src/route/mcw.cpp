@@ -54,19 +54,13 @@ McwResult find_min_channel_width(const ArchSpec& base_spec, const Netlist& nl,
                             width < fabric_w ? width : 0);
     RouterOptions ropts = opts.router;
     const bool seeded = opts.warm_start && !warm.empty();
-    bool trusted = false;
     if (seeded) {
       router.seed_routes(warm);
       // A seed can corner the negotiation where a cold route would have
       // converged; a stalled seeded trial rips everything (trees AND
       // history) and reroutes once, so a post-restart verdict is exactly
-      // a cold route's verdict. trust_seeded_failures waives that
-      // verification and takes the (one-sided) seeded verdict as-is.
-      if (opts.trust_seeded_failures) {
-        trusted = ropts.stall_restarts == 0;
-      } else if (ropts.stall_restarts == 0) {
-        ropts.stall_restarts = 1;
-      }
+      // a cold route's verdict.
+      if (ropts.stall_restarts == 0) ropts.stall_restarts = 1;
     }
     RoutingResult rr = router.route(ropts);
     McwTrial t;
@@ -76,8 +70,6 @@ McwResult find_min_channel_width(const ArchSpec& base_spec, const Netlist& nl,
     t.heap_pops = rr.heap_pops;
     t.seconds = telem::seconds_since(t0);
     t.seeded = seeded;
-    t.skipped_restart = trusted && !rr.success;
-    if (t.skipped_restart) ++res.skipped_restarts;
     res.heap_pops += rr.heap_pops;
     trial_span.arg("width", width)
         .arg("routable", (long long)(rr.success ? 1 : 0))

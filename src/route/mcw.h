@@ -49,16 +49,6 @@ struct McwOptions {
   /// Seed each trial from the last routable solution's surviving tree
   /// (off = every trial routes cold; the flow_bench comparison baseline).
   bool warm_start = true;
-  /// Accept a warm-seeded trial's "unroutable" verdict at face value
-  /// instead of granting it the cold verification restart (a full rip-up —
-  /// trees, occupancy AND history — and renegotiation from scratch) that
-  /// makes seeded verdicts provably equal cold ones. A seed can corner the
-  /// negotiation where a cold route would converge, so this trades a
-  /// one-sided error — the search can only report an MCW >= the exact
-  /// answer, never below it — for skipping the most expensive trials a
-  /// warm search runs. Skipped restarts are recorded per trial
-  /// (McwTrial::skipped_restart) so callers can audit the trade.
-  bool trust_seeded_failures = false;
   RouterOptions router;    ///< per-trial router settings
   McwOptions() { router.stall_abort = kMcwTrialStallAbort; }
 };
@@ -72,9 +62,6 @@ struct McwTrial {
   long long heap_pops = 0;
   double seconds = 0.0;
   bool seeded = false;           ///< warm-seeded from a prior solution
-  /// Trial failed warm-seeded and trust_seeded_failures skipped the cold
-  /// verification restart: this verdict carries the one-sided error risk.
-  bool skipped_restart = false;
 };
 
 struct McwResult {
@@ -82,7 +69,6 @@ struct McwResult {
   int trials = 0;
   long long heap_pops = 0; ///< total over all trials
   double seconds = 0.0;    ///< total wall time of the search
-  int skipped_restarts = 0;  ///< trials with McwTrial::skipped_restart
   std::vector<McwTrial> trial_log;  ///< one entry per routing trial
 };
 

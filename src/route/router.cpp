@@ -17,7 +17,6 @@ PathfinderRouter::PathfinderRouter(const Fabric& fabric, RouteRequest request,
   const int n = fabric_.num_nodes();
   occ_.assign(static_cast<std::size_t>(n), 0);
   hist_.assign(static_cast<std::size_t>(n), 0.0f);
-  node_cost_.assign(static_cast<std::size_t>(n), 0.0f);
   dirty_epoch_of_.assign(static_cast<std::size_t>(n), 0);
   main_.init(n);
 
@@ -86,7 +85,7 @@ PathfinderRouter::~PathfinderRouter() = default;
 
 void PathfinderRouter::seed_routes(const std::vector<NetRoute>& prior) {
   assert(prior.size() == request_.nets.size());
-  Scratch& s = main_;
+  RouterScratch& s = main_;
   for (std::size_t i = 0; i < prior.size() && i < routes_.size(); ++i) {
     const auto& src = prior[i].nodes;
     auto& dst = routes_[i].nodes;
@@ -134,27 +133,13 @@ void PathfinderRouter::seed_routes(const std::vector<NetRoute>& prior) {
 }
 
 namespace {
-inline double node_cost_of(double hist, double pres_fac, int occ) {
+inline double congestion_cost(double hist, double pres_fac, int occ) {
   return (1.0 + hist) * (1.0 + pres_fac * occ);
 }
 }  // namespace
 
-void PathfinderRouter::refresh_node_costs(double pres_fac) {
-  telem::Span span("route", "cost_refresh");
-  pres_fac_ = pres_fac;
-  const std::size_t n = occ_.size();
-  // One pass over three parallel arrays — contiguous, branchless, and the
-  // only place the (1+hist)(1+pres*occ) arithmetic runs per iteration.
-  for (std::size_t v = 0; v < n; ++v) {
-    node_cost_[v] =
-        static_cast<float>(node_cost_of(hist_[v], pres_fac, occ_[v]));
-  }
-  span.arg("nodes", static_cast<long long>(n));
-  telem::counter_add("route.cost_refresh");
-}
-
 template <bool kSpec>
-int PathfinderRouter::occ_of(const Scratch& s, int v) const {
+int PathfinderRouter::occ_of(const RouterScratch& s, int v) const {
   const auto sv = static_cast<std::size_t>(v);
   int occ = occ_[sv];
   if constexpr (kSpec) {
@@ -163,7 +148,7 @@ int PathfinderRouter::occ_of(const Scratch& s, int v) const {
   return occ;
 }
 
-void PathfinderRouter::bump_delta(Scratch& s, int v, int d) {
+void PathfinderRouter::bump_delta(RouterScratch& s, int v, int d) {
   const auto sv = static_cast<std::size_t>(v);
   if (s.delta_epoch_of[sv] != s.delta_epoch) {
     s.delta_epoch_of[sv] = s.delta_epoch;
@@ -174,37 +159,25 @@ void PathfinderRouter::bump_delta(Scratch& s, int v, int d) {
 }
 
 template <bool kSpec>
-void PathfinderRouter::add_occ(Scratch& s, int v, int d) {
+void PathfinderRouter::add_occ(RouterScratch& s, int v, int d) {
   if constexpr (kSpec) {
     bump_delta(s, v, d);
   } else {
     const auto sv = static_cast<std::size_t>(v);
     occ_[sv] = static_cast<std::uint16_t>(static_cast<int>(occ_[sv]) + d);
-    // Serial occupancy changes keep the precomputed stride in sync within
-    // the iteration; the wholesale refresh at iteration start covers
-    // everything else (hist updates, seeding, restarts).
-    if (precost_) {
-      node_cost_[sv] =
-          static_cast<float>(node_cost_of(hist_[sv], pres_fac_, occ_[sv]));
-    }
   }
 }
 
 void PathfinderRouter::rip_up(std::size_t net_idx) {
   for (const NetRoute::TreeNode& tn : routes_[net_idx].nodes) {
-    const auto sv = static_cast<std::size_t>(tn.rr);
-    --occ_[sv];
-    if (precost_) {
-      node_cost_[sv] =
-          static_cast<float>(node_cost_of(hist_[sv], pres_fac_, occ_[sv]));
-    }
+    --occ_[static_cast<std::size_t>(tn.rr)];
   }
   routes_[net_idx].nodes.clear();
 }
 
 template <bool kSpec>
 bool PathfinderRouter::net_congested(const NetRoute& route,
-                                     const Scratch& s) const {
+                                     const RouterScratch& s) const {
   for (const NetRoute::TreeNode& tn : route.nodes) {
     if (occ_of<kSpec>(s, tn.rr) > 1) return true;
   }
@@ -212,7 +185,7 @@ bool PathfinderRouter::net_congested(const NetRoute& route,
 }
 
 template <bool kSpec>
-void PathfinderRouter::prune_overused(std::size_t net_idx, Scratch& s,
+void PathfinderRouter::prune_overused(std::size_t net_idx, RouterScratch& s,
                                       NetRoute& route) {
   auto& nodes = route.nodes;
   if (nodes.empty()) return;
@@ -304,7 +277,7 @@ PathfinderRouter::BBox PathfinderRouter::expansion_box(
 template <bool kSpec>
 bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
                                       double pres_fac, double astar_fac,
-                                      const BBox& box, Scratch& s) {
+                                      const BBox& box, RouterScratch& s) {
   const int px1 = fabric_.spec().pins_on_x() + 1;
   const int py1 = fabric_.spec().pins_on_y() + 1;
   const Point sink_pos = fabric_.node_pos(sink);
@@ -349,25 +322,9 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
       const std::uint8_t cls = node_class_[sv];
       if (cls != kFree && (cls == kMasked || v != sink)) continue;
       if (!box.contains(fabric_.node_pos(v))) continue;
-      // Congestion cost: one contiguous float read in the common case. A
-      // node this task's overlay touched recomputes from the overlay occ —
-      // the same double expression node_cost_[sv] was filled from, so the
-      // float is bit-identical either way; precost_ off is the reference
-      // formulation (flow_bench's kernel leg cross-checks the two).
-      float cong;
-      if (precost_) {
-        cong = node_cost_[sv];
-        if constexpr (kSpec) {
-          if (s.delta_epoch_of[sv] == s.delta_epoch) {
-            cong = static_cast<float>(node_cost_of(
-                hist_[sv], pres_fac, occ_[sv] + s.occ_delta[sv]));
-          }
-        }
-      } else {
-        cong = static_cast<float>(
-            node_cost_of(hist_[sv], pres_fac, occ_of<kSpec>(s, v)));
-      }
-      const float npc = top.path + cong;
+      const float npc =
+          top.path + static_cast<float>(congestion_cost(
+                         hist_[sv], pres_fac, occ_of<kSpec>(s, v)));
       if (s.epoch_of[sv] != s.epoch || npc < s.path_cost[sv]) {
         if constexpr (kSpec) {
           // First stamp this search == first congestion read: record the
@@ -388,7 +345,7 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
 
 template <bool kSpec>
 bool PathfinderRouter::route_net(std::size_t net_idx, double pres_fac,
-                                 const RouterOptions& opts, Scratch& s,
+                                 const RouterOptions& opts, RouterScratch& s,
                                  NetRoute& route) {
   const NetSpec& spec = request_.nets[net_idx];
   s.begin_tree();
@@ -483,8 +440,8 @@ bool PathfinderRouter::serial_iteration_net(std::size_t net_idx, bool full,
 
 void PathfinderRouter::run_spec_task(std::size_t net_idx, bool full,
                                      double pres_fac,
-                                     const RouterOptions& opts, Scratch& s,
-                                     SpecTask& task) {
+                                     const RouterOptions& opts,
+                                     RouterScratch& s, SpecTask& task) {
   task.net = net_idx;
   task.attempted = false;
   task.ok = false;
@@ -524,7 +481,7 @@ void PathfinderRouter::run_spec_task(std::size_t net_idx, bool full,
 void PathfinderRouter::apply_occ_diff(
     const std::vector<NetRoute::TreeNode>& old_nodes,
     const std::vector<NetRoute::TreeNode>& new_nodes) {
-  Scratch& s = main_;
+  RouterScratch& s = main_;
   s.begin_delta();
   s.delta_touched.clear();
   for (const NetRoute::TreeNode& tn : old_nodes) bump_delta(s, tn.rr, -1);
@@ -534,10 +491,6 @@ void PathfinderRouter::apply_occ_diff(
     const int d = s.occ_delta[sv];
     if (d == 0) continue;
     occ_[sv] = static_cast<std::uint16_t>(static_cast<int>(occ_[sv]) + d);
-    if (precost_) {
-      node_cost_[sv] =
-          static_cast<float>(node_cost_of(hist_[sv], pres_fac_, occ_[sv]));
-    }
     dirty_epoch_of_[sv] = dirty_epoch_;
   }
 }
@@ -595,7 +548,7 @@ bool PathfinderRouter::parallel_iteration(const std::vector<std::size_t>& work,
         }
         // Conservative dirty-marking: every wire whose occupancy the redo
         // moved invalidates later speculative results of this batch.
-        Scratch& s = main_;
+        RouterScratch& s = main_;
         s.begin_delta();
         s.delta_touched.clear();
         for (const NetRoute::TreeNode& tn : old_nodes) {
@@ -618,7 +571,6 @@ bool PathfinderRouter::parallel_iteration(const std::vector<std::size_t>& work,
 
 RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
   RoutingResult result;
-  precost_ = opts.precomputed_cost;
   const int threads = std::max(1, opts.threads);
   result.threads_used = threads;
   std::unique_ptr<ThreadPool> pool;
@@ -626,7 +578,7 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
     pool = std::make_unique<ThreadPool>(threads);
     spec_scratch_.clear();
     for (int i = 0; i < threads; ++i) {
-      spec_scratch_.push_back(std::make_unique<Scratch>());
+      spec_scratch_.push_back(std::make_unique<RouterScratch>());
       spec_scratch_.back()->init(fabric_.num_nodes());
     }
   }
@@ -675,10 +627,6 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
   for (int iter = 1; iter <= iter_limit; ++iter) {
     telem::Span iter_span("route", "iteration");
     const std::uint64_t iter_start = telem::now_ns();
-    // hist_ and pres_fac changed since the last iteration: rebuild the
-    // congestion-cost stride once, O(V) and vectorizable, instead of
-    // paying the two-array arithmetic on every edge relaxation below.
-    if (precost_) refresh_node_costs(pres_fac);
     const long long pops_before = total_pops();
     std::size_t rerouted = 0;
     result.iterations = iter;

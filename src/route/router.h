@@ -109,15 +109,6 @@ struct RouterOptions {
   /// circuit suite one batch per thread commits ~80% of speculations
   /// clean, two per thread only ~60%.
   int spec_batch_per_thread = 1;
-  /// Read congestion costs from a per-iteration precomputed float array
-  /// (one contiguous stride over RR nodes, refreshed at iteration start and
-  /// kept in sync on every serial occupancy change) instead of recomputing
-  /// (1+hist)(1+pres_fac*occ) from two arrays inside the A* inner loop.
-  /// Identity-preserving by construction — the cached float is the same
-  /// double expression cast the same way, so heap pops and trees are
-  /// byte-identical either way. Off is the reference path flow_bench's
-  /// kernel leg compares against.
-  bool precomputed_cost = true;
 };
 
 /// Per-PathFinder-iteration counters, for perf trajectories (flow_bench)
@@ -184,11 +175,6 @@ class PathfinderRouter {
     friend bool operator==(const BBox&, const BBox&) = default;
   };
 
-  /// Per-thread search state: everything one speculative (or serial) net
-  /// route touches besides the shared occ_/hist_ arrays — now the SoA
-  /// RouterScratch (route/scratch.h), which also owns the single
-  /// epoch-reset path every stamp family advances through.
-  using Scratch = RouterScratch;
   using HeapEntry = RouterScratch::HeapEntry;
 
   /// One net's speculative result, produced in parallel against a frozen
@@ -204,18 +190,19 @@ class PathfinderRouter {
   };
 
   template <bool kSpec>
-  int occ_of(const Scratch& s, int v) const;
+  int occ_of(const RouterScratch& s, int v) const;
   template <bool kSpec>
-  void add_occ(Scratch& s, int v, int d);
-  void bump_delta(Scratch& s, int v, int d);
+  void add_occ(RouterScratch& s, int v, int d);
+  void bump_delta(RouterScratch& s, int v, int d);
 
   template <bool kSpec>
   bool route_net(std::size_t net_idx, double pres_fac,
-                 const RouterOptions& opts, Scratch& s, NetRoute& route);
+                 const RouterOptions& opts, RouterScratch& s,
+                 NetRoute& route);
   /// One A* wave from the current tree of `net_idx` to `sink` within `box`.
   template <bool kSpec>
   bool expand_to_sink(const NetRoute& route, int sink, double pres_fac,
-                      double astar_fac, const BBox& box, Scratch& s);
+                      double astar_fac, const BBox& box, RouterScratch& s);
   /// Expansion window for escalation level 0 (sink-to-tree connection box
   /// plus margin), 1 (whole terminal box, grown margin), 2 (whole fabric).
   BBox expansion_box(std::size_t net_idx, Point sink_pos, Point near_pos,
@@ -226,9 +213,10 @@ class PathfinderRouter {
   /// occupancy. Keeps the source. Re-stamps s.tree_idx_of for the kept
   /// nodes under the current tree epoch.
   template <bool kSpec>
-  void prune_overused(std::size_t net_idx, Scratch& s, NetRoute& route);
+  void prune_overused(std::size_t net_idx, RouterScratch& s,
+                      NetRoute& route);
   template <bool kSpec>
-  bool net_congested(const NetRoute& route, const Scratch& s) const;
+  bool net_congested(const NetRoute& route, const RouterScratch& s) const;
 
   /// Serial per-net iteration body (congested check + route); returns false
   /// on an unroutable net. `full` forces routing regardless of congestion
@@ -239,7 +227,8 @@ class PathfinderRouter {
   /// Speculative task: route `net_idx` against the frozen congestion
   /// snapshot into `task`, recording every dependency.
   void run_spec_task(std::size_t net_idx, bool full, double pres_fac,
-                     const RouterOptions& opts, Scratch& s, SpecTask& task);
+                     const RouterOptions& opts, RouterScratch& s,
+                     SpecTask& task);
   /// Batched speculate/commit loop over `work`; same contract as the serial
   /// loop (returns false when a net is unroutable).
   bool parallel_iteration(const std::vector<std::size_t>& work, bool full,
@@ -260,21 +249,9 @@ class PathfinderRouter {
   RouteRequest request_;
   std::vector<NetRoute> routes_;
 
-  /// Refreshes node_cost_ (the precomputed per-iteration congestion-cost
-  /// stride) from hist_/occ_ under `pres_fac`, and remembers the factor so
-  /// serial occupancy changes can keep single entries in sync.
-  void refresh_node_costs(double pres_fac);
-
   // Per-RR-node congestion state (shared; frozen during parallel phases).
   std::vector<std::uint16_t> occ_;
   std::vector<float> hist_;
-  /// float((1+hist)(1+pres_fac*occ)) per node, valid for the current
-  /// iteration when opts.precomputed_cost is on: the A* inner loop reads
-  /// this one contiguous stride instead of touching hist_ and occ_ and
-  /// redoing the arithmetic per edge relaxation.
-  std::vector<float> node_cost_;
-  double pres_fac_ = 0.0;  ///< factor node_cost_ was computed under
-  bool precost_ = true;    ///< RouterOptions::precomputed_cost for this run
   /// kFree = plain wire; kPinOnly = pin-stub seg-0 node, usable only as a
   /// net's own terminal (prevents shorting foreign signals onto LUT pins);
   /// kMasked = track >= width_limit, not part of this trial's fabric.
@@ -284,8 +261,9 @@ class PathfinderRouter {
   /// Terminal bounding box of each net (tile coordinates, no margin).
   std::vector<BBox> net_box_;
 
-  Scratch main_;  ///< serial routing, misspeculation redo, and commits
-  std::vector<std::unique_ptr<Scratch>> spec_scratch_;  ///< one per thread
+  RouterScratch main_;  ///< serial routing, misspeculation redo, and commits
+  /// One per thread.
+  std::vector<std::unique_ptr<RouterScratch>> spec_scratch_;
   std::vector<SpecTask> tasks_;
 
   /// Nodes whose occupancy changed since the current batch's snapshot.

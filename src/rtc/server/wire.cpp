@@ -2,19 +2,14 @@
 
 #include <cstring>
 
+#include "util/hash.h"
+
 namespace vbs::rpc {
 
 namespace {
 
 [[noreturn]] void bad_frame(const std::string& what) {
   throw VbsError(VbsErrc::kNetFrame, "rpc frame: " + what);
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
 }
 
 /// Checksum coverage: version byte, type byte, corr, payload — the frame

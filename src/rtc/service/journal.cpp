@@ -7,6 +7,7 @@
 
 #include "flow/artifact_io.h"
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/telemetry.h"
 #include "vbs/vbs_file.h"
 

@@ -5,6 +5,7 @@
 
 #include "flow/artifact_io.h"
 #include "util/bitio.h"
+#include "util/hash.h"
 #include "util/telemetry.h"
 
 namespace vbs {

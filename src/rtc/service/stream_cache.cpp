@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/telemetry.h"
 
 namespace vbs {
@@ -13,16 +14,9 @@ std::uint64_t stream_content_hash(const BitVector& stream) {
   // FNV-1a over the 64-bit words, then the bit length (trailing padding
   // bits inside the last word are always zero, so words + length identify
   // the content exactly).
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const std::uint64_t w : stream.words()) mix(w);
-  mix(static_cast<std::uint64_t>(stream.size()));
-  return h;
+  std::uint64_t h = kFnvOffset64;
+  for (const std::uint64_t w : stream.words()) h = hash_u64(h, w);
+  return hash_u64(h, static_cast<std::uint64_t>(stream.size()));
 }
 
 std::shared_ptr<DecodedStream> decode_stream(VbsImage image) {

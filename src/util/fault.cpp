@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/hash.h"
+
 namespace vbs {
 
 namespace {
@@ -20,13 +22,6 @@ constexpr std::uint64_t kSiteRename = 0x8ebc6af09c88c6e3ull;
 constexpr std::uint64_t kSiteNetShort = 0x589965cc75374cc3ull;
 constexpr std::uint64_t kSiteNetEagain = 0x1d8e4e27c47d124full;
 constexpr std::uint64_t kSiteNetDrop = 0xeb44accab455d165ull;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 double parse_rate(const std::string& key, const std::string& value) {
   char* end = nullptr;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace vbs {
 
@@ -14,21 +15,11 @@ constexpr char kLegacyMagic[4] = {'V', 'B', 'S', '1'};
 // magic(4) + bit count(8) + checksum(8)
 constexpr std::size_t kHeaderBytes = 20;
 
-// Same FNV-1a construction as the artifact container (flow/artifact_io),
-// duplicated here so the base VBS container does not depend on the flow
-// layer.
+// FNV-1a of the payload bytes, then the bit count: the artifact
+// container's content hash.
 std::uint64_t payload_checksum(const std::string& bytes,
                                std::uint64_t bit_count) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](unsigned char b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  };
-  for (const char c : bytes) mix(static_cast<unsigned char>(c));
-  for (int i = 0; i < 8; ++i) {
-    mix(static_cast<unsigned char>((bit_count >> (8 * i)) & 0xff));
-  }
-  return h;
+  return hash_u64(fnv1a64(bytes.data(), bytes.size()), bit_count);
 }
 }  // namespace
 

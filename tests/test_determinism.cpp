@@ -287,42 +287,6 @@ TEST(Determinism, McwWarmStartMatchesColdSearch) {
   }
 }
 
-// trust_seeded_failures waives the cold verification restart on seeded
-// failing trials. The error it admits is one-sided by construction — the
-// reported MCW can only be >= the exact answer — and every waived restart
-// must be visible in the per-trial bookkeeping.
-TEST(Determinism, McwTrustedSeededFailuresAreOneSidedAndAudited) {
-  const McncCircuit c = mcnc_by_name("tseng");
-  const Netlist nl = make_mcnc_like(c, 1);
-  ArchSpec spec;
-  spec.chan_width = 20;
-  const PackedDesign pd = pack_netlist(nl, spec);
-  const Placement pl = place_design(nl, pd, spec, c.size, c.size, {});
-
-  McwOptions exact;  // warm with cold verification restarts (the default)
-  McwOptions trusting = exact;
-  trusting.trust_seeded_failures = true;
-  const McwResult re = find_min_channel_width(spec, nl, pd, pl, exact);
-  const McwResult rt = find_min_channel_width(spec, nl, pd, pl, trusting);
-  ASSERT_GT(re.mcw, 1);
-  ASSERT_GT(rt.mcw, 1);
-  EXPECT_GE(rt.mcw, re.mcw) << "trusted verdicts may only overestimate";
-
-  // Bookkeeping: the exact search never skips a restart; the trusting
-  // search's counter matches its trial log, and only seeded failures are
-  // ever marked skipped.
-  EXPECT_EQ(re.skipped_restarts, 0);
-  int skipped = 0;
-  for (const McwTrial& t : rt.trial_log) {
-    if (t.skipped_restart) {
-      ++skipped;
-      EXPECT_TRUE(t.seeded);
-      EXPECT_FALSE(t.routable);
-    }
-  }
-  EXPECT_EQ(skipped, rt.skipped_restarts);
-}
-
 // An explicitly requested placer seed of 1 must be honored, not silently
 // replaced by the flow seed (the old `seed == 1 ? flow : place` smell).
 TEST(Determinism, ExplicitPlacerSeedOneIsHonored) {

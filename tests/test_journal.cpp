@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "flow/flow.h"
+#include "hex.h"
 #include "netlist/generator.h"
 #include "rtc/service/journal.h"
 #include "rtc/service/service.h"
@@ -194,6 +195,27 @@ TEST(ServiceJournalTest, FreshJournalRoundTripsRecords) {
   EXPECT_FALSE(sr.torn_tail);
   EXPECT_EQ(sr.epoch, 0u);
   EXPECT_TRUE(sr.snapshot_path.empty());
+}
+
+// Pins the VJL1 bytes of a fresh journal (magic, kOpen) plus one commit
+// record: record framing and checksum must stay readable by recovery.
+TEST(ServiceJournalTest, WalBytesArePinned) {
+  TempDir dir("pinned");
+  {
+    ServiceJournal j(dir.path, FaultPlan(), "cfg");
+    std::string commit;
+    ServiceJournal::put_u64(commit, 0x1122334455667788ull);
+    j.append(ServiceJournal::Kind::kCommit, commit);
+  }
+  std::string bytes;
+  {
+    std::ifstream is(dir.path + "/journal.wal", std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  EXPECT_EQ(hex_of(bytes),
+            "564a4c31030000000063666780d7e301beabb445080000000788776655443322"
+            "118e19c578b1f0e4dd");
 }
 
 TEST(ServiceJournalTest, TornTailDroppedAndTruncated) {

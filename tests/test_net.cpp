@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "hex.h"
 #include "net/conn.h"
 #include "net/event_loop.h"
 #include "net/poller.h"
@@ -296,6 +297,22 @@ TEST(Wire, FrameRoundTripAllTypes) {
     EXPECT_EQ(f.payload, payload);
     EXPECT_TRUE(buf.empty());  // fully consumed
   }
+}
+
+// Pins one vbs.rpc.v1 LOAD frame and the handshake derivations: a peer
+// built from an older tree must still parse and authenticate.
+TEST(Wire, FrameBytesArePinned) {
+  BitVector stream;
+  stream.append_bits(0xc3a5, 16);
+  stream.append_bits(0x5, 3);
+  EXPECT_EQ(hex_of(rpc::encode_frame(rpc::FrameType::kLoad,
+                                     0x0102030405060708ull,
+                                     rpc::encode_load(3, stream))),
+            "3600000001060807060504030201e749444a0539f3be03000000564152310300"
+            "00000000000000bcb13b9f3a0b329c1300000000000000c3a5a0");
+  const std::uint64_t secret = rpc::tenant_secret(0x5eedull, 3);
+  EXPECT_EQ(secret, 0xab74f7add82ac322ull);
+  EXPECT_EQ(rpc::auth_proof(secret, 3, 11, 22), 0xd5d35eb02b4043d9ull);
 }
 
 TEST(Wire, PartialFrameWaitsForMoreBytes) {

@@ -15,6 +15,7 @@
 #include "flow/artifact_io.h"
 #include "flow/flow.h"
 #include "flow/pipeline.h"
+#include "hex.h"
 #include "netlist/generator.h"
 #include "netlist/mcnc.h"
 #include "util/fault.h"
@@ -130,6 +131,19 @@ TEST(ArtifactIo, RoutingRoundTripsByteExact) {
   const RoutingResult back = deserialize_routing(bits);
   expect_identical_routing(back, r.routing);
   EXPECT_EQ(serialize_routing(back), bits);
+}
+
+// Pins one vbs.artifact.v1 container byte for byte (header, fingerprint,
+// content hash, payload), so a hashing change that would orphan existing
+// checkpoints fails here rather than only on disk.
+TEST(ArtifactIo, ContainerBytesArePinned) {
+  BitVector payload;
+  payload.append_bits(0x5a5a5, 20);
+  payload.append_bits(0x1f, 17);
+  EXPECT_EQ(hex_of(artifact_container_bytes(ArtifactStage::kRoute,
+                                            0x0123456789abcdefull, payload)),
+            "5641523102efcdab89674523012ae25e897f7e6ff025000000000000005a5a50"
+            "00f8");
 }
 
 // --- container rejection -----------------------------------------------------

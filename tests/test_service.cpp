@@ -67,6 +67,15 @@ TEST(StreamHash, IdenticalContentSameHash) {
   EXPECT_NE(stream_content_hash(a), stream_content_hash(c));
 }
 
+// Pins the content hash of a fixed stream: it feeds state_fingerprint,
+// which every journal commit record stores.
+TEST(StreamHash, ValueIsPinned) {
+  BitVector v;
+  v.append_bits(0xdeadbeefcafef00dull, 64);
+  v.append_bits(0x2b, 7);
+  EXPECT_EQ(stream_content_hash(v), 0x83d175eb88709885ull);
+}
+
 std::shared_ptr<DecodedStream> fake_decoded(std::size_t payload_bits) {
   auto d = std::make_shared<DecodedStream>();
   d->payloads.emplace_back(payload_bits);

@@ -12,6 +12,7 @@
 #include "util/bitio.h"
 #include "util/bitvector.h"
 #include "util/geometry.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -134,6 +135,18 @@ TEST(BitIo, BitsFor) {
   EXPECT_EQ(bits_for(9), 4u);
   // Paper's example: M = ceil(log2(4W + L + 1)) = 5 for W=5, L=7.
   EXPECT_EQ(bits_for(4 * 5 + 7 + 1), 5u);
+}
+
+TEST(Hash, Fnv1a64ReferenceVectors) {
+  EXPECT_EQ(fnv1a64("", 0), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar", 6), 0x85944171f73967e8ull);
+}
+
+TEST(Hash, Splitmix64ReferenceVectors) {
+  // First outputs of Vigna's splitmix64 generator seeded with 0.
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(splitmix64(0x9e3779b97f4a7c15ull), 0x6e789e6aa1b965f4ull);
 }
 
 TEST(Rng, DeterministicAndDistinctSeeds) {

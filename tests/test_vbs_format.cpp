@@ -2,7 +2,15 @@
 // round-trips, malformed-stream rejection.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
+#include "hex.h"
 #include "util/bitio.h"
+#include "vbs/vbs_file.h"
 #include "vbs/vbs_format.h"
 
 namespace vbs {
@@ -195,6 +203,28 @@ TEST(VbsFormat, SizeScalesWithConnections) {
   img.entries[0].conns.push_back({3, 9});
   const unsigned m = bits_for(4 * 5 + 7 + 1);
   EXPECT_EQ(vbs_size_bits(img), base + 2 * m);
+}
+
+// Pins the on-disk bytes of one small VBS2 file. Round trips alone would
+// pass a change to the bit coding or the checksum that breaks files
+// already written.
+TEST(VbsFormat, Vbs2FileBytesArePinned) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("vbs_format_pin_" + std::to_string(::getpid())))
+          .string();
+  write_vbs_file(path, serialize_vbs(sample_image()));
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(hex_of(bytes),
+            "56425332ad01000000000000f7d59d61054f5bbf10560087a0857bd9eac8f351"
+            "6240481501e00000000000000000040000000000000000000000020000000000"
+            "00000000000000000000");
 }
 
 }  // namespace
