@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -301,20 +300,19 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
     s.path_cost[v] = 0.0f;
     s.back_node[v] = -1;
     s.back_edge[v] = -1;
-    s.heap.push_back({heur(tn.rr), 0.0f, tn.rr});
+    s.heap.seed(heur(tn.rr), 0.0f, tn.rr);
   }
-  std::make_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+  s.heap.heapify();
 
   while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
-    const HeapEntry top = s.heap.back();
-    s.heap.pop_back();
+    const SearchHeap::Entry top = s.heap.pop();
     ++s.heap_pops;
-    const auto u = static_cast<std::size_t>(top.node);
-    if (s.epoch_of[u] != s.epoch || top.path != s.path_cost[u]) continue;
-    if (top.node == sink) return true;
-    const auto edge_base = fabric_.edge_offset(top.node);
-    const auto edges = fabric_.edges(top.node);
+    const int node = top.node();
+    const auto u = static_cast<std::size_t>(node);
+    if (s.epoch_of[u] != s.epoch || top.cost != s.path_cost[u]) continue;
+    if (node == sink) return true;
+    const auto edge_base = fabric_.edge_offset(node);
+    const auto edges = fabric_.edges(node);
     for (std::size_t k = 0; k < edges.size(); ++k) {
       const int v = edges[k].to;
       const auto sv = static_cast<std::size_t>(v);
@@ -323,7 +321,7 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
       if (cls != kFree && (cls == kMasked || v != sink)) continue;
       if (!box.contains(fabric_.node_pos(v))) continue;
       const float npc =
-          top.path + static_cast<float>(congestion_cost(
+          top.cost + static_cast<float>(congestion_cost(
                          hist_[sv], pres_fac, occ_of<kSpec>(s, v)));
       if (s.epoch_of[sv] != s.epoch || npc < s.path_cost[sv]) {
         if constexpr (kSpec) {
@@ -333,10 +331,9 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
         }
         s.epoch_of[sv] = s.epoch;
         s.path_cost[sv] = npc;
-        s.back_node[sv] = top.node;
+        s.back_node[sv] = node;
         s.back_edge[sv] = static_cast<std::int64_t>(edge_base + k);
-        s.heap.push_back({npc + heur(v), npc, v});
-        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+        s.heap.push(npc + heur(v), npc, v);
       }
     }
   }
@@ -512,7 +509,8 @@ bool PathfinderRouter::parallel_iteration(const std::vector<std::size_t>& work,
     const std::size_t batch = std::min(batch_cap, work.size() - pos);
     // Dirty marks are relative to this batch's congestion snapshot (same
     // wrap-safe reset path as the scratch epochs).
-    RouterScratch::bump_epoch(dirty_epoch_, {&dirty_epoch_of_});
+    bump_epoch(dirty_epoch_, RouterScratch::kEpochWrapMetric,
+               {&dirty_epoch_of_});
     pool.parallel_for(batch, [&](int rank, std::size_t k) {
       run_spec_task(work[pos + k], full, pres_fac, opts,
                     *spec_scratch_[static_cast<std::size_t>(rank)],

@@ -175,8 +175,6 @@ class PathfinderRouter {
     friend bool operator==(const BBox&, const BBox&) = default;
   };
 
-  using HeapEntry = RouterScratch::HeapEntry;
-
   /// One net's speculative result, produced in parallel against a frozen
   /// congestion snapshot and committed (or rejected) in net order.
   struct SpecTask {

@@ -7,37 +7,34 @@
 // pass never reads (tree compaction, occupancy overlay) stay out of its
 // cache footprint entirely.
 //
+// Search queue: the shared SearchHeap (util/search_heap.h). Entries pack
+// key = bit_cast<u32>(est) << 32 | u32(node); est = path + heuristic is
+// never negative or NaN, so the key orders exactly like the old
+// (est, node) comparison and the binary std heap makes the same moves —
+// trees and heap_pops are unchanged. It stays binary, not d-ary, because
+// a d-ary heap pops equal keys in a different order.
+//
 // Epoch discipline: O(V) clears are replaced by stamp arrays — a node's
 // entry is valid only when its stamp equals the current epoch. Every epoch
-// family advances through ONE reset path (bump_epoch): on wrap the stamp
-// arrays are cleared and the epoch restarts at 1, so a 4-billion-search-old
-// stamp can never alias a live one. The arenas keep their capacity across
-// sinks, nets and iterations.
+// family advances through the one reset path, util/epoch.h bump_epoch: on
+// wrap the stamp arrays are cleared and the epoch restarts at 1 (counted
+// as route.epoch_wrap_resets), so a 4-billion-search-old stamp can never
+// alias a live one. The arenas keep their capacity across sinks, nets and
+// iterations.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <initializer_list>
 #include <utility>
 #include <vector>
 
-#include "util/telemetry.h"
+#include "util/epoch.h"
+#include "util/search_heap.h"
 
 namespace vbs {
 
 struct RouterScratch {
-  // Reusable search heap entry.
-  struct HeapEntry {
-    float est;   ///< path cost + weighted heuristic
-    float path;  ///< path cost so far
-    std::int32_t node;
-    // Min-heap by (est, node id) — the node id tie-break keeps expansion
-    // deterministic across runs and platforms.
-    bool operator>(const HeapEntry& o) const {
-      if (est != o.est) return est > o.est;
-      return node > o.node;
-    }
-  };
+  /// Wrap resets of every router stamp family are counted under this name.
+  static constexpr const char* kEpochWrapMetric = "route.epoch_wrap_resets";
 
   // Per-connection A* state, epoch-stamped to avoid O(V) clears.
   std::vector<float> path_cost;
@@ -45,7 +42,7 @@ struct RouterScratch {
   std::vector<std::int64_t> back_edge;
   std::vector<std::uint32_t> epoch_of;
   std::uint32_t epoch = 0;
-  std::vector<HeapEntry> heap;
+  SearchHeap heap;  ///< (est, node)-ordered; entry cost = path cost
   std::vector<std::pair<int, std::int64_t>> path_scratch;
   // Tree compaction scratch: keep flags, usefulness, index remap, and an
   // epoch-stamped sink marker per RR node (stamped under tree_epoch).
@@ -71,31 +68,15 @@ struct RouterScratch {
   long long heap_pops = 0;
   long long bbox_retries = 0;
 
-  /// THE epoch-reset path: every stamp family (search, tree, overlay — and
-  /// the router's batch dirty marks) advances through here. Returns the new
-  /// epoch; on wrap clears the family's stamp arrays so stale stamps cannot
-  /// alias the restarted counter.
-  static std::uint32_t bump_epoch(
-      std::uint32_t& epoch_counter,
-      std::initializer_list<std::vector<std::uint32_t>*> stamps) {
-    if (++epoch_counter == 0) {
-      for (std::vector<std::uint32_t>* v : stamps) {
-        std::fill(v->begin(), v->end(), 0u);
-      }
-      epoch_counter = 1;
-      // Once per 2^32 bumps per family; the counter is for visibility
-      // that the wrap path actually runs in long-lived processes.
-      telem::counter_add("route.epoch_wrap_resets");
-    }
-    return epoch_counter;
+  std::uint32_t begin_search() {
+    return bump_epoch(epoch, kEpochWrapMetric, {&epoch_of});
   }
-
-  std::uint32_t begin_search() { return bump_epoch(epoch, {&epoch_of}); }
   std::uint32_t begin_tree() {
-    return bump_epoch(tree_epoch, {&tree_epoch_of, &sink_mark});
+    return bump_epoch(tree_epoch, kEpochWrapMetric,
+                      {&tree_epoch_of, &sink_mark});
   }
   std::uint32_t begin_delta() {
-    return bump_epoch(delta_epoch, {&delta_epoch_of});
+    return bump_epoch(delta_epoch, kEpochWrapMetric, {&delta_epoch_of});
   }
 
   void init(int num_nodes) {

@@ -1,11 +1,11 @@
 #include "vbs/devirtualizer.h"
 
 #include <algorithm>
-#include <cassert>
-#include <queue>
 #include <stdexcept>
 
+#include "util/epoch.h"
 #include "util/error.h"
+#include "util/telemetry.h"
 
 namespace vbs {
 
@@ -19,32 +19,21 @@ DecodeStats& DecodeStats::operator+=(const DecodeStats& o) {
   return *this;
 }
 
-namespace {
-
-struct HeapEntry {
-  float est;
-  float cost;
-  std::int32_t node;
-  bool operator>(const HeapEntry& o) const {
-    if (est != o.est) return est > o.est;
-    return node > o.node;  // deterministic tie-break
-  }
-};
-
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
-
-}  // namespace
-
 Devirtualizer::Devirtualizer(const RegionModel& region) : region_(&region) {
   const auto n = static_cast<std::size_t>(region.num_nodes());
   occ_.assign(n, 0);
   hist_.assign(n, 0.0f);
-  cost_.assign(n, 0.0f);
-  back_.assign(n, -1);
-  back_bit_.assign(n, -1);
-  visit_epoch_.assign(n, 0);
+  visit_.assign(n, {0, 0.0f, -1, -1});
+  tree_stamp_.assign(n, 0);
+  node_owner_.assign(n, kAnyGroup);
   port_group_.assign(static_cast<std::size_t>(region.num_ports()), -1);
+}
+
+void Devirtualizer::add_to_tree(Group& g, std::int32_t node,
+                                std::int32_t switch_bit) {
+  g.tree.push_back({node, switch_bit});
+  tree_stamp_[static_cast<std::size_t>(node)] = tree_epoch_;
+  ++occ_[static_cast<std::size_t>(node)];
 }
 
 bool Devirtualizer::route_group(Group& g, double pres_fac) {
@@ -53,18 +42,18 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
       std::min(rm.spec().pins_on_x(), rm.spec().pins_on_y()) + 1;
 
   g.tree.clear();
-  g.tree.push_back({g.source_node, -1});
-  ++occ_[static_cast<std::size_t>(g.source_node)];
+  bump_epoch(tree_epoch_, kEpochWrapMetric, {&tree_stamp_});
+  add_to_tree(g, g.source_node, -1);
 
   for (const int target : g.targets) {
-    if (target == g.source_node) continue;
-    // Already absorbed into the tree by an earlier pair's path?
-    bool in_tree = false;
-    for (const TreeNode& tn : g.tree) in_tree |= (tn.node == target);
-    if (in_tree) continue;
+    // The source, or already absorbed by an earlier pair's path?
+    if (tree_stamp_[static_cast<std::size_t>(target)] == tree_epoch_) continue;
 
-    ++search_epoch_;
-    MinHeap heap;
+    const std::uint32_t epoch =
+        bump_epoch(search_epoch_, kEpochWrapMetric, [&] {
+          for (Visit& vi : visit_) vi.epoch = 0;
+        });
+    heap_.clear();
     const Point tp = rm.node_tile(target);
     auto heur = [&](int v) {
       const Point p = rm.node_tile(v);
@@ -72,53 +61,42 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
                                          std::abs(p.y - tp.y)));
     };
     for (const TreeNode& tn : g.tree) {
-      const auto v = static_cast<std::size_t>(tn.node);
-      visit_epoch_[v] = search_epoch_;
-      cost_[v] = 0.0f;
-      back_[v] = -1;
-      back_bit_[v] = -1;
-      heap.push({heur(tn.node), 0.0f, tn.node});
+      visit_[static_cast<std::size_t>(tn.node)] = {epoch, 0.0f, -1, -1};
+      heap_.push(heur(tn.node), 0.0f, tn.node);
     }
     bool found = false;
-    while (!heap.empty()) {
-      const HeapEntry top = heap.top();
-      heap.pop();
+    while (!heap_.empty()) {
+      const SearchHeap::Entry top = heap_.pop();
       ++expanded_;
-      const auto u = static_cast<std::size_t>(top.node);
-      if (visit_epoch_[u] != search_epoch_ || cost_[u] != top.cost) continue;
-      if (top.node == target) {
+      const int node = top.node();
+      const Visit& at = visit_[static_cast<std::size_t>(node)];
+      if (at.epoch != epoch || at.cost != top.cost) continue;
+      if (node == target) {
         found = true;
         break;
       }
-      for (const RegionModel::Adj& adj : rm.adjacency(top.node)) {
+      for (const RegionModel::Adj& adj : rm.adjacency(node)) {
         const auto v = static_cast<std::size_t>(adj.to);
         // Port wires are reserved for the signal that declares them; this
         // is a hard constraint, not a negotiable cost (it protects wires
         // shared with neighbouring, independently decoded regions).
-        const int port = rm.node_port(adj.to);
-        if (port >= 0 &&
-            port_group_[static_cast<std::size_t>(port)] != g.id) {
-          continue;
-        }
+        const std::int32_t owner = node_owner_[v];
+        if (owner != kAnyGroup && owner != g.id) continue;
         const float nc =
             top.cost +
             (1.0f + hist_[v]) *
                 (1.0f + static_cast<float>(pres_fac) * occ_[v]);
-        if (visit_epoch_[v] != search_epoch_ || nc < cost_[v]) {
-          visit_epoch_[v] = search_epoch_;
-          cost_[v] = nc;
-          back_[v] = top.node;
-          back_bit_[v] = rm.switch_bit(adj.macro, adj.point, adj.pair);
-          heap.push({nc + heur(adj.to), nc, adj.to});
+        Visit& to = visit_[v];
+        if (to.epoch != epoch || nc < to.cost) {
+          to = {epoch, nc, node, adj.bit};
+          heap_.push(nc + heur(adj.to), nc, adj.to);
         }
       }
     }
     if (!found) return false;
-    int v = target;
-    while (back_[static_cast<std::size_t>(v)] != -1) {
-      g.tree.push_back({v, back_bit_[static_cast<std::size_t>(v)]});
-      ++occ_[static_cast<std::size_t>(v)];
-      v = back_[static_cast<std::size_t>(v)];
+    for (int v = target; visit_[static_cast<std::size_t>(v)].back != -1;
+         v = visit_[static_cast<std::size_t>(v)].back) {
+      add_to_tree(g, v, visit_[static_cast<std::size_t>(v)].back_bit);
     }
   }
   return true;
@@ -133,15 +111,30 @@ void Devirtualizer::rip_up(Group& g) {
 
 bool Devirtualizer::decode_entry(const VbsEntry& entry, BitVector& routing_out,
                                  DecodeStats* stats) {
+  DecodeStats st;
+  const bool ok = decode(entry, routing_out, st);
+  if (stats) *stats += st;
+  if (telem::enabled()) {
+    telem::counter_add("vbs.decode.entries", st.entries_decoded);
+    telem::counter_add("vbs.decode.raw_entries", st.raw_entries);
+    telem::counter_add("vbs.decode.nodes_expanded", st.nodes_expanded);
+    telem::counter_add("vbs.decode.negotiation_iterations",
+                       st.negotiation_iterations);
+  }
+  return ok;
+}
+
+bool Devirtualizer::decode(const VbsEntry& entry, BitVector& routing_out,
+                           DecodeStats& stats) {
   const RegionModel& rm = *region_;
   const int c = rm.cluster();
   const std::size_t payload_bits =
       static_cast<std::size_t>(c) * c * rm.spec().nroute_bits();
 
-  if (stats) ++stats->entries_decoded;
+  ++stats.entries_decoded;
   if (entry.raw) {
     routing_out = entry.raw_routing;
-    if (stats) ++stats->raw_entries;
+    ++stats.raw_entries;
     return true;
   }
   routing_out.resize(payload_bits);
@@ -176,6 +169,11 @@ bool Devirtualizer::decode_entry(const VbsEntry& entry, BitVector& routing_out,
     groups_[static_cast<std::size_t>(g)].targets.push_back(
         rm.port_node(conn.out));
   }
+  for (std::size_t n = 0; n < node_owner_.size(); ++n) {
+    const int port = rm.node_port(static_cast<int>(n));
+    node_owner_[n] =
+        port < 0 ? kAnyGroup : port_group_[static_cast<std::size_t>(port)];
+  }
 
   // --- negotiated-congestion decode ---------------------------------------
   // First pass is the pure greedy, stateful decode (paper Section II-C);
@@ -189,7 +187,7 @@ bool Devirtualizer::decode_entry(const VbsEntry& entry, BitVector& routing_out,
   double pres_fac = 0.0;
   bool converged = false;
   for (int iter = 1; iter <= max_iterations_; ++iter) {
-    if (stats) ++stats->negotiation_iterations;
+    ++stats.negotiation_iterations;
     for (Group& g : groups_) {
       if (iter > 1) {
         bool congested = false;
@@ -200,10 +198,8 @@ bool Devirtualizer::decode_entry(const VbsEntry& entry, BitVector& routing_out,
         rip_up(g);
       }
       if (!route_group(g, pres_fac)) {
-        if (stats) {
-          ++stats->pairs_failed;
-          stats->nodes_expanded += expanded_;
-        }
+        ++stats.pairs_failed;
+        stats.nodes_expanded += expanded_;
         return false;
       }
     }
@@ -220,12 +216,10 @@ bool Devirtualizer::decode_entry(const VbsEntry& entry, BitVector& routing_out,
     }
     pres_fac = iter == 1 ? 1.0 : pres_fac * 2.0;
   }
-  if (stats) {
-    stats->nodes_expanded += expanded_;
-    stats->pairs_routed += static_cast<long long>(entry.conns.size());
-  }
+  stats.nodes_expanded += expanded_;
+  stats.pairs_routed += static_cast<long long>(entry.conns.size());
   if (!converged) {
-    if (stats) ++stats->pairs_failed;
+    ++stats.pairs_failed;
     return false;
   }
 

@@ -16,7 +16,21 @@
 //
 // Because decoding is deterministic in the connection order, the offline
 // encoder runs this exact code as its feedback loop: any order it validates
-// is guaranteed to decode online (paper Section III-B).
+// is guaranteed to decode online (paper Section III-B). That makes this A*
+// the hot loop of both the designer's compile and a tenant's cold load.
+//
+// Search queue: the shared SearchHeap (util/search_heap.h), one per
+// decoder, reused for every target. Entries pack key = bit_cast<u32>(est)
+// << 32 | u32(node); est = cost + Manhattan heuristic is never negative or
+// NaN, so the key orders exactly like the (est, node) comparison (lowest
+// estimate, then lowest node id) and the binary std heap makes the same
+// moves as std::priority_queue did — same pops, same trees, same
+// nodes_expanded. It is deliberately not a d-ary heap: that would pop
+// equal keys in a different order and change the decoded switches.
+//
+// Telemetry (when enabled), once per decoded entry: vbs.decode.entries,
+// vbs.decode.raw_entries, vbs.decode.nodes_expanded and
+// vbs.decode.negotiation_iterations — the DecodeStats sums.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +42,7 @@
 #include "fabric/fabric.h"
 #include "util/bitvector.h"
 #include "util/geometry.h"
+#include "util/search_heap.h"
 #include "vbs/region_model.h"
 #include "vbs/vbs_format.h"
 
@@ -76,22 +91,42 @@ class Devirtualizer {
     std::vector<TreeNode> tree;
   };
 
+  /// Per-node A* state, valid while `epoch` equals search_epoch_.
+  struct Visit {
+    std::uint32_t epoch;
+    float cost;
+    std::int32_t back;      ///< predecessor node, -1 at a search root
+    std::int32_t back_bit;  ///< switch bit used to arrive, -1 at a root
+  };
+  /// node_owner_ value of interior nodes: usable by every signal.
+  static constexpr std::int32_t kAnyGroup = -2;
+  static constexpr const char* kEpochWrapMetric =
+      "vbs.decode.epoch_wrap_resets";
+
+  bool decode(const VbsEntry& entry, BitVector& routing_out,
+              DecodeStats& stats);
   bool route_group(Group& g, double pres_fac);
   void rip_up(Group& g);
+  void add_to_tree(Group& g, std::int32_t node, std::int32_t switch_bit);
 
   const RegionModel* region_;
   int max_iterations_ = 24;
   std::vector<Group> groups_;
   std::vector<std::int32_t> port_group_;  ///< per port: declaring group or -1
+  /// Per node, set per entry from node_port(n): kAnyGroup for interior
+  /// nodes, else the declaring group of its port (-1: undeclared). Port
+  /// wires are usable only by their own signal.
+  std::vector<std::int32_t> node_owner_;
   // Negotiation state (reset per entry).
   std::vector<std::uint16_t> occ_;
   std::vector<float> hist_;
-  // Per-connection A* state, valid while the stamp equals search_epoch_.
-  std::vector<float> cost_;
-  std::vector<std::int32_t> back_;
-  std::vector<std::int32_t> back_bit_;
-  std::vector<std::uint32_t> visit_epoch_;
+  // Per-connection A* state.
+  SearchHeap heap_;
+  std::vector<Visit> visit_;
   std::uint32_t search_epoch_ = 0;
+  // Membership of the group being routed: stamp == tree_epoch_.
+  std::vector<std::uint32_t> tree_stamp_;
+  std::uint32_t tree_epoch_ = 0;
   long long expanded_ = 0;
 };
 

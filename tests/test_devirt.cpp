@@ -1,10 +1,15 @@
 // De-virtualizer unit tests on hand-crafted connection lists: the stateful
-// greedy decode, fan-out sharing, port reservation, failure modes.
+// greedy decode, fan-out sharing, port reservation, failure modes. Plus
+// golden pins through the whole flow: exact stream, config and search-count
+// values that any change to the A* kernels must reproduce.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <vector>
 
+#include "flow/pipeline.h"
+#include "netlist/generator.h"
+#include "rtc/service/stream_cache.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/region_model.h"
 
@@ -216,6 +221,65 @@ TEST(Devirtualizer, SaturatedMacroFailsGracefully) {
   DecodeStats stats;
   EXPECT_FALSE(dv.decode_entry(entry_with(conns), payload, &stats));
   EXPECT_EQ(stats.pairs_failed, 1);
+}
+
+// --- golden pins through the whole flow ------------------------------------
+// A small generated design at W=5 goes through FlowPipeline and is encoded
+// and decoded at every cluster size. Heap order, tie-breaks and the float
+// cost arithmetic of both A* kernels (router and de-virtualizer) feed
+// every number below, so a kernel change that is not exactly
+// order-preserving fails here. The values were recorded with the
+// std::priority_queue kernels that SearchHeap replaced.
+
+struct GoldenCase {
+  int cluster;
+  std::uint64_t stream_hash;  ///< stream_content_hash of vbs_stream()
+  std::uint64_t config_hash;  ///< stream_content_hash of the decoded config
+  long long nodes_expanded;
+  long long negotiation_iterations;
+  long long pairs_routed;
+};
+
+TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
+  GenParams p;
+  p.n_lut = 40;
+  p.n_pi = 6;
+  p.n_po = 6;
+  p.seed = 3;
+  FlowOptions o;
+  o.arch.chan_width = 5;
+  o.seed = 5;
+  FlowPipeline pipe(generate_netlist(p), 8, 8, o);
+  ASSERT_TRUE(pipe.routing().success);
+  EXPECT_EQ(pipe.routing().heap_pops, 86343);
+  EXPECT_EQ(pipe.routing().iterations, 7);
+
+  const GoldenCase kCases[] = {
+      {1, 0x2ee4b49b30f8e48aull, 0x4c1f510f533e18ecull, 25133, 139, 406},
+      {2, 0x50530139b4c6eb53ull, 0x237b2d21e47757c2ull, 48867, 71, 279},
+      {4, 0xb7d14ba65a461335ull, 0xed0e499e2912f99dull, 110809, 41, 191},
+      {8, 0x1954f8206233f250ull, 0xfcf67043231e3370ull, 114180, 5, 147},
+  };
+  bool negotiated = false;
+  for (const GoldenCase& gc : kCases) {
+    SCOPED_TRACE("cluster " + std::to_string(gc.cluster));
+    EncodeOptions eo;
+    eo.cluster = gc.cluster;
+    pipe.set_encode_options(eo);
+    EXPECT_EQ(stream_content_hash(pipe.vbs_stream()), gc.stream_hash);
+    DecodeStats st;
+    const BitVector config =
+        devirtualize_image(pipe.vbs_image(), pipe.fabric(), {0, 0}, &st);
+    EXPECT_EQ(stream_content_hash(config), gc.config_hash);
+    EXPECT_EQ(st.nodes_expanded, gc.nodes_expanded);
+    EXPECT_EQ(st.negotiation_iterations, gc.negotiation_iterations);
+    EXPECT_EQ(st.pairs_routed, gc.pairs_routed);
+    // More iterations than decoded lists: some entry went past the greedy
+    // first pass into negotiated congestion.
+    negotiated |=
+        st.negotiation_iterations > st.entries_decoded - st.raw_entries;
+  }
+  EXPECT_TRUE(negotiated);
 }
 
 }  // namespace

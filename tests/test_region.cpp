@@ -97,8 +97,7 @@ TEST(RegionModel, AdjacencySymmetric) {
     for (const RegionModel::Adj& a : rm.adjacency(n)) {
       bool back = false;
       for (const RegionModel::Adj& b : rm.adjacency(a.to)) {
-        back |= (b.to == n && b.macro == a.macro && b.point == a.point &&
-                 b.pair == a.pair);
+        back |= (b.to == n && b.bit == a.bit);
       }
       EXPECT_TRUE(back);
     }

@@ -22,6 +22,7 @@
 #include "rtc/service/trace.h"
 #include "util/telemetry.h"
 #include "util/trace_export.h"
+#include "vbs/devirtualizer.h"
 #include "vbs/encoder.h"
 
 namespace vbs {
@@ -221,6 +222,59 @@ TEST(Telemetry, FlowArtifactsByteIdenticalOnVsOff) {
     }
     EXPECT_EQ(on, off) << "threads " << threads;
   }
+}
+
+TEST(Telemetry, DecodeCountersEqualDecodeStatsAndConfigsUnchanged) {
+  GenParams p;
+  p.n_lut = 24;
+  p.n_pi = 3;
+  p.n_po = 3;
+  p.seed = 11;
+  FlowOptions o;
+  o.arch = test_arch();
+  o.seed = 11;
+  const FlowResult r = run_flow(generate_netlist(p), 6, 6, o);
+  ASSERT_TRUE(r.routed());
+  // Encoded with telemetry off: the encoder's own feedback decodes must
+  // not reach the counters below. One image is list-coded, one all raw.
+  std::vector<VbsImage> images;
+  for (const bool force_raw : {false, true}) {
+    EncodeOptions eo;
+    eo.cluster = 2;
+    eo.force_raw = force_raw;
+    images.push_back(encode_vbs(*r.fabric, r.netlist, r.packed, r.placement,
+                                r.routing.routes, eo));
+  }
+
+  DecodeStats off_stats, on_stats;
+  std::vector<BitVector> off, on;
+  for (const VbsImage& img : images) {
+    off.push_back(devirtualize_image(img, *r.fabric, {0, 0}, &off_stats));
+  }
+  telem::MetricsSnapshot snap;
+  {
+    telem::ScopedEnable enable;
+    telem::reset();
+    for (const VbsImage& img : images) {
+      on.push_back(devirtualize_image(img, *r.fabric, {0, 0}, &on_stats));
+    }
+    snap = telem::snapshot();
+    telem::reset();
+  }
+  EXPECT_EQ(on, off);
+  auto counter = [&](const char* name) -> long long {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  EXPECT_GT(on_stats.raw_entries, 0);
+  EXPECT_GT(on_stats.entries_decoded, on_stats.raw_entries);
+  EXPECT_EQ(counter("vbs.decode.entries"), on_stats.entries_decoded);
+  EXPECT_EQ(counter("vbs.decode.raw_entries"), on_stats.raw_entries);
+  EXPECT_EQ(counter("vbs.decode.nodes_expanded"), on_stats.nodes_expanded);
+  EXPECT_EQ(counter("vbs.decode.negotiation_iterations"),
+            on_stats.negotiation_iterations);
+  EXPECT_EQ(on_stats.nodes_expanded, off_stats.nodes_expanded);
+  EXPECT_EQ(on_stats.negotiation_iterations, off_stats.negotiation_iterations);
 }
 
 /// A journaled, faulted overload replay; returns the final fingerprint and

@@ -1,19 +1,27 @@
 // Unit tests for the util layer: bit vectors, bit I/O, RNG, statistics,
-// and the work-stealing thread pool.
+// the A* search queue, epoch stamps and the work-stealing thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <queue>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "util/bitio.h"
 #include "util/bitvector.h"
+#include "util/epoch.h"
 #include "util/geometry.h"
 #include "util/hash.h"
 #include "util/rng.h"
+#include "util/search_heap.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/telemetry.h"
@@ -147,6 +155,163 @@ TEST(Hash, Splitmix64ReferenceVectors) {
   // First outputs of Vigna's splitmix64 generator seeded with 0.
   EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafull);
   EXPECT_EQ(splitmix64(0x9e3779b97f4a7c15ull), 0x6e789e6aa1b965f4ull);
+}
+
+// --- search queue -----------------------------------------------------------
+
+/// The queue entry both A* kernels used before SearchHeap: a min-heap by
+/// (est, node) under std::greater<>, the cost riding along unordered.
+struct RefEntry {
+  float est;
+  float cost;
+  std::int32_t node;
+  bool operator>(const RefEntry& o) const {
+    if (est != o.est) return est > o.est;
+    return node > o.node;
+  }
+};
+
+/// Estimates the kernels can produce, packed close together so ties are
+/// common: +0, subnormals, the smallest normal, neighbours one ulp apart,
+/// values at and beyond 2^24 (where float spacing exceeds 1) and +inf.
+const std::vector<float>& est_pool() {
+  static const std::vector<float> pool = {
+      0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      1e-40f,
+      std::numeric_limits<float>::min(),
+      0.5f,
+      1.0f,
+      std::nextafter(1.0f, 2.0f),
+      3.0f,
+      16777216.0f,
+      16777218.0f,
+      3.0e9f,
+      std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::infinity(),
+  };
+  return pool;
+}
+
+/// One random push: few distinct nodes and estimates, so equal (est, node)
+/// pairs with different costs are frequent.
+RefEntry random_entry(Rng& rng) {
+  const std::vector<float>& pool = est_pool();
+  return {pool[rng.next_below(pool.size())],
+          static_cast<float>(rng.next_below(1000)),
+          static_cast<std::int32_t>(rng.next_below(6))};
+}
+
+TEST(SearchHeap, KeyOrdersLikeEstThenNode) {
+  const std::vector<float>& pool = est_pool();
+  for (const float a : pool) {
+    for (const float b : pool) {
+      for (const std::int32_t n :
+           {0, 1, 7, std::numeric_limits<std::int32_t>::max()}) {
+        for (const std::int32_t m : {0, 1, 7}) {
+          const RefEntry ra{a, 0.0f, n}, rb{b, 0.0f, m};
+          EXPECT_EQ(SearchHeap::key_of(a, n) > SearchHeap::key_of(b, m),
+                    ra > rb)
+              << a << "," << n << " vs " << b << "," << m;
+        }
+      }
+    }
+  }
+  const SearchHeap::Entry e{SearchHeap::key_of(3.0f, 12345), 0.0f};
+  EXPECT_EQ(e.node(), 12345);
+}
+
+TEST(SearchHeap, PopsExactlyLikeThePriorityQueueItReplaced) {
+  // The de-virtualizer's old queue: std::priority_queue, push per seed.
+  SearchHeap heap;  // reused across scripts, like the kernels reuse it
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    std::priority_queue<RefEntry, std::vector<RefEntry>, std::greater<>> ref;
+    heap.clear();
+    for (int step = 0; step < 20000; ++step) {
+      if (ref.empty() || rng.next_below(5) < 3) {
+        const RefEntry e = random_entry(rng);
+        ref.push(e);
+        heap.push(e.est, e.cost, e.node);
+      } else {
+        const RefEntry want = ref.top();
+        ref.pop();
+        const SearchHeap::Entry got = heap.pop();
+        ASSERT_EQ(got.node(), want.node) << "seed " << seed << " step " << step;
+        ASSERT_EQ(got.cost, want.cost) << "seed " << seed << " step " << step;
+      }
+      ASSERT_EQ(heap.size(), ref.size());
+    }
+  }
+}
+
+TEST(SearchHeap, SeededStartPopsExactlyLikeMakeHeap) {
+  // The router's old queue: a vector seeded, std::make_heap'd, then run
+  // with std::push_heap / std::pop_heap under std::greater<>.
+  SearchHeap heap;
+  for (const std::uint64_t seed : {5u, 6u, 7u}) {
+    Rng rng(seed);
+    std::vector<RefEntry> ref;
+    heap.clear();
+    for (int i = 0; i < 200; ++i) {
+      const RefEntry e = random_entry(rng);
+      ref.push_back(e);
+      heap.seed(e.est, e.cost, e.node);
+    }
+    std::make_heap(ref.begin(), ref.end(), std::greater<>{});
+    heap.heapify();
+    for (int step = 0; step < 20000 && !ref.empty(); ++step) {
+      if (rng.next_below(2) == 0) {
+        const RefEntry e = random_entry(rng);
+        ref.push_back(e);
+        std::push_heap(ref.begin(), ref.end(), std::greater<>{});
+        heap.push(e.est, e.cost, e.node);
+      } else {
+        std::pop_heap(ref.begin(), ref.end(), std::greater<>{});
+        const RefEntry want = ref.back();
+        ref.pop_back();
+        const SearchHeap::Entry got = heap.pop();
+        ASSERT_EQ(got.node(), want.node) << "seed " << seed << " step " << step;
+        ASSERT_EQ(got.cost, want.cost) << "seed " << seed << " step " << step;
+      }
+    }
+    ASSERT_EQ(heap.size(), ref.size());
+  }
+}
+
+// --- epoch stamps -----------------------------------------------------------
+
+TEST(Epoch, WrapClearsStampsAndRestartsAtOne) {
+  telem::ScopedEnable on;
+  telem::reset();
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t counter = kMax - 1;
+  std::vector<std::uint32_t> a(4, kMax - 1), b(3, 7);
+  EXPECT_EQ(bump_epoch(counter, "test.epoch_wrap", {&a, &b}), kMax);
+  EXPECT_EQ(a[0], kMax - 1);  // no wrap yet: stamps untouched
+  EXPECT_EQ(bump_epoch(counter, "test.epoch_wrap", {&a, &b}), 1u);
+  EXPECT_EQ(counter, 1u);
+  EXPECT_EQ(a, std::vector<std::uint32_t>(4, 0));
+  EXPECT_EQ(b, std::vector<std::uint32_t>(3, 0));
+  EXPECT_EQ(bump_epoch(counter, "test.epoch_wrap", {&a, &b}), 2u);
+
+  // The callback form, for stamps kept inside records.
+  struct Rec {
+    std::uint32_t epoch;
+    float cost;
+  };
+  std::vector<Rec> recs(5, {kMax, 1.5f});
+  std::uint32_t rec_counter = kMax;
+  auto clear_recs = [&] {
+    for (Rec& r : recs) r.epoch = 0;
+  };
+  EXPECT_EQ(bump_epoch(rec_counter, "test.epoch_wrap", clear_recs), 1u);
+  for (const Rec& r : recs) {
+    EXPECT_EQ(r.epoch, 0u);
+    EXPECT_EQ(r.cost, 1.5f);
+  }
+  EXPECT_EQ(telem::snapshot().counters.at("test.epoch_wrap"), 2);
+  telem::reset();
 }
 
 TEST(Rng, DeterministicAndDistinctSeeds) {
