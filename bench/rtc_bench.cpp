@@ -493,15 +493,21 @@ int run_connect(const CliArgs& args, bool json) {
           "\"deadline_misses\": %lld, \"failed\": %lld, \"rejected\": %lld, "
           "\"shutdown\": %s}\n}\n",
           copts.port, static_cast<unsigned long long>(s.fingerprint),
-          s.now_ticks, static_cast<unsigned long long>(s.pending), s.loads,
-          s.unloads, s.relocates, s.shed, s.deadline_misses, s.failed,
-          s.rejected, shutdown ? "true" : "false");
+          static_cast<long long>(s.now_ticks),
+          static_cast<unsigned long long>(s.pending),
+          static_cast<long long>(s.loads), static_cast<long long>(s.unloads),
+          static_cast<long long>(s.relocates), static_cast<long long>(s.shed),
+          static_cast<long long>(s.deadline_misses),
+          static_cast<long long>(s.failed), static_cast<long long>(s.rejected),
+          shutdown ? "true" : "false");
     } else {
       std::printf(
           "rtc_bench: server at :%d alive: fingerprint %016llx, tick %lld, "
           "%llu pending, %lld loads%s\n",
           copts.port, static_cast<unsigned long long>(s.fingerprint),
-          s.now_ticks, static_cast<unsigned long long>(s.pending), s.loads,
+          static_cast<long long>(s.now_ticks),
+          static_cast<unsigned long long>(s.pending),
+          static_cast<long long>(s.loads),
           shutdown ? "; shutdown sent" : "");
     }
     return 0;

@@ -10,9 +10,11 @@
 // Search queue: the shared SearchHeap (util/search_heap.h). Entries pack
 // key = bit_cast<u32>(est) << 32 | u32(node); est = path + heuristic is
 // never negative or NaN, so the key orders exactly like the old
-// (est, node) comparison and the binary std heap makes the same moves —
-// trees and heap_pops are unchanged. It stays binary, not d-ary, because
-// a d-ary heap pops equal keys in a different order.
+// (est, node) comparison. The heap's own sift code makes the moves
+// libstdc++'s std::make_heap / push_heap / pop_heap made, with a
+// branch-free child choice — trees and heap_pops are unchanged. It stays
+// binary, not d-ary, because a d-ary heap pops equal keys in a different
+// order.
 //
 // Epoch discipline: O(V) clears are replaced by stamp arrays — a node's
 // entry is valid only when its stamp equals the current epoch. Every epoch

@@ -11,7 +11,7 @@ namespace {
 
 std::string detect_sanitizers() {
   std::string out;
-  const auto add = [&out](const char* name) {
+  [[maybe_unused]] const auto add = [&out](const char* name) {
     if (!out.empty()) out += ",";
     out += name;
   };

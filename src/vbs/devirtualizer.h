@@ -23,10 +23,11 @@
 // decoder, reused for every target. Entries pack key = bit_cast<u32>(est)
 // << 32 | u32(node); est = cost + Manhattan heuristic is never negative or
 // NaN, so the key orders exactly like the (est, node) comparison (lowest
-// estimate, then lowest node id) and the binary std heap makes the same
-// moves as std::priority_queue did — same pops, same trees, same
-// nodes_expanded. It is deliberately not a d-ary heap: that would pop
-// equal keys in a different order and change the decoded switches.
+// estimate, then lowest node id), and the heap's branch-free sift code
+// makes move for move what libstdc++'s std::priority_queue did — same
+// pops, same trees, same nodes_expanded. It is deliberately not a d-ary
+// heap: that would pop equal keys in a different order and change the
+// decoded switches.
 //
 // Telemetry (when enabled), once per decoded entry: vbs.decode.entries,
 // vbs.decode.raw_entries, vbs.decode.nodes_expanded and

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "util/rng.h"
+#include "util/telemetry.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/region_model.h"
 
@@ -115,6 +116,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
                     const EncodeOptions& opts, EncodeStats* stats) {
   const ArchSpec& spec = fabric.spec();
   const int c = opts.cluster;
+  EncodeStats st;
 
   VbsImage img;
   img.spec = spec;
@@ -282,7 +284,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
         e.compact = false;
         e.conns.clear();
         e.raw_routing = cluster_raw_routing(cx, cy);
-        if (stats && counter) ++(*counter);
+        if (counter) ++(*counter);
       };
 
       // Per-entry coding choice: Table I pair list vs compact fan-out
@@ -299,10 +301,10 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
       if (opts.force_raw) {
         make_raw(nullptr);
       } else if (e.conns.size() > max_conns) {
-        make_raw(stats ? &stats->overflow_fallbacks : nullptr);
+        make_raw(&st.overflow_fallbacks);
       } else if (opts.size_fallback &&
                  list_bits >= static_cast<std::size_t>(c) * c * rbits) {
-        make_raw(stats ? &stats->size_fallbacks : nullptr);
+        make_raw(&st.size_fallbacks);
       } else {
         // Feedback loop: decode offline with the online algorithm.
         Devirtualizer& dv = regions.decoder_for(cx, cy);
@@ -330,23 +332,28 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
             ok = dv.decode_entry(e, scratch);
             ++attempt;
           }
-          if (ok && stats) ++stats->reordered_entries;
+          if (ok) ++st.reordered_entries;
         }
-        if (!ok) make_raw(stats ? &stats->conflict_fallbacks : nullptr);
+        if (!ok) make_raw(&st.conflict_fallbacks);
       }
 
-      if (stats) {
-        ++stats->entries;
-        stats->raw_entries += e.raw ? 1 : 0;
-        stats->connections += static_cast<long long>(e.conns.size());
-      }
+      ++st.entries;
+      st.raw_entries += e.raw ? 1 : 0;
+      st.connections += static_cast<long long>(e.conns.size());
       img.entries.push_back(std::move(e));
     }
   }
 
+  if (telem::enabled()) {
+    telem::counter_add("vbs.encode.entries", st.entries);
+    telem::counter_add("vbs.encode.raw_entries", st.raw_entries);
+    telem::counter_add("vbs.encode.reordered_entries", st.reordered_entries);
+    telem::counter_add("vbs.encode.conflict_fallbacks", st.conflict_fallbacks);
+  }
   if (stats) {
-    stats->vbs_bits = vbs_size_bits(img);
-    stats->raw_bits = raw_size_bits(spec, img.task_w, img.task_h);
+    st.vbs_bits = vbs_size_bits(img);
+    st.raw_bits = raw_size_bits(spec, img.task_w, img.task_h);
+    *stats = st;
   }
   return img;
 }

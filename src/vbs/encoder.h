@@ -64,6 +64,9 @@ struct EncodeStats {
 /// Encodes a routed design whose task footprint is the whole `fabric`.
 /// The returned image decodes (devirtualize_image) at any origin of any
 /// compatible fabric. Throws std::logic_error on malformed route trees.
+/// `stats`, when given, is overwritten with this call's counts. With
+/// telemetry on, each call also adds vbs.encode.entries, .raw_entries,
+/// .reordered_entries and .conflict_fallbacks (the EncodeStats fields).
 VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
                     const PackedDesign& pd, const Placement& pl,
                     const std::vector<NetRoute>& routes,

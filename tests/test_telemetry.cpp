@@ -115,7 +115,9 @@ TEST(Telemetry, HistogramBucketsCoverTheRealLine) {
     ASSERT_LT(b, telem::kHistBuckets);
     // Bucket i covers [floor(i), floor(i+1)); the clamp buckets at both
     // ends absorb the tails, so only the unclamped edge is promised.
-    if (b > 1) EXPECT_GE(v, telem::histogram_bucket_floor(b)) << v;
+    if (b > 1) {
+      EXPECT_GE(v, telem::histogram_bucket_floor(b)) << v;
+    }
     if (b < telem::kHistBuckets - 1) {
       EXPECT_LT(v, telem::histogram_bucket_floor(b + 1)) << v;
     }
@@ -275,6 +277,62 @@ TEST(Telemetry, DecodeCountersEqualDecodeStatsAndConfigsUnchanged) {
             on_stats.negotiation_iterations);
   EXPECT_EQ(on_stats.nodes_expanded, off_stats.nodes_expanded);
   EXPECT_EQ(on_stats.negotiation_iterations, off_stats.negotiation_iterations);
+}
+
+TEST(Telemetry, EncodeCountersEqualEncodeStatsAndStreamsUnchanged) {
+  GenParams p;
+  p.n_lut = 24;
+  p.n_pi = 3;
+  p.n_po = 3;
+  p.seed = 11;
+  FlowOptions o;
+  o.arch = test_arch();
+  o.seed = 11;
+  const FlowResult r = run_flow(generate_netlist(p), 6, 6, o);
+  ASSERT_TRUE(r.routed());
+  // A pure greedy feedback loop (one decode iteration) at c=1 needs a
+  // re-order for one entry and falls back to raw for others; c=2 with the
+  // default budget list-codes every entry.
+  std::vector<EncodeOptions> runs(2);
+  runs[0].cluster = 1;
+  runs[0].decode_iterations = 1;
+  runs[1].cluster = 2;
+
+  std::vector<BitVector> off, on;
+  for (const EncodeOptions& eo : runs) {
+    off.push_back(serialize_vbs(encode_vbs(*r.fabric, r.netlist, r.packed,
+                                           r.placement, r.routing.routes, eo)));
+  }
+  EncodeStats sum;
+  telem::MetricsSnapshot snap;
+  {
+    telem::ScopedEnable enable;
+    telem::reset();
+    for (const EncodeOptions& eo : runs) {
+      EncodeStats st;
+      on.push_back(serialize_vbs(encode_vbs(*r.fabric, r.netlist, r.packed,
+                                            r.placement, r.routing.routes, eo,
+                                            &st)));
+      sum.entries += st.entries;
+      sum.raw_entries += st.raw_entries;
+      sum.reordered_entries += st.reordered_entries;
+      sum.conflict_fallbacks += st.conflict_fallbacks;
+    }
+    snap = telem::snapshot();
+    telem::reset();
+  }
+  EXPECT_EQ(on, off);
+  auto counter = [&](const char* name) -> long long {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  EXPECT_GT(sum.entries, sum.raw_entries);
+  EXPECT_GT(sum.reordered_entries, 0);
+  EXPECT_GT(sum.conflict_fallbacks, 0);
+  EXPECT_EQ(counter("vbs.encode.entries"), sum.entries);
+  EXPECT_EQ(counter("vbs.encode.raw_entries"), sum.raw_entries);
+  EXPECT_EQ(counter("vbs.encode.reordered_entries"), sum.reordered_entries);
+  EXPECT_EQ(counter("vbs.encode.conflict_fallbacks"), sum.conflict_fallbacks);
 }
 
 /// A journaled, faulted overload replay; returns the final fingerprint and

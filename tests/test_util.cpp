@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -277,6 +278,69 @@ TEST(SearchHeap, SeededStartPopsExactlyLikeMakeHeap) {
     }
     ASSERT_EQ(heap.size(), ref.size());
   }
+}
+
+TEST(SearchHeap, HeapifyMatchesMakeHeapAtEverySize) {
+  // One size at a time, so odd and even lengths (the latter leave a single
+  // last child) are each heapified and drained against the std heap.
+  SearchHeap heap;
+  Rng rng(8);
+  for (std::size_t n = 0; n <= 64; ++n) {
+    std::vector<RefEntry> ref;
+    heap.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const RefEntry e = random_entry(rng);
+      ref.push_back(e);
+      heap.seed(e.est, e.cost, e.node);
+    }
+    std::make_heap(ref.begin(), ref.end(), std::greater<>{});
+    heap.heapify();
+    while (!ref.empty()) {
+      std::pop_heap(ref.begin(), ref.end(), std::greater<>{});
+      const RefEntry want = ref.back();
+      ref.pop_back();
+      const SearchHeap::Entry got = heap.pop();
+      ASSERT_EQ(got.node(), want.node) << "size " << n;
+      ASSERT_EQ(got.cost, want.cost) << "size " << n;
+    }
+    ASSERT_TRUE(heap.empty()) << "size " << n;
+  }
+}
+
+TEST(SearchHeap, PopOrderIsPinned) {
+  // A fixed script of seeds + heapify, pushes and pops (heap lengths of
+  // both parities) drained to empty, hashed as (node, cost bits) per pop.
+  // The constant is the std heap algorithms' pop order: any change to a
+  // comparison, a tie-break or a move changes it.
+  SearchHeap heap;
+  std::uint64_t h = kFnvOffset64;
+  std::size_t pops = 0;
+  const auto pop_one = [&] {
+    const SearchHeap::Entry e = heap.pop();
+    h = hash_u64(h, static_cast<std::uint32_t>(e.node()));
+    h = hash_u64(h, std::bit_cast<std::uint32_t>(e.cost));
+    ++pops;
+  };
+  for (const std::uint64_t seed : {11u, 12u}) {
+    Rng rng(seed);
+    heap.clear();
+    for (std::uint64_t i = 0; i < 37 + seed; ++i) {  // 48, then 49 seeds
+      const RefEntry e = random_entry(rng);
+      heap.seed(e.est, e.cost, e.node);
+    }
+    heap.heapify();
+    for (int step = 0; step < 5000; ++step) {
+      if (heap.empty() || rng.next_below(5) < 3) {
+        const RefEntry e = random_entry(rng);
+        heap.push(e.est, e.cost, e.node);
+      } else {
+        pop_one();
+      }
+    }
+    while (!heap.empty()) pop_one();
+  }
+  EXPECT_EQ(pops, 6176u);
+  EXPECT_EQ(h, 0x5392ae764d24855full);
 }
 
 // --- epoch stamps -----------------------------------------------------------
