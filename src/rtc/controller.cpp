@@ -63,7 +63,7 @@ void ReconfigController::decode_into(const VbsImage& img, Point origin,
   // paper Section II-C). Each worker owns its region-model cache.
   auto worker = [&](int tid, std::size_t begin, std::size_t end) {
     try {
-      RegionDecoderCache cache(img.spec, img.cluster, img.task_w, img.task_h);
+      RegionDecoderCache cache(img);
       for (std::size_t i = begin; i < end; ++i) {
         const VbsEntry& e = img.entries[i];
         if (!cache.decoder_for(e.cx, e.cy).decode_entry(

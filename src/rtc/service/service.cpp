@@ -522,8 +522,7 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
             decoders[static_cast<std::size_t>(rank)]
                     [static_cast<std::size_t>(item.job)];
         if (!slot) {
-          slot = std::make_unique<RegionDecoderCache>(
-              img.spec, img.cluster, img.task_w, img.task_h);
+          slot = std::make_unique<RegionDecoderCache>(img);
         }
         const VbsEntry& e = img.entries[item.entry];
         if (!slot->decoder_for(e.cx, e.cy).decode_entry(

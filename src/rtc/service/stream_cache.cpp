@@ -24,7 +24,7 @@ std::shared_ptr<DecodedStream> decode_stream(VbsImage image) {
   out->image = std::move(image);
   const VbsImage& img = out->image;
   out->payloads.resize(img.entries.size());
-  RegionDecoderCache cache(img.spec, img.cluster, img.task_w, img.task_h);
+  RegionDecoderCache cache(img);
   for (std::size_t i = 0; i < img.entries.size(); ++i) {
     const VbsEntry& e = img.entries[i];
     if (!cache.decoder_for(e.cx, e.cy)

@@ -7,6 +7,10 @@
 // entry vector is reused across searches, so a search allocates nothing
 // once the queue has grown to its working size.
 //
+// est is the path cost so far plus an estimate of the rest: the router's
+// astar_fac-weighted Manhattan distance, and the de-virtualizer's
+// heuristic chosen by the stream version (vbs/devirtualizer.h).
+//
 // Key exactness. Both kernels require est >= 0 (never -0, never NaN) and
 // node >= 0. For non-negative IEEE floats the u32 bit pattern orders
 // exactly like the float value, so every key comparison returns the same

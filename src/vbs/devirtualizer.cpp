@@ -1,13 +1,63 @@
 #include "vbs/devirtualizer.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "util/epoch.h"
 #include "util/error.h"
 #include "util/telemetry.h"
+#include "vbs/lookahead.h"
 
 namespace vbs {
+
+namespace {
+
+/// Version 1: Manhattan tile distance times the cheapest tile crossing.
+class ManhattanHeuristic {
+ public:
+  explicit ManhattanHeuristic(const RegionModel& rm)
+      : rm_(rm),
+        scale_(std::min(rm.spec().pins_on_x(), rm.spec().pins_on_y()) + 1) {}
+  void aim(int target) { tp_ = rm_.node_tile(target); }
+  float operator()(int v) const {
+    const Point p = rm_.node_tile(v);
+    return static_cast<float>(scale_ *
+                              (std::abs(p.x - tp_.x) + std::abs(p.y - tp_.y)));
+  }
+
+ private:
+  const RegionModel& rm_;
+  int scale_;
+  Point tp_{};
+};
+
+/// Version 2: the architecture's lookahead table.
+class LookaheadHeuristic {
+ public:
+  LookaheadHeuristic(const RegionModel& rm, const Lookahead& la)
+      : rm_(rm), la_(la) {}
+  void aim(int target) {
+    tp_ = rm_.node_tile(target);
+    // Targets are region ports, so their node carries a macro port.
+    port_ = rm_.macro().node_port(rm_.node_local(target));
+    assert(port_ >= 0);
+  }
+  float operator()(int v) const {
+    const Point p = rm_.node_tile(v);
+    return static_cast<float>(
+        la_.bound(port_, rm_.node_local(v), p.x - tp_.x, p.y - tp_.y));
+  }
+
+ private:
+  const RegionModel& rm_;
+  const Lookahead& la_;
+  Point tp_{};
+  int port_ = 0;
+};
+
+}  // namespace
 
 DecodeStats& DecodeStats::operator+=(const DecodeStats& o) {
   pairs_routed += o.pairs_routed;
@@ -19,7 +69,13 @@ DecodeStats& DecodeStats::operator+=(const DecodeStats& o) {
   return *this;
 }
 
-Devirtualizer::Devirtualizer(const RegionModel& region) : region_(&region) {
+Devirtualizer::Devirtualizer(const RegionModel& region, unsigned version)
+    : region_(&region) {
+  if (version == kVbsVersionLookahead) {
+    lookahead_ = Lookahead::of(region.spec());
+  } else if (version != kVbsVersionManhattan) {
+    throw std::invalid_argument("Devirtualizer: unknown stream version");
+  }
   const auto n = static_cast<std::size_t>(region.num_nodes());
   occ_.assign(n, 0);
   hist_.assign(n, 0.0f);
@@ -36,11 +92,10 @@ void Devirtualizer::add_to_tree(Group& g, std::int32_t node,
   ++occ_[static_cast<std::size_t>(node)];
 }
 
-bool Devirtualizer::route_group(Group& g, double pres_fac) {
+template <class Heuristic>
+bool Devirtualizer::route_group_with(Group& g, double pres_fac,
+                                     Heuristic heur) {
   const RegionModel& rm = *region_;
-  const int scale =
-      std::min(rm.spec().pins_on_x(), rm.spec().pins_on_y()) + 1;
-
   g.tree.clear();
   bump_epoch(tree_epoch_, kEpochWrapMetric, {&tree_stamp_});
   add_to_tree(g, g.source_node, -1);
@@ -54,12 +109,8 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
           for (Visit& vi : visit_) vi.epoch = 0;
         });
     heap_.clear();
-    const Point tp = rm.node_tile(target);
-    auto heur = [&](int v) {
-      const Point p = rm.node_tile(v);
-      return static_cast<float>(scale * (std::abs(p.x - tp.x) +
-                                         std::abs(p.y - tp.y)));
-    };
+    ++counts_.searches;
+    heur.aim(target);
     for (const TreeNode& tn : g.tree) {
       visit_[static_cast<std::size_t>(tn.node)] = {epoch, 0.0f, -1, -1};
       heap_.push(heur(tn.node), 0.0f, tn.node);
@@ -70,7 +121,10 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
       ++expanded_;
       const int node = top.node();
       const Visit& at = visit_[static_cast<std::size_t>(node)];
-      if (at.epoch != epoch || at.cost != top.cost) continue;
+      if (at.epoch != epoch || at.cost != top.cost) {
+        ++counts_.stale_pops;
+        continue;
+      }
       if (node == target) {
         found = true;
         break;
@@ -97,9 +151,18 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
     for (int v = target; visit_[static_cast<std::size_t>(v)].back != -1;
          v = visit_[static_cast<std::size_t>(v)].back) {
       add_to_tree(g, v, visit_[static_cast<std::size_t>(v)].back_bit);
+      ++counts_.path_nodes;
     }
   }
   return true;
+}
+
+bool Devirtualizer::route_group(Group& g, double pres_fac) {
+  if (lookahead_) {
+    return route_group_with(g, pres_fac,
+                            LookaheadHeuristic(*region_, *lookahead_));
+  }
+  return route_group_with(g, pres_fac, ManhattanHeuristic(*region_));
 }
 
 void Devirtualizer::rip_up(Group& g) {
@@ -120,6 +183,9 @@ bool Devirtualizer::decode_entry(const VbsEntry& entry, BitVector& routing_out,
     telem::counter_add("vbs.decode.nodes_expanded", st.nodes_expanded);
     telem::counter_add("vbs.decode.negotiation_iterations",
                        st.negotiation_iterations);
+    telem::counter_add("vbs.decode.searches", counts_.searches);
+    telem::counter_add("vbs.decode.path_nodes", counts_.path_nodes);
+    telem::counter_add("vbs.decode.stale_pops", counts_.stale_pops);
   }
   return ok;
 }
@@ -132,6 +198,7 @@ bool Devirtualizer::decode(const VbsEntry& entry, BitVector& routing_out,
       static_cast<std::size_t>(c) * c * rm.spec().nroute_bits();
 
   ++stats.entries_decoded;
+  counts_ = {};
   if (entry.raw) {
     routing_out = entry.raw_routing;
     ++stats.raw_entries;
@@ -267,9 +334,12 @@ void write_entry_config(const VbsImage& img, const VbsEntry& entry,
   }
 }
 
-RegionDecoderCache::RegionDecoderCache(const ArchSpec& spec, int cluster,
-                                       int task_w, int task_h)
-    : spec_(spec), c_(cluster), task_w_(task_w), task_h_(task_h) {}
+RegionDecoderCache::RegionDecoderCache(const VbsImage& header)
+    : spec_(header.spec),
+      c_(header.cluster),
+      task_w_(header.task_w),
+      task_h_(header.task_h),
+      version_(header.version) {}
 
 std::pair<int, int> RegionDecoderCache::extent_of(int cx, int cy) const {
   return {std::min(c_, task_w_ - cx * c_), std::min(c_, task_h_ - cy * c_)};
@@ -285,7 +355,7 @@ RegionDecoderCache::Slot& RegionDecoderCache::slot_for(int cx, int cy) {
   if (!slot.region) {
     slot.region =
         std::make_unique<RegionModel>(spec_, c_, key.first, key.second);
-    slot.decoder = std::make_unique<Devirtualizer>(*slot.region);
+    slot.decoder = std::make_unique<Devirtualizer>(*slot.region, version_);
   }
   return slot;
 }
@@ -312,7 +382,7 @@ BitVector devirtualize_image(const VbsImage& img, const Fabric& target,
     throw VbsError(VbsErrc::kNoPlacement,
                    "devirtualize: task does not fit at origin");
   }
-  RegionDecoderCache cache(img.spec, img.cluster, img.task_w, img.task_h);
+  RegionDecoderCache cache(img);
   BitVector config(target.config_bits_total());
   BitVector routing;
   for (const VbsEntry& e : img.entries) {

@@ -19,10 +19,21 @@
 // is guaranteed to decode online (paper Section III-B). That makes this A*
 // the hot loop of both the designer's compile and a tenant's cold load.
 //
+// Heuristic: the one thing the stream version selects (vbs_format.h).
+// Version 1 estimates the remaining cost as the Manhattan tile distance
+// times (min(pins_on_x, pins_on_y) + 1); it is 0 inside a single tile, so
+// every version-1 search at c = 1 is plain Dijkstra. Version 2 reads the
+// lookahead table (vbs/lookahead.h), a far tighter unit-cost lower bound.
+// Both are admissible, so both find a cheapest path, but they break ties
+// between equally cheap paths differently and therefore decode different
+// switches: a stream must be decoded with the heuristic the encoder
+// validated it with. The search kernel is one template, instantiated once
+// per heuristic.
+//
 // Search queue: the shared SearchHeap (util/search_heap.h), one per
 // decoder, reused for every target. Entries pack key = bit_cast<u32>(est)
-// << 32 | u32(node); est = cost + Manhattan heuristic is never negative or
-// NaN, so the key orders exactly like the (est, node) comparison (lowest
+// << 32 | u32(node); est = cost + heuristic is never negative or NaN, so
+// the key orders exactly like the (est, node) comparison (lowest
 // estimate, then lowest node id), and the heap's branch-free sift code
 // makes move for move what libstdc++'s std::priority_queue did — same
 // pops, same trees, same nodes_expanded. It is deliberately not a d-ary
@@ -31,7 +42,11 @@
 //
 // Telemetry (when enabled), once per decoded entry: vbs.decode.entries,
 // vbs.decode.raw_entries, vbs.decode.nodes_expanded and
-// vbs.decode.negotiation_iterations — the DecodeStats sums.
+// vbs.decode.negotiation_iterations — the DecodeStats sums — plus the
+// search-effort counters vbs.decode.searches (A* runs: one per fan-out
+// target not already in its signal's tree), vbs.decode.path_nodes (nodes
+// those searches added to trees) and vbs.decode.stale_pops (pops of
+// superseded queue entries), which are telemetry only.
 #pragma once
 
 #include <cstdint>
@@ -60,11 +75,17 @@ struct DecodeStats {
   DecodeStats& operator+=(const DecodeStats& o);
 };
 
+class Lookahead;
+
 /// Routes entries of one region geometry. Reusable across entries; not
 /// thread-safe (use one instance per decode thread).
 class Devirtualizer {
  public:
-  explicit Devirtualizer(const RegionModel& region);
+  /// Decodes under the contract of stream `version` (kVbsVersion*; throws
+  /// std::invalid_argument for any other value). Version 2 shares the
+  /// process-wide lookahead table of the region's architecture.
+  explicit Devirtualizer(const RegionModel& region,
+                         unsigned version = kVbsVersionManhattan);
 
   /// Decodes one connection-list entry into the region's routing payload
   /// (c^2 * (Nraw-NLB) bits, region row-major). Returns false if no valid
@@ -104,13 +125,24 @@ class Devirtualizer {
   static constexpr const char* kEpochWrapMetric =
       "vbs.decode.epoch_wrap_resets";
 
+  /// Search effort of one decode call, published as telemetry only.
+  struct SearchCounts {
+    long long searches = 0;
+    long long path_nodes = 0;
+    long long stale_pops = 0;
+  };
+
   bool decode(const VbsEntry& entry, BitVector& routing_out,
               DecodeStats& stats);
   bool route_group(Group& g, double pres_fac);
+  template <class Heuristic>
+  bool route_group_with(Group& g, double pres_fac, Heuristic heur);
   void rip_up(Group& g);
   void add_to_tree(Group& g, std::int32_t node, std::int32_t switch_bit);
 
   const RegionModel* region_;
+  /// Version 2's table; null under version 1.
+  std::shared_ptr<const Lookahead> lookahead_;
   int max_iterations_ = 24;
   std::vector<Group> groups_;
   std::vector<std::int32_t> port_group_;  ///< per port: declaring group or -1
@@ -129,16 +161,20 @@ class Devirtualizer {
   std::vector<std::uint32_t> tree_stamp_;
   std::uint32_t tree_epoch_ = 0;
   long long expanded_ = 0;
+  SearchCounts counts_;
 };
 
 /// Lazily builds the region model + decoder for every distinct region shape
 /// of a task: the full c x c cluster plus up to three partial extents when
 /// the task size is not a multiple of c. Shared by the encoder's feedback
-/// loop and the run-time controller.
+/// loop, the run-time controller, the service and devirtualize_image, so
+/// the decode contract is chosen here, from the image header, and nowhere
+/// else.
 class RegionDecoderCache {
  public:
-  RegionDecoderCache(const ArchSpec& spec, int cluster, int task_w,
-                     int task_h);
+  /// Reads the header fields of `header` (spec, cluster, task size,
+  /// version); its entries are ignored.
+  explicit RegionDecoderCache(const VbsImage& header);
 
   /// Extent of the cluster at cluster-grid position (cx, cy).
   std::pair<int, int> extent_of(int cx, int cy) const;
@@ -156,6 +192,7 @@ class RegionDecoderCache {
   int c_;
   int task_w_;
   int task_h_;
+  unsigned version_;
   std::map<std::pair<int, int>, Slot> slots_;  ///< keyed by extent
 };
 

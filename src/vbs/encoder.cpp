@@ -124,6 +124,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
   img.task_h = fabric.height();
   img.cluster = c;
   img.compact_fanout = opts.compact_fanout;
+  img.version = kVbsVersionLookahead;
   const int cw = img.cluster_grid_w();
   const int ch = img.cluster_grid_h();
   const int n_clusters = cw * ch;
@@ -134,7 +135,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
   };
 
   // ---- 1. Connection-list extraction --------------------------------------
-  RegionDecoderCache regions(spec, c, img.task_w, img.task_h);
+  RegionDecoderCache regions(img);
   std::vector<std::vector<VbsConnection>> conns(
       static_cast<std::size_t>(n_clusters));
 

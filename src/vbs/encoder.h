@@ -62,8 +62,9 @@ struct EncodeStats {
 };
 
 /// Encodes a routed design whose task footprint is the whole `fabric`.
-/// The returned image decodes (devirtualize_image) at any origin of any
-/// compatible fabric. Throws std::logic_error on malformed route trees.
+/// The returned image is format version 2 (the feedback loop validates it
+/// with the lookahead decoder) and decodes (devirtualize_image) at any
+/// origin of any compatible fabric. Throws std::logic_error on malformed route trees.
 /// `stats`, when given, is overwritten with this call's counts. With
 /// telemetry on, each call also adds vbs.encode.entries, .raw_entries,
 /// .reordered_entries and .conflict_fallbacks (the EncodeStats fields).

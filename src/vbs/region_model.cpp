@@ -79,12 +79,14 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
 
   tile_x_.assign(static_cast<std::size_t>(num_nodes_), 0);
   tile_y_.assign(static_cast<std::size_t>(num_nodes_), 0);
+  local_.assign(static_cast<std::size_t>(num_nodes_), 0);
   for (int uy = 0; uy < rh_; ++uy) {
     for (int ux = 0; ux < rw_; ++ux) {
       for (int local = 0; local < nloc; ++local) {
         const int g = node_of_raw_[raw_id(ux, uy, local)];
         tile_x_[static_cast<std::size_t>(g)] = static_cast<std::int16_t>(ux);
         tile_y_[static_cast<std::size_t>(g)] = static_cast<std::int16_t>(uy);
+        local_[static_cast<std::size_t>(g)] = static_cast<std::int16_t>(local);
       }
     }
   }

@@ -46,8 +46,11 @@ class RegionModel {
                             macro_.num_nodes() +
                         local];
   }
-  /// Representative region-macro tile of a node (for search heuristics).
+  /// Representative region-macro tile of a node (for search heuristics):
+  /// of the macros a merged wire spans, the last in row-major order.
   Point node_tile(int node) const { return {tile_x_[node], tile_y_[node]}; }
+  /// Macro-local id of a node at its node_tile.
+  int node_local(int node) const { return local_[node]; }
 
   // --- ports ---------------------------------------------------------------
   /// 4cW perimeter track ports followed by c^2 L pin ports.
@@ -101,7 +104,7 @@ class RegionModel {
   int rh_;
   int num_nodes_ = 0;
   std::vector<std::int32_t> node_of_raw_;
-  std::vector<std::int16_t> tile_x_, tile_y_;
+  std::vector<std::int16_t> tile_x_, tile_y_, local_;
   std::vector<std::int32_t> port_node_;
   std::vector<std::int32_t> node_port_;
   std::vector<std::size_t> adj_begin_;

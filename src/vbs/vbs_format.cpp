@@ -5,13 +5,12 @@
 #include <stdexcept>
 
 #include "util/bitio.h"
+#include "vbs/lookahead.h"
 #include "vbs/region_model.h"
 
 namespace vbs {
 
 namespace {
-
-constexpr unsigned kVersion = 1;
 
 struct FieldWidths {
   unsigned dim;       // D
@@ -71,8 +70,12 @@ std::size_t raw_size_bits(const ArchSpec& spec, int task_w, int task_h) {
 BitVector serialize_vbs(const VbsImage& img) {
   const FieldWidths fw = widths_of(img);
   const int c = img.cluster;
+  if (img.version != kVbsVersionManhattan &&
+      img.version != kVbsVersionLookahead) {
+    throw std::invalid_argument("serialize_vbs: unknown format version");
+  }
   BitWriter w;
-  w.write(kVersion, 4);
+  w.write(img.version, 4);
   w.write(static_cast<std::uint64_t>(img.spec.chan_width), 8);
   w.write(static_cast<std::uint64_t>(img.spec.lut_k), 4);
   w.write(static_cast<std::uint64_t>(img.spec.sb_pattern), 2);
@@ -187,12 +190,13 @@ std::size_t vbs_size_bits(const VbsImage& img) {
 
 VbsImage deserialize_vbs(const BitVector& bits) {
   BitReader r(bits);
-  const auto version = r.read(4);
-  if (version != kVersion) {
+  const auto version = static_cast<unsigned>(r.read(4));
+  if (version != kVbsVersionManhattan && version != kVbsVersionLookahead) {
     throw BitstreamError("VBS: unsupported format version",
                          VbsErrc::kBadVersion);
   }
   VbsImage img;
+  img.version = version;
   img.spec.chan_width = static_cast<int>(r.read(8));
   img.spec.lut_k = static_cast<int>(r.read(4));
   const auto pattern = r.read(2);
@@ -235,6 +239,11 @@ VbsImage deserialize_vbs(const BitVector& bits) {
           static_cast<std::uint64_t>(img.spec.nraw_bits()) >
       kMaxEntryConfigBits) {
     throw BitstreamError("VBS: per-entry region exceeds resource limit",
+                         VbsErrc::kResourceLimit);
+  }
+  if (img.version == kVbsVersionLookahead &&
+      Lookahead::table_bytes(img.spec) > kMaxLookaheadBytes) {
+    throw BitstreamError("VBS: lookahead table exceeds resource limit",
                          VbsErrc::kResourceLimit);
   }
   const FieldWidths fw = widths_of(img);

@@ -22,6 +22,18 @@
 //                group_count(RC) then per signal in(M) out_count(RC)
 //                out(M)*; connections sharing an `in` are coded once
 //
+// The version nibble names the decoder contract, not a layout change:
+// both versions share every field above. The encoder proves decodability
+// by running the de-virtualizer (paper Section III-B), and which paths the
+// de-virtualizer's A* finds depends on its heuristic, so a stream must be
+// decoded with the heuristic it was validated against:
+//
+//   1  est = cost + Manhattan tile distance x (min(pins_on_x, pins_on_y)+1)
+//   2  est = cost + the per-architecture lookahead table (vbs/lookahead.h)
+//
+// The encoder writes version 2; version-1 streams still decode exactly as
+// they did when they were written.
+//
 // RC = ceil(log2(2W)) at c=1 (Table I) and the endpoint width M for
 // clusters; M = ceil(log2(4cW + c^2 L + 1)) as in the paper. The preamble,
 // the per-entry flag bit and the cluster occupancy bitmap are additions
@@ -61,7 +73,14 @@ struct VbsEntry {
   BitVector raw_routing;
 };
 
+/// Preamble versions (see the layout comment above).
+inline constexpr unsigned kVbsVersionManhattan = 1;
+inline constexpr unsigned kVbsVersionLookahead = 2;
+
 struct VbsImage {
+  /// Decoder contract; serialize_vbs accepts only the two versions above.
+  /// encode_vbs writes kVbsVersionLookahead.
+  unsigned version = kVbsVersionManhattan;
   ArchSpec spec;
   int task_w = 0;  ///< task footprint in macros
   int task_h = 0;
@@ -82,13 +101,18 @@ struct VbsImage {
 /// fabric the paper (W=20, c<=8) or this repo's encoder produces.
 inline constexpr std::uint64_t kMaxTaskMacros = std::uint64_t{1} << 20;
 inline constexpr std::uint64_t kMaxEntryConfigBits = std::uint64_t{1} << 22;
+/// Version 2 decodes with a per-architecture lookahead table whose size
+/// grows with W^2 (0.8 MB at the paper's W = 20, this bound at W ~ 96);
+/// deserialize_vbs rejects version-2 headers whose table would exceed it.
+inline constexpr std::uint64_t kMaxLookaheadBytes = std::uint64_t{1} << 24;
 
 /// Serializes to the on-wire bit format; the paper's compressed sizes are
 /// measured as serialize(img).size().
 BitVector serialize_vbs(const VbsImage& img);
 
-/// Parses a serialized stream back; throws BitstreamError carrying a
-/// specific VbsErrc on malformed input — truncation, bad version/header,
+/// Parses a serialized stream back (versions 1 and 2); throws
+/// BitstreamError carrying a specific VbsErrc on malformed input —
+/// truncation, any other version (kBadVersion), bad header,
 /// duplicate or out-of-range entries, invalid connection lists, trailing
 /// bits, or a resource-limit violation. Round-trips exactly with
 /// serialize_vbs. Never crashes or reads out of bounds on arbitrary input

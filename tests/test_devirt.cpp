@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <thread>
 #include <vector>
 
+#include "bitstream/connectivity.h"
 #include "flow/pipeline.h"
 #include "netlist/generator.h"
 #include "rtc/service/stream_cache.h"
 #include "vbs/devirtualizer.h"
+#include "vbs/lookahead.h"
 #include "vbs/region_model.h"
+#include "vbs/vbs_file.h"
+#include "devirt_v1_streams.h"
+#include "hex.h"
 
 namespace vbs {
 namespace {
@@ -223,53 +229,55 @@ TEST(Devirtualizer, SaturatedMacroFailsGracefully) {
   EXPECT_EQ(stats.pairs_failed, 1);
 }
 
-// --- golden pins through the whole flow ------------------------------------
+// --- golden pins -------------------------------------------------------------
 // A small generated design at W=5 goes through FlowPipeline and is encoded
 // and decoded at every cluster size. Heap order, tie-breaks and the float
 // cost arithmetic of both A* kernels (router and de-virtualizer) feed
 // every number below, so a kernel change that is not exactly
-// order-preserving fails here. The values were recorded with the
-// std::priority_queue kernels that SearchHeap replaced.
+// order-preserving fails here.
+//
+// Version-1 streams are frozen as fixtures (tests/devirt_v1_streams.h):
+// the encoder writes version 2, but a version-1 stream must keep decoding
+// to the same configuration with the same search counts, which were
+// recorded with the std::priority_queue kernel that SearchHeap replaced.
+// The version-2 pins come from the encoder itself, and every version-2
+// decode must implement the netlist.
 
 struct GoldenCase {
   int cluster;
-  std::uint64_t stream_hash;  ///< stream_content_hash of vbs_stream()
+  std::uint64_t stream_hash;  ///< stream_content_hash of the stream
   std::uint64_t config_hash;  ///< stream_content_hash of the decoded config
   long long nodes_expanded;
   long long negotiation_iterations;
   long long pairs_routed;
 };
 
-TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
-  GenParams p;
-  p.n_lut = 40;
-  p.n_pi = 6;
-  p.n_po = 6;
-  p.seed = 3;
-  FlowOptions o;
-  o.arch.chan_width = 5;
-  o.seed = 5;
-  FlowPipeline pipe(generate_netlist(p), 8, 8, o);
-  ASSERT_TRUE(pipe.routing().success);
-  EXPECT_EQ(pipe.routing().heap_pops, 86343);
-  EXPECT_EQ(pipe.routing().iterations, 7);
+ArchSpec golden_arch() {
+  ArchSpec s;
+  s.chan_width = 5;
+  return s;
+}
 
+TEST(DevirtGolden, FrozenVersion1StreamsDecodeExactly) {
   const GoldenCase kCases[] = {
       {1, 0x2ee4b49b30f8e48aull, 0x4c1f510f533e18ecull, 25133, 139, 406},
       {2, 0x50530139b4c6eb53ull, 0x237b2d21e47757c2ull, 48867, 71, 279},
       {4, 0xb7d14ba65a461335ull, 0xed0e499e2912f99dull, 110809, 41, 191},
       {8, 0x1954f8206233f250ull, 0xfcf67043231e3370ull, 114180, 5, 147},
   };
+  const Fabric fabric(golden_arch(), 8, 8);
   bool negotiated = false;
-  for (const GoldenCase& gc : kCases) {
+  for (std::size_t i = 0; i < std::size(kCases); ++i) {
+    const GoldenCase& gc = kCases[i];
+    const FrozenStream& fs = kV1GoldenStreams[i];
     SCOPED_TRACE("cluster " + std::to_string(gc.cluster));
-    EncodeOptions eo;
-    eo.cluster = gc.cluster;
-    pipe.set_encode_options(eo);
-    EXPECT_EQ(stream_content_hash(pipe.vbs_stream()), gc.stream_hash);
+    ASSERT_EQ(fs.cluster, gc.cluster);
+    const BitVector stream = unpack_bits(bytes_of_hex(fs.hex), fs.bits);
+    ASSERT_EQ(stream_content_hash(stream), gc.stream_hash);
+    const VbsImage img = deserialize_vbs(stream);
+    EXPECT_EQ(img.cluster, gc.cluster);
     DecodeStats st;
-    const BitVector config =
-        devirtualize_image(pipe.vbs_image(), pipe.fabric(), {0, 0}, &st);
+    const BitVector config = devirtualize_image(img, fabric, {0, 0}, &st);
     EXPECT_EQ(stream_content_hash(config), gc.config_hash);
     EXPECT_EQ(st.nodes_expanded, gc.nodes_expanded);
     EXPECT_EQ(st.negotiation_iterations, gc.negotiation_iterations);
@@ -280,6 +288,208 @@ TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
         st.negotiation_iterations > st.entries_decoded - st.raw_entries;
   }
   EXPECT_TRUE(negotiated);
+}
+
+TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
+  GenParams p;
+  p.n_lut = 40;
+  p.n_pi = 6;
+  p.n_po = 6;
+  p.seed = 3;
+  FlowOptions o;
+  o.arch = golden_arch();
+  o.seed = 5;
+  FlowPipeline pipe(generate_netlist(p), 8, 8, o);
+  ASSERT_TRUE(pipe.routing().success);
+  EXPECT_EQ(pipe.routing().heap_pops, 86343);
+  EXPECT_EQ(pipe.routing().iterations, 7);
+
+  const GoldenCase kCases[] = {
+      {1, 0xdadbb4042dd4e675ull, 0x1a40988f3fe35088ull, 7181, 130, 406},
+      {2, 0x1a3e8241d74b12ffull, 0x91c5fe3aa3af10d0ull, 26486, 86, 279},
+      {4, 0x30b618933d4c0079ull, 0xa4c511070a5e6022ull, 47568, 38, 191},
+      {8, 0x7c30f553a4422c24ull, 0x660d058326035dfcull, 50557, 7, 147},
+  };
+  bool negotiated = false;
+  for (const GoldenCase& gc : kCases) {
+    SCOPED_TRACE("cluster " + std::to_string(gc.cluster));
+    EncodeOptions eo;
+    eo.cluster = gc.cluster;
+    pipe.set_encode_options(eo);
+    EXPECT_EQ(pipe.vbs_image().version, kVbsVersionLookahead);
+    EXPECT_EQ(stream_content_hash(pipe.vbs_stream()), gc.stream_hash);
+    DecodeStats st;
+    const BitVector config =
+        devirtualize_image(pipe.vbs_image(), pipe.fabric(), {0, 0}, &st);
+    EXPECT_EQ(verify_connectivity(pipe.fabric(), config, pipe.netlist(),
+                                  pipe.packed(), pipe.placement()),
+              "");
+    EXPECT_EQ(stream_content_hash(config), gc.config_hash);
+    EXPECT_EQ(st.nodes_expanded, gc.nodes_expanded);
+    EXPECT_EQ(st.negotiation_iterations, gc.negotiation_iterations);
+    EXPECT_EQ(st.pairs_routed, gc.pairs_routed);
+    negotiated |=
+        st.negotiation_iterations > st.entries_decoded - st.raw_entries;
+  }
+  EXPECT_TRUE(negotiated);
+}
+
+// --- version 2: the lookahead heuristic ----------------------------------------
+
+/// Unit-cost hop counts from every region node to `target`, ignoring port
+/// reservations: the distances A* with unit node costs would find.
+std::vector<int> bfs_hops(const RegionModel& rm, int target) {
+  std::vector<int> dist(static_cast<std::size_t>(rm.num_nodes()), -1);
+  std::vector<int> queue{target};
+  dist[static_cast<std::size_t>(target)] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int node = queue[head];
+    for (const RegionModel::Adj& adj : rm.adjacency(node)) {
+      int& d = dist[static_cast<std::size_t>(adj.to)];
+      if (d < 0) {
+        d = dist[static_cast<std::size_t>(node)] + 1;
+        queue.push_back(adj.to);
+      }
+    }
+  }
+  return dist;
+}
+
+/// Pairs (node, target port) where the bound exceeds the true distance.
+long long admissibility_violations(const RegionModel& rm, const Lookahead& la,
+                                   long long& pairs) {
+  long long bad = 0;
+  for (int port = 0; port < rm.num_ports(); ++port) {
+    const int target = rm.port_node(port);
+    if (target < 0) continue;
+    const Point tp = rm.node_tile(target);
+    const int tport = rm.macro().node_port(rm.node_local(target));
+    EXPECT_GE(tport, 0);
+    const std::vector<int> dist = bfs_hops(rm, target);
+    for (int v = 0; v < rm.num_nodes(); ++v) {
+      const int d = dist[static_cast<std::size_t>(v)];
+      if (d < 0) continue;  // unreachable: any bound is admissible
+      const Point p = rm.node_tile(v);
+      ++pairs;
+      bad += la.bound(tport, rm.node_local(v), p.x - tp.x, p.y - tp.y) > d;
+    }
+  }
+  return bad;
+}
+
+TEST(Lookahead, NeverOverestimatesTheUnitCostDistance) {
+  long long pairs = 0;
+  for (const int w : {5, 20}) {
+    for (const int k : {4, 6}) {
+      for (const SbPattern sb : {SbPattern::kDisjoint, SbPattern::kWilton}) {
+        ArchSpec spec;
+        spec.chan_width = w;
+        spec.lut_k = k;
+        spec.sb_pattern = sb;
+        const Lookahead la(spec);
+        for (const int c : {1, 2, 4, 8}) {
+          SCOPED_TRACE("W=" + std::to_string(w) + " K=" + std::to_string(k) +
+                       " sb=" + std::to_string(static_cast<int>(sb)) +
+                       " c=" + std::to_string(c));
+          EXPECT_EQ(admissibility_violations(RegionModel(spec, c), la, pairs),
+                    0);
+        }
+        SCOPED_TRACE("partial 3x2 extent of c=4");
+        EXPECT_EQ(
+            admissibility_violations(RegionModel(spec, 4, 3, 2), la, pairs), 0);
+      }
+    }
+  }
+  EXPECT_GT(pairs, 50000000);
+}
+
+TEST(Lookahead, IsTightAndSmall) {
+  ArchSpec spec;  // the paper's W = 20, K = 6
+  const Lookahead la(spec);
+  EXPECT_LE(Lookahead::table_bytes(spec), std::size_t{1} << 20);
+  // Inside one macro (c = 1), where version 1's Manhattan bound is 0
+  // everywhere, the table is exact.
+  const RegionModel rm(spec, 1);
+  for (int port = 0; port < rm.num_ports(); ++port) {
+    const int target = rm.port_node(port);
+    const std::vector<int> dist = bfs_hops(rm, target);
+    long long exact = 0, reachable = 0;
+    for (int v = 0; v < rm.num_nodes(); ++v) {
+      if (dist[static_cast<std::size_t>(v)] < 0) continue;
+      ++reachable;
+      exact += la.bound(port, rm.node_local(v), 0, 0) ==
+               dist[static_cast<std::size_t>(v)];
+    }
+    EXPECT_GT(exact * 2, reachable) << "port " << port;
+  }
+  // The process-wide table is built once and shared.
+  EXPECT_EQ(Lookahead::of(spec).get(), Lookahead::of(spec).get());
+}
+
+TEST(Devirtualizer, Version2DecodesOnFourThreadsFromAColdTable) {
+  // An architecture no other test in this binary uses, so the first
+  // decoders to ask for its lookahead table race to build it.
+  GenParams p;
+  p.n_lut = 30;
+  p.n_pi = 4;
+  p.n_po = 4;
+  p.seed = 9;
+  p.lut_k = 5;
+  FlowOptions o;
+  o.arch.chan_width = 7;
+  o.arch.lut_k = 5;
+  o.arch.sb_pattern = SbPattern::kWilton;
+  o.seed = 9;
+  FlowPipeline pipe(generate_netlist(p), 7, 7, o);
+  ASSERT_TRUE(pipe.routing().success);
+  EncodeOptions eo;
+  eo.cluster = 2;
+  pipe.set_encode_options(eo);
+  const VbsImage img = pipe.vbs_image();  // encoding builds the table...
+  const BitVector stream = pipe.vbs_stream();
+  // ...so evict it: the process cache keeps only a few architectures.
+  for (const int w : {9, 10, 11, 12}) {
+    ArchSpec other = o.arch;
+    other.chan_width = w;
+    Lookahead::of(other);
+  }
+
+  std::vector<BitVector> configs(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < configs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      configs[t] = devirtualize_image(deserialize_vbs(stream), pipe.fabric(),
+                                      {0, 0});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const BitVector serial = devirtualize_image(img, pipe.fabric(), {0, 0});
+  for (const BitVector& config : configs) EXPECT_EQ(config, serial);
+  EXPECT_EQ(verify_connectivity(pipe.fabric(), serial, pipe.netlist(),
+                                pipe.packed(), pipe.placement()),
+            "");
+}
+
+TEST(Devirtualizer, Version2HandCraftedListsConnect) {
+  const RegionModel rm(spec5(), 2);
+  Devirtualizer dv(rm, kVbsVersionLookahead);
+  const auto port = [](int p) { return static_cast<std::uint16_t>(p); };
+  const std::vector<VbsConnection> conns = {
+      {port(rm.port_of_side(Side::kWest, 0, 1)),
+       port(rm.port_of_side(Side::kEast, 1, 3))},
+      {port(rm.port_of_side(Side::kWest, 0, 1)),
+       port(rm.port_of_pin(1, 0, 2))},
+      {port(rm.port_of_pin(0, 1, 6)),
+       port(rm.port_of_side(Side::kNorth, 1, 0))},
+  };
+  BitVector payload;
+  ASSERT_TRUE(dv.decode_entry(entry_with(conns, 2), payload));
+  PayloadConn pc(rm, payload);
+  for (const VbsConnection& conn : conns) {
+    EXPECT_TRUE(pc.connected(conn.in, conn.out));
+  }
+  EXPECT_FALSE(pc.connected(conns[0].in, conns[2].in));
+  EXPECT_THROW(Devirtualizer(rm, 3), std::invalid_argument);
 }
 
 }  // namespace

@@ -73,9 +73,12 @@ INSTANTIATE_TEST_SUITE_P(Shapes, PartialClusterSweep,
                                            std::pair{11, 8}, std::pair{5, 4}));
 
 TEST(RegionCache, ExtentsCoverTheTask) {
-  ArchSpec spec;
-  spec.chan_width = 4;
-  RegionDecoderCache cache(spec, 3, 8, 7);
+  VbsImage header;
+  header.spec.chan_width = 4;
+  header.cluster = 3;
+  header.task_w = 8;
+  header.task_h = 7;
+  RegionDecoderCache cache(header);
   EXPECT_EQ(cache.extent_of(0, 0), (std::pair{3, 3}));
   EXPECT_EQ(cache.extent_of(2, 0), (std::pair{2, 3}));  // 8 = 3+3+2
   EXPECT_EQ(cache.extent_of(0, 2), (std::pair{3, 1}));  // 7 = 3+3+1
@@ -137,7 +140,7 @@ TEST(Flow, DecoderRespectsEncoderIterationContract) {
   const VbsImage img = encode_vbs(*r.fabric, r.netlist, r.packed, r.placement,
                                   r.routing.routes, eo, &stats);
   // Decode every non-raw entry with a greedy-only decoder.
-  RegionDecoderCache cache(img.spec, img.cluster, img.task_w, img.task_h);
+  RegionDecoderCache cache(img);
   BitVector payload;
   for (const VbsEntry& e : img.entries) {
     Devirtualizer& dv = cache.decoder_for(e.cx, e.cy);

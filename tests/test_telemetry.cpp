@@ -277,6 +277,16 @@ TEST(Telemetry, DecodeCountersEqualDecodeStatsAndConfigsUnchanged) {
             on_stats.negotiation_iterations);
   EXPECT_EQ(on_stats.nodes_expanded, off_stats.nodes_expanded);
   EXPECT_EQ(on_stats.negotiation_iterations, off_stats.negotiation_iterations);
+  // Search effort (telemetry only, no DecodeStats field): every search
+  // adds at least its target to a tree, and a stale pop is one of the
+  // nodes_expanded pops.
+  const long long searches = counter("vbs.decode.searches");
+  const long long path_nodes = counter("vbs.decode.path_nodes");
+  const long long stale_pops = counter("vbs.decode.stale_pops");
+  EXPECT_GT(searches, 0);
+  EXPECT_GE(path_nodes, searches);
+  EXPECT_GT(stale_pops, 0);
+  EXPECT_LT(stale_pops + searches, on_stats.nodes_expanded);
 }
 
 TEST(Telemetry, EncodeCountersEqualEncodeStatsAndStreamsUnchanged) {
@@ -290,12 +300,12 @@ TEST(Telemetry, EncodeCountersEqualEncodeStatsAndStreamsUnchanged) {
   o.seed = 11;
   const FlowResult r = run_flow(generate_netlist(p), 6, 6, o);
   ASSERT_TRUE(r.routed());
-  // A pure greedy feedback loop (one decode iteration) at c=1 needs a
-  // re-order for one entry and falls back to raw for others; c=2 with the
-  // default budget list-codes every entry.
+  // A feedback loop of two decode iterations at c=1 needs re-orders for
+  // some entries and falls back to raw for others; c=2 with the default
+  // budget list-codes every entry.
   std::vector<EncodeOptions> runs(2);
   runs[0].cluster = 1;
-  runs[0].decode_iterations = 1;
+  runs[0].decode_iterations = 2;
   runs[1].cluster = 2;
 
   std::vector<BitVector> off, on;

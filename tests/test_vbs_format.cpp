@@ -10,6 +10,7 @@
 
 #include "hex.h"
 #include "util/bitio.h"
+#include "util/error.h"
 #include "vbs/vbs_file.h"
 #include "vbs/vbs_format.h"
 
@@ -125,6 +126,46 @@ TEST(VbsFormat, RejectsBadVersion) {
   BitVector bits = serialize_vbs(sample_image());
   bits.set(0, !bits.get(0));  // corrupt the version nibble
   EXPECT_THROW(deserialize_vbs(bits), BitstreamError);
+}
+
+TEST(VbsFormat, ParsesVersions1And2AndRejectsEveryOtherNibble) {
+  const BitVector v1 = serialize_vbs(sample_image());
+  for (unsigned version = 0; version < 16; ++version) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    BitVector bits = v1;
+    for (unsigned b = 0; b < 4; ++b) bits.set(b, (version >> (3 - b)) & 1u);
+    if (version == kVbsVersionManhattan || version == kVbsVersionLookahead) {
+      const VbsImage back = deserialize_vbs(bits);
+      EXPECT_EQ(back.version, version);
+      EXPECT_EQ(back.entries.size(), 2u);
+      EXPECT_EQ(serialize_vbs(back), bits);  // the version round-trips
+      continue;
+    }
+    try {
+      deserialize_vbs(bits);
+      ADD_FAILURE() << "version nibble accepted";
+    } catch (const VbsError& e) {
+      EXPECT_EQ(e.code(), VbsErrc::kBadVersion);
+    }
+    VbsImage img = sample_image();
+    img.version = version;
+    EXPECT_THROW(serialize_vbs(img), std::invalid_argument);
+  }
+}
+
+TEST(VbsFormat, RejectsVersion2HeaderWithOversizedLookahead) {
+  VbsImage img = sample_image();
+  img.spec.chan_width = 120;  // a ~26 MB table
+  img.entries[1].raw_routing =
+      BitVector(static_cast<std::size_t>(img.spec.nroute_bits()));
+  EXPECT_NO_THROW(deserialize_vbs(serialize_vbs(img)));  // version 1
+  img.version = kVbsVersionLookahead;
+  try {
+    deserialize_vbs(serialize_vbs(img));
+    ADD_FAILURE() << "oversized lookahead accepted";
+  } catch (const VbsError& e) {
+    EXPECT_EQ(e.code(), VbsErrc::kResourceLimit);
+  }
 }
 
 TEST(VbsFormat, RejectsOutOfRangeEntryPosition) {
