@@ -29,6 +29,7 @@
 #include "netlist/mcnc.h"
 #include "route/mcw.h"
 #include "route/route_request.h"
+#include "util/hash.h"
 
 namespace vbs {
 namespace {
@@ -251,6 +252,53 @@ TEST(Determinism, ArtifactBytesIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+// The serial flow's artifact bytes, pinned: FNV-1a-64 of every
+// vbs.artifact.v1 stage file (pack, place, route) of each suite circuit's
+// checkpoint through the route stage. Any change to a placement, a routing
+// tree, a heap-pop count or the container layout changes a hash.
+TEST(Determinism, SerialArtifactBytesArePinned) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"bigkey/pack.art", 0x8b1e3f2b9f3a56c7ull},
+      {"bigkey/place.art", 0x8f23e636d1f05718ull},
+      {"bigkey/route.art", 0x577a84bc513a9b35ull},
+      {"des/pack.art", 0x12afca6f4a1f977eull},
+      {"des/place.art", 0xcb03e917dd7ef9a4ull},
+      {"des/route.art", 0x62b0c4098e33dd63ull},
+      {"dsip/pack.art", 0x159da4d7fa9d4c63ull},
+      {"dsip/place.art", 0x8218f824d9414491ull},
+      {"dsip/route.art", 0xf2ec3e69ab1ace8aull},
+      {"ex5p/pack.art", 0x6e819ebcec7464acull},
+      {"ex5p/place.art", 0xb0fe518d5a7eb7c9ull},
+      {"ex5p/route.art", 0x2ab34eb79852ae3dull},
+      {"tseng/pack.art", 0x241e05d5fa2278dbull},
+      {"tseng/place.art", 0x237481f3b73f407dull},
+      {"tseng/route.art", 0x1d32cf3bf231c3b1ull},
+  };
+  const std::string root =
+      (std::filesystem::temp_directory_path() /
+       ("vbs_det_pin_" + std::to_string(::getpid())))
+          .string();
+  std::map<std::string, std::uint64_t> got;
+  for (const McncCircuit& c : suite5()) {
+    SCOPED_TRACE(c.name);
+    FlowOptions fo;
+    fo.arch.chan_width = 20;
+    fo.seed = 1;
+    fo.place.effort = 0.25;  // identity is under test; keep anneals cheap
+    FlowPipeline pipe(make_mcnc_like(c, 1), c.size, c.size, fo);
+    pipe.run_to(Stage::kRoute);
+    const std::string dir = root + "_" + c.name;
+    pipe.save_checkpoint(dir, Stage::kRoute);
+    const std::map<std::string, std::string> files = checkpoint_bytes(dir);
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(files.size(), 3u);
+    for (const auto& [name, bytes] : files) {
+      got[c.name + "/" + name] = fnv1a64(bytes.data(), bytes.size());
+    }
+  }
+  EXPECT_EQ(got, pinned);
 }
 
 // Warm-started MCW trials (seeded with the previous routable solution's

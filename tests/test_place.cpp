@@ -12,6 +12,7 @@
 #include "pack/pack.h"
 #include "place/annealer.h"
 #include "place/placement.h"
+#include "util/hash.h"
 
 namespace vbs {
 namespace {
@@ -183,6 +184,32 @@ TEST(Place, ParallelMatchesSerial) {
     EXPECT_EQ(s.cost_drift, ref.cost_drift);
     EXPECT_GT(s.spec_commits, 0);
   }
+}
+
+TEST(Place, SerialTrajectoryIsPinned) {
+  // The annealer's trajectory, pinned: every LUT and I/O position of the
+  // returned placement (FNV-1a-64) and the schedule's move, acceptance and
+  // temperature counts. Any change to move generation, evaluation order or
+  // the batch schedule moves at least one of them.
+  Fixture f(120, 7);
+  PlaceOptions o;
+  o.seed = 5;
+  PlaceStats s;
+  const Placement pl = place_design(f.nl, f.pd, f.spec, 12, 12, o, &s);
+  std::uint64_t h = kFnvOffset64;
+  for (const Point& p : pl.lut_loc) {
+    h = hash_u64(h, static_cast<std::uint64_t>(p.x));
+    h = hash_u64(h, static_cast<std::uint64_t>(p.y));
+  }
+  for (const IoSlot& io : pl.io_loc) {
+    h = hash_u64(h, static_cast<std::uint64_t>(io.side));
+    h = hash_u64(h, static_cast<std::uint64_t>(io.tile));
+    h = hash_u64(h, static_cast<std::uint64_t>(io.track));
+  }
+  EXPECT_EQ(h, 0x6c0e69683f7879afull);
+  EXPECT_EQ(s.moves, 50194);
+  EXPECT_EQ(s.accepted, 22191);
+  EXPECT_EQ(s.temperatures, 91);
 }
 
 TEST(Place, IncrementalCostDriftWithinTolerance) {
