@@ -2,15 +2,10 @@
 // trajectory every perf PR measures itself against.
 //
 // Each run drives a FlowPipeline (the stage-graph flow API) through
-// netlist generation, packing and placement, then places the SAME packed
-// design again with the batched speculate/validate/commit engine at
-// --threads workers, verifying the parallel placement (grid, stats AND
-// cost_drift) is byte-identical to the serial one — and routes the serial
-// placement three times: with the default bounded-box serial router
-// (the pipeline's route stage), with the deterministic parallel engine at
-// --threads workers (verifying the trees are byte-identical to the serial
-// leg), and with the unbounded textbook baseline — so heap-pop and
-// wall-time comparisons are apples-to-apples in a single process. After
+// netlist generation, packing and placement, then routes the placement
+// twice: with the default bounded-box router (the pipeline's route stage)
+// and with the unbounded textbook baseline — so heap-pop and wall-time
+// comparisons are apples-to-apples in a single process. After
 // the route legs the harness saves a full pipeline checkpoint, resumes it,
 // and reruns the route stage from the loaded placement, verifying the
 // resumed remainder reproduces the uninterrupted run's trees and stats
@@ -18,7 +13,7 @@
 // it then runs the minimum-channel-width search twice through the
 // pipeline, warm-started and cold. Results go to stdout as a table and to
 // a machine-readable JSON file (see bench/README.md for the
-// vbs.flow_bench.v7 schema).
+// vbs.flow_bench.v8 schema).
 //
 // An in-run identity leg guards the placer's SoA data-layout kernel: a
 // bounding-box kernel micro-bench times cost sweeps over the committed
@@ -27,7 +22,7 @@
 //
 // Usage:
 //   flow_bench [--smoke] [--circuits a,b] [--seeds N] [--width W]
-//              [--threads T] [--margin M] [--effort E] [--no-mcw] [--big]
+//              [--margin M] [--effort E] [--no-mcw] [--big]
 //              [--stage pack|place|route|all] [--checkpoint-dir DIR]
 //              [--trace-out trace.json] [--metrics] [--out PATH]
 //
@@ -40,7 +35,6 @@
 //   --circuits   comma-separated Table II names (default: the 5 smallest)
 //   --seeds      number of seeds per circuit, 1..N (default 1)
 //   --width      routed channel width (default 20, the paper's norm)
-//   --threads    parallel-leg worker count (default 8)
 //   --margin     bounded-box margin in tiles (default RouterOptions)
 //   --effort     placer effort scale (default 1.0)
 //   --no-mcw     skip the minimum-channel-width searches
@@ -95,10 +89,6 @@ struct RouteSample {
   long long heap_pops = 0;
   long long bbox_retries = 0;
   std::size_t wire_nodes = 0;
-  // Parallel-engine counters (0 on serial legs).
-  long long spec_commits = 0;
-  long long spec_rejected = 0;
-  long long spec_wasted_pops = 0;
 };
 
 struct McwSample {
@@ -130,15 +120,9 @@ struct RunRecord {
   PlaceStats place;
   double moves_per_sec = 0.0;
   bool place_from_checkpoint = false;  ///< anneal skipped via --checkpoint-dir
-  // Parallel-placer leg: the same pack placed again at --threads workers.
-  double place_par_seconds = 0.0;
-  PlaceStats place_par;
-  bool place_identical = false;  ///< parallel placement+stats == serial
   KernelSample kernel;
   bool kernel_checked = false;
   RouteSample bounded;
-  RouteSample parallel;
-  bool parallel_identical = false;  ///< parallel trees == serial trees
   RouteSample unbounded;
   // Checkpoint/resume verification: save after route, resume, rerun the
   // route stage from the loaded placement, compare byte for byte.
@@ -156,21 +140,15 @@ RouteSample sample_of(const RoutingResult& rr, double seconds) {
   s.heap_pops = rr.heap_pops;
   s.bbox_retries = rr.bbox_retries;
   s.wire_nodes = rr.total_wire_nodes;
-  s.spec_commits = rr.spec_commits;
-  s.spec_rejected = rr.spec_rejected;
-  s.spec_wasted_pops = rr.spec_wasted_pops;
   return s;
 }
 
 RouteSample route_once(const Fabric& fabric, const RouteRequest& req,
-                       const RouterOptions& ropts,
-                       RoutingResult* out = nullptr) {
+                       const RouterOptions& ropts) {
   const std::uint64_t t0 = telem::now_ns();
   PathfinderRouter router(fabric, req);
-  RoutingResult rr = router.route(ropts);
-  RouteSample s = sample_of(rr, telem::seconds_since(t0));
-  if (out != nullptr) *out = std::move(rr);
-  return s;
+  const RoutingResult rr = router.route(ropts);
+  return sample_of(rr, telem::seconds_since(t0));
 }
 
 bool identical_routes(const RoutingResult& a, const RoutingResult& b) {
@@ -230,7 +208,7 @@ bool verify_checkpoint_resume(FlowPipeline& pipe, const std::string& dir) {
 
 RunRecord run_one(const std::string& name, Netlist nl, int grid,
                   std::uint64_t seed, int width, double netlist_seconds,
-                  double effort, int margin, int threads, bool with_mcw,
+                  double effort, int margin, bool with_mcw,
                   int stage_limit, const std::string& ckpt_root) {
   RunRecord rec;
   rec.circuit = name;
@@ -244,7 +222,6 @@ RunRecord run_one(const std::string& name, Netlist nl, int grid,
   FlowOptions fo;
   fo.arch.chan_width = width;
   fo.seed = seed;
-  fo.threads = 1;
   fo.place.seed = seed;
   fo.place.effort = effort;
   if (margin >= 0) fo.route.bb_margin = margin;
@@ -303,27 +280,6 @@ RunRecord run_one(const std::string& name, Netlist nl, int grid,
     pipe->save_checkpoint(run_ckpt, Stage::kPlace);
   }
 
-  // The batched speculate/validate/commit engine on the same pack: the
-  // placement, stats and cost_drift must be byte-identical to the serial
-  // leg, only wall time (and the speculation diagnostics) may differ.
-  PlaceOptions ppar;
-  ppar.seed = seed;
-  ppar.effort = effort;
-  ppar.threads = threads;
-  const std::uint64_t tpar = telem::now_ns();
-  const Placement pl_par =
-      place_design(pipe->netlist(), pipe->packed(), pipe->options().arch,
-                   grid, grid, ppar, &rec.place_par);
-  rec.place_par_seconds = telem::seconds_since(tpar);
-  rec.place_identical =
-      identical_placements(pl_par, pipe->placement()) &&
-      rec.place_par.moves == rec.place.moves &&
-      rec.place_par.accepted == rec.place.accepted &&
-      rec.place_par.temperatures == rec.place.temperatures &&
-      rec.place_par.initial_cost == rec.place.initial_cost &&
-      rec.place_par.final_cost == rec.place.final_cost &&
-      rec.place_par.cost_drift == rec.place.cost_drift;
-
   // SoA kernel cross-check: full bounding-box cost sweeps over the
   // committed placement in both layouts. The sweep count is scaled so the
   // timed region stays ~constant work across circuit sizes; identity is
@@ -345,20 +301,12 @@ RunRecord run_one(const std::string& name, Netlist nl, int grid,
   // Default options: bounded-box expansion, incremental reroute, calibrated
   // A* weight — the pipeline's route stage with RouterOptions{} as shipped.
   // Touching route_request() first builds the fabric and routing graph
-  // OUTSIDE the timed stage, so all three route legs are timed against the
+  // OUTSIDE the timed stage, so both route legs are timed against the
   // same pre-built graph (the v3 methodology).
   pipe->route_request();
   pipe->run_to(Stage::kRoute);
   rec.bounded = sample_of(pipe->routing(),
                           stage_seconds[static_cast<int>(Stage::kRoute)]);
-  // The deterministic parallel engine on the same request: trees must be
-  // byte-identical to the serial leg, only wall time may differ.
-  RouterOptions par = pipe->options().route;
-  par.threads = threads;
-  RoutingResult parallel_routes;
-  rec.parallel =
-      route_once(pipe->fabric(), pipe->route_request(), par, &parallel_routes);
-  rec.parallel_identical = identical_routes(pipe->routing(), parallel_routes);
   // The unbounded textbook baseline: whole-fabric expansion, whole-net
   // rip-up, and the pre-calibration heuristic weight — the formulation the
   // seed router shipped (see bench/README.md).
@@ -387,7 +335,7 @@ RunRecord run_one(const std::string& name, Netlist nl, int grid,
 }
 
 void write_json(const std::string& path, const std::vector<RunRecord>& runs,
-                bool smoke, int width, int seeds, int threads, int margin,
+                bool smoke, int width, int seeds, int margin,
                 double effort, bool with_mcw, int stage_limit,
                 const std::string& ckpt_root) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -396,10 +344,8 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
     std::exit(1);
   }
   long long pops_b = 0, pops_u = 0, mcw_w = 0, mcw_c = 0;
-  double secs_b = 0, secs_u = 0, secs_p = 0;
-  double psecs = 0, psecs_par = 0;
-  long long pspec_c = 0, pspec_r = 0;
-  int ok_b = 0, ok_u = 0, identical = 0, place_identical = 0, mcw_match = 0;
+  double secs_b = 0, secs_u = 0;
+  int ok_b = 0, ok_u = 0, mcw_match = 0;
   int ckpt_identical = 0;
   int kernel_identical = 0;
   double ksecs_soa = 0, ksecs_ref = 0;
@@ -408,15 +354,8 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
     pops_u += r.unbounded.heap_pops;
     secs_b += r.bounded.seconds;
     secs_u += r.unbounded.seconds;
-    secs_p += r.parallel.seconds;
-    psecs += r.place_seconds;
-    psecs_par += r.place_par_seconds;
-    pspec_c += r.place_par.spec_commits;
-    pspec_r += r.place_par.spec_rejected;
     ok_b += r.bounded.success ? 1 : 0;
     ok_u += r.unbounded.success ? 1 : 0;
-    identical += r.parallel_identical ? 1 : 0;
-    place_identical += r.place_identical ? 1 : 0;
     ckpt_identical += r.checkpoint_identical ? 1 : 0;
     kernel_identical += r.kernel_checked && r.kernel.identical ? 1 : 0;
     ksecs_soa += r.kernel.soa_seconds;
@@ -428,12 +367,12 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
   const char* stage_names[] = {"pack", "place", "route", "all"};
   const std::string ckpt_json =
       ckpt_root.empty() ? "null" : "\"" + ckpt_root + "\"";
-  std::fprintf(f, "{\n  \"schema\": \"vbs.flow_bench.v7\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"vbs.flow_bench.v8\",\n");
   std::fprintf(f,
                "  \"options\": {\"smoke\": %s, \"chan_width\": %d, \"seeds\": "
-               "%d, \"threads\": %d, \"bb_margin\": %d, \"effort\": %.3f, "
+               "%d, \"bb_margin\": %d, \"effort\": %.3f, "
                "\"mcw\": %s, \"stage\": \"%s\", \"checkpoint_dir\": %s},\n",
-               smoke ? "true" : "false", width, seeds, threads, margin, effort,
+               smoke ? "true" : "false", width, seeds, margin, effort,
                with_mcw ? "true" : "false", stage_names[stage_limit],
                ckpt_json.c_str());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
@@ -465,7 +404,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
                  "%d},\n",
                  r.pack_seconds, r.luts, r.ios);
     std::fprintf(f,
-                 "     \"place\": {\"threads\": 1, \"seconds\": %.4f, "
+                 "     \"place\": {\"seconds\": %.4f, "
                  "\"moves\": %lld, "
                  "\"accepted\": %lld, \"temperatures\": %d, \"moves_per_sec\": "
                  "%.0f, \"initial_cost\": %.3f, \"final_cost\": %.3f, "
@@ -474,13 +413,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
                  r.place.temperatures, r.moves_per_sec, r.place.initial_cost,
                  r.place.final_cost, r.place.cost_drift,
                  r.place_from_checkpoint ? "true" : "false");
-    std::fprintf(f,
-                 "     \"place_parallel\": {\"threads\": %d, \"seconds\": "
-                 "%.4f, \"spec_commits\": %lld, \"spec_rejected\": %lld, "
-                 "\"identical_to_serial\": %s},\n",
-                 threads, r.place_par_seconds, r.place_par.spec_commits,
-                 r.place_par.spec_rejected,
-                 r.place_identical ? "true" : "false");
     if (r.kernel_checked) {
       std::fprintf(f,
                    "     \"kernels\": {\"bbox_sweeps\": %lld, "
@@ -502,16 +434,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
                    s.heap_pops, s.bbox_retries, s.wire_nodes, tail);
     };
     route_json("route_bounded", r.bounded, ",");
-    std::fprintf(f,
-                 "     \"route_parallel\": {\"threads\": %d, \"seconds\": "
-                 "%.4f, \"success\": %s, \"heap_pops\": %lld, "
-                 "\"spec_commits\": %lld, \"spec_rejected\": %lld, "
-                 "\"spec_wasted_pops\": %lld, \"identical_to_serial\": %s},\n",
-                 threads, r.parallel.seconds,
-                 r.parallel.success ? "true" : "false", r.parallel.heap_pops,
-                 r.parallel.spec_commits, r.parallel.spec_rejected,
-                 r.parallel.spec_wasted_pops,
-                 r.parallel_identical ? "true" : "false");
     route_json("route_unbounded", r.unbounded, ",");
     std::fprintf(f,
                  "     \"checkpoint\": {\"checked\": %s, "
@@ -539,10 +461,6 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
       "\"routed_unbounded\": %d, \"heap_pops_bounded\": %lld, "
       "\"heap_pops_unbounded\": %lld, \"heap_pop_ratio\": %.3f, "
       "\"route_seconds_bounded\": %.4f, \"route_seconds_unbounded\": %.4f, "
-      "\"route_seconds_parallel\": %.4f, \"parallel_speedup\": %.3f, "
-      "\"parallel_identical\": %d, \"place_seconds_serial\": %.4f, "
-      "\"place_seconds_parallel\": %.4f, \"place_speedup\": %.3f, "
-      "\"place_spec_commit_rate\": %.3f, \"place_identical\": %d, "
       "\"kernel_identical\": %d, \"kernel_soa_seconds\": %.4f, "
       "\"kernel_ref_seconds\": %.4f, \"kernel_speedup\": %.3f, "
       "\"checkpoint_identical\": %d, "
@@ -552,14 +470,7 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
       runs.size(), ok_b, ok_u, pops_b, pops_u,
       pops_b > 0 ? static_cast<double>(pops_u) / static_cast<double>(pops_b)
                  : 0.0,
-      secs_b, secs_u, secs_p,
-      secs_p > 0 ? secs_b / secs_p : 0.0, identical, psecs, psecs_par,
-      psecs_par > 0 ? psecs / psecs_par : 0.0,
-      pspec_c + pspec_r > 0
-          ? static_cast<double>(pspec_c) /
-                static_cast<double>(pspec_c + pspec_r)
-          : 0.0,
-      place_identical, kernel_identical, ksecs_soa, ksecs_ref,
+      secs_b, secs_u, kernel_identical, ksecs_soa, ksecs_ref,
       ksecs_soa > 0 ? ksecs_ref / ksecs_soa : 0.0,
       ckpt_identical, mcw_w, mcw_c,
       mcw_w > 0 ? static_cast<double>(mcw_c) / static_cast<double>(mcw_w)
@@ -573,8 +484,8 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs,
 
 int main(int argc, char** argv) try {
   CliArgs args(argc, argv,
-               {"--circuits", "--seeds", "--width", "--threads", "--margin",
-                "--effort", "--stage", "--checkpoint-dir", "--trace-out",
+               {"--circuits", "--seeds", "--width", "--margin", "--effort",
+                "--stage", "--checkpoint-dir", "--trace-out",
                 "--out"},
                {"--smoke", "--no-mcw", "--metrics", "--big"});
   const TelemetryCli telemetry(args);
@@ -583,7 +494,6 @@ int main(int argc, char** argv) try {
   const bool big = args.has_flag("--big");
   const int seeds = static_cast<int>(args.int_or("--seeds", 1));
   const int width = static_cast<int>(args.int_or("--width", smoke ? 10 : 20));
-  const int threads = threads_or(args, 8);
   const int margin = static_cast<int>(args.int_or("--margin", -1));
   const double effort = args.double_or("--effort", 1.0);
   const std::string out = args.value_or("--out", "BENCH_flow.json");
@@ -605,8 +515,7 @@ int main(int argc, char** argv) try {
   for (int s = 1; s <= seeds; ++s) {
     const auto seed = static_cast<std::uint64_t>(s);
     if (smoke) {
-      // Tiny synthetic circuits: exercises every stage, all three router
-      // legs, the checkpoint/resume verification and both MCW modes in
+      // Tiny synthetic circuits: exercises every stage, both router legs, the checkpoint/resume verification and both MCW modes in
       // seconds, for CI.
       for (const int n_lut : {60, 120}) {
         GenParams p;
@@ -621,7 +530,7 @@ int main(int argc, char** argv) try {
             static_cast<int>(std::ceil(std::sqrt(n_lut * 1.25)));
         runs.push_back(run_one("smoke" + std::to_string(n_lut), std::move(nl),
                                grid, seed, width, gen_s, effort, margin,
-                               threads, with_mcw, stage_limit, ckpt_root));
+                               with_mcw, stage_limit, ckpt_root));
       }
     } else {
       std::vector<McncCircuit> circuits;
@@ -652,8 +561,8 @@ int main(int argc, char** argv) try {
         Netlist nl = make_mcnc_like(c, seed);
         const double gen_s = telem::seconds_since(t0);
         runs.push_back(run_one(c.name, std::move(nl), c.size, seed, width,
-                               gen_s, effort, margin, threads, with_mcw,
-                               stage_limit, ckpt_root));
+                               gen_s, effort, margin, with_mcw, stage_limit,
+                               ckpt_root));
       }
     }
     if (big && !smoke) {
@@ -678,14 +587,14 @@ int main(int argc, char** argv) try {
         Netlist nl = generate_netlist(p);
         const double gen_s = telem::seconds_since(t0);
         runs.push_back(run_one(b.name, std::move(nl), b.grid, seed, width,
-                               gen_s, effort, margin, threads,
-                               /*with_mcw=*/false, stage_limit, ckpt_root));
+                               gen_s, effort, margin, /*with_mcw=*/false,
+                               stage_limit, ckpt_root));
       }
     }
   }
 
-  TablePrinter t({"circuit", "seed", "plc s/par", "route s", "pops", "par s",
-                  "full s", "pop ratio", "mcw", "mcw pops w/c"});
+  TablePrinter t({"circuit", "seed", "place s", "route s", "pops", "full s",
+                  "pop ratio", "mcw", "mcw pops w/c"});
   for (const RunRecord& r : runs) {
     const double ratio =
         r.bounded.heap_pops > 0
@@ -693,11 +602,9 @@ int main(int argc, char** argv) try {
                   static_cast<double>(r.bounded.heap_pops)
             : 0.0;
     t.add_row({r.circuit, std::to_string(r.seed),
-               TablePrinter::fmt(r.place_seconds, 2) + "/" +
-                   TablePrinter::fmt(r.place_par_seconds, 2),
+               TablePrinter::fmt(r.place_seconds, 2),
                TablePrinter::fmt(r.bounded.seconds, 2),
                TablePrinter::fmt_int(r.bounded.heap_pops),
-               TablePrinter::fmt(r.parallel.seconds, 2),
                TablePrinter::fmt(r.unbounded.seconds, 2),
                TablePrinter::fmt(ratio, 2),
                std::to_string(r.mcw_warm.mcw),
@@ -706,23 +613,15 @@ int main(int argc, char** argv) try {
   }
   t.print();
 
-  write_json(out, runs, smoke, width, seeds, threads, margin, effort,
+  write_json(out, runs, smoke, width, seeds, margin, effort,
              with_mcw, stage_limit, ckpt_root);
   std::printf("\nwrote %s\n", out.c_str());
   telemetry.finish();
 
-  // Fail loudly if any leg that ran regressed: an unroutable run, a
-  // parallel tree that diverged from the serial one, or a checkpoint
-  // resume that did not reproduce the uninterrupted run would make the
-  // numbers meaningless.
+  // Fail loudly if any leg that ran regressed: an unroutable run, a kernel
+  // mismatch, or a checkpoint resume that did not reproduce the
+  // uninterrupted run would make the numbers meaningless.
   for (const RunRecord& r : runs) {
-    if (stage_limit >= 1 && !r.place_identical) {
-      std::fprintf(
-          stderr,
-          "FAIL: %s seed %llu parallel placement diverged from serial\n",
-          r.circuit.c_str(), static_cast<unsigned long long>(r.seed));
-      return 1;
-    }
     if (r.kernel_checked && !r.kernel.identical) {
       std::fprintf(stderr,
                    "FAIL: %s seed %llu SoA bbox kernel diverged from the AoS "
@@ -731,14 +630,8 @@ int main(int argc, char** argv) try {
       return 1;
     }
     if (stage_limit < 2) continue;
-    if (!r.bounded.success || !r.unbounded.success || !r.parallel.success) {
+    if (!r.bounded.success || !r.unbounded.success) {
       std::fprintf(stderr, "FAIL: %s seed %llu did not route\n",
-                   r.circuit.c_str(), static_cast<unsigned long long>(r.seed));
-      return 1;
-    }
-    if (!r.parallel_identical) {
-      std::fprintf(stderr,
-                   "FAIL: %s seed %llu parallel routing diverged from serial\n",
                    r.circuit.c_str(), static_cast<unsigned long long>(r.seed));
       return 1;
     }
@@ -762,7 +655,7 @@ int main(int argc, char** argv) try {
   std::fprintf(stderr,
                "flow_bench: %s\n"
                "usage: flow_bench [--smoke] [--circuits a,b] [--seeds N] "
-               "[--width W] [--threads T] [--margin M] [--effort E] "
+               "[--width W] [--margin M] [--effort E] "
                "[--no-mcw] [--big] [--stage pack|place|route|all] "
                "[--checkpoint-dir DIR] [--trace-out trace.json] [--metrics] "
                "[--out PATH]\n",

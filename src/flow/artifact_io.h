@@ -12,8 +12,7 @@
 //   bytes 5-12   fingerprint, little-endian u64: hash of everything the
 //                artifact is a deterministic function of — the netlist
 //                text, the grid, and every result-relevant option of this
-//                stage and its upstream stages (thread counts are excluded:
-//                the engines are thread-count-invariant by contract)
+//                stage and its upstream stages
 //   bytes 13-20  content hash, little-endian u64 (FNV-1a over the packed
 //                payload bytes, then the bit length)
 //   bytes 21-28  payload bit count, little-endian u64
@@ -21,10 +20,8 @@
 //
 // Readers verify magic, version, stage tag, fingerprint and content hash
 // and throw ArtifactError on any mismatch, so a stale, truncated or
-// foreign checkpoint can never be silently resumed. Scheduling-dependent
-// diagnostics (wall times, speculation counters, threads_used) are NOT
-// part of any payload: an artifact saved by a parallel run is byte-
-// identical to one saved by a serial run.
+// foreign checkpoint can never be silently resumed. Wall times are NOT
+// part of any payload, so two runs of the same flow save identical bytes.
 #pragma once
 
 #include <bit>
@@ -98,17 +95,15 @@ inline double get_f64(BitReader& r) {
 BitVector serialize_packed(const PackedDesign& pd);
 PackedDesign deserialize_packed(const BitVector& bits);
 
-/// Placement plus the deterministic PlaceStats fields (costs, moves,
-/// accepted, temperatures, cost_drift). Scheduling diagnostics
-/// (spec_commits/spec_rejected/threads_used) are not stored.
+/// Placement plus every PlaceStats field (costs, moves, accepted,
+/// temperatures, cost_drift).
 BitVector serialize_placement(const Placement& pl, const PlaceStats& stats);
 void deserialize_placement(const BitVector& bits, Placement* pl,
                            PlaceStats* stats);
 
-/// RoutingResult minus the scheduling-dependent diagnostics: success,
+/// RoutingResult minus the per-iteration wall-time log: success,
 /// iterations, trees, wire/overuse totals, heap_pops and bbox_retries are
-/// stored; threads_used, spec_* and the per-iteration wall-time log are
-/// not.
+/// stored.
 BitVector serialize_routing(const RoutingResult& rr);
 RoutingResult deserialize_routing(const BitVector& bits);
 

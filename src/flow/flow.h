@@ -22,12 +22,6 @@ namespace vbs {
 struct FlowOptions {
   ArchSpec arch;  ///< chan_width is the normalized width (paper uses 20)
   std::uint64_t seed = 1;
-  /// Worker threads for the placement and routing stages. Both engines are
-  /// deterministic (speculate/validate/commit with canonical commit order),
-  /// so any value produces byte-identical results; place.threads == 0 /
-  /// route.threads == 0 (the defaults) inherit this value, a nonzero
-  /// per-stage count wins.
-  int threads = 1;
   /// place.seed == 0 (the default) means "inherit FlowOptions::seed"; any
   /// nonzero placer seed — including 1 — is honored verbatim.
   PlaceOptions place;

@@ -11,8 +11,7 @@
 // invalidate a suffix and run it again (`rerun_from`) — re-route on a
 // frozen placement, re-encode on frozen routing. Both engines are
 // deterministic, so a resumed remainder is byte-identical to the
-// uninterrupted run for the same seed and options, at any thread count;
-// artifact fingerprints enforce that a checkpoint is only ever resumed
+// uninterrupted run for the same seed and options; artifact fingerprints enforce that a checkpoint is only ever resumed
 // against the netlist/options it was produced from.
 //
 // Checkpoint directory layout (see src/flow/README.md):
@@ -59,8 +58,7 @@ struct StageReport {
 
 class FlowPipeline {
  public:
-  /// `opts.place.seed == 0` / per-stage `threads == 0` inherit the flow
-  /// seed / thread count exactly like run_flow.
+  /// `opts.place.seed == 0` inherits the flow seed exactly like run_flow.
   FlowPipeline(Netlist nl, int grid_w, int grid_h, FlowOptions opts = {},
                EncodeOptions encode_opts = {});
 
@@ -97,9 +95,6 @@ class FlowPipeline {
   void set_route_options(const RouterOptions& ropts);
   /// Replaces the encoder configuration, invalidating the encode stage.
   void set_encode_options(const EncodeOptions& eopts);
-  /// Worker threads for subsequent stage runs. Does NOT invalidate
-  /// anything: both engines are thread-count-invariant by contract.
-  void set_threads(int threads) { opts_.threads = threads; }
 
   // --- artifacts (accessors run the producing stage on demand) --------------
   const PackedDesign& packed();
@@ -143,9 +138,8 @@ class FlowPipeline {
   std::uint64_t base_fingerprint() const;
   std::uint64_t stage_fingerprint(Stage s) const;
   BitVector serialize_meta() const;
-  /// Resolved per-stage options (seed/thread inheritance applied).
+  /// The placer options with the flow seed inherited.
   PlaceOptions resolved_place_options() const;
-  RouterOptions resolved_route_options() const;
 
   Netlist nl_;
   int grid_w_ = 0;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -13,25 +11,23 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace vbs {
 
 namespace {
 
-/// Max slots per speculation batch. The batch boundaries decide which
-/// frozen state each proposal is generated against, so the batch length
-/// must be a pure function of seed-deterministic quantities for the engine
-/// to stay byte-identical at every thread count; the anneal loop adapts it
-/// per temperature to the (deterministic) acceptance fraction — commits
-/// are what invalidate speculative results, so high-acceptance
-/// temperatures run shorter batches.
-constexpr long long kSpecBatch = 64;
-constexpr long long kMinSpecBatch = 16;
+/// Slot bounds of one move batch. Each proposal is generated from the LUT
+/// positions frozen at the start of its batch (see place_design), so the
+/// batch boundaries are part of the annealing trajectory: the length is
+/// adapted per temperature to the acceptance fraction (high-acceptance
+/// temperatures run shorter batches) and must not change, or every
+/// placement changes with it.
+constexpr long long kMaxBatch = 64;
+constexpr long long kMinBatch = 16;
 
 long long batch_len_for(double frac) {
   return std::clamp(static_cast<long long>(8.0 / std::max(frac, 0.125)),
-                    kMinSpecBatch, kSpecBatch);
+                    kMinBatch, kMaxBatch);
 }
 
 double crossing_factor(int terminals) {
@@ -153,8 +149,7 @@ inline Box scan_box(const std::int32_t* xs, const std::int32_t* ys,
 }
 
 /// Per-evaluation scratch: the net -> affected-slot dedup epochs plus the
-/// gather buffers the scan kernel reads. One per participant, so
-/// speculative evaluations can run concurrently.
+/// gather buffers the scan kernel reads, reused across every evaluation.
 struct EvalScratch {
   // 64-bit epochs: a wrapped stamp would silently alias a stale net_slot
   // entry, and a long anneal on one scratch can plausibly exceed 2^32
@@ -172,10 +167,9 @@ struct EvalScratch {
   }
 };
 
-/// One evaluated proposal: the read set (from/to sites + affected CSR net
-/// rows), the would-be writes (new boxes, moved blocks) and the cost delta.
-/// Everything commit() needs, nothing shared — a slot's MoveEval can be
-/// produced speculatively on any thread and committed (or discarded) later.
+/// One evaluated proposal: the moved blocks, the affected nets with their
+/// would-be boxes, and the cost delta — everything commit() needs to apply
+/// it, or nothing to undo when it is rejected.
 struct MoveEval {
   struct Moved {
     BlockId block;
@@ -191,14 +185,8 @@ struct MoveEval {
   std::vector<Box> new_boxes;
 };
 
-/// Incremental-cost annealing state.
-///
-/// evaluate() is const and side-effect-free outside its scratch/out
-/// arguments, so a batch of proposals can be evaluated concurrently against
-/// the frozen shared state; commit() applies one evaluation. The
-/// batch-dirty epochs (begin_batch / mark_batch_dirty / batch_clean)
-/// implement the validation step: a speculative result is reusable exactly
-/// when no earlier commit of the same batch touched its read set.
+/// Incremental-cost annealing state. evaluate() prices a proposal without
+/// mutating the state; commit() applies an accepted one.
 class AnnealState {
  public:
   AnnealState(const Netlist& nl, const PackedDesign& pd, Placement& pl,
@@ -308,8 +296,6 @@ class AnnealState {
       const Point p = pl.lut_loc[static_cast<std::size_t>(i)];
       site_of_[site_index(p)] = i;
     }
-    net_dirty_epoch_.assign(static_cast<std::size_t>(nl.num_nets()), 0);
-    site_dirty_epoch_.assign(site_of_.size(), 0);
   }
 
   double total_cost() const { return total_cost_; }
@@ -355,9 +341,7 @@ class AnnealState {
   }
 
   /// Evaluates moving LUT instance `li` to `to` (swapping with any
-  /// occupant) against the current shared state, without mutating it. Safe
-  /// to call concurrently with other evaluate() calls (distinct scratch /
-  /// out), NOT concurrently with commit().
+  /// occupant) against the current state, without mutating it.
   void evaluate(int li, Point to, EvalScratch& s, MoveEval& out) const {
     out.li = li;
     out.to = to;
@@ -421,8 +405,7 @@ class AnnealState {
     out.delta = delta;
   }
 
-  /// Applies an evaluation. Single-threaded (the commit phase is serial,
-  /// in canonical slot order).
+  /// Applies an evaluation.
   void commit(const MoveEval& ev) {
     for (std::size_t k = 0; k < ev.affected.size(); ++k) {
       boxes_.store(static_cast<std::size_t>(ev.affected[k]), ev.new_boxes[k]);
@@ -440,37 +423,6 @@ class AnnealState {
       site_of_[site_index(ev.from)] = ev.occupant;
     } else {
       site_of_[site_index(ev.from)] = -1;
-    }
-  }
-
-  /// Starts a new validation window: commits recorded from here on
-  /// invalidate later speculative results that read what they wrote.
-  void begin_batch() { ++batch_epoch_; }
-
-  /// True when nothing the evaluation read — its two sites or any affected
-  /// net row — has been committed since begin_batch(). A clean speculative
-  /// result is bit-identical to re-evaluating now, so it can be committed
-  /// as-is; a dirty one is conservatively re-evaluated (a false conflict
-  /// costs work, never determinism).
-  bool batch_clean(const MoveEval& ev) const {
-    if (site_dirty_epoch_[site_index(ev.from)] == batch_epoch_) return false;
-    if (site_dirty_epoch_[site_index(ev.to)] == batch_epoch_) return false;
-    for (const NetId n : ev.affected) {
-      if (net_dirty_epoch_[static_cast<std::size_t>(n)] == batch_epoch_) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Records a committed evaluation's write set (its sites and every
-  /// affected net row; a moved terminal's nets are always all affected, so
-  /// later rescans are covered too).
-  void mark_batch_dirty(const MoveEval& ev) {
-    site_dirty_epoch_[site_index(ev.from)] = batch_epoch_;
-    site_dirty_epoch_[site_index(ev.to)] = batch_epoch_;
-    for (const NetId n : ev.affected) {
-      net_dirty_epoch_[static_cast<std::size_t>(n)] = batch_epoch_;
     }
   }
 
@@ -546,30 +498,13 @@ class AnnealState {
   std::vector<double> q_;  ///< per-net crossing factor (terminal count is static)
   NetBoxStore boxes_;
   std::vector<int> site_of_;
-  // Batch validation epochs: which nets / sites were written by a commit
-  // of the current speculation batch.
-  std::vector<std::uint64_t> net_dirty_epoch_;
-  std::vector<std::uint64_t> site_dirty_epoch_;
-  std::uint64_t batch_epoch_ = 0;
   double total_cost_ = 0.0;
 };
 
-/// One proposal slot, drawn serially from the master RNG at batch start.
-/// Exactly four draws per slot (instance, two offsets, acceptance uniform)
-/// whether or not the slot is degenerate, so the RNG stream is a pure
-/// function of the seed and the schedule — independent of thread count and
-/// of accept/reject outcomes. The acceptance uniform is drawn as raw bits
-/// (one next_u64, the same single state advance next_double performs) and
-/// converted only if the accept test actually needs it.
-struct Slot {
-  int li = 0;
-  Point to;
-  std::uint64_t ubits = 0;  ///< pre-drawn acceptance uniform, raw bits
-  bool skip = false;        ///< degenerate to == from at generation time
-};
-
 /// Bits -> uniform in [0,1): the exact mapping Rng::next_double uses, so a
-/// lazily-converted Slot::ubits reproduces the eagerly-drawn double.
+/// slot's acceptance uniform, drawn as raw bits (one next_u64, the same
+/// single state advance next_double performs), reproduces the eagerly drawn
+/// double when it is converted only where the accept test needs it.
 inline double slot_u(std::uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
@@ -781,54 +716,26 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
   AnnealState state(nl, pd, pl, opts.incremental_bbox);
   if (stats) stats->initial_cost = state.total_cost();
 
-  const int threads = std::max(1, opts.threads);
-  if (stats) stats->threads_used = threads;
-
   if (pd.num_luts() > 1) {
     const long long moves_per_t = std::max<long long>(
         32, static_cast<long long>(opts.effort *
                                    std::pow(pd.num_luts(), 4.0 / 3.0)));
     double rlim = std::max(grid_w, grid_h);
 
-    EvalScratch main_scratch;
-    main_scratch.init(nl.num_nets());
-    MoveEval serial_eval;
+    EvalScratch scratch;
+    scratch.init(nl.num_nets());
+    MoveEval eval;
 
-    // Speculation machinery, built only when a pool is worth having.
-    std::unique_ptr<ThreadPool> pool;
-    std::vector<std::unique_ptr<EvalScratch>> spec_scratch;
-    if (threads > 1) {
-      pool = std::make_unique<ThreadPool>(threads);
-      for (int i = 0; i < pool->size(); ++i) {
-        spec_scratch.push_back(std::make_unique<EvalScratch>());
-        spec_scratch.back()->init(nl.num_nets());
-      }
-    }
-    std::vector<Slot> slots(pool ? static_cast<std::size_t>(kSpecBatch) : 0);
-    std::vector<MoveEval> spec_evals(
-        pool ? static_cast<std::size_t>(kSpecBatch) : 0);
-    // Built once: constructing the type-erased std::function per batch
-    // would heap-allocate inside the hot loop.
-    const std::function<void(int, std::size_t)> spec_fn =
-        [&](int rank, std::size_t i) {
-          if (slots[i].skip) return;
-          state.evaluate(slots[i].li, slots[i].to,
-                         *spec_scratch[static_cast<std::size_t>(rank)],
-                         spec_evals[i]);
-        };
-
-    // Serial fused-generation overlay: the batch-start position of every
-    // LUT moved earlier in the current batch, epoch-stamped. Generation
-    // fused into the evaluate/commit pass must still read the state frozen
-    // at batch start — exactly what a separate pre-generation pass would
-    // have seen — so committed movers park their old position here.
-    std::vector<std::uint64_t> gen_epoch_of;
-    std::vector<Point> gen_frozen;
+    // Batch-start position overlay: every LUT moved earlier in the current
+    // batch parks its position from the start of the batch here,
+    // epoch-stamped. Move generation reads these frozen positions, not the
+    // live ones, while evaluation and commit read the live state. That is
+    // the annealer's defined trajectory: generating from the live
+    // positions would propose different moves and change every placement.
+    std::vector<std::uint64_t> gen_epoch_of(
+        static_cast<std::size_t>(pd.num_luts()), 0);
+    std::vector<Point> gen_frozen(static_cast<std::size_t>(pd.num_luts()));
     std::uint64_t gen_epoch = 0;
-    if (!pool) {
-      gen_epoch_of.assign(static_cast<std::size_t>(pd.num_luts()), 0);
-      gen_frozen.assign(static_cast<std::size_t>(pd.num_luts()), Point{});
-    }
     auto freeze = [&](int li, Point at) {
       const auto s = static_cast<std::size_t>(li);
       if (gen_epoch_of[s] != gen_epoch) {
@@ -845,10 +752,10 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
       const int li = static_cast<int>(
           rng.next_below(static_cast<std::uint64_t>(pd.num_luts())));
       const Point to{rng.next_int(0, grid_w - 1), rng.next_int(0, grid_h - 1)};
-      state.evaluate(li, to, main_scratch, serial_eval);
-      state.commit(serial_eval);
-      sum += serial_eval.delta;
-      sum2 += serial_eval.delta * serial_eval.delta;
+      state.evaluate(li, to, scratch, eval);
+      state.commit(eval);
+      sum += eval.delta;
+      sum2 += eval.delta * eval.delta;
     }
     const double var = sum2 / samples - (sum / samples) * (sum / samples);
     double t0 = 20.0 * std::sqrt(std::max(0.0, var));
@@ -857,9 +764,8 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
     // Anneal.
     double t = t0;
     long long tot_moves = 0, tot_accept = 0;
-    long long spec_commits = 0, spec_rejected = 0;
     int n_temps = 0;
-    long long batch_len = kMinSpecBatch;  // first temperature accepts ~all
+    long long batch_len = kMinBatch;  // first temperature accepts ~all
     while (true) {
       telem::Span temp_span("place", "temperature");
       long long accepted = 0, evaluated = 0;
@@ -873,92 +779,39 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
         const auto bsz =
             static_cast<std::size_t>(std::min(batch_len, moves_per_t - base));
         const int r = std::max(1, static_cast<int>(rlim));
-        if (pool) {
-          // 1. Generate the batch serially from the master RNG, against
-          //    the state frozen at batch start.
-          for (std::size_t i = 0; i < bsz; ++i) {
-            Slot& sl = slots[i];
-            sl.li = static_cast<int>(
-                rng.next_below(static_cast<std::uint64_t>(pd.num_luts())));
-            const Point from = state.lut_loc(sl.li);
-            sl.to = {std::clamp(from.x + rng.next_int(-r, r), 0, grid_w - 1),
-                     std::clamp(from.y + rng.next_int(-r, r), 0, grid_h - 1)};
-            sl.ubits = rng.next_u64();
-            sl.skip = sl.to == from;
-          }
-          // 2. Speculate: evaluate every real slot against the frozen
-          //    state, in per-thread scratch arenas.
-          pool->parallel_for(bsz, spec_fn);
-          state.begin_batch();
-          // 3. Validate + commit in canonical slot order. A clean
-          //    speculative delta is bit-identical to evaluating here, so
-          //    the accept/reject decisions — and the committed state —
-          //    match the serial path exactly.
-          for (std::size_t i = 0; i < bsz; ++i) {
-            const Slot& sl = slots[i];
-            if (sl.skip) continue;  // not a proposal: free of charge
-            const MoveEval* ev;
-            if (state.batch_clean(spec_evals[i])) {
-              ev = &spec_evals[i];
-              ++spec_commits;
-            } else {
-              state.evaluate(sl.li, sl.to, main_scratch, serial_eval);
-              ev = &serial_eval;
-              ++spec_rejected;
+        // Exactly four RNG draws per slot (instance, two offsets,
+        // acceptance uniform) whether or not the slot is degenerate, so the
+        // RNG stream is a pure function of the seed and the schedule,
+        // independent of accept/reject outcomes.
+        ++gen_epoch;
+        for (std::size_t i = 0; i < bsz; ++i) {
+          const int li = static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(pd.num_luts())));
+          const auto sli = static_cast<std::size_t>(li);
+          const Point from = gen_epoch_of[sli] == gen_epoch
+                                 ? gen_frozen[sli]
+                                 : state.lut_loc(li);
+          const Point to{
+              std::clamp(from.x + rng.next_int(-r, r), 0, grid_w - 1),
+              std::clamp(from.y + rng.next_int(-r, r), 0, grid_h - 1)};
+          const std::uint64_t ubits = rng.next_u64();
+          if (to == from) continue;  // degenerate at generation time
+          state.evaluate(li, to, scratch, eval);
+          // Degenerate at evaluation time: an earlier commit of this batch
+          // moved the drawn LUT onto the slot's target. Neither kind of
+          // degenerate slot is a proposal, so neither feeds the schedule.
+          if (eval.from == eval.to) continue;
+          ++evaluated;
+          const double d = eval.delta;
+          if (d <= 0 || slot_u(ubits) < std::exp(-d / t)) {
+            // Park the movers' batch-start positions before the commit
+            // changes them (no-ops if already parked this batch).
+            freeze(eval.li, eval.from);
+            if (eval.occupant >= 0 && eval.occupant != eval.li) {
+              freeze(eval.occupant, eval.to);
             }
-            // A slot can also become degenerate at commit time: an earlier
-            // commit of this batch moved the drawn LUT onto the slot's
-            // target. Same contract as generation-time skips — a self-swap
-            // is not a proposal and must not feed the schedule. The
-            // decision is thread-count-invariant: moving the LUT dirtied
-            // its sites, so the parallel path always re-evaluated such a
-            // slot against the same current state the serial path reads.
-            if (ev->from == ev->to) continue;
-            ++evaluated;
-            const double d = ev->delta;
-            if (d <= 0 || slot_u(sl.ubits) < std::exp(-d / t)) {
-              state.commit(*ev);
-              ++accepted;
-              state.mark_batch_dirty(*ev);
-            }
-          }
-        } else {
-          // Serial path: generation fused into the evaluate/commit pass —
-          // no slot buffer, no second walk over the batch. The RNG draws
-          // are the same four per slot in the same order (evaluation draws
-          // nothing), and the frozen overlay makes generation read exactly
-          // the batch-start state the pre-generation pass saw, so the
-          // trajectory is byte-identical to the parallel engine's.
-          ++gen_epoch;
-          for (std::size_t i = 0; i < bsz; ++i) {
-            const int li = static_cast<int>(
-                rng.next_below(static_cast<std::uint64_t>(pd.num_luts())));
-            const auto sli = static_cast<std::size_t>(li);
-            const Point from = gen_epoch_of[sli] == gen_epoch
-                                   ? gen_frozen[sli]
-                                   : state.lut_loc(li);
-            const Point to{
-                std::clamp(from.x + rng.next_int(-r, r), 0, grid_w - 1),
-                std::clamp(from.y + rng.next_int(-r, r), 0, grid_h - 1)};
-            const std::uint64_t ubits = rng.next_u64();
-            if (to == from) continue;  // degenerate at generation time
-            state.evaluate(li, to, main_scratch, serial_eval);
-            // Degenerate at commit time: an earlier commit of this batch
-            // moved the drawn LUT onto the slot's target.
-            if (serial_eval.from == serial_eval.to) continue;
-            ++evaluated;
-            const double d = serial_eval.delta;
-            if (d <= 0 || slot_u(ubits) < std::exp(-d / t)) {
-              // Park the movers' batch-start positions before the commit
-              // changes them (no-ops if already parked this batch).
-              freeze(serial_eval.li, serial_eval.from);
-              if (serial_eval.occupant >= 0 &&
-                  serial_eval.occupant != serial_eval.li) {
-                freeze(serial_eval.occupant, serial_eval.to);
-              }
-              state.commit(serial_eval);
-              ++accepted;
-            }
+            state.commit(eval);
+            ++accepted;
           }
         }
       }
@@ -994,8 +847,6 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
       stats->moves = tot_moves;
       stats->accepted = tot_accept;
       stats->temperatures = n_temps;
-      stats->spec_commits = spec_commits;
-      stats->spec_rejected = spec_rejected;
     }
   }
 

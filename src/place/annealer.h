@@ -3,17 +3,11 @@
 // driven by the acceptance rate, and exit when the temperature falls below
 // a small fraction of the per-net cost.
 //
-// The inner loop is batched: each round draws a fixed-size batch of
-// proposals serially from the master RNG (so the stream — and hence the
-// schedule — is a pure function of the seed), evaluates their cost deltas
-// speculatively against the state frozen at batch start, then validates
-// and commits survivors in canonical slot order. With threads > 1 the
-// speculative evaluations fan out over util/thread_pool and a slot whose
-// read set (affected CSR net rows + the two swap sites) was touched by an
-// earlier commit of the same batch is simply re-evaluated serially — the
-// same speculate/validate/commit discipline as the router's parallel
-// engine, and like it byte-identical to the serial path at any thread
-// count (placement, stats and cost_drift alike).
+// The inner loop runs in batches of adaptive length. Every proposal of a
+// batch draws its move from the LUT positions frozen at batch start, then
+// is evaluated and accepted or rejected against the live state in slot
+// order. The RNG stream, and so the whole schedule, is a pure function of
+// the seed.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +34,6 @@ struct PlaceOptions {
   /// an identical placement for a given seed — to the full-recompute path;
   /// off exists only as the cross-check / benchmark baseline.
   bool incremental_bbox = true;
-  /// Worker threads for speculative move evaluation (total participants,
-  /// including the caller). The engine is deterministic: every value
-  /// produces byte-identical placements and stats. 0 = "unset": run_flow
-  /// fills it with FlowOptions::threads, place_design itself treats it
-  /// as 1.
-  int threads = 0;
 };
 
 struct PlaceStats {
@@ -65,15 +53,6 @@ struct PlaceStats {
   /// |accumulated incremental cost - full recomputation| at annealing exit;
   /// bounds the floating-point drift of the incremental bookkeeping.
   double cost_drift = 0.0;
-  /// Parallel-engine diagnostics (0 when threads <= 1): slots whose
-  /// speculative evaluation survived validation vs. slots re-evaluated
-  /// serially because an earlier commit of their batch touched their read
-  /// set. Scheduling-dependent — NOT part of the determinism contract,
-  /// everything above is.
-  long long spec_commits = 0;
-  long long spec_rejected = 0;
-  /// Participants actually used (1 for the serial path).
-  int threads_used = 1;
 };
 
 /// Places `pd` on a grid_w x grid_h fabric. Throws std::invalid_argument if

@@ -6,7 +6,6 @@
 
 #include "util/logging.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 
 namespace vbs {
 
@@ -16,8 +15,7 @@ PathfinderRouter::PathfinderRouter(const Fabric& fabric, RouteRequest request,
   const int n = fabric_.num_nodes();
   occ_.assign(static_cast<std::size_t>(n), 0);
   hist_.assign(static_cast<std::size_t>(n), 0.0f);
-  dirty_epoch_of_.assign(static_cast<std::size_t>(n), 0);
-  main_.init(n);
+  scratch_.init(n);
 
   // Mark pin seg-0 nodes as reserved terminals, then mask out every track
   // wire at or above the width limit (the MCW search's narrower trial
@@ -80,11 +78,9 @@ PathfinderRouter::PathfinderRouter(const Fabric& fabric, RouteRequest request,
   routes_.resize(request_.nets.size());
 }
 
-PathfinderRouter::~PathfinderRouter() = default;
-
 void PathfinderRouter::seed_routes(const std::vector<NetRoute>& prior) {
   assert(prior.size() == request_.nets.size());
-  RouterScratch& s = main_;
+  RouterScratch& s = scratch_;
   for (std::size_t i = 0; i < prior.size() && i < routes_.size(); ++i) {
     const auto& src = prior[i].nodes;
     auto& dst = routes_[i].nodes;
@@ -137,36 +133,6 @@ inline double congestion_cost(double hist, double pres_fac, int occ) {
 }
 }  // namespace
 
-template <bool kSpec>
-int PathfinderRouter::occ_of(const RouterScratch& s, int v) const {
-  const auto sv = static_cast<std::size_t>(v);
-  int occ = occ_[sv];
-  if constexpr (kSpec) {
-    if (s.delta_epoch_of[sv] == s.delta_epoch) occ += s.occ_delta[sv];
-  }
-  return occ;
-}
-
-void PathfinderRouter::bump_delta(RouterScratch& s, int v, int d) {
-  const auto sv = static_cast<std::size_t>(v);
-  if (s.delta_epoch_of[sv] != s.delta_epoch) {
-    s.delta_epoch_of[sv] = s.delta_epoch;
-    s.occ_delta[sv] = 0;
-    s.delta_touched.push_back(v);
-  }
-  s.occ_delta[sv] += d;
-}
-
-template <bool kSpec>
-void PathfinderRouter::add_occ(RouterScratch& s, int v, int d) {
-  if constexpr (kSpec) {
-    bump_delta(s, v, d);
-  } else {
-    const auto sv = static_cast<std::size_t>(v);
-    occ_[sv] = static_cast<std::uint16_t>(static_cast<int>(occ_[sv]) + d);
-  }
-}
-
 void PathfinderRouter::rip_up(std::size_t net_idx) {
   for (const NetRoute::TreeNode& tn : routes_[net_idx].nodes) {
     --occ_[static_cast<std::size_t>(tn.rr)];
@@ -174,18 +140,15 @@ void PathfinderRouter::rip_up(std::size_t net_idx) {
   routes_[net_idx].nodes.clear();
 }
 
-template <bool kSpec>
-bool PathfinderRouter::net_congested(const NetRoute& route,
-                                     const RouterScratch& s) const {
+bool PathfinderRouter::net_congested(const NetRoute& route) const {
   for (const NetRoute::TreeNode& tn : route.nodes) {
-    if (occ_of<kSpec>(s, tn.rr) > 1) return true;
+    if (occ_[static_cast<std::size_t>(tn.rr)] > 1) return true;
   }
   return false;
 }
 
-template <bool kSpec>
-void PathfinderRouter::prune_overused(std::size_t net_idx, RouterScratch& s,
-                                      NetRoute& route) {
+void PathfinderRouter::prune_overused(std::size_t net_idx, NetRoute& route) {
+  RouterScratch& s = scratch_;
   auto& nodes = route.nodes;
   if (nodes.empty()) return;
   for (const int sink : request_.nets[net_idx].sinks) {
@@ -201,7 +164,7 @@ void PathfinderRouter::prune_overused(std::size_t net_idx, RouterScratch& s,
       s.keep[0] = 1;
       continue;
     }
-    s.keep[i] = occ_of<kSpec>(s, nodes[i].rr) <= 1 &&
+    s.keep[i] = occ_[static_cast<std::size_t>(nodes[i].rr)] <= 1 &&
                 s.keep[static_cast<std::size_t>(nodes[i].parent)];
   }
   // Pass 2 (children before parents): drop surviving branches that no
@@ -223,7 +186,7 @@ void PathfinderRouter::prune_overused(std::size_t net_idx, RouterScratch& s,
   std::size_t w = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (s.keep[i] == 0 || s.useful[i] == 0) {
-      add_occ<kSpec>(s, nodes[i].rr, -1);
+      --occ_[static_cast<std::size_t>(nodes[i].rr)];
       continue;
     }
     s.remap[i] = static_cast<std::int32_t>(w);
@@ -273,10 +236,10 @@ PathfinderRouter::BBox PathfinderRouter::expansion_box(
           std::min(fabric_.height() - 1, box.y1 + margin)};
 }
 
-template <bool kSpec>
 bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
                                       double pres_fac, double astar_fac,
-                                      const BBox& box, RouterScratch& s) {
+                                      const BBox& box) {
+  RouterScratch& s = scratch_;
   const int px1 = fabric_.spec().pins_on_x() + 1;
   const int py1 = fabric_.spec().pins_on_y() + 1;
   const Point sink_pos = fabric_.node_pos(sink);
@@ -321,14 +284,9 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
       if (cls != kFree && (cls == kMasked || v != sink)) continue;
       if (!box.contains(fabric_.node_pos(v))) continue;
       const float npc =
-          top.cost + static_cast<float>(congestion_cost(
-                         hist_[sv], pres_fac, occ_of<kSpec>(s, v)));
+          top.cost + static_cast<float>(
+                         congestion_cost(hist_[sv], pres_fac, occ_[sv]));
       if (s.epoch_of[sv] != s.epoch || npc < s.path_cost[sv]) {
-        if constexpr (kSpec) {
-          // First stamp this search == first congestion read: record the
-          // dependency. (Re-relaxed nodes are already recorded.)
-          if (s.epoch_of[sv] != s.epoch) s.visited.push_back(v);
-        }
         s.epoch_of[sv] = s.epoch;
         s.path_cost[sv] = npc;
         s.back_node[sv] = node;
@@ -340,21 +298,20 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
   return false;
 }
 
-template <bool kSpec>
 bool PathfinderRouter::route_net(std::size_t net_idx, double pres_fac,
-                                 const RouterOptions& opts, RouterScratch& s,
-                                 NetRoute& route) {
+                                 const RouterOptions& opts, NetRoute& route) {
+  RouterScratch& s = scratch_;
   const NetSpec& spec = request_.nets[net_idx];
   s.begin_tree();
   if (route.nodes.empty()) {
     route.nodes.push_back({spec.source, -1, -1});
     s.tree_idx_of[static_cast<std::size_t>(spec.source)] = 0;
     s.tree_epoch_of[static_cast<std::size_t>(spec.source)] = s.tree_epoch;
-    add_occ<kSpec>(s, spec.source, +1);
+    ++occ_[static_cast<std::size_t>(spec.source)];
   } else {
     // Incremental reroute: keep the legal part of the previous tree (this
     // re-stamps tree_idx_of, so connected sinks are detected below).
-    prune_overused<kSpec>(net_idx, s, route);
+    prune_overused(net_idx, route);
   }
 
   for (const int sink : spec.sinks) {
@@ -383,8 +340,7 @@ bool PathfinderRouter::route_net(std::size_t net_idx, double pres_fac,
       // just failed (small grids): searching it again finds nothing new.
       if (level > 0 && box == prev_box) continue;
       prev_box = box;
-      found = expand_to_sink<kSpec>(route, sink, pres_fac, opts.astar_fac,
-                                    box, s);
+      found = expand_to_sink(route, sink, pres_fac, opts.astar_fac, box);
       if (!found) {
         const bool whole_fabric = box.x0 == 0 && box.y0 == 0 &&
                                   box.x1 == fabric_.width() - 1 &&
@@ -411,7 +367,7 @@ bool PathfinderRouter::route_net(std::size_t net_idx, double pres_fac,
     for (auto it = s.path_scratch.rbegin(); it != s.path_scratch.rend();
          ++it) {
       route.nodes.push_back({it->first, parent_idx, it->second});
-      add_occ<kSpec>(s, it->first, +1);
+      ++occ_[static_cast<std::size_t>(it->first)];
       parent_idx = static_cast<std::int32_t>(route.nodes.size() - 1);
       s.tree_idx_of[static_cast<std::size_t>(it->first)] = parent_idx;
       s.tree_epoch_of[static_cast<std::size_t>(it->first)] = s.tree_epoch;
@@ -420,174 +376,30 @@ bool PathfinderRouter::route_net(std::size_t net_idx, double pres_fac,
   return true;
 }
 
-bool PathfinderRouter::serial_iteration_net(std::size_t net_idx, bool full,
-                                            double pres_fac,
-                                            const RouterOptions& opts,
-                                            std::size_t* rerouted) {
+bool PathfinderRouter::iteration_net(std::size_t net_idx, bool full,
+                                     double pres_fac,
+                                     const RouterOptions& opts,
+                                     std::size_t* rerouted) {
   if (!full) {
     // Only reroute nets currently crossing an overused node.
-    if (!net_congested<false>(routes_[net_idx], main_)) return true;
+    if (!net_congested(routes_[net_idx])) return true;
     // Textbook mode rebuilds the whole net; incremental mode lets
     // route_net prune and repair just the congested connections.
     if (!opts.incremental_reroute) rip_up(net_idx);
   }
   ++*rerouted;
-  return route_net<false>(net_idx, pres_fac, opts, main_, routes_[net_idx]);
-}
-
-void PathfinderRouter::run_spec_task(std::size_t net_idx, bool full,
-                                     double pres_fac,
-                                     const RouterOptions& opts,
-                                     RouterScratch& s, SpecTask& task) {
-  task.net = net_idx;
-  task.attempted = false;
-  task.ok = false;
-  task.pops = 0;
-  task.retries = 0;
-  task.deps.clear();
-  task.tree.nodes.clear();
-  s.begin_delta();  // fresh occupancy overlay for this task
-  s.delta_touched.clear();
-  s.visited.clear();
-
-  // The congested check and the prune read the occupancy of every current
-  // tree node, so the whole tree is a dependency of the result.
-  const NetRoute& cur = routes_[net_idx];
-  task.deps.reserve(cur.nodes.size());
-  for (const NetRoute::TreeNode& tn : cur.nodes) task.deps.push_back(tn.rr);
-
-  if (!full && !net_congested<true>(cur, s)) return;  // speculative skip
-
-  task.attempted = true;
-  task.tree = cur;
-  if (!full && !opts.incremental_reroute) {
-    // Textbook whole-net rip-up, against the overlay.
-    for (const NetRoute::TreeNode& tn : task.tree.nodes) {
-      bump_delta(s, tn.rr, -1);
-    }
-    task.tree.nodes.clear();
-  }
-  const long long pops0 = s.heap_pops;
-  const long long retries0 = s.bbox_retries;
-  task.ok = route_net<true>(net_idx, pres_fac, opts, s, task.tree);
-  task.pops = s.heap_pops - pops0;
-  task.retries = s.bbox_retries - retries0;
-  task.deps.insert(task.deps.end(), s.visited.begin(), s.visited.end());
-}
-
-void PathfinderRouter::apply_occ_diff(
-    const std::vector<NetRoute::TreeNode>& old_nodes,
-    const std::vector<NetRoute::TreeNode>& new_nodes) {
-  RouterScratch& s = main_;
-  s.begin_delta();
-  s.delta_touched.clear();
-  for (const NetRoute::TreeNode& tn : old_nodes) bump_delta(s, tn.rr, -1);
-  for (const NetRoute::TreeNode& tn : new_nodes) bump_delta(s, tn.rr, +1);
-  for (const int v : s.delta_touched) {
-    const auto sv = static_cast<std::size_t>(v);
-    const int d = s.occ_delta[sv];
-    if (d == 0) continue;
-    occ_[sv] = static_cast<std::uint16_t>(static_cast<int>(occ_[sv]) + d);
-    dirty_epoch_of_[sv] = dirty_epoch_;
-  }
-}
-
-bool PathfinderRouter::parallel_iteration(const std::vector<std::size_t>& work,
-                                          bool full, double pres_fac,
-                                          const RouterOptions& opts,
-                                          ThreadPool& pool,
-                                          RoutingResult& result,
-                                          std::size_t* rerouted) {
-  const std::size_t batch_cap = static_cast<std::size_t>(pool.size()) *
-                                static_cast<std::size_t>(
-                                    std::max(1, opts.spec_batch_per_thread));
-  if (tasks_.size() < batch_cap) tasks_.resize(batch_cap);
-  std::vector<NetRoute::TreeNode> old_nodes;  // redo-path diff snapshot
-
-  std::size_t pos = 0;
-  while (pos < work.size()) {
-    const std::size_t batch = std::min(batch_cap, work.size() - pos);
-    // Dirty marks are relative to this batch's congestion snapshot (same
-    // wrap-safe reset path as the scratch epochs).
-    bump_epoch(dirty_epoch_, RouterScratch::kEpochWrapMetric,
-               {&dirty_epoch_of_});
-    pool.parallel_for(batch, [&](int rank, std::size_t k) {
-      run_spec_task(work[pos + k], full, pres_fac, opts,
-                    *spec_scratch_[static_cast<std::size_t>(rank)],
-                    tasks_[k]);
-    });
-    // Commit in net order: a result is valid exactly when nothing it read
-    // has changed since the snapshot; otherwise redo it serially — so the
-    // state after each commit is byte-identical to the serial router's.
-    for (std::size_t k = 0; k < batch; ++k) {
-      SpecTask& t = tasks_[k];
-      bool clean = true;
-      for (const std::int32_t v : t.deps) {
-        if (dirty_epoch_of_[static_cast<std::size_t>(v)] == dirty_epoch_) {
-          clean = false;
-          break;
-        }
-      }
-      if (clean) {
-        if (!t.attempted) continue;  // uncongested: serial would skip too
-        committed_pops_ += t.pops;
-        committed_retries_ += t.retries;
-        if (!t.ok) return false;  // serial would fail on this net as well
-        ++*rerouted;
-        ++result.spec_commits;
-        apply_occ_diff(routes_[t.net].nodes, t.tree.nodes);
-        routes_[t.net].nodes.swap(t.tree.nodes);
-      } else {
-        ++result.spec_rejected;
-        result.spec_wasted_pops += t.pops;
-        old_nodes = routes_[t.net].nodes;
-        if (!serial_iteration_net(t.net, full, pres_fac, opts, rerouted)) {
-          return false;
-        }
-        // Conservative dirty-marking: every wire whose occupancy the redo
-        // moved invalidates later speculative results of this batch.
-        RouterScratch& s = main_;
-        s.begin_delta();
-        s.delta_touched.clear();
-        for (const NetRoute::TreeNode& tn : old_nodes) {
-          bump_delta(s, tn.rr, -1);
-        }
-        for (const NetRoute::TreeNode& tn : routes_[t.net].nodes) {
-          bump_delta(s, tn.rr, +1);
-        }
-        for (const int v : s.delta_touched) {
-          if (s.occ_delta[static_cast<std::size_t>(v)] != 0) {
-            dirty_epoch_of_[static_cast<std::size_t>(v)] = dirty_epoch_;
-          }
-        }
-      }
-    }
-    pos += batch;
-  }
-  return true;
+  return route_net(net_idx, pres_fac, opts, routes_[net_idx]);
 }
 
 RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
   RoutingResult result;
-  const int threads = std::max(1, opts.threads);
-  result.threads_used = threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-    spec_scratch_.clear();
-    for (int i = 0; i < threads; ++i) {
-      spec_scratch_.push_back(std::make_unique<RouterScratch>());
-      spec_scratch_.back()->init(fabric_.num_nodes());
-    }
-  }
 
-  // The per-iteration work list: nets with sinks, spatially interleaved.
-  // Request order follows netlist construction, so consecutive nets tend
-  // to sit in the same fabric region; round-robining over coarse tile
-  // cells spreads each speculation batch across the fabric, which is what
-  // keeps the batches conflict-free. The order is a pure function of the
-  // request, used identically by the serial and parallel engines — it IS
-  // the canonical net order both commit in.
+  // The per-iteration net order: nets with sinks, round-robined over
+  // kCells x kCells coarse tile cells by the centre of their terminal box,
+  // so consecutive nets sit in different fabric regions. The order is a
+  // pure function of the request; every routing tree, congestion cost and
+  // heap-pop count depends on it, so it is frozen like any other part of
+  // the algorithm.
   std::vector<std::size_t> work;
   work.reserve(request_.nets.size());
   {
@@ -625,27 +437,22 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
   for (int iter = 1; iter <= iter_limit; ++iter) {
     telem::Span iter_span("route", "iteration");
     const std::uint64_t iter_start = telem::now_ns();
-    const long long pops_before = total_pops();
+    const long long pops_before = scratch_.heap_pops;
     std::size_t rerouted = 0;
     result.iterations = iter;
     bool routable = true;
-    if (pool) {
-      routable = parallel_iteration(work, full_iter, pres_fac, opts, *pool,
-                                    result, &rerouted);
-    } else {
-      for (const std::size_t i : work) {
-        if (!serial_iteration_net(i, full_iter, pres_fac, opts, &rerouted)) {
-          routable = false;
-          break;
-        }
+    for (const std::size_t i : work) {
+      if (!iteration_net(i, full_iter, pres_fac, opts, &rerouted)) {
+        routable = false;
+        break;
       }
     }
     full_iter = false;
     if (!routable) {
       // Disconnected graph (e.g. W too small for a pin): unroutable.
       result.success = false;
-      result.heap_pops = total_pops();
-      result.bbox_retries = total_retries();
+      result.heap_pops = scratch_.heap_pops;
+      result.bbox_retries = scratch_.bbox_retries;
       return result;
     }
 
@@ -657,7 +464,7 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
       }
     }
     result.overused_nodes = overused;
-    const long long iter_pops = total_pops() - pops_before;
+    const long long iter_pops = scratch_.heap_pops - pops_before;
     result.iter_stats.push_back({iter, telem::seconds_since(iter_start),
                                  iter_pops, rerouted, overused});
     iter_span.arg("iter", iter)
@@ -733,8 +540,8 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
   for (const NetRoute& r : result.routes) {
     result.total_wire_nodes += r.nodes.size();
   }
-  result.heap_pops = total_pops();
-  result.bbox_retries = total_retries();
+  result.heap_pops = scratch_.heap_pops;
+  result.bbox_retries = scratch_.bbox_retries;
   return result;
 }
 

@@ -17,17 +17,9 @@
 //     of their tree across iterations and reroute only the connections
 //     crossing overused nodes, instead of whole-net rip-up.
 //   * astar_fac (default 1.5): calibrated heuristic weight, see below.
-//   * threads (default serial): deterministic parallel routing. The nets of
-//     one negotiation iteration are routed speculatively against a frozen
-//     congestion snapshot on N threads, then committed in net order; a net
-//     whose search touched any wire an earlier commit changed is rerouted
-//     serially. The commit check is conservative, so the resulting trees,
-//     heap-pop counts and iteration stats are byte-identical to the serial
-//     router for every thread count — only wall time changes.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fabric/fabric.h"
@@ -35,8 +27,6 @@
 #include "route/scratch.h"
 
 namespace vbs {
-
-class ThreadPool;
 
 /// Routing terminals of one net, as global RR nodes.
 struct NetSpec {
@@ -98,17 +88,6 @@ struct RouterOptions {
   /// instead of ripping up and rebuilding the whole net (default on).
   /// Off = the textbook whole-net rip-up, the flow_bench baseline.
   bool incremental_reroute = true;
-  /// Worker threads for the speculative route/commit engine. 0 means
-  /// "inherit" (FlowOptions::threads fills it in; standalone use treats it
-  /// as serial), 1 is serial, N > 1 routes each iteration's nets on N
-  /// threads. Output is byte-identical for every value.
-  int threads = 0;
-  /// Speculation batch size as a multiple of the thread count (the nets of
-  /// one batch are routed against the same congestion snapshot). Larger
-  /// batches expose more work-stealing slack but go stale faster: on the
-  /// circuit suite one batch per thread commits ~80% of speculations
-  /// clean, two per thread only ~60%.
-  int spec_batch_per_thread = 1;
 };
 
 /// Per-PathFinder-iteration counters, for perf trajectories (flow_bench)
@@ -127,16 +106,11 @@ struct RoutingResult {
   std::vector<NetRoute> routes;  ///< parallel to RouteRequest::nets
   std::size_t total_wire_nodes = 0;
   std::size_t overused_nodes = 0;  ///< at exit (0 on success)
-  /// Pops of committed searches only — identical to the serial router for
-  /// every thread count. Wasted speculative work is tracked separately.
+  /// A* heap pops over every search of the run.
   long long heap_pops = 0;
   /// Connections that failed inside their bounding box and were retried
   /// with a grown / unbounded box (0 unless the box was too tight).
   long long bbox_retries = 0;
-  int threads_used = 1;
-  long long spec_commits = 0;      ///< speculative routes committed clean
-  long long spec_rejected = 0;     ///< misspeculations rerouted serially
-  long long spec_wasted_pops = 0;  ///< heap pops discarded with them
   std::vector<RouteIterStats> iter_stats;  ///< one entry per iteration
 };
 
@@ -154,7 +128,6 @@ class PathfinderRouter {
   /// 0 = the fabric's full width.
   PathfinderRouter(const Fabric& fabric, RouteRequest request,
                    int width_limit = 0);
-  ~PathfinderRouter();
 
   /// Seeds the router with a prior solution (parallel to the request's
   /// nets), e.g. the surviving tree of a wider-channel routing in the MCW
@@ -175,32 +148,11 @@ class PathfinderRouter {
     friend bool operator==(const BBox&, const BBox&) = default;
   };
 
-  /// One net's speculative result, produced in parallel against a frozen
-  /// congestion snapshot and committed (or rejected) in net order.
-  struct SpecTask {
-    std::size_t net = 0;
-    bool attempted = false;  ///< routed (first iteration or congested)
-    bool ok = false;         ///< search succeeded (valid only if attempted)
-    NetRoute tree;           ///< full new tree (valid only if attempted&&ok)
-    std::vector<std::int32_t> deps;  ///< nodes the result depends on
-    long long pops = 0;
-    long long retries = 0;
-  };
-
-  template <bool kSpec>
-  int occ_of(const RouterScratch& s, int v) const;
-  template <bool kSpec>
-  void add_occ(RouterScratch& s, int v, int d);
-  void bump_delta(RouterScratch& s, int v, int d);
-
-  template <bool kSpec>
   bool route_net(std::size_t net_idx, double pres_fac,
-                 const RouterOptions& opts, RouterScratch& s,
-                 NetRoute& route);
+                 const RouterOptions& opts, NetRoute& route);
   /// One A* wave from the current tree of `net_idx` to `sink` within `box`.
-  template <bool kSpec>
   bool expand_to_sink(const NetRoute& route, int sink, double pres_fac,
-                      double astar_fac, const BBox& box, RouterScratch& s);
+                      double astar_fac, const BBox& box);
   /// Expansion window for escalation level 0 (sink-to-tree connection box
   /// plus margin), 1 (whole terminal box, grown margin), 2 (whole fabric).
   BBox expansion_box(std::size_t net_idx, Point sink_pos, Point near_pos,
@@ -208,46 +160,22 @@ class PathfinderRouter {
   void rip_up(std::size_t net_idx);
   /// Drops tree nodes sitting on (or downstream of) an overused node, plus
   /// any surviving branch that no longer leads to a sink, releasing their
-  /// occupancy. Keeps the source. Re-stamps s.tree_idx_of for the kept
-  /// nodes under the current tree epoch.
-  template <bool kSpec>
-  void prune_overused(std::size_t net_idx, RouterScratch& s,
-                      NetRoute& route);
-  template <bool kSpec>
-  bool net_congested(const NetRoute& route, const RouterScratch& s) const;
+  /// occupancy. Keeps the source. Re-stamps the scratch's tree_idx_of for
+  /// the kept nodes under the current tree epoch.
+  void prune_overused(std::size_t net_idx, NetRoute& route);
+  bool net_congested(const NetRoute& route) const;
 
-  /// Serial per-net iteration body (congested check + route); returns false
-  /// on an unroutable net. `full` forces routing regardless of congestion
-  /// (first iteration, or the iteration after a stall restart). Mirrored
-  /// exactly by the speculative tasks.
-  bool serial_iteration_net(std::size_t net_idx, bool full, double pres_fac,
-                            const RouterOptions& opts, std::size_t* rerouted);
-  /// Speculative task: route `net_idx` against the frozen congestion
-  /// snapshot into `task`, recording every dependency.
-  void run_spec_task(std::size_t net_idx, bool full, double pres_fac,
-                     const RouterOptions& opts, RouterScratch& s,
-                     SpecTask& task);
-  /// Batched speculate/commit loop over `work`; same contract as the serial
-  /// loop (returns false when a net is unroutable).
-  bool parallel_iteration(const std::vector<std::size_t>& work, bool full,
-                          double pres_fac, const RouterOptions& opts,
-                          ThreadPool& pool, RoutingResult& result,
-                          std::size_t* rerouted);
-  /// Nets out `old_nodes` -> routes_[net]'s occupancy into occ_ (no-op for
-  /// unchanged nodes) and dirty-marks every node whose occupancy moved.
-  void apply_occ_diff(const std::vector<NetRoute::TreeNode>& old_nodes,
-                      const std::vector<NetRoute::TreeNode>& new_nodes);
-
-  long long total_pops() const { return main_.heap_pops + committed_pops_; }
-  long long total_retries() const {
-    return main_.bbox_retries + committed_retries_;
-  }
+  /// Per-net iteration body (congested check + route); returns false on
+  /// an unroutable net. `full` forces routing regardless of congestion
+  /// (first iteration, or the iteration after a stall restart).
+  bool iteration_net(std::size_t net_idx, bool full, double pres_fac,
+                     const RouterOptions& opts, std::size_t* rerouted);
 
   const Fabric& fabric_;
   RouteRequest request_;
   std::vector<NetRoute> routes_;
 
-  // Per-RR-node congestion state (shared; frozen during parallel phases).
+  // Per-RR-node congestion state.
   std::vector<std::uint16_t> occ_;
   std::vector<float> hist_;
   /// kFree = plain wire; kPinOnly = pin-stub seg-0 node, usable only as a
@@ -259,19 +187,7 @@ class PathfinderRouter {
   /// Terminal bounding box of each net (tile coordinates, no margin).
   std::vector<BBox> net_box_;
 
-  RouterScratch main_;  ///< serial routing, misspeculation redo, and commits
-  /// One per thread.
-  std::vector<std::unique_ptr<RouterScratch>> spec_scratch_;
-  std::vector<SpecTask> tasks_;
-
-  /// Nodes whose occupancy changed since the current batch's snapshot.
-  std::vector<std::uint32_t> dirty_epoch_of_;
-  std::uint32_t dirty_epoch_ = 0;
-
-  /// Pops/retries adopted from committed speculative tasks; totals are
-  /// main_'s counters plus these (byte-identical to a serial run).
-  long long committed_pops_ = 0;
-  long long committed_retries_ = 0;
+  RouterScratch scratch_;  ///< search state, reused across every net
 };
 
 }  // namespace vbs

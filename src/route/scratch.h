@@ -1,11 +1,11 @@
-// Per-thread PathFinder search state in structure-of-arrays layout: every
+// PathFinder search state in structure-of-arrays layout: every
 // per-RR-node field lives in its own contiguous array (one stride per
 // field), instead of being interleaved through per-node structs. The A*
 // relaxation touches path_cost/back_node/back_edge/epoch_of for the same
 // node index — keeping each in its own array means the inner loop streams
 // four independent strides the prefetcher can follow, and fields a given
-// pass never reads (tree compaction, occupancy overlay) stay out of its
-// cache footprint entirely.
+// pass never reads (tree compaction) stay out of its cache footprint
+// entirely.
 //
 // Search queue: the shared SearchHeap (util/search_heap.h). Entries pack
 // key = bit_cast<u32>(est) << 32 | u32(node); est = path + heuristic is
@@ -57,16 +57,6 @@ struct RouterScratch {
   std::vector<std::int32_t> tree_idx_of;
   std::vector<std::uint32_t> tree_epoch_of;
   std::uint32_t tree_epoch = 0;
-  // Speculative occupancy overlay: this net's own rip-ups and additions
-  // relative to the frozen shared occ_, epoch-stamped per task. Also used
-  // by the commit step to net out occupancy deltas.
-  std::vector<std::int32_t> occ_delta;
-  std::vector<std::uint32_t> delta_epoch_of;
-  std::uint32_t delta_epoch = 0;
-  std::vector<std::int32_t> delta_touched;
-  // Dependency recording (speculative mode): every node whose occupancy
-  // the task read, i.e. every node its searches stamped.
-  std::vector<std::int32_t> visited;
   long long heap_pops = 0;
   long long bbox_retries = 0;
 
@@ -76,9 +66,6 @@ struct RouterScratch {
   std::uint32_t begin_tree() {
     return bump_epoch(tree_epoch, kEpochWrapMetric,
                       {&tree_epoch_of, &sink_mark});
-  }
-  std::uint32_t begin_delta() {
-    return bump_epoch(delta_epoch, kEpochWrapMetric, {&delta_epoch_of});
   }
 
   void init(int num_nodes) {
@@ -92,9 +79,6 @@ struct RouterScratch {
     tree_idx_of.assign(n, -1);
     tree_epoch_of.assign(n, 0);
     tree_epoch = 0;
-    occ_delta.assign(n, 0);
-    delta_epoch_of.assign(n, 0);
-    delta_epoch = 0;
   }
 };
 

@@ -10,7 +10,7 @@
 //
 // Scheduling order is nondeterministic; callers that need reproducible
 // results must make item tasks independent and merge them in a fixed order
-// afterwards (see PathfinderRouter's speculative route/commit engine).
+// afterwards (see ReconfigService's batched decode).
 // parallel_for is fork/join: it returns only after every index has run, so
 // data written by tasks is visible to the caller afterwards. One job at a
 // time: the pool must not be entered concurrently from two threads.

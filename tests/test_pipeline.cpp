@@ -2,8 +2,8 @@
 // container corruption/version/fingerprint rejection, lazy stage execution
 // and invalidation, and the bit-exact resume contract — checkpointing
 // after any prefix and resuming must reproduce the uninterrupted flow's
-// placements, routing trees, stats and final VBS bytes byte for byte, at
-// any thread count, across the 5-circuit perf suite.
+// placements, routing trees, stats and final VBS bytes byte for byte
+// across the 5-circuit perf suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
+#include <utility>
 
 #include "flow/artifact_io.h"
 #include "flow/flow.h"
@@ -365,6 +366,52 @@ bool has_tmp_files(const std::string& dir) {
   return false;
 }
 
+// flow.meta keeps four slots of the retired parallel engines (a flow, a
+// placer and a router thread count, and a router batch size). Resume reads
+// and ignores them: a checkpoint whose slots hold INT32_MAX must resume to
+// the same artifacts as an unpatched one, not size a thread pool from them.
+TEST(Pipeline, ResumeIgnoresRetiredThreadSlots) {
+  TempDir clean("meta_clean");
+  TempDir patched("meta_patched");
+  FlowPipeline pipe(small_netlist(), 7, 7, small_opts());
+  pipe.run_to(Stage::kPack);
+  pipe.save_checkpoint(clean.path);
+  pipe.save_checkpoint(patched.path);
+
+  // Bit offsets of the slots in the flow.meta payload, after the grid,
+  // architecture and flow seed; the placer's seed, effort, I/O capacity and
+  // bbox flag; and the router's knobs up to incremental_reroute.
+  const std::string meta = (fs::path(patched.path) / "flow.meta").string();
+  std::uint64_t fingerprint = 0;
+  BitVector payload =
+      read_artifact_file(meta, ArtifactStage::kMeta, nullptr, &fingerprint);
+  const std::pair<std::size_t, std::uint64_t> slots[] = {
+      {200, 1}, {393, 0}, {875, 0}, {907, 1}};
+  BitVector huge;
+  huge.append_bits(0x7fffffff, 32);  // INT32_MAX
+  for (const auto& [pos, written] : slots) {
+    EXPECT_EQ(payload.get_bits(pos, 32), written) << "slot at bit " << pos;
+    payload.overwrite(pos, huge);
+  }
+  write_artifact_file(meta, ArtifactStage::kMeta, fingerprint, payload);
+
+  for (const std::string* dir : {&clean.path, &patched.path}) {
+    FlowPipeline re = FlowPipeline::resume_from(*dir);
+    re.run_to(Stage::kRoute);
+    ASSERT_TRUE(re.routing().success);
+    re.save_checkpoint(*dir, Stage::kRoute);
+  }
+  const auto read_bytes = [](const std::string& dir, const char* file) {
+    std::ifstream is(fs::path(dir) / file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  for (const char* file : {"pack.art", "place.art", "route.art"}) {
+    const std::string want = read_bytes(clean.path, file);
+    ASSERT_FALSE(want.empty()) << file;
+    EXPECT_EQ(read_bytes(patched.path, file), want) << file;
+  }
+}
+
 TEST(Pipeline, CheckpointSurvivesCrashAtEveryIoSite) {
   TempDir dir("ckpt_crash");
   FlowPipeline pipe(small_netlist(), 7, 7, small_opts());
@@ -403,8 +450,8 @@ TEST(Pipeline, CheckpointSurvivesCrashAtEveryIoSite) {
 // The acceptance bar of the redesign: for every circuit of the perf suite,
 // checkpointing after pack/place/route and resuming produces placements,
 // routing trees, stats and final VBS bytes identical to the uninterrupted
-// run — pipeline vs run_flow, at threads 1 and 8, and rerun_from(route) on
-// a loaded placement matches the full flow's routing byte for byte.
+// run — pipeline vs run_flow, and rerun_from(route) on a loaded placement
+// matches the full flow's routing byte for byte.
 TEST(Pipeline, ResumeIsBitExactAcrossSuite) {
   std::vector<McncCircuit> cs = mcnc20();
   std::sort(cs.begin(), cs.end(),
@@ -419,53 +466,41 @@ TEST(Pipeline, ResumeIsBitExactAcrossSuite) {
     opts.arch.chan_width = 20;
     opts.seed = 1;
     opts.place.effort = 0.25;  // resume identity is under test, not quality
-    BitVector ref_stream;      // thread-1 stream; all legs must match it
-    for (const int threads : {1, 8}) {
-      SCOPED_TRACE(threads);
-      opts.threads = threads;
-      FlowResult direct = run_flow(nl, c.size, c.size, opts);
-      ASSERT_TRUE(direct.routed());
+    FlowResult direct = run_flow(nl, c.size, c.size, opts);
+    ASSERT_TRUE(direct.routed());
 
-      TempDir dir("suite_" + c.name + "_t" + std::to_string(threads));
-      // Stage by stage with a save/resume round trip at every boundary:
-      // the remainder after each resume must reproduce the direct run.
-      FlowPipeline p0(nl, c.size, c.size, opts);
-      p0.run_to(Stage::kPack);
-      p0.save_checkpoint(dir.path);
+    TempDir dir("suite_" + c.name);
+    // Stage by stage with a save/resume round trip at every boundary: the
+    // remainder after each resume must reproduce the direct run.
+    FlowPipeline p0(nl, c.size, c.size, opts);
+    p0.run_to(Stage::kPack);
+    p0.save_checkpoint(dir.path);
 
-      FlowPipeline p1 = FlowPipeline::resume_from(dir.path);
-      EXPECT_TRUE(p1.completed(Stage::kPack));
-      EXPECT_FALSE(p1.completed(Stage::kPlace));
-      p1.run_to(Stage::kPlace);
-      expect_identical_placement(p1.placement(), direct.placement);
-      const PlaceStats run_stats = p1.place_stats();
-      p1.save_checkpoint(dir.path);
+    FlowPipeline p1 = FlowPipeline::resume_from(dir.path);
+    EXPECT_TRUE(p1.completed(Stage::kPack));
+    EXPECT_FALSE(p1.completed(Stage::kPlace));
+    p1.run_to(Stage::kPlace);
+    expect_identical_placement(p1.placement(), direct.placement);
+    const PlaceStats run_stats = p1.place_stats();
+    p1.save_checkpoint(dir.path);
 
-      FlowPipeline p2 = FlowPipeline::resume_from(dir.path);
-      EXPECT_TRUE(p2.completed(Stage::kPlace));
-      // rerun_from(route) on the loaded, frozen placement == full flow.
-      p2.rerun_from(Stage::kRoute);
-      expect_identical_routing(p2.routing(), direct.routing);
-      p2.save_checkpoint(dir.path);
+    FlowPipeline p2 = FlowPipeline::resume_from(dir.path);
+    EXPECT_TRUE(p2.completed(Stage::kPlace));
+    // rerun_from(route) on the loaded, frozen placement == full flow.
+    p2.rerun_from(Stage::kRoute);
+    expect_identical_routing(p2.routing(), direct.routing);
+    p2.save_checkpoint(dir.path);
 
-      FlowPipeline p3 = FlowPipeline::resume_from(dir.path);
-      EXPECT_TRUE(p3.completed(Stage::kRoute));
-      expect_identical_placement(p3.placement(), direct.placement);
-      expect_identical_routing(p3.routing(), direct.routing);
-      const BitVector& stream = p3.vbs_stream();
-      ASSERT_GT(stream.size(), 0u);
-      if (ref_stream.empty()) {
-        ref_stream = stream;
-      } else {
-        EXPECT_EQ(stream, ref_stream)
-            << "final VBS bytes must be thread-count invariant";
-      }
-      // The deterministic place stats survive the checkpoint chain.
-      EXPECT_EQ(p3.place_stats().moves, run_stats.moves);
-      EXPECT_EQ(p3.place_stats().accepted, run_stats.accepted);
-      EXPECT_EQ(p3.place_stats().final_cost, run_stats.final_cost);
-      EXPECT_EQ(p3.place_stats().cost_drift, run_stats.cost_drift);
-    }
+    FlowPipeline p3 = FlowPipeline::resume_from(dir.path);
+    EXPECT_TRUE(p3.completed(Stage::kRoute));
+    expect_identical_placement(p3.placement(), direct.placement);
+    expect_identical_routing(p3.routing(), direct.routing);
+    EXPECT_GT(p3.vbs_stream().size(), 0u);
+    // The deterministic place stats survive the checkpoint chain.
+    EXPECT_EQ(p3.place_stats().moves, run_stats.moves);
+    EXPECT_EQ(p3.place_stats().accepted, run_stats.accepted);
+    EXPECT_EQ(p3.place_stats().final_cost, run_stats.final_cost);
+    EXPECT_EQ(p3.place_stats().cost_drift, run_stats.cost_drift);
   }
 }
 

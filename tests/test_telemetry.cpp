@@ -35,7 +35,7 @@ ArchSpec test_arch() {
 }
 
 BitVector make_stream(int n_lut, int grid, std::uint64_t seed,
-                      const ArchSpec& arch, int cluster = 1, int threads = 1) {
+                      const ArchSpec& arch, int cluster = 1) {
   GenParams p;
   p.n_lut = n_lut;
   p.n_pi = 3;
@@ -44,7 +44,6 @@ BitVector make_stream(int n_lut, int grid, std::uint64_t seed,
   FlowOptions o;
   o.arch = arch;
   o.seed = seed;
-  o.threads = threads;
   FlowResult r = run_flow(generate_netlist(p), grid, grid, o);
   EXPECT_TRUE(r.routed());
   EncodeOptions eo;
@@ -212,18 +211,16 @@ TEST(Telemetry, SnapshotMergeIsDeterministic) {
 
 TEST(Telemetry, FlowArtifactsByteIdenticalOnVsOff) {
   const ArchSpec arch = test_arch();
-  for (const int threads : {1, 2, 8}) {
-    const BitVector off = make_stream(24, 6, 11, arch, 2, threads);
-    BitVector on;
-    {
-      telem::ScopedEnable enable;
-      telem::reset();
-      on = make_stream(24, 6, 11, arch, 2, threads);
-      EXPECT_FALSE(telem::snapshot().empty());  // it really was recording
-      telem::reset();
-    }
-    EXPECT_EQ(on, off) << "threads " << threads;
+  const BitVector off = make_stream(24, 6, 11, arch, 2);
+  BitVector on;
+  {
+    telem::ScopedEnable enable;
+    telem::reset();
+    on = make_stream(24, 6, 11, arch, 2);
+    EXPECT_FALSE(telem::snapshot().empty());  // it really was recording
+    telem::reset();
   }
+  EXPECT_EQ(on, off);
 }
 
 TEST(Telemetry, DecodeCountersEqualDecodeStatsAndConfigsUnchanged) {

@@ -6,10 +6,10 @@
 //
 // Usage:
 //   vbsgen <netlist.netl> --out task.vbs [--arch arch.txt] [--grid N]
-//          [--cluster C] [--seed S] [--threads T] [--raw-out raw.bin]
+//          [--cluster C] [--seed S] [--raw-out raw.bin]
 //          [--save-checkpoint DIR] [--trace-out trace.json] [--metrics]
 //          [--verbose]
-//   vbsgen --from-checkpoint DIR --out task.vbs [--cluster C] [--threads T]
+//   vbsgen --from-checkpoint DIR --out task.vbs [--cluster C]
 //          [--raw-out raw.bin] [--save-checkpoint DIR]
 //          [--trace-out trace.json] [--metrics] [--verbose]
 //
@@ -17,9 +17,6 @@
 // chrome://tracing or Perfetto); --metrics dumps the telemetry counters
 // and histograms as JSON to stderr. Neither changes the stream: the
 // output is byte-identical with telemetry on or off.
-//
-// --threads routes with the deterministic parallel engines: the stream is
-// byte-identical for every thread count, only wall time changes.
 //
 // --save-checkpoint persists every completed flow stage (FlowPipeline
 // checkpoint directory); --from-checkpoint resumes one and runs only the
@@ -49,11 +46,11 @@ namespace {
 
 constexpr const char* kUsage =
     "vbsgen <netlist.netl> --out task.vbs [--arch arch.txt] [--grid N] "
-    "[--cluster C] [--seed S] [--threads T] [--raw-out raw.bin] "
+    "[--cluster C] [--seed S] [--raw-out raw.bin] "
     "[--save-checkpoint DIR] [--trace-out trace.json] [--metrics] "
     "[--verbose]\n"
     "       vbsgen --from-checkpoint DIR --out task.vbs [--cluster C] "
-    "[--threads T] [--raw-out raw.bin] [--save-checkpoint DIR] "
+    "[--raw-out raw.bin] [--save-checkpoint DIR] "
     "[--trace-out trace.json] [--metrics] [--verbose]";
 
 }  // namespace
@@ -62,9 +59,8 @@ int main(int argc, char** argv) {
   return tool_main("vbsgen", kUsage, [&] {
     const CliArgs args(
         argc, argv,
-        {"--out", "--arch", "--grid", "--cluster", "--seed", "--threads",
-         "--raw-out", "--save-checkpoint", "--from-checkpoint",
-         "--trace-out"},
+        {"--out", "--arch", "--grid", "--cluster", "--seed", "--raw-out",
+         "--save-checkpoint", "--from-checkpoint", "--trace-out"},
         {"--verbose", "--metrics", "--help"});
     const auto from_ckpt = args.value("--from-checkpoint");
     const std::size_t want_positional = from_ckpt ? 0 : 1;
@@ -85,7 +81,6 @@ int main(int argc, char** argv) {
             "combined with --from-checkpoint");
       }
       pipe.emplace(FlowPipeline::resume_from(*from_ckpt));
-      if (args.value("--threads")) pipe->set_threads(threads_or(args));
       if (args.value("--cluster")) {
         EncodeOptions eo = pipe->encode_options();
         const int cluster = static_cast<int>(args.int_or("--cluster", 1));
@@ -110,7 +105,6 @@ int main(int argc, char** argv) {
         opts.arch = read_arch_file(*arch);
       }
       opts.seed = seed_or(args);
-      opts.threads = threads_or(args);
       int grid = static_cast<int>(args.int_or("--grid", -1));
       if (grid < 0) {
         grid = static_cast<int>(
