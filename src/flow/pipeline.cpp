@@ -27,14 +27,6 @@ constexpr const char* kMetaFile = "flow.meta";
 constexpr const char* kArtifactFiles[kNumStages] = {"pack.art", "place.art",
                                                     "route.art", "encode.art"};
 
-// flow.meta slots of the retired parallel engines: the thread counts and
-// batch size a default run wrote. Kept so the layout, and the meta bytes of
-// a default run, stay unchanged; parse_meta reads and ignores them.
-constexpr int kMetaFlowThreads = 1;
-constexpr int kMetaPlaceThreads = 0;
-constexpr int kMetaRouteThreads = 0;
-constexpr int kMetaRouteSpecBatch = 1;
-
 std::string join(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
 }
@@ -278,6 +270,9 @@ const EncodeStats& FlowPipeline::encode_stats() {
 }
 
 BitVector FlowPipeline::serialize_meta() const {
+  // The four "retired" slots belonged to the removed parallel engines. They
+  // hold the constants a default run wrote, so the layout and a default
+  // run's bytes are unchanged; parse_meta reads and ignores them.
   BitWriter w;
   put_i32(w, grid_w_);
   put_i32(w, grid_h_);
@@ -285,12 +280,12 @@ BitVector FlowPipeline::serialize_meta() const {
   put_i32(w, opts_.arch.lut_k);
   w.write(static_cast<std::uint64_t>(opts_.arch.sb_pattern), 8);
   w.write(opts_.seed, 64);
-  put_i32(w, kMetaFlowThreads);
+  put_i32(w, 1);  // retired: flow thread count
   w.write(opts_.place.seed, 64);
   put_f64(w, opts_.place.effort);
   put_i32(w, opts_.place.io_per_tile);
   w.write_bit(opts_.place.incremental_bbox);
-  put_i32(w, kMetaPlaceThreads);
+  put_i32(w, 0);  // retired: placer thread count
   put_i32(w, opts_.route.max_iterations);
   put_f64(w, opts_.route.first_iter_pres);
   put_f64(w, opts_.route.initial_pres);
@@ -302,8 +297,8 @@ BitVector FlowPipeline::serialize_meta() const {
   w.write_bit(opts_.route.bounded_box);
   put_i32(w, opts_.route.bb_margin);
   w.write_bit(opts_.route.incremental_reroute);
-  put_i32(w, kMetaRouteThreads);
-  put_i32(w, kMetaRouteSpecBatch);
+  put_i32(w, 0);  // retired: router thread count
+  put_i32(w, 1);  // retired: router batch size
   put_i32(w, encode_opts_.cluster);
   put_i32(w, encode_opts_.reorder_attempts);
   w.write(encode_opts_.seed, 64);
@@ -334,12 +329,12 @@ MetaContents parse_meta(const BitVector& bits) {
   if (sb > 1) throw ArtifactError("flow.meta: bad sb_pattern");
   m.opts.arch.sb_pattern = static_cast<SbPattern>(sb);
   m.opts.seed = r.read(64);
-  get_i32(r);  // retired thread-count slot, ignored
+  get_i32(r);  // retired: flow thread count
   m.opts.place.seed = r.read(64);
   m.opts.place.effort = get_f64(r);
   m.opts.place.io_per_tile = get_i32(r);
   m.opts.place.incremental_bbox = r.read_bit();
-  get_i32(r);  // retired thread-count slot, ignored
+  get_i32(r);  // retired: placer thread count
   m.opts.route.max_iterations = get_i32(r);
   m.opts.route.first_iter_pres = get_f64(r);
   m.opts.route.initial_pres = get_f64(r);
@@ -351,8 +346,8 @@ MetaContents parse_meta(const BitVector& bits) {
   m.opts.route.bounded_box = r.read_bit();
   m.opts.route.bb_margin = get_i32(r);
   m.opts.route.incremental_reroute = r.read_bit();
-  get_i32(r);  // retired thread-count slot, ignored
-  get_i32(r);  // retired batch-size slot, ignored
+  get_i32(r);  // retired: router thread count
+  get_i32(r);  // retired: router batch size
   m.eopts.cluster = get_i32(r);
   m.eopts.reorder_attempts = get_i32(r);
   m.eopts.seed = r.read(64);

@@ -11,7 +11,8 @@
 // invalidate a suffix and run it again (`rerun_from`) — re-route on a
 // frozen placement, re-encode on frozen routing. Both engines are
 // deterministic, so a resumed remainder is byte-identical to the
-// uninterrupted run for the same seed and options; artifact fingerprints enforce that a checkpoint is only ever resumed
+// uninterrupted run for the same seed and options; artifact fingerprints
+// enforce that a checkpoint is only ever resumed
 // against the netlist/options it was produced from.
 //
 // Checkpoint directory layout (see src/flow/README.md):
