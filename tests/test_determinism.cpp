@@ -95,6 +95,30 @@ TEST(Determinism, SameSeedSameFlowUnboundedBox) {
   expect_identical(a, b);
 }
 
+// The shipped router (bounded box, incremental reroute, A* weight 1.5)
+// must search less than the textbook PathFinder baseline (whole-fabric
+// expansion, whole-net rip-up, the seed's A* weight 1.15) on the same
+// placement, fabric and request, and both must route.
+TEST(Determinism, BoundedRouterPopsFewerThanTextbookBaseline) {
+  FlowOptions o = flow_opts(true);
+  o.route = RouterOptions{};
+  FlowPipeline pipe(test_netlist(3), 11, 11, o);
+  const RoutingResult& bounded = pipe.routing();
+
+  RouterOptions baseline;
+  baseline.bounded_box = false;
+  baseline.incremental_reroute = false;
+  baseline.astar_fac = 1.15;
+  PathfinderRouter router(pipe.fabric(), pipe.route_request());
+  const RoutingResult textbook = router.route(baseline);
+
+  ASSERT_TRUE(bounded.success);
+  ASSERT_TRUE(textbook.success);
+  EXPECT_LT(bounded.heap_pops, textbook.heap_pops)
+      << "bounded " << bounded.heap_pops << " vs baseline "
+      << textbook.heap_pops;
+}
+
 /// The 5-circuit perf suite (flow_bench's default): the 5 smallest
 /// Table II circuits.
 std::vector<McncCircuit> suite5() {

@@ -410,37 +410,50 @@ TEST(Server, OverloadShedsWithTypedResults) {
 
 TEST(Server, LoadGenClosedLoopSmoke) {
   const Workload& w = workload();
-  ServiceOptions so;
-  so.threads = 2;  // unbounded queue, no deadlines: every request resolves
-  ReconfigService svc(w.arch, w.trace.fabric_w, w.trace.fabric_h, so);
-  rpc::RpcServer server(&svc, rpc::RpcServerOptions{});
-  const int port = server.start();
+  for (const int connections : {8, 32}) {
+    SCOPED_TRACE(connections);
+    ServiceOptions so;
+    so.threads = 2;  // unbounded queue, no deadlines: every request resolves
+    ReconfigService svc(w.arch, w.trace.fabric_w, w.trace.fabric_h, so);
+    rpc::RpcServer server(&svc, rpc::RpcServerOptions{});
+    const int port = server.start();
 
-  rpc::LoadGenOptions lopts;
-  lopts.port = port;
-  lopts.connections = 8;
-  lopts.trace = w.trace;
-  lopts.kind_streams = w.streams;
-  lopts.timeout_ms = 60'000;
-  const rpc::LoadGenReport report = rpc::run_loadgen(lopts);
-  server.stop();
+    rpc::LoadGenOptions lopts;
+    lopts.port = port;
+    lopts.connections = connections;
+    lopts.trace = w.trace;
+    lopts.kind_streams = w.streams;
+    lopts.timeout_ms = 60'000;
+    const rpc::LoadGenReport report = rpc::run_loadgen(lopts);
 
-  EXPECT_FALSE(report.timed_out);
-  EXPECT_EQ(report.requests_sent,
-            static_cast<long long>(w.trace.events.size()));
-  EXPECT_EQ(report.results, report.requests_sent);
-  EXPECT_EQ(report.acks, report.requests_sent);
-  EXPECT_GT(report.done, 0);
-  // Every result is one of the typed terminal states.
-  EXPECT_EQ(report.done + report.shed + report.rejected + report.failed +
-                report.deadline,
-            report.results);
-  EXPECT_EQ(report.latencies_ms.size(),
-            static_cast<std::size_t>(report.results));
-  for (const double ms : report.latencies_ms) EXPECT_GE(ms, 0.0);
-  EXPECT_EQ(report.wire_errors, 0);
-  EXPECT_EQ(report.door_sheds, 0);
-  EXPECT_GT(svc.stats().loads, 0);
+    // A remote SHUTDOWN after the load must stop the loop cleanly.
+    {
+      rpc::RpcClient admin(client_opts(port, rpc::kAdminTenant));
+      admin.shutdown();
+    }
+    for (int i = 0; i < 2500 && server.running(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_FALSE(server.running()) << "no clean stop within 5 s";
+    server.stop();
+
+    EXPECT_FALSE(report.timed_out);
+    EXPECT_EQ(report.requests_sent,
+              static_cast<long long>(w.trace.events.size()));
+    EXPECT_EQ(report.results, report.requests_sent);
+    EXPECT_EQ(report.acks, report.requests_sent);
+    EXPECT_GT(report.done, 0);
+    // Every result is one of the typed terminal states.
+    EXPECT_EQ(report.done + report.shed + report.rejected + report.failed +
+                  report.deadline,
+              report.results);
+    EXPECT_EQ(report.latencies_ms.size(),
+              static_cast<std::size_t>(report.results));
+    for (const double ms : report.latencies_ms) EXPECT_GE(ms, 0.0);
+    EXPECT_EQ(report.wire_errors, 0);
+    EXPECT_EQ(report.door_sheds, 0);
+    EXPECT_GT(svc.stats().loads, 0);
+  }
 }
 
 TEST(Server, HostileSocketsNeverCrashTheServer) {

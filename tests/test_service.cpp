@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 
 #include "flow/flow.h"
@@ -15,6 +16,7 @@
 #include "rtc/service/service.h"
 #include "rtc/service/stream_cache.h"
 #include "rtc/service/trace.h"
+#include "util/stats.h"
 #include "vbs/encoder.h"
 
 namespace vbs {
@@ -508,6 +510,9 @@ struct ReplayOutcome {
   long long decode_nodes = 0;
   long long shed = 0, deadline_misses = 0, retries = 0, faults = 0;
   long long now_ticks = 0;
+  /// Modeled-tick latencies of committed loads, by tenant.
+  std::map<int, std::vector<double>> done_load_ticks;
+  std::map<int, TenantStats> tenants;
 };
 
 ReplayOutcome replay(const Trace& trace,
@@ -515,11 +520,15 @@ ReplayOutcome replay(const Trace& trace,
                      const ArchSpec& arch, int threads,
                      std::size_t cache_bits, ServiceOptions opts = {},
                      const std::string& journal_dir = {},
-                     std::uint64_t* fingerprint_out = nullptr) {
+                     std::uint64_t* fingerprint_out = nullptr,
+                     const std::map<int, int>& priorities = {}) {
   opts.threads = threads;
   opts.cache_capacity_bits = cache_bits;
   ReconfigService svc(arch, trace.fabric_w, trace.fabric_h, opts);
   if (!journal_dir.empty()) svc.open_journal(journal_dir);
+  for (const auto& [tenant, prio] : priorities) {
+    svc.set_tenant_priority(tenant, prio);
+  }
   ReplayOutcome out;
   std::vector<RequestId> req_of_event(trace.events.size(), kNoRequest);
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
@@ -544,6 +553,10 @@ ReplayOutcome replay(const Trace& trace,
       for (const RequestResult& r : svc.drain()) {
         out.statuses.push_back(static_cast<int>(r.status));
         out.latencies.push_back(r.latency_ticks);
+        if (r.kind == RequestKind::kLoad && r.status == RequestStatus::kDone) {
+          out.done_load_ticks[r.tenant].push_back(
+              static_cast<double>(r.latency_ticks));
+        }
       }
     }
   }
@@ -556,6 +569,7 @@ ReplayOutcome replay(const Trace& trace,
   out.retries = svc.stats().retries;
   out.faults = svc.stats().faults_injected;
   out.now_ticks = svc.now_ticks();
+  out.tenants = svc.tenant_stats();
   if (fingerprint_out != nullptr) *fingerprint_out = svc.state_fingerprint();
   return out;
 }
@@ -770,6 +784,44 @@ TEST(ServiceOverload, FaultedTraceReplayIsDeterministicAcrossThreadCounts) {
   }
 }
 
+// The QoS promise under both adversarial floods: with a bounded queue,
+// deadlines and a fault plan, the high-priority tenant 0 is never shed,
+// the flood (tenant 1) is, and tenant 0's p99 committed-load latency in
+// modeled ticks stays at or below the flood's.
+TEST(ServiceOverload, PriorityTenantSurvivesEachFlood) {
+  const ArchSpec arch = test_arch();
+  ServiceOptions oopts;
+  oopts.queue_limit = 8;
+  oopts.deadline_ticks = 12;
+  oopts.faults =
+      FaultPlan::parse("seed=9,decode=0.05,alloc=0.05,latency=0.1x6");
+  const std::map<int, int> priorities = {{0, 10}, {1, 0}};
+  for (const ArrivalPattern p :
+       {ArrivalPattern::kFlashCrowd, ArrivalPattern::kUniqueFlood}) {
+    TraceGenOptions gopts;
+    gopts.pattern = p;
+    gopts.events = 64;
+    gopts.ticks = 16;
+    gopts.kinds = 4;
+    gopts.seed = 1;
+    const Trace trace = generate_trace(gopts);
+    SCOPED_TRACE(trace.name);
+    std::vector<BitVector> streams;
+    for (const TraceTaskKind& k : trace.kinds) {
+      streams.push_back(make_stream(k.n_lut, k.grid, k.seed, arch, k.cluster));
+    }
+    const ReplayOutcome out =
+        replay(trace, streams, arch, 8, oopts.cache_capacity_bits, oopts, {},
+               nullptr, priorities);
+    ASSERT_TRUE(out.tenants.count(0) && out.tenants.count(1));
+    EXPECT_EQ(out.tenants.at(0).shed, 0);
+    EXPECT_GT(out.tenants.at(1).shed, 0) << "the flood was never shed";
+    ASSERT_TRUE(out.done_load_ticks.count(0) && out.done_load_ticks.count(1));
+    EXPECT_LE(percentile(out.done_load_ticks.at(0), 0.99),
+              percentile(out.done_load_ticks.at(1), 0.99));
+  }
+}
+
 TEST(ServiceOverload, RetryReleasedPastDeadlineCompletesDeadline) {
   const ArchSpec arch = test_arch();
   const BitVector s = make_stream(13, 4, 45, arch);
@@ -826,6 +878,8 @@ TEST(ServiceOverload, JournaledFaultedRunRecoversIdenticallyAcrossThreads) {
   fopts.faults =
       FaultPlan::parse("seed=7,decode=0.2,alloc=0.1,cache=0.15,latency=0.2x5");
   const std::size_t cache_bits = std::size_t{16} << 20;
+  std::uint64_t unjournaled_fp = 0;
+  replay(trace, streams, arch, 1, cache_bits, fopts, {}, &unjournaled_fp);
   std::vector<std::uint64_t> fps;
   for (const int threads : {1, 2, 8}) {
     TempDir dir("journal_recover_" + std::to_string(threads));
@@ -841,9 +895,11 @@ TEST(ServiceOverload, JournaledFaultedRunRecoversIdenticallyAcrossThreads) {
     EXPECT_GT(info.commits, 0);
     fps.push_back(fp);
   }
-  // One durable history, one state: thread count changes neither.
+  // One durable history, one state: thread count changes neither, and
+  // attaching the journal is invisible to the model.
   EXPECT_EQ(fps[0], fps[1]);
   EXPECT_EQ(fps[0], fps[2]);
+  EXPECT_EQ(fps[0], unjournaled_fp) << "the journal perturbed the replay";
 }
 
 }  // namespace
