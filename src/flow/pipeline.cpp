@@ -39,13 +39,6 @@ std::uint64_t hash_bool(std::uint64_t h, bool v) {
 
 const char* stage_name(Stage s) { return kStageNames[static_cast<int>(s)]; }
 
-std::optional<Stage> stage_from_string(const std::string& name) {
-  for (int i = 0; i < kNumStages; ++i) {
-    if (name == kStageNames[i]) return static_cast<Stage>(i);
-  }
-  return std::nullopt;
-}
-
 FlowPipeline::FlowPipeline(Netlist nl, int grid_w, int grid_h,
                            FlowOptions opts, EncodeOptions encode_opts)
     : nl_(std::move(nl)),
@@ -145,11 +138,6 @@ void FlowPipeline::rerun_from(Stage s) {
   }
   invalidate_from(s);
   run_to(static_cast<Stage>(top));
-}
-
-void FlowPipeline::set_route_options(const RouterOptions& ropts) {
-  opts_.route = ropts;
-  invalidate_from(Stage::kRoute);
 }
 
 void FlowPipeline::set_encode_options(const EncodeOptions& eopts) {

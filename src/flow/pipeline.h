@@ -47,8 +47,6 @@ enum class Stage : std::uint8_t {
 inline constexpr int kNumStages = 4;
 
 const char* stage_name(Stage s);
-/// Parses "pack"/"place"/"route"/"encode"; nullopt on anything else.
-std::optional<Stage> stage_from_string(const std::string& name);
 
 /// What an observer sees after a stage completes.
 struct StageReport {
@@ -91,9 +89,6 @@ class FlowPipeline {
   const FlowOptions& options() const { return opts_; }
   const EncodeOptions& encode_options() const { return encode_opts_; }
 
-  /// Replaces the router configuration, invalidating the route and encode
-  /// stages (the mechanism behind re-route-on-frozen-placement sweeps).
-  void set_route_options(const RouterOptions& ropts);
   /// Replaces the encoder configuration, invalidating the encode stage.
   void set_encode_options(const EncodeOptions& eopts);
 

@@ -581,7 +581,7 @@ void assign_ios(const Netlist& nl, const PackedDesign& pd, Placement& pl,
 }
 
 /// Pre-SoA AoS bounding-box formulation, retained verbatim as the
-/// cross-check oracle for bench_place_kernels: an independent code path
+/// cross-check oracle for check_place_kernels: an independent code path
 /// (branchy fold-in, struct-of-everything per net) that must produce
 /// bit-identical per-net costs.
 namespace reference {
@@ -650,28 +650,17 @@ void sweep_costs(const Netlist& nl, const PackedDesign& pd,
 
 }  // namespace
 
-PlaceKernelReport bench_place_kernels(const Netlist& nl,
-                                      const PackedDesign& pd,
-                                      const Placement& pl, long long sweeps) {
-  PlaceKernelReport rep;
+PlaceKernelCheck check_place_kernels(const Netlist& nl, const PackedDesign& pd,
+                                     const Placement& pl) {
+  PlaceKernelCheck rep;
   rep.nets = nl.num_nets();
-  rep.sweeps = std::max<long long>(1, sweeps);
 
   Placement scratch_pl = pl;  // AnnealState takes the placement by reference
   AnnealState state(nl, pd, scratch_pl, /*incremental=*/true);
 
   std::vector<double> soa_costs, ref_costs;
-  const std::uint64_t t_soa = telem::now_ns();
-  for (long long s = 0; s < rep.sweeps; ++s) {
-    state.fresh_costs(soa_costs);
-  }
-  rep.soa_seconds = telem::seconds_since(t_soa);
-
-  const std::uint64_t t_ref = telem::now_ns();
-  for (long long s = 0; s < rep.sweeps; ++s) {
-    reference::sweep_costs(nl, pd, pl, ref_costs);
-  }
-  rep.ref_seconds = telem::seconds_since(t_ref);
+  state.fresh_costs(soa_costs);
+  reference::sweep_costs(nl, pd, pl, ref_costs);
 
   rep.identical = soa_costs.size() == ref_costs.size();
   rep.total_cost = 0.0;

@@ -62,22 +62,17 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
                        const PlaceOptions& opts = {},
                        PlaceStats* stats = nullptr);
 
-/// Bounding-box kernel cross-check + timing harness: sweeps every net's
-/// from-scratch box cost `sweeps` times through the annealer's SoA scan
-/// kernel and through the retained pre-SoA AoS reference (branchy fold-in
-/// over a struct per net), and compares the per-net costs for exact double
-/// equality. flow_bench's kernel leg runs this in-run and fails the bench
-/// on a mismatch.
-struct PlaceKernelReport {
+/// Bounding-box kernel cross-check: computes every net's from-scratch box
+/// cost through the annealer's SoA scan kernel and through the retained
+/// pre-SoA AoS reference (branchy fold-in over a struct per net), and
+/// compares the per-net costs for exact double equality.
+/// Place.SoaKernelMatchesAosReference holds the check.
+struct PlaceKernelCheck {
   int nets = 0;
-  long long sweeps = 0;
-  double soa_seconds = 0.0;   ///< SoA scan kernel, all sweeps
-  double ref_seconds = 0.0;   ///< AoS reference, all sweeps
   double total_cost = 0.0;    ///< summed per-net cost (either side; they match)
   bool identical = false;     ///< per-net exact equality across every net
 };
-PlaceKernelReport bench_place_kernels(const Netlist& nl,
-                                      const PackedDesign& pd,
-                                      const Placement& pl, long long sweeps);
+PlaceKernelCheck check_place_kernels(const Netlist& nl, const PackedDesign& pd,
+                                     const Placement& pl);
 
 }  // namespace vbs

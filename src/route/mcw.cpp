@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "fabric/fabric.h"
-#include "flow/pipeline.h"
 #include "route/route_request.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -122,12 +121,6 @@ McwResult find_min_channel_width(const ArchSpec& base_spec, const Netlist& nl,
   res.seconds = telem::seconds_since(search_start);
   search_span.arg("mcw", good).arg("trials", (long long)res.trials);
   return res;
-}
-
-McwResult find_min_channel_width(FlowPipeline& pipe, const McwOptions& opts) {
-  pipe.run_to(Stage::kPlace);
-  return find_min_channel_width(pipe.options().arch, pipe.netlist(),
-                                pipe.packed(), pipe.placement(), opts);
 }
 
 }  // namespace vbs

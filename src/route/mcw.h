@@ -24,13 +24,10 @@
 
 namespace vbs {
 
-class FlowPipeline;
-
-/// Doubling-probe start when McwOptions::hint <= 0: the headline
-/// chan_width of the committed BENCH_flow.json trajectory — the last
-/// width the repo's perf suite demonstrated routable end to end for the
-/// whole circuit mix, so it is the best unconditional first guess for a
-/// routable upper bound.
+/// Doubling-probe start when McwOptions::hint <= 0: the paper's channel
+/// width, at which the 5-circuit suite and perfbench's compile workload
+/// route end to end for the whole circuit mix, so it is the best
+/// unconditional first guess for a routable upper bound.
 inline constexpr int kMcwDefaultProbe = 20;
 
 /// Stall-abort applied to trial routers by default: MCW trials exist only
@@ -47,7 +44,8 @@ struct McwOptions {
   /// trials.
   int hint = -1;
   /// Seed each trial from the last routable solution's surviving tree
-  /// (off = every trial routes cold; the flow_bench comparison baseline).
+  /// (off = every trial routes cold; Determinism.McwWarmStartMatchesColdSearch
+  /// compares the two, and CHANGES.md keeps the last suite-wide ratio).
   bool warm_start = true;
   RouterOptions router;    ///< per-trial router settings
   McwOptions() { router.stall_abort = kMcwTrialStallAbort; }
@@ -79,13 +77,5 @@ struct McwResult {
 McwResult find_min_channel_width(const ArchSpec& base_spec, const Netlist& nl,
                                  const PackedDesign& pd, const Placement& pl,
                                  const McwOptions& opts = {});
-
-/// Pipeline consumer: runs `pipe` to the place stage if needed, then
-/// delegates to the standalone search above on the pipeline's frozen
-/// placed design — so a checkpointed/resumed placement yields exactly the
-/// same search as the uninterrupted flow. The trials use their own
-/// masked-width fabrics (not the pipeline's route stage), and the
-/// pipeline's committed route artifact is not touched.
-McwResult find_min_channel_width(FlowPipeline& pipe, const McwOptions& opts = {});
 
 }  // namespace vbs

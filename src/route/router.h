@@ -6,7 +6,8 @@
 // usage and history costs until no routing resource is overused.
 //
 // Hot-path configuration (each individually toggleable via RouterOptions;
-// `flow_bench` measures the defaults against the textbook baseline):
+// Determinism.BoundedRouterPopsFewerThanTextbookBaseline checks the
+// defaults against the textbook baseline):
 //   * bounded_box (default ON): expansion and tree seeding restricted to
 //     the box around the sink and the nearest tree point plus `bb_margin`
 //     tiles, VPR's classic pruning. A connection that cannot complete
@@ -59,7 +60,7 @@ struct RouterOptions {
   double pres_mult = 1.8;         ///< growth per iteration
   double hist_fac = 1.0;          ///< history accumulation per overuse
   /// A* heuristic weight (>1 trades wire quality for search speed). The
-  /// default was calibrated on the MCNC-like suite (see BENCH_flow.json):
+  /// default was calibrated on the MCNC-like suite (numbers in CHANGES.md):
   /// versus the 1.15 the seed shipped, 1.5 cuts heap pops ~2x at ~2% more
   /// wire; the empty-fabric per-tile scale underestimates congested-
   /// iteration costs, so a stronger weight keeps the wave directed.
@@ -86,12 +87,12 @@ struct RouterOptions {
   /// On reroute iterations, keep the legal part of a congested net's tree
   /// and reroute only the connections whose path crosses an overused node,
   /// instead of ripping up and rebuilding the whole net (default on).
-  /// Off = the textbook whole-net rip-up, the flow_bench baseline.
+  /// Off = the textbook whole-net rip-up of the baseline router.
   bool incremental_reroute = true;
 };
 
-/// Per-PathFinder-iteration counters, for perf trajectories (flow_bench)
-/// and congestion-convergence debugging.
+/// Per-PathFinder-iteration counters, for perf trajectories and
+/// congestion-convergence debugging.
 struct RouteIterStats {
   int iteration = 0;
   double seconds = 0.0;            ///< wall time of this iteration

@@ -27,13 +27,13 @@
 // Requests that reach the service are shed by *its* policy (priority-
 // aware, typed kShed results) — the door never reorders tenants.
 //
-// Determinism: with auto_drain off (the bench's replay mode), the service
+// Determinism: with auto_drain off (the admin replay mode), the service
 // drains only at explicit DRAIN frames. A single admin connection
 // replaying a trace — submits in trace order, one DRAIN per tick group —
 // therefore produces the exact submit/drain sequence of the offline
-// replay, and the journaled server state is fingerprint-identical to
-// bench/rtc_bench.cpp's offline replay of the same trace (tests/
-// test_server.cpp holds this; BENCH_rtc.json gates it).
+// replay, and the journaled server state is fingerprint-identical to the
+// offline replay of the same trace (Server.WireReplayFingerprintMatchesOffline
+// and Server.JournaledWireReplayRecoversToSameFingerprint gate it).
 #pragma once
 
 #include <atomic>

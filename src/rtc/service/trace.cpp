@@ -1,7 +1,6 @@
 #include "rtc/service/trace.h"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -73,8 +72,8 @@ double departure_prob(ArrivalPattern p) {
 /// hammers one hot content at ~5x the base rate inside a narrow window
 /// (phases [0.4, 0.6)); unique_flood streams never-repeating tiny kinds at
 /// ~4x all along, so every adversary load is a cold cache-busting
-/// decode. Replayed with a queue limit and priorities, these are the
-/// overload legs of bench/rtc_bench.cpp.
+/// decode. Replayed with a queue limit and priorities, they drive
+/// ServiceOverload.PriorityTenantSurvivesEachFlood.
 Trace generate_adversarial_trace(const TraceGenOptions& opts) {
   Trace t;
   t.name = to_string(opts.pattern);
@@ -344,21 +343,6 @@ Trace trace_from_string(const std::string& text) {
     throw TraceError(lineno, "missing fabric record");
   }
   return t;
-}
-
-void write_trace_file(const std::string& path, const Trace& trace) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << trace_to_string(trace);
-  if (!out) throw std::runtime_error("write failed: " + path);
-}
-
-Trace read_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return trace_from_string(buf.str());
 }
 
 }  // namespace vbs

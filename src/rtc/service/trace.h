@@ -7,8 +7,8 @@
 // self-describing. Unload/relocate events reference the index of an
 // earlier load event, not a task id: ids are assigned at replay time.
 //
-// The generator produces six arrival patterns (tools/rtcgen exposes it on
-// the command line; bench/rtc_bench.cpp replays the bundled suite):
+// The generator produces six arrival patterns (the service and server
+// tests and perfbench's serve workloads replay them):
 //   steady       uniform arrivals, moderate lifetimes
 //   bursty       on/off arrival bursts that spike queue depth
 //   diurnal      sinusoidal arrival rate over the trace (a day of traffic)
@@ -121,8 +121,5 @@ std::string trace_to_string(const Trace& trace);
 /// Parses the text format; throws TraceError (with the offending line
 /// number) on malformed input.
 Trace trace_from_string(const std::string& text);
-
-void write_trace_file(const std::string& path, const Trace& trace);
-Trace read_trace_file(const std::string& path);
 
 }  // namespace vbs

@@ -1,8 +1,7 @@
-// Build provenance: what produced a given --json report or bench point.
-// Every tool and bench embeds build_info_json() so the trajectory files
-// (BENCH_flow.json / BENCH_rtc.json) record compiler, build type, sanitizer
+// Build provenance: what produced a given --json report. Tools embed
+// build_info_json() so a report records compiler, build type, sanitizer
 // configuration and the machine's hardware thread count alongside the
-// numbers they qualify.
+// numbers it qualifies.
 #pragma once
 
 #include <string>

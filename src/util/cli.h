@@ -1,6 +1,7 @@
 // Minimal command-line option parser for the tools/ binaries, plus the
 // shared helpers for the flags every tool spells the same way
-// (--seed/--threads, WxH / X,Y pair values) and the common main() shell.
+// (--seed/--threads, WxH / X,Y pair values), the common main() shell and
+// the typed-error report.
 //
 // Supports `--flag`, `--key value` and positional arguments; unknown
 // options raise std::runtime_error so typos fail loudly.
@@ -17,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/error.h"
+#include "util/json.h"
 #include "util/telemetry.h"
 #include "util/trace_export.h"
 
@@ -178,6 +181,24 @@ inline int tool_main(const char* name, const char* usage,
     std::fprintf(stderr, "%s: %s\nusage: %s\n", name, ex.what(), usage);
     return 1;
   }
+}
+
+/// Reports a typed failure and returns its exit code, exit_code_for(code)
+/// (10 + the numeric VbsErrc). With `json` the report is the object
+/// {"error": {"code", "errc", "message"}} on stdout, so scripted callers
+/// can dispatch without parsing stderr; otherwise one
+/// "<name>: <what> [<code>]" line on stderr.
+inline int typed_error_exit(const char* name, const VbsError& e, bool json) {
+  if (json) {
+    std::printf(
+        "{\n  \"error\": {\"code\": \"%s\", \"errc\": %d, "
+        "\"message\": \"%s\"}\n}\n",
+        to_string(e.code()), static_cast<int>(e.code()),
+        json_escape(e.what()).c_str());
+  } else {
+    std::fprintf(stderr, "%s: %s [%s]\n", name, e.what(), to_string(e.code()));
+  }
+  return exit_code_for(e.code());
 }
 
 }  // namespace vbs

@@ -1,9 +1,9 @@
 // Same-seed determinism regression: two runs of the whole flow must agree
 // bit for bit — placements AND route trees — with bounded-box routing on
 // and off. The flow is advertised as reproducible from a single seed
-// (BENCH_flow.json trajectories, encode_ablation comparisons and the
-// determinism of the VBS coding itself all depend on it), so any hidden
-// iteration-order or uninitialized-state dependence is a bug.
+// (perfbench's counts, encode_ablation comparisons and the determinism of
+// the VBS coding itself all depend on it), so any hidden iteration-order
+// or uninitialized-state dependence is a bug.
 //
 // The serialized artifacts of the Table II circuit suite are pinned by
 // hash, and the minimum-channel-width search promises the same answer
@@ -119,8 +119,7 @@ TEST(Determinism, BoundedRouterPopsFewerThanTextbookBaseline) {
       << textbook.heap_pops;
 }
 
-/// The 5-circuit perf suite (flow_bench's default): the 5 smallest
-/// Table II circuits.
+/// The 5-circuit suite: the 5 smallest Table II circuits.
 std::vector<McncCircuit> suite5() {
   std::vector<McncCircuit> cs = mcnc20();
   std::sort(cs.begin(), cs.end(),
@@ -197,8 +196,8 @@ TEST(Determinism, SerialArtifactBytesArePinned) {
 // surviving tree) must land on the same minimum width as cold trials, for
 // measurably less search work. bigkey and tseng are the suite circuits
 // whose searches have no deeply-infeasible trial widths, so the
-// warm-seeding savings dominate cleanly; see bench/README.md for the
-// whole-suite cost profile.
+// warm-seeding savings dominate cleanly; CHANGES.md keeps the last
+// whole-suite warm/cold ratio.
 TEST(Determinism, McwWarmStartMatchesColdSearch) {
   for (const char* name : {"bigkey", "tseng"}) {
     SCOPED_TRACE(name);

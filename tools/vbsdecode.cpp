@@ -25,7 +25,6 @@
 #include "util/build_info.h"
 #include "util/cli.h"
 #include "util/error.h"
-#include "util/json.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/vbs_file.h"
 
@@ -81,17 +80,7 @@ int main(int argc, char** argv) {
       rtc_opt.emplace(img.spec, fw, fh);
       id = rtc_opt->load_at(stream, origin, threads);
     } catch (const VbsError& ex) {
-      if (json) {
-        std::printf(
-            "{\n  \"error\": {\"code\": \"%s\", \"errc\": %d, "
-            "\"message\": \"%s\"}\n}\n",
-            to_string(ex.code()), static_cast<int>(ex.code()),
-            json_escape(ex.what()).c_str());
-      } else {
-        std::fprintf(stderr, "vbsdecode: %s [%s]\n", ex.what(),
-                     to_string(ex.code()));
-      }
-      return exit_code_for(ex.code());
+      return typed_error_exit("vbsdecode", ex, json);
     }
     ReconfigController& rtc = *rtc_opt;
     const TaskRecord& rec = rtc.record(id);
