@@ -16,6 +16,7 @@
 #include "rtc/service/service.h"
 #include "rtc/service/stream_cache.h"
 #include "rtc/service/trace.h"
+#include "util/hash.h"
 #include "util/stats.h"
 #include "vbs/encoder.h"
 
@@ -497,6 +498,68 @@ TEST(Service, UncachedRelocateRedecodesCorrectly) {
   ReconfigController ref(arch, 12, 4);
   ref.load_at(s, {r.x, r.y});
   EXPECT_EQ(svc.controller().config_memory(), ref.config_memory());
+}
+
+// Pins the configuration-memory bytes the service commits. The sequence
+// covers batch-twin and later cache-hit loads of a c = 1 stream and a
+// c = 2 stream with partial clusters, unloads, a compaction pass that
+// relocates the resident task toward the origin the way
+// ReconfigController::defragment would, and an evict-to-fit. After every
+// drain the FNV-1a-64 of the memory's words folds into a running hash, so
+// any moved, missing or stray bit in how entries are written or regions
+// are cleared fails here. A cache-less run must land on the same bytes.
+TEST(Service, ConfigMemoryBytesArePinned) {
+  const ArchSpec arch = test_arch();
+  const BitVector a = make_stream(13, 4, 41, arch);
+  const BitVector b = make_stream(21, 5, 42, arch, /*cluster=*/2);
+  // The final state fingerprint covers the cache, so it differs per run.
+  const struct {
+    std::size_t cache_bits;
+    std::uint64_t fingerprint;
+  } runs[] = {{std::size_t{64} << 20, 0x07a85c75d4887285ull},
+              {0, 0xe087c15702f81b60ull}};
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.cache_bits);
+    ServiceOptions opts;
+    opts.cache_capacity_bits = run.cache_bits;
+    ReconfigService svc(arch, 14, 5, opts);
+    std::uint64_t h = kFnvOffset64;
+    auto drain_and_fold = [&] {
+      for (const RequestResult& r : svc.drain()) {
+        EXPECT_EQ(r.status, RequestStatus::kDone) << r.request;
+      }
+      const auto& words = svc.controller().config_memory().words();
+      h = fnv1a64(words.data(), words.size() * sizeof(words[0]), h);
+    };
+    const RequestId a0 = svc.submit_load(a);
+    const RequestId a1 = svc.submit_load(a);
+    const RequestId b0 = svc.submit_load(b);
+    drain_and_fold();
+    svc.submit_unload(a0);
+    svc.submit_unload(a1);
+    drain_and_fold();
+    svc.submit_relocate(b0);  // compaction: slides to the freed origin
+    drain_and_fold();
+    EXPECT_EQ(svc.controller().record(svc.task_of(b0)).rect,
+              (Rect{0, 0, 5, 5}));
+    const RequestId b1 = svc.submit_load(b);
+    const RequestId a2 = svc.submit_load(a);
+    drain_and_fold();
+    const RequestId b2 = svc.submit_load(b);  // no room left: evicts b0
+    drain_and_fold();
+    EXPECT_EQ(svc.eviction_log().size(), 1u);
+    EXPECT_EQ(svc.task_of(b0), kNoTask);
+    svc.submit_unload(b2);
+    svc.submit_relocate(a2);  // into the freed corner
+    svc.submit_load(a);
+    drain_and_fold();
+    EXPECT_EQ(svc.controller().record(svc.task_of(a2)).rect,
+              (Rect{0, 0, 4, 4}));
+    EXPECT_EQ(svc.stats().relocates_cached + svc.stats().relocates_decoded, 2);
+    EXPECT_NE(svc.task_of(b1), kNoTask);
+    EXPECT_EQ(h, 0x9106c169e841e1f4ull);
+    EXPECT_EQ(svc.state_fingerprint(), run.fingerprint);
+  }
 }
 
 // --- trace replay determinism ----------------------------------------------
