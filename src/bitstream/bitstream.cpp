@@ -21,13 +21,20 @@ std::vector<LogicConfig> extract_logic_configs(const Netlist& nl,
   return configs;
 }
 
-void append_logic_bits(BitVector& out, const LogicConfig& lc,
-                       const ArchSpec& spec) {
+void write_logic_bits(BitVector& out, std::size_t pos, const LogicConfig& lc,
+                      const ArchSpec& spec) {
   const int mask_bits = 1 << spec.lut_k;
   for (int i = 0; i < mask_bits; ++i) {
-    out.push_back((lc.lut_mask >> i) & 1u);
+    out.set(pos + static_cast<std::size_t>(i), (lc.lut_mask >> i) & 1u);
   }
-  out.push_back(lc.has_ff);
+  out.set(pos + static_cast<std::size_t>(mask_bits), lc.has_ff);
+}
+
+void append_logic_bits(BitVector& out, const LogicConfig& lc,
+                       const ArchSpec& spec) {
+  const std::size_t pos = out.size();
+  out.resize(pos + static_cast<std::size_t>(spec.nlb_bits()));
+  write_logic_bits(out, pos, lc, spec);
 }
 
 LogicConfig parse_logic_bits(const BitVector& bits, std::size_t offset,
@@ -72,10 +79,9 @@ BitVector generate_raw_bitstream(const Fabric& fabric, const Netlist& nl,
   const std::vector<LogicConfig> logic = extract_logic_configs(nl, pd, pl);
   for (int m = 0; m < fabric.num_macros(); ++m) {
     const LogicConfig& lc = logic[static_cast<std::size_t>(m)];
-    if (!lc.used) continue;
-    BitVector lbits;
-    append_logic_bits(lbits, lc, spec);
-    bits.overwrite(fabric.macro_config_offset(m), lbits);
+    if (lc.used) {
+      write_logic_bits(bits, fabric.macro_config_offset(m), lc, spec);
+    }
   }
 
   // Routing switches.

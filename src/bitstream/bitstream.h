@@ -31,7 +31,11 @@ std::vector<LogicConfig> extract_logic_configs(const Netlist& nl,
                                                const PackedDesign& pd,
                                                const Placement& pl);
 
-/// Serializes one macro's NLB logic bits (mask LSB-first, then FF bit).
+/// Overwrites the NLB logic bits of one macro at `pos`: mask LSB-first,
+/// then the FF bit.
+void write_logic_bits(BitVector& out, std::size_t pos, const LogicConfig& lc,
+                      const ArchSpec& spec);
+/// Appends one macro's NLB logic bits in write_logic_bits' layout.
 void append_logic_bits(BitVector& out, const LogicConfig& lc,
                        const ArchSpec& spec);
 /// Parses NLB logic bits back (inverse of append_logic_bits).

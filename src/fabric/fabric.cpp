@@ -29,11 +29,15 @@ class DisjointSet {
 
 }  // namespace
 
-Fabric::Fabric(const ArchSpec& spec, int width, int height)
-    : macro_(spec), width_(width), height_(height) {
+FabricLayout::FabricLayout(const ArchSpec& spec, int width, int height)
+    : spec_(spec), width_(width), height_(height) {
   if (width < 1 || height < 1) {
     throw std::invalid_argument("Fabric: dimensions must be positive");
   }
+}
+
+Fabric::Fabric(const ArchSpec& spec, int width, int height)
+    : FabricLayout(spec, width, height), macro_(spec) {
   const int nloc = macro_.num_nodes();
   const int w = spec.chan_width;
   const int px = spec.pins_on_x();
@@ -47,14 +51,14 @@ Fabric::Fabric(const ArchSpec& spec, int width, int height)
   // Merge abutted boundary wires: east wire of (x,y) with west wire of
   // (x+1,y); north wire of (x,y) with south wire of (x,y+1).
   DisjointSet ds(nraw);
-  for (int my = 0; my < height_; ++my) {
-    for (int mx = 0; mx < width_; ++mx) {
+  for (int my = 0; my < height; ++my) {
+    for (int mx = 0; mx < width; ++mx) {
       for (int t = 0; t < w; ++t) {
-        if (mx + 1 < width_) {
+        if (mx + 1 < width) {
           ds.unite(raw_id(mx, my, macro_.x(t, px)),
                    raw_id(mx + 1, my, macro_.xw(t)));
         }
-        if (my + 1 < height_) {
+        if (my + 1 < height) {
           ds.unite(raw_id(mx, my, macro_.y(t, py)),
                    raw_id(mx, my + 1, macro_.ys(t)));
         }
@@ -76,8 +80,8 @@ Fabric::Fabric(const ArchSpec& spec, int width, int height)
   // a (at most two-tile) wire is fine for distance heuristics.
   pos_x_.assign(num_nodes_, 0);
   pos_y_.assign(num_nodes_, 0);
-  for (int my = 0; my < height_; ++my) {
-    for (int mx = 0; mx < width_; ++mx) {
+  for (int my = 0; my < height; ++my) {
+    for (int mx = 0; mx < width; ++mx) {
       for (int local = 0; local < nloc; ++local) {
         const int g = node_of_raw_[raw_id(mx, my, local)];
         pos_x_[g] = static_cast<std::int16_t>(mx);

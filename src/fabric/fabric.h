@@ -1,12 +1,22 @@
 // The reconfigurable fabric: a width x height grid of macros with their
 // single-length track wires abutted across tile boundaries.
 //
-// Abutted wire segments (east wire of one tile / west wire of the next, and
-// north/south likewise) are the same electrical conductor, so they are
-// merged into a single *global node* here via union-find. The resulting
-// graph — global nodes connected by programmable switches — is the routing-
-// resource graph used by the global router, the bit-stream generator and the
-// connectivity verifier.
+// Two layers of description, for two kinds of user:
+//
+//   * FabricLayout — the grid and its configuration-bit layout: where each
+//     macro's frame sits in the full-fabric raw configuration. That is all
+//     the run-time side needs: the reconfiguration controller, the service
+//     built on it, devirtualize_image and write_entry_config. It costs a
+//     few words.
+//   * Fabric — the layout plus the routing-resource graph. Abutted wire
+//     segments (east wire of one tile / west wire of the next, and
+//     north/south likewise) are the same electrical conductor, so they are
+//     merged into a single *global node* via union-find; global nodes are
+//     connected by programmable switches. The flow needs it: the global
+//     router, the bit-stream generator, the encoder and the connectivity
+//     verifier. On a 32x32 grid at W = 20 that is about 330k nodes and
+//     960k edges, so code that only writes configuration bits should hold
+//     a FabricLayout and build a Fabric only where it checks routing.
 #pragma once
 
 #include <cstdint>
@@ -18,17 +28,39 @@
 
 namespace vbs {
 
-class Fabric {
+class FabricLayout {
  public:
-  Fabric(const ArchSpec& spec, int width, int height);
+  /// Throws std::invalid_argument unless both dimensions are positive.
+  FabricLayout(const ArchSpec& spec, int width, int height);
 
-  const ArchSpec& spec() const { return macro_.spec(); }
-  const MacroModel& macro() const { return macro_; }
+  const ArchSpec& spec() const { return spec_; }
   int width() const { return width_; }
   int height() const { return height_; }
   int num_macros() const { return width_ * height_; }
   int macro_index(int mx, int my) const { return my * width_ + mx; }
   Point macro_pos(int m) const { return {m % width_, m / width_}; }
+
+  /// Raw frame: macros in row-major order, nraw_bits() bits each, logic
+  /// data first then routing bits in MacroModel canonical order. The
+  /// frames of one row of macros are therefore contiguous.
+  std::size_t config_bits_total() const {
+    return static_cast<std::size_t>(num_macros()) * spec_.nraw_bits();
+  }
+  std::size_t macro_config_offset(int m) const {
+    return static_cast<std::size_t>(m) * spec_.nraw_bits();
+  }
+
+ private:
+  ArchSpec spec_;
+  int width_;
+  int height_;
+};
+
+class Fabric : public FabricLayout {
+ public:
+  Fabric(const ArchSpec& spec, int width, int height);
+
+  const MacroModel& macro() const { return macro_; }
 
   // --- global node space --------------------------------------------------
   int num_nodes() const { return num_nodes_; }
@@ -76,15 +108,6 @@ class Fabric {
             port_data_.data() + port_begin_[g + 1]};
   }
 
-  // --- configuration-bit layout ---------------------------------------------
-  /// Raw frame: macros in row-major order, nraw_bits() bits each, logic
-  /// data first then routing bits in MacroModel canonical order.
-  std::size_t config_bits_total() const {
-    return static_cast<std::size_t>(num_macros()) * spec().nraw_bits();
-  }
-  std::size_t macro_config_offset(int m) const {
-    return static_cast<std::size_t>(m) * spec().nraw_bits();
-  }
   /// Bit index of a routing switch within the full-fabric raw frame.
   std::size_t switch_config_bit(int m, int point, int pair) const {
     return macro_config_offset(m) + spec().nlb_bits() +
@@ -93,8 +116,6 @@ class Fabric {
 
  private:
   MacroModel macro_;
-  int width_;
-  int height_;
   int num_nodes_ = 0;
   std::vector<std::int32_t> node_of_raw_;  ///< raw (macro,local) -> global
   std::vector<std::int16_t> pos_x_, pos_y_;

@@ -10,8 +10,8 @@ namespace vbs {
 
 ReconfigController::ReconfigController(const ArchSpec& spec, int width,
                                        int height)
-    : fabric_(spec, width, height),
-      config_(fabric_.config_bits_total()),
+    : layout_(spec, width, height),
+      config_(layout_.config_bits_total()),
       alloc_(width, height) {}
 
 ReconfigController::LoadedTask& ReconfigController::lookup(TaskId id) {
@@ -102,7 +102,7 @@ void ReconfigController::decode_into(const VbsImage& img, Point origin,
   // Finalize phase: single-writer into the configuration memory (frames of
   // adjacent macros share storage words).
   for (std::size_t i = 0; i < n; ++i) {
-    write_entry_config(img, img.entries[i], payloads[i], fabric_, origin,
+    write_entry_config(img, img.entries[i], payloads[i], layout_, origin,
                        config_);
   }
 
@@ -119,15 +119,13 @@ void ReconfigController::decode_into(const VbsImage& img, Point origin,
 }
 
 void ReconfigController::clear_region(const Rect& r) {
-  const int nraw = fabric_.spec().nraw_bits();
+  // The frames of a row's macros are contiguous: one range per row.
+  const std::size_t row_bits =
+      static_cast<std::size_t>(r.w) *
+      static_cast<std::size_t>(layout_.spec().nraw_bits());
   for (int y = r.y; y < r.y + r.h; ++y) {
-    for (int x = r.x; x < r.x + r.w; ++x) {
-      const std::size_t base =
-          fabric_.macro_config_offset(fabric_.macro_index(x, y));
-      for (int b = 0; b < nraw; ++b) {
-        config_.set(base + static_cast<std::size_t>(b), false);
-      }
-    }
+    config_.clear_range(
+        layout_.macro_config_offset(layout_.macro_index(r.x, y)), row_bits);
   }
 }
 
@@ -135,15 +133,15 @@ void ReconfigController::write_decoded(const VbsImage& img,
                                        const std::vector<BitVector>& payloads,
                                        Point origin) {
   for (std::size_t i = 0; i < img.entries.size(); ++i) {
-    write_entry_config(img, img.entries[i], payloads[i], fabric_, origin,
+    write_entry_config(img, img.entries[i], payloads[i], layout_, origin,
                        config_);
   }
 }
 
 void ReconfigController::check_arch(const VbsImage& img) const {
-  if (img.spec.chan_width != fabric_.spec().chan_width ||
-      img.spec.lut_k != fabric_.spec().lut_k ||
-      img.spec.sb_pattern != fabric_.spec().sb_pattern) {
+  if (img.spec.chan_width != layout_.spec().chan_width ||
+      img.spec.lut_k != layout_.spec().lut_k ||
+      img.spec.sb_pattern != layout_.spec().sb_pattern) {
     // Typed (not logic_error): a stream encoded for another architecture
     // is hostile input a tenant can submit, not a programming error.
     throw VbsError(VbsErrc::kArchMismatch, "rtc: task architecture mismatch");

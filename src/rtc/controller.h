@@ -35,7 +35,9 @@ class ReconfigController {
  public:
   ReconfigController(const ArchSpec& spec, int width, int height);
 
-  const Fabric& fabric() const { return fabric_; }
+  /// The grid and its configuration-bit layout. The controller holds no
+  /// routing graph; build a Fabric from this to check connectivity.
+  const FabricLayout& fabric() const { return layout_; }
   /// The modelled configuration memory layer of the whole chip.
   const BitVector& config_memory() const { return config_; }
   double occupancy() const { return alloc_.occupancy(); }
@@ -145,7 +147,7 @@ class ReconfigController {
   void clear_region(const Rect& r);
   LoadedTask& lookup(TaskId id);
 
-  Fabric fabric_;
+  FabricLayout layout_;
   BitVector config_;
   RectAllocator alloc_;
   std::map<TaskId, LoadedTask> tasks_;

@@ -72,8 +72,11 @@ int RpcServer::start() {
 void RpcServer::stop() {
   std::lock_guard<std::mutex> guard(stop_mutex_);
   if (service_thread_.joinable()) {
-    service_stop_.store(true, std::memory_order_release);
-    service_cv_.notify_one();
+    {
+      std::lock_guard<std::mutex> lk(service_mutex_);
+      service_stop_.store(true, std::memory_order_release);
+      service_cv_.notify_one();
+    }
     service_thread_.join();
   }
   if (loop_thread_.joinable()) {
@@ -334,6 +337,9 @@ void RpcServer::handle_request(Session& s, const Frame& f) {
 
 bool RpcServer::push_op(ServiceOp op) {
   if (!ops_.push(std::move(op))) return false;
+  // Under the mutex, so the notify cannot fall between the service
+  // thread's predicate check and its wait.
+  std::lock_guard<std::mutex> lk(service_mutex_);
   service_cv_.notify_one();
   return true;
 }
@@ -451,7 +457,10 @@ void RpcServer::service_main() {
         service_drain(0, 0, /*send_ack=*/false);
       } else {
         std::unique_lock<std::mutex> lk(service_mutex_);
-        service_cv_.wait_for(lk, 1ms);
+        service_cv_.wait_for(lk, 1ms, [this] {
+          return !ops_.empty() ||
+                 service_stop_.load(std::memory_order_acquire);
+        });
       }
     }
   }

@@ -1,9 +1,19 @@
 #include "util/bitvector.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
 namespace vbs {
+
+namespace {
+
+/// The low `n` bits set, 1 <= n <= 64.
+std::uint64_t low_mask(std::size_t n) {
+  return n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+}  // namespace
 
 BitVector::BitVector(std::size_t nbits, bool value) {
   resize(nbits);
@@ -62,8 +72,39 @@ BitVector BitVector::slice(std::size_t begin, std::size_t end) const {
 }
 
 void BitVector::overwrite(std::size_t pos, const BitVector& src) {
-  assert(pos + src.size() <= size_);
-  for (std::size_t i = 0; i < src.size(); ++i) set(pos + i, src.get(i));
+  clear_range(pos, src.size());
+  or_range(pos, src, 0, src.size());
+}
+
+void BitVector::or_range(std::size_t pos, const BitVector& src,
+                         std::size_t src_pos, std::size_t n) {
+  assert(&src != this);
+  assert(pos + n <= size_ && src_pos + n <= src.size_);
+  // One destination word per step: gather the next `take` source bits,
+  // which straddle at most two source words, and shift them into place.
+  while (n > 0) {
+    const std::size_t off = pos & 63;
+    const std::size_t take = std::min(n, 64 - off);
+    const std::size_t sw = src_pos >> 6;
+    const std::size_t sshift = src_pos & 63;
+    std::uint64_t bits = src.words_[sw] >> sshift;
+    if (sshift + take > 64) bits |= src.words_[sw + 1] << (64 - sshift);
+    words_[pos >> 6] |= (bits & low_mask(take)) << off;
+    pos += take;
+    src_pos += take;
+    n -= take;
+  }
+}
+
+void BitVector::clear_range(std::size_t pos, std::size_t n) {
+  assert(pos + n <= size_);
+  while (n > 0) {
+    const std::size_t off = pos & 63;
+    const std::size_t take = std::min(n, 64 - off);
+    words_[pos >> 6] &= ~(low_mask(take) << off);
+    pos += take;
+    n -= take;
+  }
 }
 
 std::size_t BitVector::popcount() const {

@@ -41,6 +41,15 @@ class BitVector {
   /// Overwrites bits starting at `pos` with the contents of `src`.
   void overwrite(std::size_t pos, const BitVector& src);
 
+  /// ORs the `n` bits of `src` starting at `src_pos` into this vector
+  /// starting at `pos`: sets bits, never clears them. `src` must not be
+  /// this vector. Works a 64-bit word at a time.
+  void or_range(std::size_t pos, const BitVector& src, std::size_t src_pos,
+                std::size_t n);
+
+  /// Clears the half-open bit range [pos, pos + n).
+  void clear_range(std::size_t pos, std::size_t n);
+
   /// Number of set bits.
   std::size_t popcount() const;
 

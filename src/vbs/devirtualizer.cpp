@@ -302,12 +302,12 @@ bool Devirtualizer::decode(const VbsEntry& entry, BitVector& routing_out,
 }
 
 void write_entry_config(const VbsImage& img, const VbsEntry& entry,
-                        const BitVector& routing, const Fabric& target,
+                        const BitVector& routing, const FabricLayout& target,
                         Point origin, BitVector& config) {
   const ArchSpec& spec = img.spec;
   const int c = img.cluster;
-  const int nlb = spec.nlb_bits();
-  const int rbits = spec.nroute_bits();
+  const auto nlb = static_cast<std::size_t>(spec.nlb_bits());
+  const auto rbits = static_cast<std::size_t>(spec.nroute_bits());
   for (int uy = 0; uy < c; ++uy) {
     for (int ux = 0; ux < c; ++ux) {
       const int tx = entry.cx * c + ux;
@@ -317,19 +317,9 @@ void write_entry_config(const VbsImage& img, const VbsEntry& entry,
       const std::size_t base = target.macro_config_offset(m);
       const int u = uy * c + ux;
       const LogicConfig& lc = entry.logic[static_cast<std::size_t>(u)];
-      if (lc.used) {
-        BitVector lbits;
-        append_logic_bits(lbits, lc, spec);
-        config.overwrite(base, lbits);
-      }
-      const std::size_t src = static_cast<std::size_t>(u) * rbits;
-      for (int b = 0; b < rbits; ++b) {
-        if (routing.get(src + static_cast<std::size_t>(b))) {
-          config.set(base + static_cast<std::size_t>(nlb) +
-                         static_cast<std::size_t>(b),
-                     true);
-        }
-      }
+      if (lc.used) write_logic_bits(config, base, lc, spec);
+      config.or_range(base + nlb, routing, static_cast<std::size_t>(u) * rbits,
+                      rbits);
     }
   }
 }
@@ -368,7 +358,7 @@ Devirtualizer& RegionDecoderCache::decoder_for(int cx, int cy) {
   return *slot_for(cx, cy).decoder;
 }
 
-BitVector devirtualize_image(const VbsImage& img, const Fabric& target,
+BitVector devirtualize_image(const VbsImage& img, const FabricLayout& target,
                              Point origin, DecodeStats* stats) {
   if (img.spec.chan_width != target.spec().chan_width ||
       img.spec.lut_k != target.spec().lut_k ||

@@ -200,13 +200,15 @@ class RegionDecoderCache {
 /// task origin at `origin` (relocation: the same image decodes at any
 /// origin, paper Section I). Throws std::runtime_error if any entry fails —
 /// impossible for encoder-validated images — or if the task does not fit.
-BitVector devirtualize_image(const VbsImage& img, const Fabric& target,
+BitVector devirtualize_image(const VbsImage& img, const FabricLayout& target,
                              Point origin, DecodeStats* stats = nullptr);
 
 /// Writes one decoded entry (logic + routing payload) into a full-fabric
-/// configuration image with the task origin at `origin`.
+/// configuration image with the task origin at `origin`. Logic bits of a
+/// used logic block are overwritten; routing bits are ORed in, never
+/// cleared, a 64-bit word at a time.
 void write_entry_config(const VbsImage& img, const VbsEntry& entry,
-                        const BitVector& routing, const Fabric& target,
+                        const BitVector& routing, const FabricLayout& target,
                         Point origin, BitVector& config);
 
 }  // namespace vbs

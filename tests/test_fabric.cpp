@@ -127,6 +127,7 @@ TEST(Fabric, NodePositionsWithinGrid) {
 
 TEST(Fabric, RejectsBadDimensions) {
   EXPECT_THROW(Fabric(small_spec(), 0, 3), std::invalid_argument);
+  EXPECT_THROW(FabricLayout(small_spec(), 3, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -86,6 +86,76 @@ TEST(BitVector, SliceAndOverwrite) {
   EXPECT_EQ(w.get_bits(0, 4), 0u);
 }
 
+// The word-at-a-time range kernel against a bit-at-a-time reference, on
+// random sizes 0-300 and random offsets. The trials rotate through empty
+// ranges, word-aligned ranges, ranges ending exactly at size() and free
+// ranges, most of which straddle words. Equality compares whole words, so
+// a stray bit past size() fails too.
+TEST(BitVector, RangeOpsMatchBitLoop) {
+  Rng rng(20);
+  auto random_bits = [&](std::size_t n) {
+    BitVector v(n);
+    for (std::size_t i = 0; i < n; ++i) v.set(i, rng.next_u64() & 1u);
+    return v;
+  };
+  int straddles = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int shape = trial % 4;
+    const BitVector dst = random_bits(rng.next_below(301));
+    const BitVector src = random_bits(rng.next_below(301));
+    const std::size_t room = std::min(dst.size(), src.size());
+    std::size_t n = 0;
+    std::size_t pos = 0;
+    std::size_t src_pos = 0;
+    if (shape == 0) {
+      pos = rng.next_below(dst.size() + 1);
+      src_pos = rng.next_below(src.size() + 1);
+    } else if (shape == 1) {
+      n = 64 * rng.next_below(room / 64 + 1);
+      pos = 64 * rng.next_below((dst.size() - n) / 64 + 1);
+      src_pos = 64 * rng.next_below((src.size() - n) / 64 + 1);
+    } else if (shape == 2) {
+      n = rng.next_below(room + 1);
+      pos = dst.size() - n;
+      src_pos = src.size() - n;
+    } else {
+      n = rng.next_below(room + 1);
+      pos = rng.next_below(dst.size() - n + 1);
+      src_pos = rng.next_below(src.size() - n + 1);
+    }
+    if (n > 0 && (pos / 64 != (pos + n - 1) / 64 ||
+                  src_pos / 64 != (src_pos + n - 1) / 64)) {
+      ++straddles;
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << " dst " << dst.size() << " src "
+                 << src.size() << " pos " << pos << " src_pos " << src_pos
+                 << " n " << n);
+
+    BitVector want = dst;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (src.get(src_pos + i)) want.set(pos + i, true);
+    }
+    BitVector got = dst;
+    got.or_range(pos, src, src_pos, n);
+    EXPECT_EQ(got, want);
+
+    want = dst;
+    for (std::size_t i = 0; i < n; ++i) want.set(pos + i, false);
+    got = dst;
+    got.clear_range(pos, n);
+    EXPECT_EQ(got, want);
+
+    const BitVector piece = src.slice(src_pos, src_pos + n);
+    want = dst;
+    for (std::size_t i = 0; i < n; ++i) want.set(pos + i, piece.get(i));
+    got = dst;
+    got.overwrite(pos, piece);
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_GT(straddles, 1000);
+}
+
 TEST(BitVector, EqualityIgnoresNothing) {
   BitVector a, b;
   a.append_bits(0x5A, 8);
