@@ -14,6 +14,7 @@
 #include "netlist/generator.h"
 #include "rtc/service/journal.h"
 #include "rtc/service/service.h"
+#include "util/hash.h"
 #include "util/io.h"
 #include "vbs/encoder.h"
 
@@ -349,6 +350,50 @@ TEST(ServiceDurabilityTest, RecoveredServiceKeepsWorking) {
   // The continued ops were journaled too: recovery of the recovery matches.
   recovered.reset();  // release the WAL before re-reading it
   EXPECT_EQ(ReconfigService::recover(dir.path, 2)->state_fingerprint(), want);
+}
+
+std::uint64_t file_fnv(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_FALSE(bytes.empty()) << path;
+  return fnv1a64(bytes.data(), bytes.size());
+}
+
+// Pins the bytes a journaled service writes: the kOpen configuration,
+// every admission record (a load shed at the door, an unload, a
+// relocate), a priority change, the commits, a compaction's snap.<epoch>
+// file and the WAL that follows it. Recovery must keep reading all of it.
+TEST(ServiceDurabilityTest, JournalBytesArePinned) {
+  TempDir dir("pinned_service");
+  const std::string wal = dir.path + "/journal.wal";
+  const auto& streams = test_streams();
+  ReconfigService svc(test_arch(), 16, 12, small_opts(1));
+  svc.open_journal(dir.path);
+  svc.set_tenant_priority(1, 5);
+  std::vector<RequestId> loads;
+  for (int i = 0; i < 5; ++i) {  // queue_limit is 4: the fifth load sheds
+    loads.push_back(svc.submit_load(streams[static_cast<std::size_t>(i % 3)],
+                                    i % 3));
+  }
+  int shed = 0;
+  for (const RequestResult& r : svc.drain()) {
+    shed += r.status == RequestStatus::kShed ? 1 : 0;
+  }
+  EXPECT_EQ(shed, 1);
+  svc.submit_relocate(loads[1], 1);
+  svc.submit_unload(loads[2], 2);
+  svc.drain();
+  const std::uint64_t wal_before = file_fnv(wal);
+  svc.compact_journal();
+  const std::uint64_t snap = file_fnv(dir.path + "/snap.1");
+  svc.submit_load(streams[0], 0);
+  svc.drain();
+  const std::uint64_t wal_after = file_fnv(wal);
+
+  EXPECT_EQ(wal_before, 0x52b786ab14af255cull);
+  EXPECT_EQ(snap, 0xbfd9c4dc6de36d50ull);
+  EXPECT_EQ(wal_after, 0xb95320df081b49f1ull);
 }
 
 TEST(ServiceDurabilityTest, PersistentAppendFailureDetachesJournal) {
