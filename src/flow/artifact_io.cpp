@@ -1,11 +1,8 @@
 #include "flow/artifact_io.h"
 
-#include <fstream>
-
 #include "util/bitio.h"
-#include "util/hash.h"
+#include "util/bytes.h"
 #include "util/io.h"
-#include "vbs/vbs_file.h"
 
 namespace vbs {
 
@@ -13,28 +10,9 @@ using namespace artio;
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'A', 'R', '1'};
-
-void put_le64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t take_le64(const std::string& bytes, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<unsigned char>(bytes[pos + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-
-std::uint64_t content_hash(const std::string& payload_bytes,
-                           std::uint64_t bit_count) {
-  return hash_u64(fnv1a64(payload_bytes.data(), payload_bytes.size()),
-                  bit_count);
-}
+constexpr std::string_view kMagic = "VAR1";
+// magic(4) + stage(1) + fingerprint(8) + content hash(8) + bit count(8)
+constexpr std::size_t kHeaderBytes = 29;
 
 }  // namespace
 
@@ -179,37 +157,35 @@ std::string artifact_container_bytes(ArtifactStage stage,
                                      std::uint64_t fingerprint,
                                      const BitVector& payload) {
   const std::string bytes = pack_bits(payload);
-  std::string file;
-  file.reserve(29 + bytes.size());
-  file.append(kMagic, sizeof kMagic);
-  file.push_back(static_cast<char>(stage));
-  put_le64(file, fingerprint);
-  put_le64(file, content_hash(bytes, payload.size()));
-  put_le64(file, payload.size());
+  std::string file(kMagic);
+  file.reserve(kHeaderBytes + bytes.size());
+  put_u8(file, static_cast<std::uint8_t>(stage));
+  put_u64(file, fingerprint);
+  put_u64(file, content_hash(bytes, payload.size()));
+  put_u64(file, payload.size());
   file.append(bytes);
   return file;
 }
 
-BitVector parse_artifact_container(const std::string& bytes,
+BitVector parse_artifact_container(std::string_view bytes,
                                    ArtifactStage stage,
                                    const std::uint64_t* expected_fingerprint,
                                    std::uint64_t* fingerprint_out,
                                    const std::string& context) {
-  if (bytes.size() < 29) {
+  if (bytes.size() < kHeaderBytes) {
     throw ArtifactError("truncated artifact header: " + context,
                         VbsErrc::kTruncated);
   }
-  for (int i = 0; i < 4; ++i) {
-    if (bytes[static_cast<std::size_t>(i)] != kMagic[i]) {
-      throw ArtifactError("not a vbs.artifact.v1 container: " + context);
-    }
+  ByteReader r(bytes, VbsErrc::kTruncated, "artifact");
+  if (r.take(kMagic.size()) != kMagic) {
+    throw ArtifactError("not a vbs.artifact.v1 container: " + context);
   }
-  if (static_cast<std::uint8_t>(bytes[4]) != static_cast<std::uint8_t>(stage)) {
+  if (r.u8() != static_cast<std::uint8_t>(stage)) {
     throw ArtifactError("artifact stage mismatch: " + context);
   }
-  const std::uint64_t fingerprint = take_le64(bytes, 5);
-  const std::uint64_t stored_hash = take_le64(bytes, 13);
-  const std::uint64_t bit_count = take_le64(bytes, 21);
+  const std::uint64_t fingerprint = r.u64();
+  const std::uint64_t stored_hash = r.u64();
+  const std::uint64_t bit_count = r.u64();
   if (expected_fingerprint != nullptr && fingerprint != *expected_fingerprint) {
     throw ArtifactError(
         "artifact fingerprint mismatch (stale or foreign checkpoint): " +
@@ -218,12 +194,11 @@ BitVector parse_artifact_container(const std::string& bytes,
   // The declared bit count is untrusted: require it to match the actual
   // byte count before allocating, so a corrupted length field can neither
   // demand exabytes nor smuggle trailing bytes past the content hash.
-  const std::uint64_t nbytes64 = bit_count / 8 + (bit_count % 8 != 0 ? 1 : 0);
-  if (nbytes64 != bytes.size() - 29) {
+  if (packed_size(bit_count) != r.remaining()) {
     throw ArtifactError("artifact size mismatch (corrupted length): " +
                         context);
   }
-  const std::string payload = bytes.substr(29);
+  const std::string_view payload = r.take(r.remaining());
   if (content_hash(payload, bit_count) != stored_hash) {
     throw ArtifactError("artifact content-hash mismatch (corrupted): " +
                         context);
@@ -244,51 +219,8 @@ void write_artifact_file(const std::string& path, ArtifactStage stage,
 BitVector read_artifact_file(const std::string& path, ArtifactStage stage,
                              const std::uint64_t* expected_fingerprint,
                              std::uint64_t* fingerprint_out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  is.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(is.tellg());
-  is.seekg(0, std::ios::beg);
-  char head[29];
-  if (!is.read(head, sizeof head)) {
-    throw ArtifactError("truncated artifact header: " + path,
-                        VbsErrc::kTruncated);
-  }
-  for (int i = 0; i < 4; ++i) {
-    if (head[i] != kMagic[i]) {
-      throw ArtifactError("not a vbs.artifact.v1 file: " + path);
-    }
-  }
-  if (static_cast<std::uint8_t>(head[4]) != static_cast<std::uint8_t>(stage)) {
-    throw ArtifactError("artifact stage mismatch: " + path);
-  }
-  const std::string header(head + 5, 24);
-  const std::uint64_t fingerprint = take_le64(header, 0);
-  const std::uint64_t stored_hash = take_le64(header, 8);
-  const std::uint64_t bit_count = take_le64(header, 16);
-  if (expected_fingerprint != nullptr && fingerprint != *expected_fingerprint) {
-    throw ArtifactError(
-        "artifact fingerprint mismatch (stale or foreign checkpoint): " +
-        path);
-  }
-  // The declared bit count is untrusted: require it to match the actual
-  // file size before allocating, so a corrupted length field can neither
-  // demand exabytes nor smuggle trailing bytes past the content hash.
-  const std::uint64_t nbytes64 = bit_count / 8 + (bit_count % 8 != 0 ? 1 : 0);
-  if (nbytes64 != file_size - sizeof head) {
-    throw ArtifactError("artifact size mismatch (corrupted length): " + path);
-  }
-  const auto nbytes = static_cast<std::size_t>(nbytes64);
-  std::string bytes(nbytes, '\0');
-  if (!is.read(bytes.data(), static_cast<std::streamsize>(nbytes))) {
-    throw ArtifactError("truncated artifact payload: " + path,
-                        VbsErrc::kTruncated);
-  }
-  if (content_hash(bytes, bit_count) != stored_hash) {
-    throw ArtifactError("artifact content-hash mismatch (corrupted): " + path);
-  }
-  if (fingerprint_out != nullptr) *fingerprint_out = fingerprint;
-  return unpack_bits(bytes, static_cast<std::size_t>(bit_count));
+  return parse_artifact_container(read_file(path), stage,
+                                  expected_fingerprint, fingerprint_out, path);
 }
 
 }  // namespace vbs

@@ -5,18 +5,18 @@
 // Every flow stage produces a typed artifact — PackedDesign, Placement
 // (+ deterministic PlaceStats), RoutingResult, or the encoded VBS stream —
 // serialized to a bit payload via util/bitio and wrapped in a small
-// byte-oriented container:
+// byte-oriented container whose fields the shared byte codec
+// (util/bytes.h) codes:
 //
 //   bytes 0-3    magic "VAR1"  (artifact format v1)
 //   byte  4      stage tag (ArtifactStage)
-//   bytes 5-12   fingerprint, little-endian u64: hash of everything the
-//                artifact is a deterministic function of — the netlist
-//                text, the grid, and every result-relevant option of this
-//                stage and its upstream stages
-//   bytes 13-20  content hash, little-endian u64 (FNV-1a over the packed
-//                payload bytes, then the bit length)
-//   bytes 21-28  payload bit count, little-endian u64
-//   bytes 29-    payload bits, MSB-first within each byte, zero-padded
+//   bytes 5-12   fingerprint, u64: hash of everything the artifact is a
+//                deterministic function of — the netlist text, the grid,
+//                and every result-relevant option of this stage and its
+//                upstream stages
+//   bytes 13-20  content_hash of the payload, u64
+//   bytes 21-28  payload bit count, u64
+//   bytes 29-    payload: pack_bits of the payload bits
 //
 // Readers verify magic, version, stage tag, fingerprint and content hash
 // and throw ArtifactError on any mismatch, so a stale, truncated or
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "pack/pack.h"
 #include "place/annealer.h"
@@ -126,7 +127,7 @@ std::string artifact_container_bytes(ArtifactStage stage,
 /// stage tag, declared size and content hash (and the fingerprint when
 /// `expected_fingerprint` is non-null). Throws ArtifactError on any
 /// mismatch; `context` names the source in error messages.
-BitVector parse_artifact_container(const std::string& bytes,
+BitVector parse_artifact_container(std::string_view bytes,
                                    ArtifactStage stage,
                                    const std::uint64_t* expected_fingerprint,
                                    std::uint64_t* fingerprint_out = nullptr,
@@ -142,11 +143,10 @@ BitVector parse_artifact_container(const std::string& bytes,
 void write_artifact_file(const std::string& path, ArtifactStage stage,
                          std::uint64_t fingerprint, const BitVector& payload);
 
-/// Reads an artifact written by write_artifact_file, verifying magic,
-/// version, stage tag, the stored content hash, and — when
-/// `expected_fingerprint` is non-null — the fingerprint. Throws
-/// ArtifactError on any mismatch or truncation, std::runtime_error on I/O
-/// failure.
+/// Reads an artifact written by write_artifact_file: the whole file
+/// (util/io.h read_file), parsed by parse_artifact_container with the path
+/// as context. Throws ArtifactError on any mismatch or truncation,
+/// std::runtime_error on I/O failure.
 BitVector read_artifact_file(const std::string& path, ArtifactStage stage,
                              const std::uint64_t* expected_fingerprint,
                              std::uint64_t* fingerprint_out = nullptr);

@@ -13,12 +13,16 @@
 
 namespace vbs::net {
 
+namespace {
+
+std::uint64_t now_ms() { return telem::now_ns() / 1'000'000; }
+
+}  // namespace
+
 EventLoop::EventLoop(std::unique_ptr<Poller> poller,
-                     std::unique_ptr<NetClock> clock,
                      std::size_t post_capacity)
     : poller_(poller ? std::move(poller) : std::make_unique<EpollPoller>()),
-      clock_(clock ? std::move(clock) : std::make_unique<SteadyNetClock>()),
-      timers_(clock_->now_ms()),
+      timers_(now_ms()),
       posted_(post_capacity) {
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) {
@@ -47,7 +51,7 @@ void EventLoop::unwatch(int fd) {
 
 TimerId EventLoop::arm_timer(std::uint64_t delay_ms,
                              std::function<void()> cb) {
-  return timers_.arm(clock_->now_ms() + delay_ms, std::move(cb));
+  return timers_.arm(now_ms() + delay_ms, std::move(cb));
 }
 
 bool EventLoop::cancel_timer(TimerId id) { return timers_.cancel(id); }
@@ -85,7 +89,7 @@ std::size_t EventLoop::drain_posted() {
 
 std::size_t EventLoop::run_once(int timeout_ms) {
   std::size_t processed = drain_posted();
-  const int timer_hint = timers_.next_timeout_ms(clock_->now_ms());
+  const int timer_hint = timers_.next_timeout_ms(now_ms());
   int timeout = timeout_ms;
   if (timer_hint >= 0 && (timeout < 0 || timer_hint < timeout)) {
     timeout = timer_hint;
@@ -107,7 +111,7 @@ std::size_t EventLoop::run_once(int timeout_ms) {
     handler(ev.events);
     ++processed;
   }
-  processed += timers_.advance_to(clock_->now_ms());
+  processed += timers_.advance_to(now_ms());
   processed += drain_posted();
   return processed;
 }

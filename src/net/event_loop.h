@@ -15,11 +15,13 @@
 // so a parked poller wakes immediately — this is how the service thread
 // hands completion frames back to the I/O thread.
 //
-// The poller and clock are injected (poller.h): production uses
-// EpollPoller + SteadyNetClock; tests drive timers with ManualNetClock
-// and can script readiness without sockets. Timer deadlines come from a
-// hashed wheel (timer_wheel.h); the wheel's next deadline bounds the
-// poll timeout so timers fire on time without busy-waiting.
+// The poller is injected (poller.h): production uses EpollPoller; tests
+// can script readiness without sockets. Time is the telemetry clock
+// (telem::now_ns() in milliseconds), so a test that installs a
+// telem::ManualClock fires timers with advance_ns() instead of sleeping.
+// Timer deadlines come from a hashed wheel (timer_wheel.h); the wheel's
+// next deadline bounds the poll timeout so timers fire on time without
+// busy-waiting.
 #pragma once
 
 #include <atomic>
@@ -41,11 +43,10 @@ class EventLoop {
   /// kError/kHangup mask.
   using FdHandler = std::function<void(std::uint32_t events)>;
 
-  /// Defaults to EpollPoller + SteadyNetClock. Pass substitutes to test
-  /// without sockets or real time. `post_capacity` bounds the cross-
-  /// thread queue; post() blocks (spin+yield) when it is full.
+  /// Defaults to EpollPoller; pass a substitute to test without sockets.
+  /// `post_capacity` bounds the cross-thread queue; post() blocks
+  /// (spin+yield) when it is full.
   explicit EventLoop(std::unique_ptr<Poller> poller = nullptr,
-                     std::unique_ptr<NetClock> clock = nullptr,
                      std::size_t post_capacity = 4096);
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
@@ -77,15 +78,11 @@ class EventLoop {
   /// Returns the number of fd events + timers + posted fns processed.
   std::size_t run_once(int timeout_ms);
 
-  std::uint64_t now_ms() const { return clock_->now_ms(); }
-  NetClock& clock() { return *clock_; }
-
  private:
   std::size_t drain_posted();
   void wake();
 
   std::unique_ptr<Poller> poller_;
-  std::unique_ptr<NetClock> clock_;
   TimerWheel timers_;
   std::unordered_map<int, FdHandler> handlers_;
   MpscRing<std::function<void()>> posted_;

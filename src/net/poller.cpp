@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -84,13 +83,6 @@ std::size_t EpollPoller::wait(std::vector<PollEvent>& out, int timeout_ms) {
     out.push_back({evs[i].data.fd, from_epoll(evs[i].events)});
   }
   return static_cast<std::size_t>(n);
-}
-
-std::uint64_t SteadyNetClock::now_ms() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 void set_nonblocking(int fd) {

@@ -1,14 +1,14 @@
-// Injectable readiness-notification and clock seams under the event loop.
+// Injectable readiness-notification seam under the event loop.
 //
-// EventLoop (event_loop.h) is written against two tiny interfaces so tests
-// can drive it without real sockets or real time:
+// EventLoop (event_loop.h) is written against one tiny interface so tests
+// can drive it without real sockets:
 //
 //   Poller   — add/mod/del fd interest + a blocking wait(). Production is
 //              EpollPoller (epoll_create1/epoll_ctl/epoll_wait, level-
 //              triggered). Tests can substitute a scripted poller.
-//   NetClock — monotonic now_ms(). Production is SteadyNetClock
-//              (std::chrono::steady_clock); ManualNetClock lets timer-wheel
-//              and deadline tests advance time by hand.
+//
+// Time is not a seam of its own: the loop reads the telemetry clock
+// (util/telemetry.h), which tests replace with a telem::ManualClock.
 //
 // Interest is expressed with the kReadable/kWritable bit mask; wait()
 // reports readiness plus kError/kHangup bits the caller never registers
@@ -66,29 +66,6 @@ class EpollPoller final : public Poller {
 
  private:
   int epfd_ = -1;
-};
-
-/// Monotonic millisecond clock seam for timers and deadlines.
-class NetClock {
- public:
-  virtual ~NetClock() = default;
-  virtual std::uint64_t now_ms() const = 0;
-};
-
-class SteadyNetClock final : public NetClock {
- public:
-  std::uint64_t now_ms() const override;
-};
-
-/// Hand-advanced clock for tests: time moves only via advance()/set().
-class ManualNetClock final : public NetClock {
- public:
-  std::uint64_t now_ms() const override { return now_; }
-  void advance(std::uint64_t ms) { now_ += ms; }
-  void set(std::uint64_t ms) { now_ = ms; }
-
- private:
-  std::uint64_t now_ = 0;
 };
 
 /// Sets O_NONBLOCK (and FD_CLOEXEC) on `fd`; throws std::runtime_error

@@ -12,8 +12,9 @@
 // cancel() marks the entry dead and the sweep discards it — no search
 // outside the slot list. next_timeout_ms() gives the poll timeout hint:
 // the distance to the earliest live deadline, or -1 when the wheel is
-// empty. Driven entirely by the caller's clock (NetClock), so tests run
-// it on ManualNetClock with no real sleeping.
+// empty. Driven entirely by the times its caller passes in (the event
+// loop passes the telemetry clock's), so tests run it on hand-picked
+// times with no real sleeping.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "rtc/server/wire.h"
 
-#include <cstring>
-
+#include "util/bytes.h"
 #include "util/hash.h"
 
 namespace vbs::rpc {
@@ -12,15 +11,18 @@ namespace {
   throw VbsError(VbsErrc::kNetFrame, "rpc frame: " + what);
 }
 
+ByteReader payload_reader(std::string_view payload) {
+  return ByteReader(payload, VbsErrc::kNetFrame, "rpc frame");
+}
+
 /// Checksum coverage: version byte, type byte, corr, payload — the frame
 /// minus the length prefix and the checksum field itself.
 std::uint64_t frame_checksum(std::uint8_t ver, std::uint8_t type,
-                             std::uint64_t corr, const char* payload,
-                             std::size_t payload_len) {
+                             std::uint64_t corr, std::string_view payload) {
   std::uint64_t h = fnv1a64(&ver, 1);
   h = fnv1a64(&type, 1, h);
   h = hash_u64(h, corr);
-  return fnv1a64(payload, payload_len, h);
+  return fnv1a64(payload.data(), payload.size(), h);
 }
 
 }  // namespace
@@ -28,67 +30,6 @@ std::uint64_t frame_checksum(std::uint8_t ver, std::uint8_t type,
 bool frame_type_known(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(FrameType::kHello) &&
          raw <= static_cast<std::uint8_t>(FrameType::kShutdown);
-}
-
-// --- field primitives --------------------------------------------------------
-
-void put_u8(std::string& s, std::uint8_t v) {
-  s.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& s, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::string& s, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_i32(std::string& s, std::int32_t v) {
-  put_u32(s, static_cast<std::uint32_t>(v));
-}
-
-void put_i64(std::string& s, std::int64_t v) {
-  put_u64(s, static_cast<std::uint64_t>(v));
-}
-
-std::uint8_t get_u8(const std::string& s, std::size_t& off) {
-  if (off + 1 > s.size()) bad_frame("payload truncated (u8)");
-  return static_cast<std::uint8_t>(s[off++]);
-}
-
-std::uint32_t get_u32(const std::string& s, std::size_t& off) {
-  if (off + 4 > s.size()) bad_frame("payload truncated (u32)");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(s[off + i]))
-         << (8 * i);
-  }
-  off += 4;
-  return v;
-}
-
-std::uint64_t get_u64(const std::string& s, std::size_t& off) {
-  if (off + 8 > s.size()) bad_frame("payload truncated (u64)");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(s[off + i]))
-         << (8 * i);
-  }
-  off += 8;
-  return v;
-}
-
-std::int32_t get_i32(const std::string& s, std::size_t& off) {
-  return static_cast<std::int32_t>(get_u32(s, off));
-}
-
-std::int64_t get_i64(const std::string& s, std::size_t& off) {
-  return static_cast<std::int64_t>(get_u64(s, off));
 }
 
 // --- frame codec -------------------------------------------------------------
@@ -104,15 +45,15 @@ std::string encode_frame(FrameType type, std::uint64_t corr,
   put_u8(out, static_cast<std::uint8_t>(type));
   put_u64(out, corr);
   put_u64(out, frame_checksum(kWireVersion, static_cast<std::uint8_t>(type),
-                              corr, payload.data(), payload.size()));
+                              corr, payload));
   out.append(payload);
   return out;
 }
 
 bool FrameReader::next(std::string& buf, Frame& out) {
   if (buf.size() < 4) return false;
-  std::size_t off = 0;
-  const std::uint32_t n = get_u32(buf, off);
+  ByteReader r = payload_reader(buf);
+  const std::uint32_t n = r.u32();
   if (n < 18) bad_frame("declared length " + std::to_string(n) + " < 18");
   if (n > max_frame_) {
     // Checked on the declared length alone: a hostile prefix can never
@@ -120,25 +61,25 @@ bool FrameReader::next(std::string& buf, Frame& out) {
     bad_frame("declared length " + std::to_string(n) + " exceeds limit " +
               std::to_string(max_frame_));
   }
-  if (buf.size() < 4 + static_cast<std::size_t>(n)) return false;
-  const std::uint8_t ver = get_u8(buf, off);
+  if (r.remaining() < n) return false;
+  const std::uint8_t ver = r.u8();
   if (ver != kWireVersion) {
     bad_frame("unknown version " + std::to_string(ver));
   }
-  const std::uint8_t type = get_u8(buf, off);
+  const std::uint8_t type = r.u8();
   if (!frame_type_known(type)) {
     bad_frame("unknown frame type " + std::to_string(type));
   }
-  const std::uint64_t corr = get_u64(buf, off);
-  const std::uint64_t declared_sum = get_u64(buf, off);
-  const std::size_t payload_len = n - 18;
-  const std::uint64_t actual_sum =
-      frame_checksum(ver, type, corr, buf.data() + off, payload_len);
-  if (declared_sum != actual_sum) bad_frame("checksum mismatch");
+  const std::uint64_t corr = r.u64();
+  const std::uint64_t declared_sum = r.u64();
+  const std::string_view payload = r.take(n - 18);
+  if (declared_sum != frame_checksum(ver, type, corr, payload)) {
+    bad_frame("checksum mismatch");
+  }
   out.type = static_cast<FrameType>(type);
   out.corr = corr;
-  out.payload.assign(buf, off, payload_len);
-  buf.erase(0, 4 + static_cast<std::size_t>(n));
+  out.payload.assign(payload);
+  buf.erase(0, r.pos());
   return true;
 }
 
@@ -167,11 +108,11 @@ std::string encode_hello(const HelloMsg& m) {
 }
 
 HelloMsg decode_hello(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   HelloMsg m;
-  m.tenant = get_i32(payload, off);
-  m.client_nonce = get_u64(payload, off);
-  if (off != payload.size()) bad_frame("hello: trailing bytes");
+  m.tenant = r.i32();
+  m.client_nonce = r.u64();
+  r.expect_end("hello");
   return m;
 }
 
@@ -182,10 +123,10 @@ std::string encode_challenge(const ChallengeMsg& m) {
 }
 
 ChallengeMsg decode_challenge(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   ChallengeMsg m;
-  m.server_nonce = get_u64(payload, off);
-  if (off != payload.size()) bad_frame("challenge: trailing bytes");
+  m.server_nonce = r.u64();
+  r.expect_end("challenge");
   return m;
 }
 
@@ -196,10 +137,10 @@ std::string encode_auth(const AuthMsg& m) {
 }
 
 AuthMsg decode_auth(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   AuthMsg m;
-  m.proof = get_u64(payload, off);
-  if (off != payload.size()) bad_frame("auth: trailing bytes");
+  m.proof = r.u64();
+  r.expect_end("auth");
   return m;
 }
 
@@ -211,11 +152,11 @@ std::string encode_auth_ok(const AuthOkMsg& m) {
 }
 
 AuthOkMsg decode_auth_ok(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   AuthOkMsg m;
-  m.next_request_id = get_i64(payload, off);
-  m.session = get_u64(payload, off);
-  if (off != payload.size()) bad_frame("auth_ok: trailing bytes");
+  m.next_request_id = r.i64();
+  m.session = r.u64();
+  r.expect_end("auth_ok");
   return m;
 }
 
@@ -229,10 +170,10 @@ std::string encode_error(const ErrorMsg& m) {
 }
 
 ErrorMsg decode_error(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   ErrorMsg m;
-  m.code = static_cast<VbsErrc>(get_i32(payload, off));
-  m.message = payload.substr(off);
+  m.code = static_cast<VbsErrc>(r.i32());
+  m.message = r.take(r.remaining());
   return m;
 }
 
@@ -245,11 +186,11 @@ std::string encode_load(int tenant, const BitVector& stream) {
 }
 
 LoadMsg decode_load(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   LoadMsg m;
-  m.tenant = get_i32(payload, off);
+  m.tenant = r.i32();
   try {
-    m.stream = parse_artifact_container(payload.substr(off),
+    m.stream = parse_artifact_container(r.take(r.remaining()),
                                         ArtifactStage::kEncode,
                                         /*expected_fingerprint=*/nullptr,
                                         /*fingerprint_out=*/nullptr,
@@ -269,11 +210,11 @@ std::string encode_target(const TargetMsg& m) {
 }
 
 TargetMsg decode_target(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   TargetMsg m;
-  m.tenant = get_i32(payload, off);
-  m.target = get_i64(payload, off);
-  if (off != payload.size()) bad_frame("target: trailing bytes");
+  m.tenant = r.i32();
+  m.target = r.i64();
+  r.expect_end("target");
   return m;
 }
 
@@ -285,11 +226,11 @@ std::string encode_priority(const PriorityMsg& m) {
 }
 
 PriorityMsg decode_priority(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   PriorityMsg m;
-  m.tenant = get_i32(payload, off);
-  m.priority = get_i32(payload, off);
-  if (off != payload.size()) bad_frame("priority: trailing bytes");
+  m.tenant = r.i32();
+  m.priority = r.i32();
+  r.expect_end("priority");
   return m;
 }
 
@@ -300,10 +241,10 @@ std::string encode_ack(const AckMsg& m) {
 }
 
 AckMsg decode_ack(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   AckMsg m;
-  m.request_id = get_i64(payload, off);
-  if (off != payload.size()) bad_frame("ack: trailing bytes");
+  m.request_id = r.i64();
+  r.expect_end("ack");
   return m;
 }
 
@@ -332,28 +273,28 @@ std::string encode_result(const RequestResult& r) {
 }
 
 RequestResult decode_result(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader in = payload_reader(payload);
   RequestResult r;
-  r.request = get_i64(payload, off);
-  r.kind = static_cast<RequestKind>(get_u8(payload, off));
-  r.status = static_cast<RequestStatus>(get_u8(payload, off));
-  r.task = get_i32(payload, off);
-  r.rect.x = get_i32(payload, off);
-  r.rect.y = get_i32(payload, off);
-  r.rect.w = get_i32(payload, off);
-  r.rect.h = get_i32(payload, off);
-  r.tenant = get_i32(payload, off);
-  r.priority = get_i32(payload, off);
-  r.attempts = get_i32(payload, off);
-  r.cache_hit = get_u8(payload, off) != 0;
-  r.evicted_tasks = get_i32(payload, off);
-  r.code = static_cast<VbsErrc>(get_i32(payload, off));
-  r.latency_ticks = get_i64(payload, off);
-  r.queue_wait_ticks = get_i64(payload, off);
-  r.backoff_ticks = get_i64(payload, off);
-  r.spike_ticks = get_i64(payload, off);
-  r.exec_ticks = get_i64(payload, off);
-  if (off != payload.size()) bad_frame("result: trailing bytes");
+  r.request = in.i64();
+  r.kind = static_cast<RequestKind>(in.u8());
+  r.status = static_cast<RequestStatus>(in.u8());
+  r.task = in.i32();
+  r.rect.x = in.i32();
+  r.rect.y = in.i32();
+  r.rect.w = in.i32();
+  r.rect.h = in.i32();
+  r.tenant = in.i32();
+  r.priority = in.i32();
+  r.attempts = in.i32();
+  r.cache_hit = in.u8() != 0;
+  r.evicted_tasks = in.i32();
+  r.code = static_cast<VbsErrc>(in.i32());
+  r.latency_ticks = in.i64();
+  r.queue_wait_ticks = in.i64();
+  r.backoff_ticks = in.i64();
+  r.spike_ticks = in.i64();
+  r.exec_ticks = in.i64();
+  in.expect_end("result");
   return r;
 }
 
@@ -373,19 +314,19 @@ std::string encode_stat_reply(const StatReplyMsg& m) {
 }
 
 StatReplyMsg decode_stat_reply(const std::string& payload) {
-  std::size_t off = 0;
+  ByteReader r = payload_reader(payload);
   StatReplyMsg m;
-  m.fingerprint = get_u64(payload, off);
-  m.now_ticks = get_i64(payload, off);
-  m.pending = get_u64(payload, off);
-  m.loads = get_i64(payload, off);
-  m.unloads = get_i64(payload, off);
-  m.relocates = get_i64(payload, off);
-  m.shed = get_i64(payload, off);
-  m.deadline_misses = get_i64(payload, off);
-  m.failed = get_i64(payload, off);
-  m.rejected = get_i64(payload, off);
-  if (off != payload.size()) bad_frame("stat_reply: trailing bytes");
+  m.fingerprint = r.u64();
+  m.now_ticks = r.i64();
+  m.pending = r.u64();
+  m.loads = r.i64();
+  m.unloads = r.i64();
+  m.relocates = r.i64();
+  m.shed = r.i64();
+  m.deadline_misses = r.i64();
+  m.failed = r.i64();
+  m.rejected = r.i64();
+  r.expect_end("stat_reply");
   return m;
 }
 

@@ -1,17 +1,20 @@
 // `vbs.rpc.v1`: the compact binary wire protocol of the networked
 // reconfiguration service.
 //
-// Every message is one length-prefixed, checksummed frame:
+// Every message is one length-prefixed, checksummed frame. The frame
+// header and every payload field are coded by the shared byte codec
+// (util/bytes.h: put_u8/u32/u64/i32/i64, read back through a ByteReader
+// that throws kNetFrame):
 //
-//   bytes 0-3    payload-independent length N, little-endian u32:
-//                the byte count of everything after this prefix
+//   bytes 0-3    payload-independent length N, u32: the byte count of
+//                everything after this prefix
 //   byte  4      protocol version (1)
 //   byte  5      frame type (FrameType)
-//   bytes 6-13   correlation id, little-endian u64: echoed verbatim in
-//                every reply so a pipelined client can match responses
-//   bytes 14-21  checksum, little-endian u64: FNV-1a over bytes 4..5 and
-//                6..13 and the payload (i.e. the frame minus the length
-//                prefix and the checksum field itself)
+//   bytes 6-13   correlation id, u64: echoed verbatim in every reply so a
+//                pipelined client can match responses
+//   bytes 14-21  checksum, u64: FNV-1a over bytes 4..5 and 6..13 and the
+//                payload (i.e. the frame minus the length prefix and the
+//                checksum field itself)
 //   bytes 22-    payload (N - 18 bytes), layout per frame type
 //
 // A frame is rejected with VbsError{kNetFrame} — never a crash, never an
@@ -114,21 +117,6 @@ class FrameReader {
  private:
   std::size_t max_frame_;
 };
-
-// --- payload field primitives (little-endian, bounds-checked) ---------------
-
-void put_u8(std::string& s, std::uint8_t v);
-void put_u32(std::string& s, std::uint32_t v);
-void put_u64(std::string& s, std::uint64_t v);
-void put_i32(std::string& s, std::int32_t v);
-void put_i64(std::string& s, std::int64_t v);
-
-/// Each get_* advances `off`; throws VbsError{kNetFrame} on a short read.
-std::uint8_t get_u8(const std::string& s, std::size_t& off);
-std::uint32_t get_u32(const std::string& s, std::size_t& off);
-std::uint64_t get_u64(const std::string& s, std::size_t& off);
-std::int32_t get_i32(const std::string& s, std::size_t& off);
-std::int64_t get_i64(const std::string& s, std::size_t& off);
 
 // --- handshake ---------------------------------------------------------------
 

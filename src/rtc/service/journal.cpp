@@ -1,15 +1,13 @@
 #include "rtc/service/journal.h"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "flow/artifact_io.h"
+#include "util/bytes.h"
 #include "util/error.h"
 #include "util/hash.h"
 #include "util/telemetry.h"
-#include "vbs/vbs_file.h"
 
 namespace vbs {
 
@@ -17,7 +15,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'J', 'L', '1'};
+constexpr std::string_view kMagic = "VJL1";
 constexpr char kWalFile[] = "journal.wal";
 constexpr char kSnapPrefix[] = "snap.";
 constexpr std::uint8_t kMaxKind =
@@ -29,22 +27,20 @@ constexpr std::size_t kRecordOverhead = 13;
   throw VbsError(VbsErrc::kBadJournal, "journal: " + what);
 }
 
-std::uint64_t record_check(std::uint8_t kind, const char* payload,
-                           std::size_t len) {
+std::uint64_t record_check(std::uint8_t kind, std::string_view payload) {
   std::uint64_t h = fnv1a64(&kind, 1);
-  h = fnv1a64(payload, len, h);
-  return hash_u64(h, len);
+  h = fnv1a64(payload.data(), payload.size(), h);
+  return hash_u64(h, payload.size());
 }
 
 std::string frame_record(ServiceJournal::Kind kind,
                          const std::string& payload) {
   std::string out;
   out.reserve(kRecordOverhead + payload.size());
-  ServiceJournal::put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.push_back(static_cast<char>(kind));
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u8(out, static_cast<std::uint8_t>(kind));
   out.append(payload);
-  ServiceJournal::put_u64(out, record_check(static_cast<std::uint8_t>(kind),
-                                            payload.data(), payload.size()));
+  put_u64(out, record_check(static_cast<std::uint8_t>(kind), payload));
   return out;
 }
 
@@ -64,69 +60,6 @@ long long snap_epoch_of(const std::string& name) {
 
 }  // namespace
 
-// --- payload field helpers ---------------------------------------------------
-
-void ServiceJournal::put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void ServiceJournal::put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void ServiceJournal::put_bits(std::string& out, const BitVector& bits) {
-  put_u64(out, bits.size());
-  out.append(pack_bits(bits));
-}
-
-void ServiceJournal::put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-std::uint32_t ServiceJournal::get_u32(const std::string& p, std::size_t& pos) {
-  if (p.size() - pos < 4 || pos > p.size()) bad("payload truncated");
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<unsigned char>(p[pos + static_cast<std::size_t>(i)]);
-  }
-  pos += 4;
-  return v;
-}
-
-std::uint64_t ServiceJournal::get_u64(const std::string& p, std::size_t& pos) {
-  if (p.size() - pos < 8 || pos > p.size()) bad("payload truncated");
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<unsigned char>(p[pos + static_cast<std::size_t>(i)]);
-  }
-  pos += 8;
-  return v;
-}
-
-BitVector ServiceJournal::get_bits(const std::string& p, std::size_t& pos) {
-  const std::uint64_t nbits = get_u64(p, pos);
-  const std::uint64_t nbytes = nbits / 8 + (nbits % 8 != 0 ? 1 : 0);
-  if (p.size() - pos < nbytes) bad("payload truncated");
-  const std::string bytes = p.substr(pos, static_cast<std::size_t>(nbytes));
-  pos += static_cast<std::size_t>(nbytes);
-  return unpack_bits(bytes, static_cast<std::size_t>(nbits));
-}
-
-std::string ServiceJournal::get_str(const std::string& p, std::size_t& pos) {
-  const std::uint32_t n = get_u32(p, pos);
-  if (p.size() - pos < n) bad("payload truncated");
-  std::string s = p.substr(pos, n);
-  pos += n;
-  return s;
-}
-
 // --- lifecycle ---------------------------------------------------------------
 
 ServiceJournal::ServiceJournal(const std::string& dir, const FaultPlan& plan,
@@ -140,7 +73,7 @@ ServiceJournal::ServiceJournal(const std::string& dir, const FaultPlan& plan,
       fs::remove(entry.path());
     }
   }
-  std::string bytes(kMagic, sizeof kMagic);
+  std::string bytes(kMagic);
   bytes.append(frame_record(Kind::kOpen, open_payload));
   AtomicFile wal(wal_path(), &inj_);
   wal.write(bytes);
@@ -208,7 +141,7 @@ void ServiceJournal::compact(const BitVector& snapshot,
                         ArtifactStage::kServiceSnapshot, fingerprint,
                         snapshot);
   }
-  std::string bytes(kMagic, sizeof kMagic);
+  std::string bytes(kMagic);
   std::string barrier;
   put_u64(barrier, new_epoch);
   bytes.append(frame_record(Kind::kSnapshotBarrier, barrier));
@@ -224,44 +157,38 @@ void ServiceJournal::compact(const BitVector& snapshot,
 ServiceJournal::ScanResult ServiceJournal::scan(const std::string& dir) {
   const std::string path = dir + "/" + kWalFile;
   std::string data;
-  {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) bad("missing journal.wal in " + dir);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    data = ss.str();
+  try {
+    data = read_file(path);
+  } catch (const std::runtime_error&) {
+    bad("missing journal.wal in " + dir);
   }
-  if (data.size() < sizeof kMagic ||
-      data.compare(0, sizeof kMagic, kMagic, sizeof kMagic) != 0) {
+  if (std::string_view(data).substr(0, kMagic.size()) != kMagic) {
     bad("bad magic: " + path);
   }
 
   ScanResult out;
-  std::size_t pos = sizeof kMagic;
-  std::size_t last_good = pos;
-  while (pos < data.size()) {
-    if (data.size() - pos < kRecordOverhead) break;  // torn tail
-    std::size_t cursor = pos;
-    const std::uint32_t len = get_u32(data, cursor);
-    if (data.size() - cursor < static_cast<std::size_t>(len) + 9) {
+  ByteReader r(data, VbsErrc::kBadJournal, "journal");
+  r.take(kMagic.size());
+  std::size_t last_good = r.pos();
+  while (r.remaining() >= kRecordOverhead) {  // else: torn tail
+    const std::size_t at = r.pos();
+    const std::uint32_t len = r.u32();
+    if (r.remaining() < static_cast<std::size_t>(len) + 9) {
       break;  // record extends past EOF: torn tail
     }
-    const std::uint8_t kind = static_cast<std::uint8_t>(data[cursor++]);
-    const char* payload = data.data() + cursor;
-    cursor += len;
-    const std::uint64_t stored = get_u64(data, cursor);
+    const std::uint8_t kind = r.u8();
+    const std::string_view payload = r.take(len);
     // A complete record with a bad check is corruption, not a torn append:
     // appends only ever truncate bytes off the end.
-    if (stored != record_check(kind, payload, len)) {
-      bad("record checksum mismatch at offset " + std::to_string(pos));
+    if (r.u64() != record_check(kind, payload)) {
+      bad("record checksum mismatch at offset " + std::to_string(at));
     }
     if (kind > kMaxKind) {
-      bad("unknown record kind at offset " + std::to_string(pos));
+      bad("unknown record kind at offset " + std::to_string(at));
     }
     out.records.push_back(
-        Record{static_cast<Kind>(kind), std::string(payload, len)});
-    pos = cursor;
-    last_good = pos;
+        Record{static_cast<Kind>(kind), std::string(payload)});
+    last_good = r.pos();
   }
   if (last_good < data.size()) {
     out.torn_tail = true;
@@ -278,8 +205,9 @@ ServiceJournal::ScanResult ServiceJournal::scan(const std::string& dir) {
     if (i != 0 && head) bad("open/barrier record mid-stream");
   }
   if (out.records.front().kind == Kind::kSnapshotBarrier) {
-    std::size_t p = 0;
-    out.epoch = get_u64(out.records.front().payload, p);
+    out.epoch = ByteReader(out.records.front().payload, VbsErrc::kBadJournal,
+                           "journal barrier")
+                    .u64();
     if (out.epoch == 0) bad("barrier epoch 0");
     const std::string snap =
         dir + "/" + kSnapPrefix + std::to_string(out.epoch);

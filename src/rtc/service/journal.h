@@ -9,14 +9,16 @@
 //                 (ArtifactStage::kServiceSnapshot) whose fingerprint is
 //                 the service's state_fingerprint at capture time
 //
-// Record framing (all integers little-endian):
+// Record framing, and every record payload, is coded by the shared byte
+// codec (util/bytes.h: put_u32/u64/str/bits, read back through a
+// ByteReader that throws kBadJournal):
 //
-//   bytes 0-3   payload byte length
+//   bytes 0-3   payload byte length, u32
 //   byte  4     record kind (Kind)
 //   bytes 5-    payload
-//   + 8 bytes   check: FNV-1a over the kind byte then the payload bytes,
-//               then the payload length folded in (hash_u64) — the same
-//               hash family as the vbs.artifact.v1 content hash
+//   + 8 bytes   check, u64: FNV-1a over the kind byte then the payload
+//               bytes, then the payload length folded in (hash_u64) — the
+//               same hash family as the codec's content_hash
 //
 // The WAL's first record is kOpen (full service configuration; a journal
 // started fresh) or kSnapshotBarrier (the epoch whose snap.<epoch> file is
@@ -127,18 +129,6 @@ class ServiceJournal {
   /// Reads a snapshot artifact; ArtifactError is rethrown as kBadJournal.
   static BitVector read_snapshot(const std::string& path,
                                  std::uint64_t* fingerprint_out);
-
-  // --- payload field helpers (little-endian, length-prefixed) ---------------
-
-  static void put_u32(std::string& out, std::uint32_t v);
-  static void put_u64(std::string& out, std::uint64_t v);
-  static void put_bits(std::string& out, const BitVector& bits);
-  static void put_str(std::string& out, const std::string& s);
-  /// get_* advance `pos`; reading past the end throws kBadJournal.
-  static std::uint32_t get_u32(const std::string& p, std::size_t& pos);
-  static std::uint64_t get_u64(const std::string& p, std::size_t& pos);
-  static BitVector get_bits(const std::string& p, std::size_t& pos);
-  static std::string get_str(const std::string& p, std::size_t& pos);
 
  private:
   std::string wal_path() const;

@@ -5,6 +5,7 @@
 
 #include "flow/artifact_io.h"
 #include "util/bitio.h"
+#include "util/bytes.h"
 #include "util/hash.h"
 #include "util/telemetry.h"
 
@@ -124,12 +125,12 @@ RequestId ReconfigService::submit_load(BitVector stream, int tenant) {
     // cross-check, bundled into the same append so a torn tail can only
     // lose the companion, never reorder it.
     std::string p;
-    ServiceJournal::put_u64(p, static_cast<std::uint64_t>(id));
-    ServiceJournal::put_u32(p, static_cast<std::uint32_t>(tenant));
-    ServiceJournal::put_bits(p, queue_.back().stream);
+    put_u64(p, static_cast<std::uint64_t>(id));
+    put_u32(p, static_cast<std::uint32_t>(tenant));
+    put_bits(p, queue_.back().stream);
     if (last_shed_ != kNoRequest) {
       std::string s;
-      ServiceJournal::put_u64(s, static_cast<std::uint64_t>(last_shed_));
+      put_u64(s, static_cast<std::uint64_t>(last_shed_));
       journal_append2(ServiceJournal::Kind::kAdmitLoad, p,
                       ServiceJournal::Kind::kShed, s);
     } else {
@@ -146,9 +147,9 @@ RequestId ReconfigService::submit_unload(RequestId load_request, int tenant) {
   queue_.push_back(std::move(req));
   if (journal_) {
     std::string p;
-    ServiceJournal::put_u64(p, static_cast<std::uint64_t>(id));
-    ServiceJournal::put_u64(p, static_cast<std::uint64_t>(load_request));
-    ServiceJournal::put_u32(p, static_cast<std::uint32_t>(tenant));
+    put_u64(p, static_cast<std::uint64_t>(id));
+    put_u64(p, static_cast<std::uint64_t>(load_request));
+    put_u32(p, static_cast<std::uint32_t>(tenant));
     journal_append(ServiceJournal::Kind::kAdmitUnload, p);
   }
   return id;
@@ -162,9 +163,9 @@ RequestId ReconfigService::submit_relocate(RequestId load_request,
   queue_.push_back(std::move(req));
   if (journal_) {
     std::string p;
-    ServiceJournal::put_u64(p, static_cast<std::uint64_t>(id));
-    ServiceJournal::put_u64(p, static_cast<std::uint64_t>(load_request));
-    ServiceJournal::put_u32(p, static_cast<std::uint32_t>(tenant));
+    put_u64(p, static_cast<std::uint64_t>(id));
+    put_u64(p, static_cast<std::uint64_t>(load_request));
+    put_u32(p, static_cast<std::uint32_t>(tenant));
     journal_append(ServiceJournal::Kind::kAdmitRelocate, p);
   }
   return id;
@@ -175,8 +176,8 @@ void ReconfigService::set_tenant_priority(int tenant, int priority) {
   tenants_[tenant].priority = priority;
   if (journal_) {
     std::string p;
-    ServiceJournal::put_u32(p, static_cast<std::uint32_t>(tenant));
-    ServiceJournal::put_u32(p, static_cast<std::uint32_t>(priority));
+    put_u32(p, static_cast<std::uint32_t>(tenant));
+    put_u32(p, static_cast<std::uint32_t>(priority));
     journal_append(ServiceJournal::Kind::kSetPriority, p);
   }
 }
@@ -391,7 +392,7 @@ std::vector<RequestResult> ReconfigService::drain() {
     // commit record gives exact crash semantics: a torn or missing kCommit
     // recovers to the pre-drain state and the drain is simply redone.
     std::string p;
-    ServiceJournal::put_u64(p, state_fingerprint());
+    put_u64(p, state_fingerprint());
     journal_append(ServiceJournal::Kind::kCommit, p);
   }
   return results;
@@ -978,62 +979,52 @@ std::uint64_t ReconfigService::state_fingerprint() const {
 std::string ReconfigService::serialize_open() const {
   const ArchSpec& spec = rtc_.fabric().spec();
   std::string p;
-  ServiceJournal::put_u32(p, kOpenVersion);
-  ServiceJournal::put_u32(p, static_cast<std::uint32_t>(spec.chan_width));
-  ServiceJournal::put_u32(p, static_cast<std::uint32_t>(spec.lut_k));
-  ServiceJournal::put_u32(p, static_cast<std::uint32_t>(spec.sb_pattern));
-  ServiceJournal::put_u32(p,
-                          static_cast<std::uint32_t>(rtc_.fabric().width()));
-  ServiceJournal::put_u32(p,
-                          static_cast<std::uint32_t>(rtc_.fabric().height()));
-  ServiceJournal::put_u32(p, static_cast<std::uint32_t>(opts_.threads));
-  ServiceJournal::put_u64(p, opts_.cache_capacity_bits);
-  ServiceJournal::put_str(p, opts_.policy);
-  ServiceJournal::put_u32(p, opts_.evict_to_fit ? 1 : 0);
-  ServiceJournal::put_u32(p, static_cast<std::uint32_t>(opts_.max_batch));
-  ServiceJournal::put_u64(p, opts_.queue_limit);
-  ServiceJournal::put_u64(p, static_cast<std::uint64_t>(opts_.deadline_ticks));
-  ServiceJournal::put_u32(p, static_cast<std::uint32_t>(opts_.retry_limit));
-  ServiceJournal::put_u64(
-      p, static_cast<std::uint64_t>(opts_.retry_backoff_ticks));
-  ServiceJournal::put_str(p, opts_.faults.spec());
+  put_u32(p, kOpenVersion);
+  put_u32(p, static_cast<std::uint32_t>(spec.chan_width));
+  put_u32(p, static_cast<std::uint32_t>(spec.lut_k));
+  put_u32(p, static_cast<std::uint32_t>(spec.sb_pattern));
+  put_u32(p, static_cast<std::uint32_t>(rtc_.fabric().width()));
+  put_u32(p, static_cast<std::uint32_t>(rtc_.fabric().height()));
+  put_u32(p, static_cast<std::uint32_t>(opts_.threads));
+  put_u64(p, opts_.cache_capacity_bits);
+  put_str(p, opts_.policy);
+  put_u32(p, opts_.evict_to_fit ? 1 : 0);
+  put_u32(p, static_cast<std::uint32_t>(opts_.max_batch));
+  put_u64(p, opts_.queue_limit);
+  put_u64(p, static_cast<std::uint64_t>(opts_.deadline_ticks));
+  put_u32(p, static_cast<std::uint32_t>(opts_.retry_limit));
+  put_u64(p, static_cast<std::uint64_t>(opts_.retry_backoff_ticks));
+  put_str(p, opts_.faults.spec());
   return p;
 }
 
 std::unique_ptr<ReconfigService> ReconfigService::construct_from_open(
     const std::string& open_payload, int threads) {
   try {
-    std::size_t pos = 0;
-    const std::uint32_t version = ServiceJournal::get_u32(open_payload, pos);
-    if (version != kOpenVersion) bad_journal("unsupported open version");
+    ByteReader r(open_payload, VbsErrc::kBadJournal, "journal open");
+    if (r.u32() != kOpenVersion) bad_journal("unsupported open version");
     ArchSpec spec;
-    spec.chan_width =
-        static_cast<int>(ServiceJournal::get_u32(open_payload, pos));
-    spec.lut_k = static_cast<int>(ServiceJournal::get_u32(open_payload, pos));
-    const std::uint32_t sb = ServiceJournal::get_u32(open_payload, pos);
+    spec.chan_width = static_cast<int>(r.u32());
+    spec.lut_k = static_cast<int>(r.u32());
+    const std::uint32_t sb = r.u32();
     if (sb > static_cast<std::uint32_t>(SbPattern::kWilton)) {
       bad_journal("bad sb_pattern");
     }
     spec.sb_pattern = static_cast<SbPattern>(sb);
-    const int w = static_cast<int>(ServiceJournal::get_u32(open_payload, pos));
-    const int h = static_cast<int>(ServiceJournal::get_u32(open_payload, pos));
+    const int w = static_cast<int>(r.u32());
+    const int h = static_cast<int>(r.u32());
     ServiceOptions o;
-    o.threads = static_cast<int>(ServiceJournal::get_u32(open_payload, pos));
-    o.cache_capacity_bits = static_cast<std::size_t>(
-        ServiceJournal::get_u64(open_payload, pos));
-    o.policy = ServiceJournal::get_str(open_payload, pos);
-    o.evict_to_fit = ServiceJournal::get_u32(open_payload, pos) != 0;
-    o.max_batch = static_cast<int>(ServiceJournal::get_u32(open_payload, pos));
-    o.queue_limit = static_cast<std::size_t>(
-        ServiceJournal::get_u64(open_payload, pos));
-    o.deadline_ticks =
-        static_cast<long long>(ServiceJournal::get_u64(open_payload, pos));
-    o.retry_limit =
-        static_cast<int>(ServiceJournal::get_u32(open_payload, pos));
-    o.retry_backoff_ticks =
-        static_cast<long long>(ServiceJournal::get_u64(open_payload, pos));
-    o.faults = FaultPlan::parse(ServiceJournal::get_str(open_payload, pos));
-    if (pos != open_payload.size()) bad_journal("trailing open bytes");
+    o.threads = static_cast<int>(r.u32());
+    o.cache_capacity_bits = static_cast<std::size_t>(r.u64());
+    o.policy = r.str();
+    o.evict_to_fit = r.u32() != 0;
+    o.max_batch = static_cast<int>(r.u32());
+    o.queue_limit = static_cast<std::size_t>(r.u64());
+    o.deadline_ticks = static_cast<long long>(r.u64());
+    o.retry_limit = static_cast<int>(r.u32());
+    o.retry_backoff_ticks = static_cast<long long>(r.u64());
+    o.faults = FaultPlan::parse(r.str());
+    if (!r.at_end()) bad_journal("trailing open bytes");
     if (threads > 0) o.threads = threads;
     return std::make_unique<ReconfigService>(spec, w, h, std::move(o));
   } catch (const VbsError& e) {
@@ -1396,14 +1387,12 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
   // eviction) reproduces itself.
   for (std::size_t i = 1; i < sr.records.size(); ++i) {
     const ServiceJournal::Record& rec = sr.records[i];
-    std::size_t pos = 0;
+    ByteReader r(rec.payload, VbsErrc::kBadJournal, "journal record");
     switch (rec.kind) {
       case ServiceJournal::Kind::kAdmitLoad: {
-        const RequestId id = static_cast<RequestId>(
-            ServiceJournal::get_u64(rec.payload, pos));
-        const int tenant = static_cast<int>(
-            ServiceJournal::get_u32(rec.payload, pos));
-        BitVector stream = ServiceJournal::get_bits(rec.payload, pos);
+        const auto id = static_cast<RequestId>(r.u64());
+        const auto tenant = static_cast<int>(r.u32());
+        BitVector stream = r.bits();
         if (svc->submit_load(std::move(stream), tenant) != id) {
           bad_journal("replayed load got a different request id");
         }
@@ -1413,10 +1402,9 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
         if (svc->last_shed_ != kNoRequest) {
           if (i + 1 < sr.records.size()) {
             const ServiceJournal::Record& shed = sr.records[i + 1];
-            std::size_t spos = 0;
             if (shed.kind != ServiceJournal::Kind::kShed ||
-                ServiceJournal::get_u64(shed.payload, spos) !=
-                    static_cast<std::uint64_t>(svc->last_shed_)) {
+                ByteReader(shed.payload, VbsErrc::kBadJournal, "journal shed")
+                        .u64() != static_cast<std::uint64_t>(svc->last_shed_)) {
               bad_journal("shed record disagrees with replay");
             }
             ++i;
@@ -1430,12 +1418,9 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
       }
       case ServiceJournal::Kind::kAdmitUnload:
       case ServiceJournal::Kind::kAdmitRelocate: {
-        const RequestId id = static_cast<RequestId>(
-            ServiceJournal::get_u64(rec.payload, pos));
-        const RequestId target = static_cast<RequestId>(
-            ServiceJournal::get_u64(rec.payload, pos));
-        const int tenant = static_cast<int>(
-            ServiceJournal::get_u32(rec.payload, pos));
+        const auto id = static_cast<RequestId>(r.u64());
+        const auto target = static_cast<RequestId>(r.u64());
+        const auto tenant = static_cast<int>(r.u32());
         const RequestId got =
             rec.kind == ServiceJournal::Kind::kAdmitUnload
                 ? svc->submit_unload(target, tenant)
@@ -1447,16 +1432,14 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
         break;
       }
       case ServiceJournal::Kind::kSetPriority: {
-        const int tenant = static_cast<int>(
-            ServiceJournal::get_u32(rec.payload, pos));
-        const int priority = static_cast<int>(
-            ServiceJournal::get_u32(rec.payload, pos));
+        const auto tenant = static_cast<int>(r.u32());
+        const auto priority = static_cast<int>(r.u32());
         svc->set_tenant_priority(tenant, priority);
         ++ri.admits;
         break;
       }
       case ServiceJournal::Kind::kCommit: {
-        const std::uint64_t fp = ServiceJournal::get_u64(rec.payload, pos);
+        const std::uint64_t fp = r.u64();
         svc->drain();
         if (svc->state_fingerprint() != fp) {
           bad_journal("commit fingerprint mismatch after replayed drain");

@@ -15,7 +15,7 @@ void BitWriter::write(std::uint64_t value, unsigned nbits) {
 
 std::uint64_t BitReader::read(unsigned nbits) {
   if (nbits == 0) return 0;
-  if (pos_ + nbits > bits_->size()) {
+  if (nbits > remaining()) {
     throw BitstreamError("bit-stream truncated: read past end");
   }
   const std::uint64_t v = bits_->get_bits(pos_, nbits);
@@ -31,7 +31,9 @@ bool BitReader::read_bit() {
 }
 
 BitVector BitReader::read_vector(std::size_t nbits) {
-  if (pos_ + nbits > bits_->size()) {
+  // Against remaining(), not pos_ + nbits: a declared length near SIZE_MAX
+  // would wrap the sum and move the reader backwards.
+  if (nbits > remaining()) {
     throw BitstreamError("bit-stream truncated: read past end");
   }
   BitVector out = bits_->slice(pos_, pos_ + nbits);

@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "util/bytes.h"
+
 namespace vbs {
 
 inline constexpr std::uint64_t kFnvOffset64 = 0xcbf29ce484222325ull;
@@ -30,13 +32,12 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t n,
   return h;
 }
 
-/// Folds one 64-bit value into a running FNV-1a hash (8 bytes, LE order).
+/// Folds one 64-bit value into a running FNV-1a hash (its 8 bytes in the
+/// codec's little-endian order).
 inline std::uint64_t hash_u64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime64;
-  }
-  return h;
+  char le[8] = {};
+  store_le(le, v);
+  return fnv1a64(le, sizeof le, h);
 }
 
 inline std::uint64_t hash_double(std::uint64_t h, double v) {

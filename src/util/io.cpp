@@ -1,6 +1,7 @@
 #include "util/io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -170,10 +171,41 @@ void append_bytes(const std::string& path, const std::string& data,
   ::close(fd);
 }
 
+std::string read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw_errno("cannot open for reading", path);
+  std::string out;
+  struct stat st{};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    out.reserve(static_cast<std::size_t>(st.st_size));
+  }
+  char chunk[1 << 14];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n > 0) {
+      out.append(chunk, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      const int err = errno;
+      ::close(fd);
+      errno = err;
+      throw_errno("read failed", path);
+    }
+  }
+  ::close(fd);
+  return out;
+}
+
 AtomicFile::AtomicFile(const std::string& path, IoFaultInjector* faults)
     : path_(path),
       tmp_path_(path + ".tmp"),
       faults_(faults != nullptr ? faults : current_io_faults()) {
+  // A device or pipe (say --out /dev/null) must not be renamed over and
+  // has no old contents to keep: it is written in place.
+  struct stat st{};
+  in_place_ = ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+  if (in_place_) tmp_path_ = path;
   fd_ = ::open(tmp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) throw_errno("cannot open for writing", tmp_path_);
 }
@@ -182,7 +214,7 @@ AtomicFile::~AtomicFile() {
   if (fd_ >= 0) ::close(fd_);
   // A simulated crash leaves the temp file behind, exactly as real process
   // death would: readers must tolerate (and may clean) orphaned *.tmp.
-  if (!committed_ && !crashed_) std::remove(tmp_path_.c_str());
+  if (!committed_ && !crashed_ && !in_place_) std::remove(tmp_path_.c_str());
 }
 
 void AtomicFile::write(const void* data, std::size_t n) {
@@ -195,6 +227,12 @@ void AtomicFile::write(const void* data, std::size_t n) {
 }
 
 void AtomicFile::commit() {
+  if (in_place_) {
+    ::close(fd_);
+    fd_ = -1;
+    committed_ = true;
+    return;
+  }
   try {
     checked_sync(fd_, tmp_path_, faults_);
     ::close(fd_);

@@ -2,10 +2,10 @@
 // -> rename) and deterministic fault injection for every I/O operation.
 //
 // Durability discipline used across the repo:
-//   - whole-file artifacts (vbs.artifact.v1 containers, netlists, flow meta)
-//     are written through AtomicFile, so a reader only ever observes the old
-//     file, the new file, or an orphaned "*.tmp" it may delete — never a
-//     half-written file under the real name;
+//   - whole-file artifacts (VBS2 streams, vbs.artifact.v1 containers,
+//     netlists, flow meta) are written through AtomicFile, so a reader
+//     only ever observes the old file, the new file, or an orphaned "*.tmp"
+//     it may delete — never a half-written file under the real name;
 //   - the service journal (rtc/service/journal.h) appends through
 //     append_bytes, accepting torn tails and relying on record checksums to
 //     find the last complete record.
@@ -117,11 +117,16 @@ void checked_remove(const std::string& path, IoFaultInjector* faults);
 void append_bytes(const std::string& path, const std::string& data,
                   IoFaultInjector* faults);
 
+/// Reads the whole of `path`; throws std::runtime_error when it cannot be
+/// opened or read. The one whole-file read under every container reader.
+std::string read_file(const std::string& path);
+
 /// Atomic whole-file replacement: writes to `path + ".tmp"`, then
 /// commit() fsyncs and renames over `path`. If the writer dies before
 /// commit() the real file is untouched; the destructor removes the temp
 /// unless a crash was injected mid-write (simulated death leaves orphans,
-/// like real death would).
+/// like real death would). An existing `path` that is not a regular file
+/// (a device such as /dev/null, a pipe) is written in place instead.
 class AtomicFile {
  public:
   /// Opens `path + ".tmp"` for writing. `faults` defaults to the
@@ -145,6 +150,7 @@ class AtomicFile {
   IoFaultInjector* faults_ = nullptr;
   bool committed_ = false;
   bool crashed_ = false;
+  bool in_place_ = false;
 };
 
 }  // namespace vbs

@@ -2,13 +2,13 @@
 //
 // The on-wire VBS is a raw bit sequence (vbs_format.h); on disk it is
 // wrapped in a tiny byte-oriented container so that the exact bit length
-// survives the round trip and silent corruption cannot:
+// survives the round trip and silent corruption cannot. Every field is
+// coded by the shared byte codec (util/bytes.h):
 //
 //   bytes 0-3   magic "VBS2"
-//   bytes 4-11  bit count, little-endian u64
-//   bytes 12-19 FNV-1a of the packed payload bytes mixed with the bit
-//               count, little-endian u64
-//   bytes 20-   payload, MSB-first within each byte, zero-padded
+//   bytes 4-11  bit count, u64
+//   bytes 12-19 content_hash of the payload, u64
+//   bytes 20-   payload: pack_bits of the stream
 //
 // The checksum makes every single-byte corruption detectable: a reader
 // either returns exactly the written bits or throws a typed VbsError
@@ -18,16 +18,13 @@
 #include <string>
 
 #include "util/bitvector.h"
+#include "util/bytes.h"
 
 namespace vbs {
 
-/// Byte-packs a bit vector (MSB-first per byte, zero padding in the last).
-std::string pack_bits(const BitVector& bits);
-/// Inverse of pack_bits given the exact bit count.
-BitVector unpack_bits(const std::string& bytes, std::size_t bit_count);
-
-/// Writes a serialized stream to disk; throws std::runtime_error on I/O
-/// failure.
+/// Writes a serialized stream to disk atomically (util/io.h AtomicFile,
+/// injection via the thread-local injector); throws std::runtime_error on
+/// I/O failure.
 void write_vbs_file(const std::string& path, const BitVector& stream);
 
 /// Reads a stream written by write_vbs_file; throws std::runtime_error on

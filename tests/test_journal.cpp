@@ -6,6 +6,10 @@
 // in tests/test_service.cpp.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 
@@ -14,6 +18,7 @@
 #include "netlist/generator.h"
 #include "rtc/service/journal.h"
 #include "rtc/service/service.h"
+#include "util/bytes.h"
 #include "util/hash.h"
 #include "util/io.h"
 #include "vbs/encoder.h"
@@ -146,26 +151,49 @@ TEST(AtomicFileTest, InjectedCrashLeavesTempBehind) {
   EXPECT_TRUE(fs::exists(path + ".tmp"));
 }
 
+// A target that is not a regular file (vbsdecode --out /dev/null) must not
+// be renamed over: AtomicFile writes it in place. A pipe stands in for the
+// device so a failure cannot damage anything outside the test directory.
+TEST(AtomicFileTest, NonRegularTargetIsWrittenInPlace) {
+  TempDir dir("atomic_fifo");
+  fs::create_directories(dir.path);
+  const std::string path = dir.path + "/out.fifo";
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const int rd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(rd, 0);
+  {
+    AtomicFile f(path);
+    f.write(std::string("piped"));
+    f.commit();
+  }
+  char buf[16] = {};
+  EXPECT_EQ(::read(rd, buf, sizeof buf), 5);
+  ::close(rd);
+  EXPECT_EQ(std::string(buf), "piped");
+  EXPECT_TRUE(fs::is_fifo(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
 // --- WAL framing and scan ----------------------------------------------------
 
 TEST(ServiceJournalTest, PayloadHelpersRoundTripAndRejectTruncation) {
   std::string p;
-  ServiceJournal::put_u32(p, 0xdeadbeefu);
-  ServiceJournal::put_u64(p, 0x0123456789abcdefull);
+  put_u32(p, 0xdeadbeefu);
+  put_u64(p, 0x0123456789abcdefull);
   BitVector bits(13);
   bits.set(0, true);
   bits.set(12, true);
-  ServiceJournal::put_bits(p, bits);
-  ServiceJournal::put_str(p, "policy=first_fit");
-  std::size_t pos = 0;
-  EXPECT_EQ(ServiceJournal::get_u32(p, pos), 0xdeadbeefu);
-  EXPECT_EQ(ServiceJournal::get_u64(p, pos), 0x0123456789abcdefull);
-  EXPECT_EQ(ServiceJournal::get_bits(p, pos), bits);
-  EXPECT_EQ(ServiceJournal::get_str(p, pos), "policy=first_fit");
-  EXPECT_EQ(pos, p.size());
+  put_bits(p, bits);
+  put_str(p, "policy=first_fit");
+  ByteReader r(p, VbsErrc::kBadJournal, "journal");
+  EXPECT_EQ(r.u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
+  EXPECT_EQ(r.bits(), bits);
+  EXPECT_EQ(r.str(), "policy=first_fit");
+  EXPECT_EQ(r.pos(), p.size());
   // Reading past the end is structural corruption, not a torn tail.
   try {
-    ServiceJournal::get_u64(p, pos);
+    r.u64();
     FAIL() << "expected kBadJournal";
   } catch (const VbsError& e) {
     EXPECT_EQ(e.code(), VbsErrc::kBadJournal);
@@ -175,13 +203,13 @@ TEST(ServiceJournalTest, PayloadHelpersRoundTripAndRejectTruncation) {
 TEST(ServiceJournalTest, FreshJournalRoundTripsRecords) {
   TempDir dir("roundtrip");
   std::string prio;
-  ServiceJournal::put_u32(prio, 3);
-  ServiceJournal::put_u32(prio, 9);
+  put_u32(prio, 3);
+  put_u32(prio, 9);
   {
     ServiceJournal j(dir.path, FaultPlan(), "open-config");
     j.append(ServiceJournal::Kind::kSetPriority, prio);
     std::string commit;
-    ServiceJournal::put_u64(commit, 0x1122334455667788ull);
+    put_u64(commit, 0x1122334455667788ull);
     j.append(ServiceJournal::Kind::kCommit, commit);
     EXPECT_EQ(j.epoch(), 0u);
     EXPECT_GT(j.io_ops(), 0);
@@ -205,7 +233,7 @@ TEST(ServiceJournalTest, WalBytesArePinned) {
   {
     ServiceJournal j(dir.path, FaultPlan(), "cfg");
     std::string commit;
-    ServiceJournal::put_u64(commit, 0x1122334455667788ull);
+    put_u64(commit, 0x1122334455667788ull);
     j.append(ServiceJournal::Kind::kCommit, commit);
   }
   std::string bytes;

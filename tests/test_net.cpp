@@ -19,7 +19,9 @@
 #include "net/ring.h"
 #include "net/timer_wheel.h"
 #include "rtc/server/wire.h"
+#include "util/bytes.h"
 #include "util/error.h"
+#include "util/telemetry.h"
 
 namespace vbs {
 namespace {
@@ -27,7 +29,6 @@ namespace {
 using net::Conn;
 using net::EventLoop;
 using net::IoStatus;
-using net::ManualNetClock;
 using net::MpscRing;
 using net::TimerWheel;
 
@@ -218,6 +219,24 @@ TEST(EventLoop, TimerFiresOnSteadyClock) {
   EXPECT_TRUE(fired);
 }
 
+// The loop's time is the telemetry clock: a manual clock fires a timer
+// exactly when it is advanced past the deadline, with no sleeping.
+TEST(EventLoop, TimerFiresOnManualTelemetryClock) {
+  telem::ManualClock clock;
+  telem::ScopedClock scoped(&clock);
+  EventLoop loop;
+  bool fired = false;
+  loop.arm_timer(5, [&] { fired = true; });
+  loop.run_once(0);
+  EXPECT_FALSE(fired);
+  clock.advance_ns(4'000'000);
+  loop.run_once(0);
+  EXPECT_FALSE(fired);
+  clock.advance_ns(1'000'000);
+  EXPECT_GE(loop.run_once(0), 1u);
+  EXPECT_TRUE(fired);
+}
+
 TEST(EventLoop, RunOnceProcessesPostedWork) {
   EventLoop loop;
   int count = 0;
@@ -359,7 +378,7 @@ TEST(Wire, OversizedLengthPrefixRejectedBeforePayload) {
   // Only the 4-byte prefix: the declared length alone must trip the
   // limit, long before any payload could arrive.
   std::string buf;
-  rpc::put_u32(buf, 1u << 30);
+  put_u32(buf, 1u << 30);
   rpc::Frame f;
   try {
     reader.next(buf, f);
@@ -372,7 +391,7 @@ TEST(Wire, OversizedLengthPrefixRejectedBeforePayload) {
 TEST(Wire, ShortDeclaredLengthRejected) {
   rpc::FrameReader reader;
   std::string buf;
-  rpc::put_u32(buf, 5);  // < 18: cannot hold the fixed header
+  put_u32(buf, 5);  // < 18: cannot hold the fixed header
   buf.append(20, '\0');
   rpc::Frame f;
   EXPECT_THROW(reader.next(buf, f), VbsError);

@@ -203,6 +203,17 @@ TEST(BitIo, ReadPastEndThrows) {
   EXPECT_THROW(r.read_bit(), BitstreamError);
 }
 
+// A declared length near SIZE_MAX comes straight from untrusted payloads:
+// it must be rejected, not wrap the bounds check and move the reader back.
+TEST(BitIo, HugeLengthThrowsWithoutMovingTheReader) {
+  const BitVector bits(24);
+  BitReader r(bits);
+  r.read(8);
+  EXPECT_THROW(r.read_vector(SIZE_MAX - 3), BitstreamError);
+  EXPECT_EQ(r.position(), 8u);
+  EXPECT_EQ(r.remaining(), 16u);
+}
+
 TEST(BitIo, BitsFor) {
   EXPECT_EQ(bits_for(0), 1u);
   EXPECT_EQ(bits_for(1), 1u);

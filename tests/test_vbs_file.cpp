@@ -8,6 +8,8 @@
 #include <filesystem>
 
 #include "util/error.h"
+#include "util/fault.h"
+#include "util/io.h"
 #include "util/rng.h"
 #include "vbs/vbs_file.h"
 
@@ -60,6 +62,23 @@ TEST(VbsFile, DiskRoundTrip) {
   write_vbs_file(path, v);
   EXPECT_EQ(read_vbs_file(path), v);
   std::filesystem::remove(path);
+}
+
+// write_vbs_file replaces the file atomically: a crash mid-write leaves
+// the previous stream, never a torn container, under the real name.
+TEST(VbsFile, CrashMidWriteKeepsThePreviousStream) {
+  const std::string path = temp_path("atomic");
+  const BitVector first(100, true);
+  write_vbs_file(path, first);
+  const FaultPlan plan = FaultPlan::parse("crash=0");
+  IoFaultInjector inj(&plan);
+  {
+    ScopedIoFaults scope(&inj);
+    EXPECT_THROW(write_vbs_file(path, BitVector(300, false)), CrashInjected);
+  }
+  EXPECT_EQ(read_vbs_file(path), first);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".tmp");
 }
 
 TEST(VbsFile, RejectsBadMagicAndTruncation) {

@@ -56,8 +56,10 @@
 #include "rtc/controller.h"
 #include "rtc/server/wire.h"
 #include "rtc/service/service.h"
+#include "util/bytes.h"
 #include "util/cli.h"
 #include "util/error.h"
+#include "util/io.h"
 #include "util/rng.h"
 #include "vbs/encoder.h"
 #include "vbs/vbs_file.h"
@@ -150,18 +152,17 @@ std::string mutate(Rng& rng, BitVector& bits) {
   }
 }
 
+/// Replaces `path` in place (no temp file: the mutation is the point).
+void overwrite_file(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) throw std::runtime_error("vbsfuzz: rewrite " + path);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
 /// Byte-level mutation of a file on disk: truncate or flip one byte.
 void mutate_file(Rng& rng, const std::string& path) {
-  std::string bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) throw std::runtime_error("vbsfuzz: reopen " + path);
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-      bytes.append(buf, got);
-    std::fclose(f);
-  }
+  std::string bytes = read_file(path);
   if (bytes.empty()) return;
   if (rng.next_below(2) == 0) {
     bytes.resize(rng.next_below(bytes.size()));
@@ -169,26 +170,14 @@ void mutate_file(Rng& rng, const std::string& path) {
     bytes[rng.next_below(bytes.size())] ^=
         static_cast<char>(1u << rng.next_below(8));
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw std::runtime_error("vbsfuzz: rewrite " + path);
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
+  overwrite_file(path, bytes);
 }
 
 /// Journal-specific file mutation: truncation, bit flips, or a record
 /// splice (a byte run copied over another position — forges duplicated /
 /// reordered records with valid checksums).
 std::string mutate_journal_file(Rng& rng, const std::string& path) {
-  std::string bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) throw std::runtime_error("vbsfuzz: reopen " + path);
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-      bytes.append(buf, got);
-    std::fclose(f);
-  }
+  std::string bytes = read_file(path);
   std::string what;
   if (bytes.empty()) return "empty";
   switch (rng.next_below(3)) {
@@ -217,10 +206,7 @@ std::string mutate_journal_file(Rng& rng, const std::string& path) {
       break;
     }
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw std::runtime_error("vbsfuzz: rewrite " + path);
-  std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
+  overwrite_file(path, bytes);
   return what;
 }
 
@@ -307,9 +293,10 @@ std::string mutate_bytes(Rng& rng, std::string& bytes) {
       static constexpr std::uint32_t kLens[] = {0u, 1u, 17u, 1u << 24,
                                                 0x7fffffffu, 0xffffffffu};
       const std::uint32_t len = kLens[rng.next_below(6)];
-      for (int i = 0; i < 4 && static_cast<std::size_t>(i) < bytes.size(); ++i)
-        bytes[static_cast<std::size_t>(i)] =
-            static_cast<char>((len >> (8 * i)) & 0xff);
+      std::string prefix;
+      put_u32(prefix, len);
+      const std::size_t n = std::min<std::size_t>(4, bytes.size());
+      bytes.replace(0, n, prefix, 0, n);
       return "len-prefix=" + std::to_string(len);
     }
     case 3: {  // append garbage
