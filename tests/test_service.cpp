@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -498,6 +499,128 @@ TEST(Service, UncachedRelocateRedecodesCorrectly) {
   ReconfigController ref(arch, 12, 4);
   ref.load_at(s, {r.x, r.y});
   EXPECT_EQ(svc.controller().config_memory(), ref.config_memory());
+}
+
+std::vector<long long> stat_fields(const DecodeStats& s) {
+  return {s.pairs_routed,    s.pairs_failed, s.nodes_expanded,
+          s.entries_decoded, s.raw_entries,  s.negotiation_iterations};
+}
+
+// A decoder may serve many loads. Whatever streams, region shapes and
+// failed decodes it served before, an entry must decode to the payload and
+// search counts of a decoder built fresh for it. The stream cache is off,
+// so every repeat and the relocation decode again.
+TEST(Service, ReusedDecodersMatchFreshDecodes) {
+  const ArchSpec arch = test_arch();
+  // c = 1 and c = 2 streams; the 5x5 c = 2 stream has partial extents.
+  const std::vector<BitVector> valid = {
+      make_stream(13, 4, 61, arch), make_stream(21, 5, 62, arch, 2),
+      make_stream(21, 5, 63, arch), make_stream(13, 4, 64, arch, 2)};
+  // Parses, but its first (full 2x2) entry demands every track for a
+  // straight-through signal plus a pin-to-pin route. That cannot route, so
+  // the decode fails after its searches have dirtied the decoder.
+  VbsImage bad_img = deserialize_vbs(valid[1]);
+  {
+    const RegionModel rm(arch, 2);
+    VbsEntry& e = bad_img.entries.front();
+    ASSERT_EQ(e.cx, 0);
+    ASSERT_EQ(e.cy, 0);
+    e.raw = false;
+    e.compact = false;
+    e.conns.clear();
+    auto port = [](int p) { return static_cast<std::uint16_t>(p); };
+    for (int k = 0; k < 2; ++k) {
+      for (int t = 0; t < arch.chan_width; ++t) {
+        e.conns.push_back({port(rm.port_of_side(Side::kWest, k, t)),
+                           port(rm.port_of_side(Side::kEast, k, t))});
+        e.conns.push_back({port(rm.port_of_side(Side::kNorth, k, t)),
+                           port(rm.port_of_side(Side::kSouth, k, t))});
+      }
+    }
+    e.conns.push_back({port(rm.port_of_pin(0, 0, arch.lb_pins() - 1)),
+                       port(rm.port_of_pin(0, 0, 0))});
+  }
+  const BitVector bad = serialize_vbs(bad_img);
+
+  const FabricLayout layout(arch, 24, 12);
+  std::vector<std::vector<long long>> fresh;
+  for (const BitVector& s : valid) {
+    DecodeStats st;
+    devirtualize_image(deserialize_vbs(s), layout, {0, 0}, &st);
+    fresh.push_back(stat_fields(st));
+  }
+  DecodeStats bad_stats;
+  try {
+    devirtualize_image(deserialize_vbs(bad), layout, {0, 0}, &bad_stats);
+    ADD_FAILURE() << "the bad stream decoded";
+  } catch (const VbsError& ex) {
+    EXPECT_EQ(ex.code(), VbsErrc::kDecodeFailed);
+  }
+  EXPECT_GT(bad_stats.nodes_expanded, 0);
+  EXPECT_EQ(bad_stats.pairs_failed, 1);
+
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    ServiceOptions opts;
+    opts.threads = threads;
+    opts.cache_capacity_bits = 0;
+    ReconfigService svc(arch, 24, 12, opts);
+    std::map<TaskId, std::size_t> kind_of_task;
+    for (int pass = 0; pass < 2; ++pass) {
+      std::map<RequestId, std::size_t> kind_of_request;
+      for (std::size_t k = 0; k < valid.size(); ++k) {
+        kind_of_request[svc.submit_load(valid[k])] = k;
+        if (pass == 0 && k == 1) svc.submit_load(bad);  // mid-batch
+      }
+      const auto results = svc.drain();
+      ASSERT_EQ(results.size(), pass == 0 ? valid.size() + 1 : valid.size());
+      for (const RequestResult& r : results) {
+        const auto kind = kind_of_request.find(r.request);
+        if (kind == kind_of_request.end()) {
+          EXPECT_EQ(r.status, RequestStatus::kFailed);
+          EXPECT_EQ(r.code, VbsErrc::kDecodeFailed);
+          continue;
+        }
+        ASSERT_EQ(r.status, RequestStatus::kDone) << r.request;
+        EXPECT_FALSE(r.cache_hit);
+        kind_of_task[r.task] = kind->second;
+        EXPECT_EQ(stat_fields(svc.controller().record(r.task).decode),
+                  fresh[kind->second])
+            << "pass " << pass << " kind " << kind->second;
+      }
+    }
+    EXPECT_TRUE(svc.eviction_log().empty());
+
+    // An uncached relocation re-decodes the retained image.
+    const auto moved = std::find_if(
+        kind_of_task.begin(), kind_of_task.end(),
+        [](const auto& kv) { return kv.second == 1; });
+    ASSERT_NE(moved, kind_of_task.end());
+    RequestId load_of_moved = kNoRequest;
+    for (RequestId id = 0; id < svc.next_request_id(); ++id) {
+      if (svc.task_of(id) == moved->first) load_of_moved = id;
+    }
+    ASSERT_NE(load_of_moved, kNoRequest);
+    const DecodeStats before = svc.stats().decode;
+    svc.submit_relocate(load_of_moved);
+    ASSERT_EQ(svc.drain().front().status, RequestStatus::kDone);
+    EXPECT_EQ(svc.stats().relocates_decoded, 1);
+    std::vector<long long> delta = stat_fields(svc.stats().decode);
+    const std::vector<long long> base = stat_fields(before);
+    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= base[i];
+    EXPECT_EQ(delta, fresh[1]);
+
+    // The memory is the union of fresh decodes at every task's origin.
+    BitVector expected(layout.config_bits_total());
+    for (const TaskId id : svc.controller().task_ids()) {
+      const Rect r = svc.controller().record(id).rect;
+      const BitVector one = devirtualize_image(
+          deserialize_vbs(valid[kind_of_task.at(id)]), layout, {r.x, r.y});
+      expected.or_range(0, one, 0, one.size());
+    }
+    EXPECT_EQ(svc.controller().num_tasks(), 2 * static_cast<int>(valid.size()));
+    EXPECT_EQ(svc.controller().config_memory(), expected);
+  }
 }
 
 // Pins the configuration-memory bytes the service commits. The sequence
