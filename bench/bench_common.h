@@ -3,13 +3,14 @@
 //
 // Environment knobs (all optional):
 //   REPRO_CIRCUITS="alu4,seq"  restrict to a comma-separated circuit list
-//   REPRO_FULL=1               all 20 Table II circuits (hours on one core)
+//   REPRO_FULL=1               all 20 Table II circuits (unfinished after 25 min)
 //   REPRO_SEED=<n>             synthetic-netlist / flow seed (default 1)
 //
 // The default set is the 10 smallest circuits (it still spans 554..1301
-// logic blocks and the full MCW range); place & route of the largest
-// circuits costs tens of minutes each on a single-core host, so the full
-// 20-circuit sweep is opt-in.
+// logic blocks and the full MCW range) and takes 25-33 s per figure on a
+// 4-vCPU host. The full 20-circuit sweep is opt-in: REPRO_FULL=1
+// fig5_clustering was still on clma, the fifth circuit, when stopped
+// after 25 minutes.
 #pragma once
 
 #include <cstdio>

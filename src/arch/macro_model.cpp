@@ -3,9 +3,14 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "arch/arch_registry.h"
+
 namespace vbs {
 
 namespace {
+/// Architectures whose models MacroModel::of keeps registered.
+constexpr std::size_t kRegisteredModels = 4;
+
 // Lexicographic pair tables for 4-arm (6 switches) and 3-arm (3 switches)
 // points; the table order defines the configuration bit order.
 constexpr std::pair<int, int> kPairs4[6] = {{0, 1}, {0, 2}, {0, 3},
@@ -34,6 +39,10 @@ MacroModel::MacroModel(const ArchSpec& spec) : spec_(spec) {
   build_nodes();
   build_points();
   assert(next_bit_ == spec_.nroute_bits());
+}
+
+std::shared_ptr<const MacroModel> MacroModel::of(const ArchSpec& spec) {
+  return shared_for_arch<MacroModel>(spec, kRegisteredModels);
 }
 
 void MacroModel::build_nodes() {

@@ -33,6 +33,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,11 @@ struct SwitchPoint {
 class MacroModel {
  public:
   explicit MacroModel(const ArchSpec& spec);
+
+  /// The process-wide model of `spec` (arch/arch_registry.h), built on
+  /// first use and shared immutably; every RegionModel of an architecture
+  /// references this one instead of building a copy.
+  static std::shared_ptr<const MacroModel> of(const ArchSpec& spec);
 
   const ArchSpec& spec() const { return spec_; }
 

@@ -63,10 +63,10 @@ void ReconfigController::decode_into(const VbsImage& img, Point origin,
   // paper Section II-C). Each worker owns its region-model cache.
   auto worker = [&](int tid, std::size_t begin, std::size_t end) {
     try {
-      RegionDecoderCache cache(img);
+      RegionDecoderCache cache;
       for (std::size_t i = begin; i < end; ++i) {
         const VbsEntry& e = img.entries[i];
-        if (!cache.decoder_for(e.cx, e.cy).decode_entry(
+        if (!cache.decoder_for(img, e).decode_entry(
                 e, payloads[i], &stats[static_cast<std::size_t>(tid)])) {
           errors[static_cast<std::size_t>(tid)] =
               "entry " + std::to_string(e.cx) + "," + std::to_string(e.cy) +

@@ -48,6 +48,9 @@ ReconfigService::ReconfigService(const ArchSpec& spec, int width, int height,
       policy_(make_placement_policy(opts_.policy)),
       cache_(opts_.cache_capacity_bits),
       pool_(std::max(1, opts_.threads)) {
+  for (int rank = 0; rank < pool_.size(); ++rank) {
+    decoders_.emplace_back(RegionDecoderCache::kPerRank);
+  }
   if (opts_.max_batch < 1) {
     throw std::invalid_argument("service: max_batch must be >= 1");
   }
@@ -508,29 +511,19 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
     std::vector<double> item_seconds(items.size(), 0.0);
     std::vector<std::string> item_errors(items.size());
     std::vector<VbsErrc> item_codes(items.size(), VbsErrc::kNone);
-    // Region models are shared per (rank, job): ranks only touch their own
-    // row, and a Devirtualizer is reusable but not thread-safe.
-    std::vector<std::vector<std::unique_ptr<RegionDecoderCache>>> decoders(
-        static_cast<std::size_t>(pool_.size()));
-    for (auto& row : decoders) row.resize(jobs.size());
+    // Each rank decodes on its own decoder set (a Devirtualizer is
+    // reusable but not thread-safe), kept across batches.
     pool_.parallel_for(items.size(), [&](int rank, std::size_t idx) {
       const Item item = items[idx];
       const std::uint64_t t0 = telem::now_ns();
       try {
-        const VbsImage& img =
-            jobs[static_cast<std::size_t>(item.job)].decoded->image;
-        auto& slot =
-            decoders[static_cast<std::size_t>(rank)]
-                    [static_cast<std::size_t>(item.job)];
-        if (!slot) {
-          slot = std::make_unique<RegionDecoderCache>(img);
-        }
-        const VbsEntry& e = img.entries[item.entry];
-        if (!slot->decoder_for(e.cx, e.cy).decode_entry(
-                e,
-                jobs[static_cast<std::size_t>(item.job)]
-                    .decoded->payloads[item.entry],
-                &item_stats[idx])) {
+        DecodedStream& decoded =
+            *jobs[static_cast<std::size_t>(item.job)].decoded;
+        const VbsEntry& e = decoded.image.entries[item.entry];
+        Devirtualizer& dv = decoders_[static_cast<std::size_t>(rank)]
+                                .decoder_for(decoded.image, e);
+        if (!dv.decode_entry(e, decoded.payloads[item.entry],
+                             &item_stats[idx])) {
           item_errors[idx] = "entry " + std::to_string(e.cx) + "," +
                              std::to_string(e.cy) + " failed to decode";
           item_codes[idx] = VbsErrc::kDecodeFailed;
@@ -728,8 +721,9 @@ void ReconfigService::process_relocate(Request& req,
         // Cache miss (evicted or capacity 0): re-decode the retained image
         // once — serially, a relocation is a single stream — then warm the
         // cache with the result so N uncached relocations of the same
-        // content pay for one decode, not N.
-        const auto fresh = decode_stream(rtc_.image_of(id));
+        // content pay for one decode, not N. Drain runs on rank 0, so its
+        // decoder set is free here.
+        const auto fresh = decode_stream(rtc_.image_of(id), decoders_[0]);
         stats_.decode += fresh->decode;
         cache_.insert(info.content_hash, fresh);
         rtc_.relocate_decoded(id, *slot, fresh->payloads);

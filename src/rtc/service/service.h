@@ -206,6 +206,10 @@ class ReconfigService {
 
   const ReconfigController& controller() const { return rtc_; }
   const DecodedStreamCache& cache() const { return cache_; }
+  /// The region decoders pool rank `rank` keeps (0 <= rank < threads).
+  const RegionDecoderCache& decoders(int rank) const {
+    return decoders_.at(static_cast<std::size_t>(rank));
+  }
   const ServiceStats& stats() const { return stats_; }
   /// Per-tenant counters, keyed by tenant id (created lazily on first
   /// submit or set_tenant_priority).
@@ -368,6 +372,9 @@ class ReconfigService {
   std::unique_ptr<PlacementPolicy> policy_;
   DecodedStreamCache cache_;
   ThreadPool pool_;
+  /// One decoder set per pool rank, kept for the service's life and
+  /// bounded per rank (RegionDecoderCache::kPerRank).
+  std::vector<RegionDecoderCache> decoders_;
 
   std::deque<Request> queue_;
   std::size_t live_loads_ = 0;  ///< non-shed load requests in queue_

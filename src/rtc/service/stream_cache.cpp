@@ -20,14 +20,19 @@ std::uint64_t stream_content_hash(const BitVector& stream) {
 }
 
 std::shared_ptr<DecodedStream> decode_stream(VbsImage image) {
+  RegionDecoderCache decoders;
+  return decode_stream(std::move(image), decoders);
+}
+
+std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
+                                             RegionDecoderCache& decoders) {
   auto out = std::make_shared<DecodedStream>();
   out->image = std::move(image);
   const VbsImage& img = out->image;
   out->payloads.resize(img.entries.size());
-  RegionDecoderCache cache(img);
   for (std::size_t i = 0; i < img.entries.size(); ++i) {
     const VbsEntry& e = img.entries[i];
-    if (!cache.decoder_for(e.cx, e.cy)
+    if (!decoders.decoder_for(img, e)
              .decode_entry(e, out->payloads[i], &out->decode)) {
       throw VbsError(VbsErrc::kDecodeFailed,
                      "decode_stream: entry " + std::to_string(e.cx) +

@@ -46,8 +46,11 @@ struct DecodedStream {
 /// DecodedStream. Throws std::runtime_error if an entry fails to decode
 /// (impossible for encoder-validated streams). The service's batch path
 /// does the same work as a flat parallel item list; this is the one-stream
-/// form for relocations and tests.
+/// form for relocations and tests. The first form builds its own
+/// decoders; the second decodes on `decoders` (one thread's set).
 std::shared_ptr<DecodedStream> decode_stream(VbsImage image);
+std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
+                                             RegionDecoderCache& decoders);
 
 class DecodedStreamCache {
  public:

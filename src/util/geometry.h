@@ -44,13 +44,28 @@ struct Rect {
   friend bool operator==(const Rect&, const Rect&) = default;
 };
 
+// Each string is built by appending into one std::string: GCC 12 at -O3
+// warns -Wrestrict on a chain of `"(" + std::to_string(...)` temporaries.
 inline std::string to_string(Point p) {
-  return "(" + std::to_string(p.x) + "," + std::to_string(p.y) + ")";
+  std::string s = "(";
+  s += std::to_string(p.x);
+  s += ',';
+  s += std::to_string(p.y);
+  s += ')';
+  return s;
 }
 
 inline std::string to_string(const Rect& r) {
-  return "[" + std::to_string(r.x) + "," + std::to_string(r.y) + " " +
-         std::to_string(r.w) + "x" + std::to_string(r.h) + "]";
+  std::string s = "[";
+  s += std::to_string(r.x);
+  s += ',';
+  s += std::to_string(r.y);
+  s += ' ';
+  s += std::to_string(r.w);
+  s += 'x';
+  s += std::to_string(r.h);
+  s += ']';
+  return s;
 }
 
 }  // namespace vbs

@@ -324,38 +324,53 @@ void write_entry_config(const VbsImage& img, const VbsEntry& entry,
   }
 }
 
-RegionDecoderCache::RegionDecoderCache(const VbsImage& header)
-    : spec_(header.spec),
-      c_(header.cluster),
-      task_w_(header.task_w),
-      task_h_(header.task_h),
-      version_(header.version) {}
-
-std::pair<int, int> RegionDecoderCache::extent_of(int cx, int cy) const {
-  return {std::min(c_, task_w_ - cx * c_), std::min(c_, task_h_ - cy * c_)};
+std::pair<int, int> RegionDecoderCache::extent_of(const VbsImage& header,
+                                                  int cx, int cy) {
+  const int c = header.cluster;
+  return {std::min(c, header.task_w - cx * c),
+          std::min(c, header.task_h - cy * c)};
 }
 
-RegionDecoderCache::Slot& RegionDecoderCache::slot_for(int cx, int cy) {
-  const auto key = extent_of(cx, cy);
-  if (key.first < 1 || key.second < 1) {
+RegionDecoderCache::Slot& RegionDecoderCache::slot_for(const VbsImage& header,
+                                                       int cx, int cy) {
+  const auto [w, h] = extent_of(header, cx, cy);
+  if (w < 1 || h < 1) {
     throw VbsError(VbsErrc::kBadEntry,
                    "region cache: entry outside the task");
   }
-  Slot& slot = slots_[key];
-  if (!slot.region) {
-    slot.region =
-        std::make_unique<RegionModel>(spec_, c_, key.first, key.second);
-    slot.decoder = std::make_unique<Devirtualizer>(*slot.region, version_);
+  const auto hit =
+      std::find_if(slots_.begin(), slots_.end(), [&](const auto& s) {
+        return s->c == header.cluster && s->w == w && s->h == h &&
+               s->version == header.version && s->spec == header.spec;
+      });
+  if (hit != slots_.end()) {
+    std::rotate(slots_.begin(), hit, hit + 1);
+    return *slots_.front();
   }
-  return slot;
+  auto slot = std::make_unique<Slot>(Slot{header.spec, header.cluster, w, h,
+                                          header.version, nullptr, nullptr});
+  slot->region =
+      std::make_unique<RegionModel>(header.spec, header.cluster, w, h);
+  slot->decoder =
+      std::make_unique<Devirtualizer>(*slot->region, header.version);
+  nodes_ += static_cast<std::size_t>(slot->region->num_nodes());
+  slots_.insert(slots_.begin(), std::move(slot));
+  while (slots_.size() > 1 &&
+         (slots_.size() > bound_.shapes || nodes_ > bound_.nodes)) {
+    nodes_ -= static_cast<std::size_t>(slots_.back()->region->num_nodes());
+    slots_.pop_back();
+  }
+  return *slots_.front();
 }
 
-const RegionModel& RegionDecoderCache::region_for(int cx, int cy) {
-  return *slot_for(cx, cy).region;
+const RegionModel& RegionDecoderCache::region_for(const VbsImage& header,
+                                                  int cx, int cy) {
+  return *slot_for(header, cx, cy).region;
 }
 
-Devirtualizer& RegionDecoderCache::decoder_for(int cx, int cy) {
-  return *slot_for(cx, cy).decoder;
+Devirtualizer& RegionDecoderCache::decoder_for(const VbsImage& header,
+                                               const VbsEntry& entry) {
+  return *slot_for(header, entry.cx, entry.cy).decoder;
 }
 
 BitVector devirtualize_image(const VbsImage& img, const FabricLayout& target,
@@ -372,11 +387,11 @@ BitVector devirtualize_image(const VbsImage& img, const FabricLayout& target,
     throw VbsError(VbsErrc::kNoPlacement,
                    "devirtualize: task does not fit at origin");
   }
-  RegionDecoderCache cache(img);
+  RegionDecoderCache cache;
   BitVector config(target.config_bits_total());
   BitVector routing;
   for (const VbsEntry& e : img.entries) {
-    if (!cache.decoder_for(e.cx, e.cy).decode_entry(e, routing, stats)) {
+    if (!cache.decoder_for(img, e).decode_entry(e, routing, stats)) {
       throw VbsError(
           VbsErrc::kDecodeFailed,
           "devirtualize: connection list failed to route (entry at " +

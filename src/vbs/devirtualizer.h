@@ -49,8 +49,8 @@
 // superseded queue entries), which are telemetry only.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -164,36 +164,65 @@ class Devirtualizer {
   SearchCounts counts_;
 };
 
-/// Lazily builds the region model + decoder for every distinct region shape
-/// of a task: the full c x c cluster plus up to three partial extents when
-/// the task size is not a multiple of c. Shared by the encoder's feedback
-/// loop, the run-time controller, the service and devirtualize_image, so
-/// the decode contract is chosen here, from the image header, and nowhere
-/// else.
+/// The region models and decoders of the region shapes decodes meet, keyed
+/// by (architecture, cluster size c, extent, stream version). A task has
+/// the full c x c shape plus up to three partial extents when its size is
+/// not a multiple of c. The encoder's feedback loop, devirtualize_image,
+/// the run-time controller and the service all decode through this class,
+/// so the decode contract is chosen here, from the image header, and
+/// nowhere else.
+///
+/// Lifetime. A cache is not thread-safe: one per decoding thread. A
+/// one-image decode keeps a local, unbounded cache (at most four shapes).
+/// The service keeps one bounded cache per pool rank for its whole life,
+/// so a rank builds each shape once instead of once per load, and its
+/// uncached-relocation re-decode uses rank 0's. A reused decoder resets
+/// its search state per entry, so decoding stays pure per entry: the same
+/// payload and DecodeStats as a fresh decoder.
+///
+/// Retention. A bounded cache keeps at most `shapes` shapes and `nodes`
+/// region nodes in all, dropping the least recently used first; the shape
+/// asked for last always stays, however large. A flood of distinct hostile
+/// shapes (headers with c up to 63 pass deserialize_vbs) therefore pins at
+/// most the bound plus one model no larger than the per-entry resource
+/// guard allows. References from region_for / decoder_for stay valid until
+/// the next call on a bounded cache, and for the cache's life otherwise.
 class RegionDecoderCache {
  public:
-  /// Reads the header fields of `header` (spec, cluster, task size,
-  /// version); its entries are ignored.
-  explicit RegionDecoderCache(const VbsImage& header);
+  struct Bound {
+    std::size_t shapes;
+    std::size_t nodes;
+  };
+  static constexpr Bound kUnbounded{SIZE_MAX, SIZE_MAX};
+  /// The service's per-rank bound: a serve library of c = 1 and c = 2
+  /// kinds needs five shapes of a few thousand nodes.
+  static constexpr Bound kPerRank{16, std::size_t{1} << 17};
 
-  /// Extent of the cluster at cluster-grid position (cx, cy).
-  std::pair<int, int> extent_of(int cx, int cy) const;
-  const RegionModel& region_for(int cx, int cy);
-  Devirtualizer& decoder_for(int cx, int cy);
+  explicit RegionDecoderCache(Bound bound = kUnbounded) : bound_(bound) {}
+
+  /// Extent of the cluster at cluster-grid position (cx, cy) of `header`.
+  static std::pair<int, int> extent_of(const VbsImage& header, int cx, int cy);
+  /// Reads only the header fields of `header` (spec, cluster, task size,
+  /// version); throws VbsError{kBadEntry} for a position outside the task.
+  const RegionModel& region_for(const VbsImage& header, int cx, int cy);
+  Devirtualizer& decoder_for(const VbsImage& header, const VbsEntry& entry);
+
+  std::size_t shapes() const { return slots_.size(); }
+  std::size_t nodes() const { return nodes_; }
 
  private:
   struct Slot {
+    ArchSpec spec;
+    int c, w, h;
+    unsigned version;
     std::unique_ptr<RegionModel> region;
     std::unique_ptr<Devirtualizer> decoder;
   };
-  Slot& slot_for(int cx, int cy);
+  Slot& slot_for(const VbsImage& header, int cx, int cy);
 
-  ArchSpec spec_;
-  int c_;
-  int task_w_;
-  int task_h_;
-  unsigned version_;
-  std::map<std::pair<int, int>, Slot> slots_;  ///< keyed by extent
+  Bound bound_;
+  std::size_t nodes_ = 0;  ///< region nodes of all retained shapes
+  std::vector<std::unique_ptr<Slot>> slots_;  ///< most recently used first
 };
 
 /// Decodes a whole image into a full-fabric raw configuration, placing the

@@ -135,7 +135,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
   };
 
   // ---- 1. Connection-list extraction --------------------------------------
-  RegionDecoderCache regions(img);
+  RegionDecoderCache regions;
   std::vector<std::vector<VbsConnection>> conns(
       static_cast<std::size_t>(n_clusters));
 
@@ -159,7 +159,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
 
     for (const auto& [cl, edge_children] : edges_by_cluster) {
       const int cx = cl % cw, cy = cl / cw;
-      const RegionModel& region = regions.region_for(cx, cy);
+      const RegionModel& region = regions.region_for(img, cx, cy);
       TreeDsu dsu;
       for (const int k : edge_children) {
         dsu.unite(k, route.nodes[static_cast<std::size_t>(k)].parent);
@@ -261,7 +261,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
   // ---- 3. Assembly + feedback loop -----------------------------------------
   BitVector scratch;
   Rng rng(opts.seed);
-  const RegionModel& full_region = regions.region_for(0, 0);
+  const RegionModel& full_region = regions.region_for(img, 0, 0);
   const unsigned rc_bits = full_region.route_count_bits();
   const unsigned m_bits = full_region.port_field_bits();
   const std::uint64_t max_conns = (std::uint64_t{1} << rc_bits) - 1;
@@ -308,7 +308,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
         make_raw(&st.size_fallbacks);
       } else {
         // Feedback loop: decode offline with the online algorithm.
-        Devirtualizer& dv = regions.decoder_for(cx, cy);
+        Devirtualizer& dv = regions.decoder_for(img, e);
         dv.set_max_iterations(opts.decode_iterations);
         bool ok = dv.decode_entry(e, scratch);
         if (!ok && !opts.no_reorder) {

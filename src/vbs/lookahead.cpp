@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
 
+#include "arch/arch_registry.h"
 #include "arch/macro_model.h"
 #include "vbs/vbs_format.h"
 
@@ -36,7 +36,8 @@ Lookahead::Lookahead(const ArchSpec& spec)
   if (table_bytes(spec) > kMaxLookaheadBytes) {
     throw std::invalid_argument("Lookahead: table exceeds resource limit");
   }
-  const MacroModel macro(spec);
+  const std::shared_ptr<const MacroModel> shared_macro = MacroModel::of(spec);
+  const MacroModel& macro = *shared_macro;
   num_local_ = macro.num_nodes();
   table_.resize(static_cast<std::size_t>(macro.num_ports()) *
                 static_cast<std::size_t>(num_local_) * kSpan * kSpan);
@@ -110,22 +111,7 @@ Lookahead::Lookahead(const ArchSpec& spec)
 }
 
 std::shared_ptr<const Lookahead> Lookahead::of(const ArchSpec& spec) {
-  static std::mutex mu;
-  // Most recently used first.
-  static std::vector<std::shared_ptr<const Lookahead>> cache;
-  const std::lock_guard<std::mutex> lock(mu);
-  const auto hit =
-      std::find_if(cache.begin(), cache.end(),
-                   [&](const auto& t) { return t->spec() == spec; });
-  if (hit != cache.end()) {
-    std::rotate(cache.begin(), hit, hit + 1);
-    return cache.front();
-  }
-  // Built under the lock: threads that race to a cold table wait for the
-  // one build instead of repeating it.
-  cache.insert(cache.begin(), std::make_shared<const Lookahead>(spec));
-  if (cache.size() > kCachedTables) cache.pop_back();
-  return cache.front();
+  return shared_for_arch<Lookahead>(spec, kCachedTables);
 }
 
 }  // namespace vbs

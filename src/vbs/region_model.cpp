@@ -5,12 +5,13 @@
 #include <stdexcept>
 
 #include "util/bitio.h"
+#include "util/telemetry.h"
 
 namespace vbs {
 
 RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
                          int extent_h)
-    : macro_(spec),
+    : macro_(MacroModel::of(spec)),
       c_(cluster),
       rw_(extent_w < 0 ? cluster : extent_w),
       rh_(extent_h < 0 ? cluster : extent_h) {
@@ -20,7 +21,8 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
   if (rw_ < 1 || rw_ > c_ || rh_ < 1 || rh_ > c_) {
     throw std::invalid_argument("RegionModel: extent out of range");
   }
-  const int nloc = macro_.num_nodes();
+  const MacroModel& mm = *macro_;
+  const int nloc = mm.num_nodes();
   const int w = spec.chan_width;
   const int px = spec.pins_on_x();
   const int py = spec.pins_on_y();
@@ -32,7 +34,6 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
   auto raw_id = [&](int ux, int uy, int local) {
     return static_cast<std::size_t>(uy * c_ + ux) * nloc + local;
   };
-  auto exists = [&](int ux, int uy) { return ux < rw_ && uy < rh_; };
 
   // Union-find merging abutted wires between region macros within the
   // extent.
@@ -51,13 +52,13 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
       for (int t = 0; t < w; ++t) {
         if (ux + 1 < rw_) {
           parent[static_cast<std::size_t>(
-              find(static_cast<std::int32_t>(raw_id(ux, uy, macro_.x(t, px)))))] =
-              find(static_cast<std::int32_t>(raw_id(ux + 1, uy, macro_.xw(t))));
+              find(static_cast<std::int32_t>(raw_id(ux, uy, mm.x(t, px)))))] =
+              find(static_cast<std::int32_t>(raw_id(ux + 1, uy, mm.xw(t))));
         }
         if (uy + 1 < rh_) {
           parent[static_cast<std::size_t>(find(static_cast<std::int32_t>(
-              raw_id(ux, uy, macro_.y(t, py)))))] =
-              find(static_cast<std::int32_t>(raw_id(ux, uy + 1, macro_.ys(t))));
+              raw_id(ux, uy, mm.y(t, py)))))] =
+              find(static_cast<std::int32_t>(raw_id(ux, uy + 1, mm.ys(t))));
         }
       }
     }
@@ -103,15 +104,15 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
     for (int t = 0; t < w; ++t) {
       if (k < rh_) {
         set_port(port_of_side(Side::kWest, k, t),
-                 node_of_raw_[raw_id(0, k, macro_.xw(t))]);
+                 node_of_raw_[raw_id(0, k, mm.xw(t))]);
         set_port(port_of_side(Side::kEast, k, t),
-                 node_of_raw_[raw_id(rw_ - 1, k, macro_.x(t, px))]);
+                 node_of_raw_[raw_id(rw_ - 1, k, mm.x(t, px))]);
       }
       if (k < rw_) {
         set_port(port_of_side(Side::kNorth, k, t),
-                 node_of_raw_[raw_id(k, rh_ - 1, macro_.y(t, py))]);
+                 node_of_raw_[raw_id(k, rh_ - 1, mm.y(t, py))]);
         set_port(port_of_side(Side::kSouth, k, t),
-                 node_of_raw_[raw_id(k, 0, macro_.ys(t))]);
+                 node_of_raw_[raw_id(k, 0, mm.ys(t))]);
       }
     }
   }
@@ -119,7 +120,7 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
     for (int ux = 0; ux < rw_; ++ux) {
       for (int p = 0; p < spec.lb_pins(); ++p) {
         set_port(port_of_pin(ux, uy, p),
-                 node_of_raw_[raw_id(ux, uy, macro_.pin_node(p))]);
+                 node_of_raw_[raw_id(ux, uy, mm.pin_node(p))]);
       }
     }
   }
@@ -127,7 +128,7 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
   // Switch adjacency in CSR form. Adj.bit is precomputed from the full-c
   // row-major macro index, which is also the payload frame index
   // write_entry_config uses.
-  const auto& points = macro_.switch_points();
+  const auto& points = mm.switch_points();
   std::vector<std::uint32_t> degree(static_cast<std::size_t>(num_nodes_), 0);
   auto for_each_switch = [&](auto&& fn) {
     for (int uy = 0; uy < rh_; ++uy) {
@@ -163,7 +164,7 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
     adj_data_[cursor[static_cast<std::size_t>(gb)]++] = {ga, bit};
   });
 
-  (void)exists;
+  telem::counter_add("vbs.region.models_built");
 }
 
 unsigned RegionModel::port_field_bits() const {

@@ -10,9 +10,15 @@
 // Both the offline encoder's feedback loop and the online de-virtualizer
 // route on this model, which is what guarantees that a stream validated
 // offline decodes identically online.
+//
+// A region references its architecture's one shared MacroModel
+// (MacroModel::of) rather than a copy. Every construction adds one to the
+// telemetry counter vbs.region.models_built, which shows whether a decode
+// path rebuilds models it should have kept (RegionDecoderCache).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -31,8 +37,8 @@ class RegionModel {
   RegionModel(const ArchSpec& spec, int cluster, int extent_w = -1,
               int extent_h = -1);
 
-  const ArchSpec& spec() const { return macro_.spec(); }
-  const MacroModel& macro() const { return macro_; }
+  const ArchSpec& spec() const { return macro_->spec(); }
+  const MacroModel& macro() const { return *macro_; }
   int cluster() const { return c_; }
   int extent_w() const { return rw_; }
   int extent_h() const { return rh_; }
@@ -43,7 +49,7 @@ class RegionModel {
   /// (ux,uy) must lie within the extent.
   int node_of(int ux, int uy, int local) const {
     return node_of_raw_[static_cast<std::size_t>(uy * c_ + ux) *
-                            macro_.num_nodes() +
+                            macro_->num_nodes() +
                         local];
   }
   /// Representative region-macro tile of a node (for search heuristics):
@@ -93,12 +99,12 @@ class RegionModel {
   /// region row-major order, (Nraw - NLB) routing bits each.
   int switch_bit(int macro, int point, int pair) const {
     return macro * spec().nroute_bits() +
-           macro_.switch_points()[static_cast<std::size_t>(point)].bit_offset +
+           macro_->switch_points()[static_cast<std::size_t>(point)].bit_offset +
            pair;
   }
 
  private:
-  MacroModel macro_;
+  std::shared_ptr<const MacroModel> macro_;
   int c_;
   int rw_;
   int rh_;

@@ -6,6 +6,7 @@
 #include "bitstream/connectivity.h"
 #include "flow/flow.h"
 #include "netlist/generator.h"
+#include "util/telemetry.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/encoder.h"
 
@@ -78,16 +79,16 @@ TEST(RegionCache, ExtentsCoverTheTask) {
   header.cluster = 3;
   header.task_w = 8;
   header.task_h = 7;
-  RegionDecoderCache cache(header);
-  EXPECT_EQ(cache.extent_of(0, 0), (std::pair{3, 3}));
-  EXPECT_EQ(cache.extent_of(2, 0), (std::pair{2, 3}));  // 8 = 3+3+2
-  EXPECT_EQ(cache.extent_of(0, 2), (std::pair{3, 1}));  // 7 = 3+3+1
-  EXPECT_EQ(cache.extent_of(2, 2), (std::pair{2, 1}));
+  RegionDecoderCache cache;
+  EXPECT_EQ(cache.extent_of(header, 0, 0), (std::pair{3, 3}));
+  EXPECT_EQ(cache.extent_of(header, 2, 0), (std::pair{2, 3}));  // 8 = 3+3+2
+  EXPECT_EQ(cache.extent_of(header, 0, 2), (std::pair{3, 1}));  // 7 = 3+3+1
+  EXPECT_EQ(cache.extent_of(header, 2, 2), (std::pair{2, 1}));
   // Same extent shape -> same cached model.
-  EXPECT_EQ(&cache.region_for(0, 0), &cache.region_for(1, 1));
-  EXPECT_NE(&cache.region_for(0, 0), &cache.region_for(2, 0));
+  EXPECT_EQ(&cache.region_for(header, 0, 0), &cache.region_for(header, 1, 1));
+  EXPECT_NE(&cache.region_for(header, 0, 0), &cache.region_for(header, 2, 0));
   // Partial regions expose only existing ports.
-  const RegionModel& partial = cache.region_for(2, 0);  // 2x3 extent
+  const RegionModel& partial = cache.region_for(header, 2, 0);  // 2x3 extent
   EXPECT_EQ(partial.extent_w(), 2);
   EXPECT_GE(partial.port_node(partial.port_of_side(Side::kWest, 2, 0)), 0);
   EXPECT_LT(partial.port_node(partial.port_of_pin(2, 0, 0)), 0);
@@ -95,6 +96,64 @@ TEST(RegionCache, ExtentsCoverTheTask) {
   const int east_node = partial.port_node(partial.port_of_side(Side::kEast, 0, 1));
   ASSERT_GE(east_node, 0);
   EXPECT_EQ(partial.node_tile(east_node).x, 1);
+}
+
+long long region_models_built() {
+  const telem::MetricsSnapshot snap = telem::snapshot();
+  const auto it = snap.counters.find("vbs.region.models_built");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(RegionCache, BoundedCacheDropsLeastRecentlyUsedShapes) {
+  VbsImage header;
+  header.spec.chan_width = 4;
+  header.cluster = 3;
+  header.task_w = 8;  // extents 3, 3, 2 across
+  header.task_h = 7;  // extents 3, 3, 1 down
+  const telem::ScopedEnable on;
+  const long long before = region_models_built();
+  auto built = [&] { return region_models_built() - before; };
+
+  // Shape bound: (0,0) is touched again, so (2,0) is the one dropped.
+  RegionDecoderCache two({2, SIZE_MAX});
+  two.region_for(header, 0, 0);
+  two.region_for(header, 2, 0);
+  two.region_for(header, 1, 1);  // same 3x3 shape: a hit
+  EXPECT_EQ(built(), 2);
+  two.region_for(header, 0, 2);  // 3x1: drops the 2x3
+  EXPECT_EQ(two.shapes(), 2u);
+  two.region_for(header, 0, 0);
+  EXPECT_EQ(built(), 3);
+  two.region_for(header, 2, 0);  // dropped before, so built again
+  EXPECT_EQ(built(), 4);
+
+  // The key holds the stream version and the architecture too.
+  RegionDecoderCache keyed;
+  keyed.region_for(header, 0, 0);
+  VbsImage v2 = header;
+  v2.version = kVbsVersionLookahead;
+  keyed.region_for(v2, 0, 0);
+  VbsImage wider = header;
+  wider.spec.chan_width = 5;
+  keyed.region_for(wider, 0, 0);
+  EXPECT_EQ(keyed.shapes(), 3u);
+
+  // Node bound: the full shape alone fills it, so a second shape drops it.
+  const auto full_nodes =
+      static_cast<std::size_t>(keyed.region_for(header, 0, 0).num_nodes());
+  RegionDecoderCache small({16, full_nodes});
+  small.region_for(header, 0, 0);
+  EXPECT_EQ(small.nodes(), full_nodes);
+  const RegionModel& partial = small.region_for(header, 2, 0);
+  EXPECT_EQ(small.shapes(), 1u);
+  EXPECT_EQ(small.nodes(), static_cast<std::size_t>(partial.num_nodes()));
+  // A shape larger than the whole bound still stays while it is the last
+  // one asked for.
+  RegionDecoderCache tiny({16, 1});
+  EXPECT_GT(tiny.region_for(header, 0, 0).num_nodes(), 1);
+  EXPECT_EQ(tiny.shapes(), 1u);
+  tiny.region_for(header, 2, 2);
+  EXPECT_EQ(tiny.shapes(), 1u);
 }
 
 TEST(Route, StallAbortCutsHopelessTrialsShort) {
@@ -140,10 +199,10 @@ TEST(Flow, DecoderRespectsEncoderIterationContract) {
   const VbsImage img = encode_vbs(*r.fabric, r.netlist, r.packed, r.placement,
                                   r.routing.routes, eo, &stats);
   // Decode every non-raw entry with a greedy-only decoder.
-  RegionDecoderCache cache(img);
+  RegionDecoderCache cache;
   BitVector payload;
   for (const VbsEntry& e : img.entries) {
-    Devirtualizer& dv = cache.decoder_for(e.cx, e.cy);
+    Devirtualizer& dv = cache.decoder_for(img, e);
     dv.set_max_iterations(1);
     EXPECT_TRUE(dv.decode_entry(e, payload));
   }

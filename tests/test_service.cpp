@@ -19,6 +19,7 @@
 #include "rtc/service/trace.h"
 #include "util/hash.h"
 #include "util/stats.h"
+#include "util/telemetry.h"
 #include "vbs/encoder.h"
 
 namespace vbs {
@@ -621,6 +622,116 @@ TEST(Service, ReusedDecodersMatchFreshDecodes) {
     EXPECT_EQ(svc.controller().num_tasks(), 2 * static_cast<int>(valid.size()));
     EXPECT_EQ(svc.controller().config_memory(), expected);
   }
+}
+
+long long region_models_built() {
+  const telem::MetricsSnapshot snap = telem::snapshot();
+  const auto it = snap.counters.find("vbs.region.models_built");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// Each rank builds a region shape once and keeps it: later passes over
+// shapes the service has seen, and the uncached relocation's re-decode,
+// build no model.
+TEST(Service, SeenShapesBuildNoRegionModels) {
+  const ArchSpec arch = test_arch();
+  // Five shapes: c = 1's 1x1, and c = 2's 2x2, 1x2, 2x1 and 1x1 on 5x5.
+  const std::vector<BitVector> streams = {make_stream(13, 4, 71, arch),
+                                          make_stream(21, 5, 72, arch, 2)};
+  const telem::ScopedEnable on;
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    ServiceOptions opts;
+    opts.threads = threads;
+    opts.cache_capacity_bits = 0;  // every load decodes
+    ReconfigService svc(arch, 24, 12, opts);
+    const long long before = region_models_built();
+    RequestId moved = kNoRequest;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const BitVector& s : streams) moved = svc.submit_load(s);
+      for (const RequestResult& r : svc.drain()) {
+        EXPECT_EQ(r.status, RequestStatus::kDone) << r.request;
+      }
+      const long long built = region_models_built() - before;
+      if (threads == 1) {
+        EXPECT_EQ(built, 5) << "pass " << pass;
+      } else {
+        // A rank builds a shape the first time it meets it, at most once.
+        EXPECT_LE(built, 5 * threads) << "pass " << pass;
+      }
+    }
+    if (threads == 1) {
+      EXPECT_EQ(svc.decoders(0).shapes(), 5u);
+      svc.submit_relocate(moved);
+      ASSERT_EQ(svc.drain().front().status, RequestStatus::kDone);
+      EXPECT_EQ(svc.stats().relocates_decoded, 1);
+      EXPECT_EQ(region_models_built() - before, 5);
+    }
+  }
+}
+
+// Headers that parse, one empty entry each, in more distinct region shapes
+// than a rank keeps: every rank stays within its retention bound, and the
+// service keeps serving.
+TEST(Service, RegionShapeFloodStaysWithinTheRankBound) {
+  std::vector<BitVector> flood;
+  auto add = [&](const ArchSpec& arch, int c, int w, int h) {
+    VbsImage img;
+    img.version = kVbsVersionLookahead;
+    img.spec = arch;
+    img.cluster = c;
+    img.task_w = w;
+    img.task_h = h;
+    img.entries.emplace_back();
+    img.entries.back().logic.resize(static_cast<std::size_t>(c * c));
+    flood.push_back(serialize_vbs(img));
+  };
+  const ArchSpec arch = test_arch();
+  for (int c = 3; c <= 5; ++c) {
+    for (int w = 1; w <= c; ++w) {
+      for (int h = 1; h <= c; ++h) add(arch, c, w, h);
+    }
+  }
+  // Other architectures decode too, then fail at commit.
+  for (int width = 4; width <= 7; ++width) {
+    ArchSpec other = arch;
+    other.chan_width = width;
+    add(other, 2, 2, 2);
+  }
+  ASSERT_GT(flood.size(), RegionDecoderCache::kPerRank.shapes);
+
+  const telem::ScopedEnable on;
+  ServiceOptions opts;
+  opts.threads = 2;
+  opts.cache_capacity_bits = 0;
+  ReconfigService svc(arch, 8, 8, opts);
+  const long long before = region_models_built();
+  for (const BitVector& s : flood) svc.submit_unload(svc.submit_load(s));
+  long long done = 0, failed = 0;
+  for (const RequestResult& r : svc.drain()) {
+    if (r.kind != RequestKind::kLoad) continue;
+    if (r.status == RequestStatus::kDone) ++done;
+    if (r.status == RequestStatus::kFailed) {
+      EXPECT_EQ(r.code, VbsErrc::kArchMismatch);
+      ++failed;
+    }
+  }
+  EXPECT_EQ(done, static_cast<long long>(flood.size()) - 4);
+  EXPECT_EQ(failed, 4);
+  EXPECT_GE(region_models_built() - before,
+            static_cast<long long>(flood.size()));
+  for (int rank = 0; rank < 2; ++rank) {
+    EXPECT_LE(svc.decoders(rank).shapes(), RegionDecoderCache::kPerRank.shapes);
+    EXPECT_LE(svc.decoders(rank).nodes(), RegionDecoderCache::kPerRank.nodes);
+  }
+  // A valid load after the flood still matches a fresh decode.
+  const BitVector s = make_stream(13, 4, 73, arch);
+  const RequestId id = svc.submit_load(s);
+  ASSERT_EQ(svc.drain().front().status, RequestStatus::kDone);
+  const Rect r = svc.controller().record(svc.task_of(id)).rect;
+  EXPECT_EQ(svc.controller().config_memory(),
+            devirtualize_image(deserialize_vbs(s), svc.controller().fabric(),
+                               {r.x, r.y}));
 }
 
 // Pins the configuration-memory bytes the service commits. The sequence
