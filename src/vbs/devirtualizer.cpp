@@ -340,21 +340,22 @@ RegionDecoderCache::Slot& RegionDecoderCache::slot_for(const VbsImage& header,
   }
   const auto hit =
       std::find_if(slots_.begin(), slots_.end(), [&](const auto& s) {
-        return s->c == header.cluster && s->w == w && s->h == h &&
-               s->version == header.version && s->spec == header.spec;
+        const RegionModel& rm = *s->region;
+        return rm.cluster() == header.cluster && rm.extent_w() == w &&
+               rm.extent_h() == h && s->version == header.version &&
+               rm.spec() == header.spec;
       });
   if (hit != slots_.end()) {
     std::rotate(slots_.begin(), hit, hit + 1);
     return *slots_.front();
   }
-  auto slot = std::make_unique<Slot>(Slot{header.spec, header.cluster, w, h,
-                                          header.version, nullptr, nullptr});
-  slot->region =
+  auto region =
       std::make_unique<RegionModel>(header.spec, header.cluster, w, h);
-  slot->decoder =
-      std::make_unique<Devirtualizer>(*slot->region, header.version);
-  nodes_ += static_cast<std::size_t>(slot->region->num_nodes());
-  slots_.insert(slots_.begin(), std::move(slot));
+  auto decoder = std::make_unique<Devirtualizer>(*region, header.version);
+  nodes_ += static_cast<std::size_t>(region->num_nodes());
+  slots_.insert(slots_.begin(),
+                std::make_unique<Slot>(Slot{header.version, std::move(region),
+                                            std::move(decoder)}));
   while (slots_.size() > 1 &&
          (slots_.size() > bound_.shapes || nodes_ > bound_.nodes)) {
     nodes_ -= static_cast<std::size_t>(slots_.back()->region->num_nodes());

@@ -212,8 +212,6 @@ class RegionDecoderCache {
 
  private:
   struct Slot {
-    ArchSpec spec;
-    int c, w, h;
     unsigned version;
     std::unique_ptr<RegionModel> region;
     std::unique_ptr<Devirtualizer> decoder;
