@@ -45,6 +45,14 @@ std::shared_ptr<const MacroModel> MacroModel::of(const ArchSpec& spec) {
   return shared_for_arch<MacroModel>(spec, kRegisteredModels);
 }
 
+std::size_t MacroModel::bytes() const {
+  std::size_t n = points_.capacity() * sizeof(SwitchPoint) +
+                  adj_.capacity() * sizeof(adj_[0]) +
+                  node_port_.capacity() * sizeof(int);
+  for (const auto& a : adj_) n += a.capacity() * sizeof(Adj);
+  return n;
+}
+
 void MacroModel::build_nodes() {
   const int w = spec_.chan_width;
   const int px = spec_.pins_on_x();

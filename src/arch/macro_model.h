@@ -32,6 +32,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -76,6 +77,8 @@ class MacroModel {
 
   int num_nodes() const { return num_nodes_; }
   int num_ports() const { return spec_.ports_per_macro(); }
+  /// Heap bytes of the switch-point, adjacency and port tables.
+  std::size_t bytes() const;
   /// Routing configuration bits (Nraw - NLB).
   int num_route_bits() const { return spec_.nroute_bits(); }
 

@@ -48,9 +48,7 @@ ReconfigService::ReconfigService(const ArchSpec& spec, int width, int height,
       policy_(make_placement_policy(opts_.policy)),
       cache_(opts_.cache_capacity_bits),
       pool_(std::max(1, opts_.threads)) {
-  for (int rank = 0; rank < pool_.size(); ++rank) {
-    decoders_.emplace_back(RegionDecoderCache::kPerRank);
-  }
+  decoders_.resize(static_cast<std::size_t>(pool_.size()));
   if (opts_.max_batch < 1) {
     throw std::invalid_argument("service: max_batch must be >= 1");
   }
@@ -537,6 +535,7 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
       }
       item_seconds[idx] = telem::seconds_since(t0);
     });
+    publish_decoder_bytes();
     for (std::size_t idx = 0; idx < items.size(); ++idx) {
       Job& job = jobs[static_cast<std::size_t>(items[idx].job)];
       job.decoded->decode += item_stats[idx];
@@ -689,6 +688,15 @@ void ReconfigService::process_unload(Request& req,
   finish(req, std::move(res), out);
 }
 
+void ReconfigService::publish_decoder_bytes() const {
+  if (!telem::enabled()) return;
+  std::size_t bytes = 0;
+  for (const RegionDecoderCache& d : decoders_) {
+    bytes = std::max(bytes, d.retained_bytes());
+  }
+  telem::gauge_set("service.decoder_bytes", static_cast<double>(bytes));
+}
+
 void ReconfigService::process_relocate(Request& req,
                                        std::vector<RequestResult>& out) {
   ++stats_.relocates;
@@ -724,6 +732,7 @@ void ReconfigService::process_relocate(Request& req,
         // content pay for one decode, not N. Drain runs on rank 0, so its
         // decoder set is free here.
         const auto fresh = decode_stream(rtc_.image_of(id), decoders_[0]);
+        publish_decoder_bytes();
         stats_.decode += fresh->decode;
         cache_.insert(info.content_hash, fresh);
         rtc_.relocate_decoded(id, *slot, fresh->payloads);

@@ -206,10 +206,6 @@ class ReconfigService {
 
   const ReconfigController& controller() const { return rtc_; }
   const DecodedStreamCache& cache() const { return cache_; }
-  /// The region decoders pool rank `rank` keeps (0 <= rank < threads).
-  const RegionDecoderCache& decoders(int rank) const {
-    return decoders_.at(static_cast<std::size_t>(rank));
-  }
   const ServiceStats& stats() const { return stats_; }
   /// Per-tenant counters, keyed by tenant id (created lazily on first
   /// submit or set_tenant_priority).
@@ -329,6 +325,9 @@ class ReconfigService {
                           std::vector<RequestResult>& out);
   void process_unload(Request& req, std::vector<RequestResult>& out);
   void process_relocate(Request& req, std::vector<RequestResult>& out);
+  /// Sets the gauge service.decoder_bytes to the largest retained_bytes()
+  /// of any rank's decoder set (when telemetry is enabled).
+  void publish_decoder_bytes() const;
   /// Chooses an origin, evicting victims if allowed; fills result's
   /// eviction fields. Returns nullopt when the load must be rejected.
   std::optional<Point> admit_placement(int w, int h, RequestId cause,
@@ -373,7 +372,7 @@ class ReconfigService {
   DecodedStreamCache cache_;
   ThreadPool pool_;
   /// One decoder set per pool rank, kept for the service's life and
-  /// bounded per rank (RegionDecoderCache::kPerRank).
+  /// bounded per rank (RegionDecoderCache::kMaxShapes, kMaxBytes).
   std::vector<RegionDecoderCache> decoders_;
 
   std::deque<Request> queue_;

@@ -85,6 +85,12 @@ Devirtualizer::Devirtualizer(const RegionModel& region, unsigned version)
   port_group_.assign(static_cast<std::size_t>(region.num_ports()), -1);
 }
 
+std::size_t Devirtualizer::state_bytes() const {
+  auto of = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  return of(occ_) + of(hist_) + of(visit_) + of(tree_stamp_) +
+         of(node_owner_) + of(port_group_);
+}
+
 void Devirtualizer::add_to_tree(Group& g, std::int32_t node,
                                 std::int32_t switch_bit) {
   g.tree.push_back({node, switch_bit});
@@ -352,16 +358,38 @@ RegionDecoderCache::Slot& RegionDecoderCache::slot_for(const VbsImage& header,
   auto region =
       std::make_unique<RegionModel>(header.spec, header.cluster, w, h);
   auto decoder = std::make_unique<Devirtualizer>(*region, header.version);
-  nodes_ += static_cast<std::size_t>(region->num_nodes());
+  const std::size_t bytes = region->bytes() + decoder->state_bytes();
   slots_.insert(slots_.begin(),
                 std::make_unique<Slot>(Slot{header.version, std::move(region),
-                                            std::move(decoder)}));
+                                            std::move(decoder), bytes}));
   while (slots_.size() > 1 &&
-         (slots_.size() > bound_.shapes || nodes_ > bound_.nodes)) {
-    nodes_ -= static_cast<std::size_t>(slots_.back()->region->num_nodes());
+         (slots_.size() > kMaxShapes || retained_bytes() > kMaxBytes)) {
     slots_.pop_back();
   }
   return *slots_.front();
+}
+
+std::size_t RegionDecoderCache::retained_bytes() const {
+  std::size_t bytes = 0;
+  for (auto it = slots_.begin(); it != slots_.end(); ++it) {
+    const Slot& s = **it;
+    const ArchSpec& spec = s.region->spec();
+    bytes += s.bytes;
+    // Count each architecture's shared macro model and lookahead table
+    // at the first (most recent) shape that holds them.
+    auto same_arch = [&](const auto& o) { return o->region->spec() == spec; };
+    auto same_table = [&](const auto& o) {
+      return o->version == kVbsVersionLookahead && same_arch(o);
+    };
+    if (std::none_of(slots_.begin(), it, same_arch)) {
+      bytes += s.region->macro().bytes();
+    }
+    if (s.version == kVbsVersionLookahead &&
+        std::none_of(slots_.begin(), it, same_table)) {
+      bytes += Lookahead::table_bytes(spec);
+    }
+  }
+  return bytes;
 }
 
 const RegionModel& RegionDecoderCache::region_for(const VbsImage& header,

@@ -96,6 +96,9 @@ class Devirtualizer {
                     DecodeStats* stats = nullptr);
 
   const RegionModel& region() const { return *region_; }
+  /// Heap bytes of the per-node and per-port search state, sized at
+  /// construction (not the shared lookahead table).
+  std::size_t state_bytes() const;
 
   /// Negotiation budget; 1 degenerates to the pure greedy decoder.
   void set_max_iterations(int n) { max_iterations_ = n; }
@@ -173,32 +176,26 @@ class Devirtualizer {
 /// nowhere else.
 ///
 /// Lifetime. A cache is not thread-safe: one per decoding thread. A
-/// one-image decode keeps a local, unbounded cache (at most four shapes).
-/// The service keeps one bounded cache per pool rank for its whole life,
-/// so a rank builds each shape once instead of once per load, and its
-/// uncached-relocation re-decode uses rank 0's. A reused decoder resets
-/// its search state per entry, so decoding stays pure per entry: the same
-/// payload and DecodeStats as a fresh decoder.
+/// one-image decode keeps a local cache for that image. The service keeps
+/// one cache per pool rank for its whole life, so a rank builds each shape
+/// once instead of once per load, and its uncached-relocation re-decode
+/// uses rank 0's. A reused decoder resets its search state per entry, so
+/// decoding stays pure per entry: the same payload and DecodeStats as a
+/// fresh decoder.
 ///
-/// Retention. A bounded cache keeps at most `shapes` shapes and `nodes`
-/// region nodes in all, dropping the least recently used first; the shape
-/// asked for last always stays, however large. A flood of distinct hostile
-/// shapes (headers with c up to 63 pass deserialize_vbs) therefore pins at
-/// most the bound plus one model no larger than the per-entry resource
-/// guard allows. References from region_for / decoder_for stay valid until
-/// the next call on a bounded cache, and for the cache's life otherwise.
+/// Retention. A cache keeps at most kMaxShapes shapes and kMaxBytes of
+/// retained_bytes(), dropping the least recently used shape first; the
+/// shape asked for last always stays, alone if it alone exceeds kMaxBytes.
+/// Headers with c up to 63 and any channel width within the lookahead
+/// guard pass deserialize_vbs, so a flood of distinct hostile shapes pins
+/// at most kMaxBytes, or one shape no larger than those guards allow.
+/// References from region_for / decoder_for stay valid until the next call.
 class RegionDecoderCache {
  public:
-  struct Bound {
-    std::size_t shapes;
-    std::size_t nodes;
-  };
-  static constexpr Bound kUnbounded{SIZE_MAX, SIZE_MAX};
-  /// The service's per-rank bound: a serve library of c = 1 and c = 2
-  /// kinds needs five shapes of a few thousand nodes.
-  static constexpr Bound kPerRank{16, std::size_t{1} << 17};
-
-  explicit RegionDecoderCache(Bound bound = kUnbounded) : bound_(bound) {}
+  static constexpr std::size_t kMaxShapes = 16;
+  /// At W = 20 a serve library of c = 1 and c = 2 kinds retains 1.2 MB
+  /// (0.8 MB of it the lookahead table), an encode at c = 8 3.7 MB.
+  static constexpr std::size_t kMaxBytes = std::size_t{16} << 20;
 
   /// Extent of the cluster at cluster-grid position (cx, cy) of `header`.
   static std::pair<int, int> extent_of(const VbsImage& header, int cx, int cy);
@@ -207,19 +204,20 @@ class RegionDecoderCache {
   const RegionModel& region_for(const VbsImage& header, int cx, int cy);
   Devirtualizer& decoder_for(const VbsImage& header, const VbsEntry& entry);
 
-  std::size_t shapes() const { return slots_.size(); }
-  std::size_t nodes() const { return nodes_; }
+  /// Bytes the retained shapes keep alive: each region model and its
+  /// decoder's search state, plus once per architecture the macro model
+  /// and, under version 2, the lookahead table its shapes share.
+  std::size_t retained_bytes() const;
 
  private:
   struct Slot {
     unsigned version;
     std::unique_ptr<RegionModel> region;
     std::unique_ptr<Devirtualizer> decoder;
+    std::size_t bytes;  ///< region and decoder state, without the table
   };
   Slot& slot_for(const VbsImage& header, int cx, int cy);
 
-  Bound bound_;
-  std::size_t nodes_ = 0;  ///< region nodes of all retained shapes
   std::vector<std::unique_ptr<Slot>> slots_;  ///< most recently used first
 };
 

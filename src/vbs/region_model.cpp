@@ -167,6 +167,12 @@ RegionModel::RegionModel(const ArchSpec& spec, int cluster, int extent_w,
   telem::counter_add("vbs.region.models_built");
 }
 
+std::size_t RegionModel::bytes() const {
+  auto of = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  return of(node_of_raw_) + of(tile_x_) + of(tile_y_) + of(local_) +
+         of(port_node_) + of(node_port_) + of(adj_begin_) + of(adj_data_);
+}
+
 unsigned RegionModel::port_field_bits() const {
   return bits_for(static_cast<std::uint64_t>(num_ports()) + 1);
 }

@@ -45,6 +45,9 @@ class RegionModel {
   int num_macros() const { return c_ * c_; }
 
   int num_nodes() const { return num_nodes_; }
+  /// Heap bytes of the node, port and adjacency tables (not the shared
+  /// macro model).
+  std::size_t bytes() const;
   /// Region node of macro-local node `local` in region macro (ux,uy);
   /// (ux,uy) must lie within the extent.
   int node_of(int ux, int uy, int local) const {

@@ -6,9 +6,11 @@
 #include "bitstream/connectivity.h"
 #include "flow/flow.h"
 #include "netlist/generator.h"
+#include "region_metrics.h"
 #include "util/telemetry.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/encoder.h"
+#include "vbs/lookahead.h"
 
 namespace vbs {
 namespace {
@@ -98,62 +100,101 @@ TEST(RegionCache, ExtentsCoverTheTask) {
   EXPECT_EQ(partial.node_tile(east_node).x, 1);
 }
 
-long long region_models_built() {
-  const telem::MetricsSnapshot snap = telem::snapshot();
-  const auto it = snap.counters.find("vbs.region.models_built");
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
-TEST(RegionCache, BoundedCacheDropsLeastRecentlyUsedShapes) {
-  VbsImage header;
-  header.spec.chan_width = 4;
-  header.cluster = 3;
-  header.task_w = 8;  // extents 3, 3, 2 across
-  header.task_h = 7;  // extents 3, 3, 1 down
+TEST(RegionCache, DropsLeastRecentlyUsedShapes) {
+  // Version, architecture and c are each part of the key: 20 shapes.
+  std::vector<VbsImage> shapes;
+  for (const unsigned version : {kVbsVersionManhattan, kVbsVersionLookahead}) {
+    for (const int width : {4, 5}) {
+      for (int c = 1; c <= 5; ++c) {
+        VbsImage header;
+        header.version = version;
+        header.spec.chan_width = width;
+        header.cluster = header.task_w = header.task_h = c;
+        shapes.push_back(header);
+      }
+    }
+  }
+  const std::size_t n = RegionDecoderCache::kMaxShapes;
+  ASSERT_GT(shapes.size(), n);
   const telem::ScopedEnable on;
   const long long before = region_models_built();
   auto built = [&] { return region_models_built() - before; };
 
-  // Shape bound: (0,0) is touched again, so (2,0) is the one dropped.
-  RegionDecoderCache two({2, SIZE_MAX});
-  two.region_for(header, 0, 0);
-  two.region_for(header, 2, 0);
-  two.region_for(header, 1, 1);  // same 3x3 shape: a hit
-  EXPECT_EQ(built(), 2);
-  two.region_for(header, 0, 2);  // 3x1: drops the 2x3
-  EXPECT_EQ(two.shapes(), 2u);
-  two.region_for(header, 0, 0);
-  EXPECT_EQ(built(), 3);
-  two.region_for(header, 2, 0);  // dropped before, so built again
+  RegionDecoderCache cache;
+  for (std::size_t k = 0; k < n; ++k) cache.region_for(shapes[k], 0, 0);
+  EXPECT_EQ(built(), static_cast<long long>(n));
+  cache.region_for(shapes[0], 0, 0);  // a hit: now the most recent
+  EXPECT_EQ(built(), static_cast<long long>(n));
+  cache.region_for(shapes[n], 0, 0);  // drops shapes[1], the least recent
+  cache.region_for(shapes[0], 0, 0);
+  EXPECT_EQ(built(), static_cast<long long>(n) + 1);
+  cache.region_for(shapes[1], 0, 0);  // built again; drops shapes[2]
+  EXPECT_EQ(built(), static_cast<long long>(n) + 2);
+  for (std::size_t k = 3; k <= n; ++k) cache.region_for(shapes[k], 0, 0);
+  EXPECT_EQ(built(), static_cast<long long>(n) + 2);
+}
+
+// A version-2 shape keeps its architecture's lookahead table alive, so the
+// byte bound counts it: wide-channel shapes push each other out long
+// before the shape bound would.
+TEST(RegionCache, ByteBoundCountsLookaheadTables) {
+  auto wide = [](int width) {
+    VbsImage header;
+    header.version = kVbsVersionLookahead;
+    header.spec.chan_width = width;
+    header.cluster = header.task_w = header.task_h = 1;
+    return header;
+  };
+  const std::vector<VbsImage> shapes = {wide(56), wide(58), wide(60)};
+  std::size_t tables = 0;
+  for (const VbsImage& h : shapes) tables += Lookahead::table_bytes(h.spec);
+  ASSERT_GT(tables, RegionDecoderCache::kMaxBytes);
+  ASSERT_LT(tables - Lookahead::table_bytes(shapes[0].spec),
+            RegionDecoderCache::kMaxBytes);
+  const telem::ScopedEnable on;
+  const long long before = region_models_built();
+  auto built = [&] { return region_models_built() - before; };
+
+  RegionDecoderCache cache;
+  cache.region_for(shapes[0], 0, 0);
+  const std::size_t one = cache.retained_bytes();
+  EXPECT_GT(one, Lookahead::table_bytes(shapes[0].spec));
+  // A second shape of the same architecture shares its table.
+  VbsImage twin = shapes[0];
+  twin.cluster = twin.task_w = twin.task_h = 2;
+  cache.region_for(twin, 0, 0);
+  EXPECT_LT(cache.retained_bytes(),
+            one + Lookahead::table_bytes(shapes[0].spec));
+  for (const VbsImage& h : shapes) {
+    cache.region_for(h, 0, 0);
+    EXPECT_LE(cache.retained_bytes(), RegionDecoderCache::kMaxBytes);
+  }
   EXPECT_EQ(built(), 4);
+  cache.region_for(shapes[2], 0, 0);
+  cache.region_for(shapes[1], 0, 0);
+  EXPECT_EQ(built(), 4);
+  cache.region_for(shapes[0], 0, 0);  // dropped for the third table
+  EXPECT_EQ(built(), 5);
+}
 
-  // The key holds the stream version and the architecture too.
-  RegionDecoderCache keyed;
-  keyed.region_for(header, 0, 0);
-  VbsImage v2 = header;
-  v2.version = kVbsVersionLookahead;
-  keyed.region_for(v2, 0, 0);
-  VbsImage wider = header;
-  wider.spec.chan_width = 5;
-  keyed.region_for(wider, 0, 0);
-  EXPECT_EQ(keyed.shapes(), 3u);
+TEST(RegionCache, ShapeAboveTheByteBoundStaysOnlyWhileInUse) {
+  VbsImage big;
+  big.spec.chan_width = 4;
+  big.cluster = big.task_w = big.task_h = 63;
+  VbsImage small = big;
+  small.cluster = small.task_w = small.task_h = 2;
+  const telem::ScopedEnable on;
+  const long long before = region_models_built();
 
-  // Node bound: the full shape alone fills it, so a second shape drops it.
-  const auto full_nodes =
-      static_cast<std::size_t>(keyed.region_for(header, 0, 0).num_nodes());
-  RegionDecoderCache small({16, full_nodes});
-  small.region_for(header, 0, 0);
-  EXPECT_EQ(small.nodes(), full_nodes);
-  const RegionModel& partial = small.region_for(header, 2, 0);
-  EXPECT_EQ(small.shapes(), 1u);
-  EXPECT_EQ(small.nodes(), static_cast<std::size_t>(partial.num_nodes()));
-  // A shape larger than the whole bound still stays while it is the last
-  // one asked for.
-  RegionDecoderCache tiny({16, 1});
-  EXPECT_GT(tiny.region_for(header, 0, 0).num_nodes(), 1);
-  EXPECT_EQ(tiny.shapes(), 1u);
-  tiny.region_for(header, 2, 2);
-  EXPECT_EQ(tiny.shapes(), 1u);
+  RegionDecoderCache cache;
+  cache.region_for(small, 0, 0);
+  cache.region_for(big, 0, 0);
+  ASSERT_GT(cache.retained_bytes(), RegionDecoderCache::kMaxBytes);
+  cache.region_for(big, 0, 0);  // a hit
+  EXPECT_EQ(region_models_built() - before, 2);
+  cache.region_for(small, 0, 0);  // dropped with the big shape, built again
+  EXPECT_EQ(region_models_built() - before, 3);
+  EXPECT_LT(cache.retained_bytes(), RegionDecoderCache::kMaxBytes);
 }
 
 TEST(Route, StallAbortCutsHopelessTrialsShort) {

@@ -16,11 +16,13 @@
 #include "rtc/service/placement_policy.h"
 #include "rtc/service/service.h"
 #include "rtc/service/stream_cache.h"
+#include "region_metrics.h"
 #include "rtc/service/trace.h"
 #include "util/hash.h"
 #include "util/stats.h"
 #include "util/telemetry.h"
 #include "vbs/encoder.h"
+#include "vbs/lookahead.h"
 
 namespace vbs {
 namespace {
@@ -624,12 +626,6 @@ TEST(Service, ReusedDecodersMatchFreshDecodes) {
   }
 }
 
-long long region_models_built() {
-  const telem::MetricsSnapshot snap = telem::snapshot();
-  const auto it = snap.counters.find("vbs.region.models_built");
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
 // Each rank builds a region shape once and keeps it: later passes over
 // shapes the service has seen, and the uncached relocation's re-decode,
 // build no model.
@@ -661,7 +657,6 @@ TEST(Service, SeenShapesBuildNoRegionModels) {
       }
     }
     if (threads == 1) {
-      EXPECT_EQ(svc.decoders(0).shapes(), 5u);
       svc.submit_relocate(moved);
       ASSERT_EQ(svc.drain().front().status, RequestStatus::kDone);
       EXPECT_EQ(svc.stats().relocates_decoded, 1);
@@ -671,10 +666,12 @@ TEST(Service, SeenShapesBuildNoRegionModels) {
 }
 
 // Headers that parse, one empty entry each, in more distinct region shapes
-// than a rank keeps: every rank stays within its retention bound, and the
-// service keeps serving.
+// than a rank keeps, ending in wide-channel version-2 shapes whose
+// lookahead tables together exceed the byte bound of both ranks: every
+// rank stays within its retention bound, and the service keeps serving.
 TEST(Service, RegionShapeFloodStaysWithinTheRankBound) {
   std::vector<BitVector> flood;
+  std::size_t wide_tables = 0;
   auto add = [&](const ArchSpec& arch, int c, int w, int h) {
     VbsImage img;
     img.version = kVbsVersionLookahead;
@@ -693,14 +690,23 @@ TEST(Service, RegionShapeFloodStaysWithinTheRankBound) {
     }
   }
   // Other architectures decode too, then fail at commit.
-  for (int width = 4; width <= 7; ++width) {
+  int other_archs = 0;
+  for (int width = 4; width <= 7; ++width, ++other_archs) {
     ArchSpec other = arch;
     other.chan_width = width;
     add(other, 2, 2, 2);
   }
-  ASSERT_GT(flood.size(), RegionDecoderCache::kPerRank.shapes);
+  for (int width = 56; width <= 61; ++width, ++other_archs) {
+    ArchSpec other = arch;
+    other.chan_width = width;
+    add(other, 1, 1, 1);
+    wide_tables += Lookahead::table_bytes(other);
+  }
+  ASSERT_GT(flood.size(), RegionDecoderCache::kMaxShapes);
+  ASSERT_GT(wide_tables, 2 * RegionDecoderCache::kMaxBytes);
 
   const telem::ScopedEnable on;
+  telem::reset();
   ServiceOptions opts;
   opts.threads = 2;
   opts.cache_capacity_bits = 0;
@@ -716,14 +722,13 @@ TEST(Service, RegionShapeFloodStaysWithinTheRankBound) {
       ++failed;
     }
   }
-  EXPECT_EQ(done, static_cast<long long>(flood.size()) - 4);
-  EXPECT_EQ(failed, 4);
+  EXPECT_EQ(done, static_cast<long long>(flood.size()) - other_archs);
+  EXPECT_EQ(failed, other_archs);
   EXPECT_GE(region_models_built() - before,
             static_cast<long long>(flood.size()));
-  for (int rank = 0; rank < 2; ++rank) {
-    EXPECT_LE(svc.decoders(rank).shapes(), RegionDecoderCache::kPerRank.shapes);
-    EXPECT_LE(svc.decoders(rank).nodes(), RegionDecoderCache::kPerRank.nodes);
-  }
+  EXPECT_GT(service_decoder_bytes(), 0.0);
+  EXPECT_LE(service_decoder_bytes(),
+            static_cast<double>(RegionDecoderCache::kMaxBytes));
   // A valid load after the flood still matches a fresh decode.
   const BitVector s = make_stream(13, 4, 73, arch);
   const RequestId id = svc.submit_load(s);
@@ -732,6 +737,8 @@ TEST(Service, RegionShapeFloodStaysWithinTheRankBound) {
   EXPECT_EQ(svc.controller().config_memory(),
             devirtualize_image(deserialize_vbs(s), svc.controller().fabric(),
                                {r.x, r.y}));
+  EXPECT_LE(service_decoder_bytes(),
+            static_cast<double>(RegionDecoderCache::kMaxBytes));
 }
 
 // Pins the configuration-memory bytes the service commits. The sequence
