@@ -214,7 +214,7 @@ class RegionDecoderCache {
     unsigned version;
     std::unique_ptr<RegionModel> region;
     std::unique_ptr<Devirtualizer> decoder;
-    std::size_t bytes;  ///< region and decoder state, without the table
+    std::size_t bytes;  ///< region and decoder state, without shared tables
   };
   Slot& slot_for(const VbsImage& header, int cx, int cy);
 
