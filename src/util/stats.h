@@ -1,5 +1,5 @@
-// Small statistics helpers for the experiment harnesses: running min/max,
-// arithmetic and geometric means, ratio summaries.
+// Small statistics helpers for tools/vbspaper and the benchmarks: running
+// min/max, arithmetic and geometric means, ratio summaries.
 #pragma once
 
 #include <cstddef>

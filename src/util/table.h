@@ -1,4 +1,4 @@
-// Plain-text table printer used by the benchmark harnesses so every
+// Plain-text table printer used by tools/vbspaper and vbsinfo so every
 // reproduced table/figure prints aligned, copy-pasteable rows.
 #pragma once
 

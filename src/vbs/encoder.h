@@ -37,7 +37,7 @@ struct EncodeOptions {
   /// out-list instead of once per connection. Re-ordering then permutes
   /// whole signals (and outs within a signal) to keep the stream groupable.
   bool compact_fanout = false;
-  /// Ablation switches (bench/encode_ablation):
+  /// Ablation switches (the feedback-loop ablation of tools/vbspaper):
   bool force_raw = false;      ///< code every region raw (no virtualization)
   bool no_reorder = false;     ///< first-order-only feedback, raw on failure
   bool size_fallback = true;   ///< raw when the list coding is not smaller

@@ -1,7 +1,7 @@
 // Same-seed determinism regression: two runs of the whole flow must agree
 // bit for bit — placements AND route trees — with bounded-box routing on
 // and off. The flow is advertised as reproducible from a single seed
-// (perfbench's counts, encode_ablation comparisons and the determinism of
+// (perfbench's counts, tools/vbspaper's ablation and the determinism of
 // the VBS coding itself all depend on it), so any hidden iteration-order
 // or uninitialized-state dependence is a bug.
 //
