@@ -78,7 +78,7 @@ int main() {
   std::vector<TaskId> loaded;
   const int sequence[] = {2, 1, 0, 1, 0, 2};
   for (const int k : sequence) {
-    const TaskId id = rtc.load(kinds[static_cast<std::size_t>(k)].stream, 2);
+    const TaskId id = rtc.load(kinds[static_cast<std::size_t>(k)].stream);
     if (id == kNoTask) {
       std::printf("  -> %s rejected (no contiguous free rectangle)\n",
                   kinds[static_cast<std::size_t>(k)].name);
@@ -99,12 +99,12 @@ int main() {
 
   // ...until the controller defragments by migrating tasks (each move is a
   // decode of the retained VBS at a new origin).
-  rtc.defragment(2);
+  rtc.defragment();
   show("after defragmentation:");
   const auto slot2 = rtc.find_free_slot(6, 6);
   std::printf("6x6 arrival fits now? %s\n", slot2 ? "yes" : "no");
   if (slot2) {
-    rtc.load(kinds[2].stream, 2);
+    rtc.load(kinds[2].stream);
     show("after loading the 6x6:");
   }
 

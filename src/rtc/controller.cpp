@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
+#include <utility>
 
 #include "util/telemetry.h"
 
@@ -45,77 +45,22 @@ std::vector<TaskId> ReconfigController::task_ids() const {
   return ids;
 }
 
-void ReconfigController::decode_into(const VbsImage& img, Point origin,
-                                     int threads, TaskRecord& rec) {
+std::shared_ptr<DecodedStream> ReconfigController::decode(VbsImage img,
+                                                          double& seconds) {
   if (fault_plan_ != nullptr && fault_plan_->decode_fails(decode_seq_++)) {
     telem::counter_add("rtc.decode.fault_injected");
     throw VbsError(VbsErrc::kFaultInjected, "rtc: injected decode fault");
   }
   telem::Span span("rtc", "decode");
   const std::uint64_t t0 = telem::now_ns();
-  const std::size_t n = img.entries.size();
-  std::vector<BitVector> payloads(n);
-  std::vector<DecodeStats> stats(std::max(1, threads));
-  std::vector<std::string> errors(std::max(1, threads));
-
-  // Decode phase: entries are independent (the de-virtualization process
-  // "can be easily parallelized to process multiple macros at once",
-  // paper Section II-C). Each worker owns its region-model cache.
-  auto worker = [&](int tid, std::size_t begin, std::size_t end) {
-    try {
-      RegionDecoderCache cache;
-      for (std::size_t i = begin; i < end; ++i) {
-        const VbsEntry& e = img.entries[i];
-        if (!cache.decoder_for(img, e).decode_entry(
-                e, payloads[i], &stats[static_cast<std::size_t>(tid)])) {
-          errors[static_cast<std::size_t>(tid)] =
-              "entry " + std::to_string(e.cx) + "," + std::to_string(e.cy) +
-              " failed to decode";
-          return;
-        }
-      }
-    } catch (const std::exception& ex) {
-      errors[static_cast<std::size_t>(tid)] = ex.what();
-    }
-  };
-  if (threads <= 1 || n < 2) {
-    worker(0, 0, n);
-  } else {
-    const int nt = std::min<std::size_t>(threads, n);
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nt));
-    for (int t = 0; t < nt; ++t) {
-      const std::size_t begin = n * static_cast<std::size_t>(t) /
-                                static_cast<std::size_t>(nt);
-      const std::size_t end = n * static_cast<std::size_t>(t + 1) /
-                              static_cast<std::size_t>(nt);
-      pool.emplace_back(worker, t, begin, end);
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  for (const std::string& err : errors) {
-    if (!err.empty()) {
-      throw VbsError(VbsErrc::kDecodeFailed, "rtc: decode failed: " + err);
-    }
-  }
-
-  // Finalize phase: single-writer into the configuration memory (frames of
-  // adjacent macros share storage words).
-  for (std::size_t i = 0; i < n; ++i) {
-    write_entry_config(img, img.entries[i], payloads[i], layout_, origin,
-                       config_);
-  }
-
-  rec.decode_seconds = telem::seconds_since(t0);
-  rec.threads_used = std::max(1, threads);
-  for (const DecodeStats& s : stats) {
-    rec.decode += s;
-    total_stats_ += s;
-  }
-  span.arg("entries", n).arg("threads", rec.threads_used);
+  auto decoded = decode_stream(std::move(img));
+  seconds = telem::seconds_since(t0);
+  const std::size_t n = decoded->payloads.size();
+  span.arg("entries", n);
   telem::counter_add("rtc.decode.ops");
   telem::counter_add("rtc.decode.entries", static_cast<long long>(n));
-  telem::histogram_record("rtc.decode.seconds", rec.decode_seconds);
+  telem::histogram_record("rtc.decode.seconds", seconds);
+  return decoded;
 }
 
 void ReconfigController::clear_region(const Rect& r) {
@@ -166,6 +111,23 @@ void ReconfigController::check_payloads(
   }
 }
 
+TaskId ReconfigController::commit(VbsImage img,
+                                  const std::vector<BitVector>& payloads,
+                                  TaskRecord rec) {
+  alloc_.occupy(rec.rect);  // throws if not free / out of bounds
+  rec.id = next_id_++;
+  try {
+    write_decoded(img, payloads, {rec.rect.x, rec.rect.y});
+  } catch (...) {
+    alloc_.release(rec.rect);
+    throw;
+  }
+  total_stats_ += rec.decode;
+  const TaskId id = rec.id;
+  tasks_.emplace(id, LoadedTask{std::move(rec), std::move(img)});
+  return id;
+}
+
 TaskId ReconfigController::load_decoded(const VbsImage& img,
                                         const std::vector<BitVector>& payloads,
                                         std::size_t stream_bits, Point origin,
@@ -179,27 +141,13 @@ TaskId ReconfigController::load_decoded(const VbsImage& img,
     // and the configuration memory untouched, like a real transient one.
     throw VbsError(VbsErrc::kFaultInjected, "rtc: injected allocation fault");
   }
-  const Rect rect{origin.x, origin.y, img.task_w, img.task_h};
-  alloc_.occupy(rect);  // throws if not free / out of bounds
-
-  LoadedTask task;
-  task.rec.id = next_id_++;
-  task.rec.rect = rect;
-  task.rec.stream_bits = stream_bits;
-  task.rec.decode = decode;
-  task.rec.decode_seconds = decode_seconds;
-  task.rec.threads_used = threads_used;
-  try {
-    write_decoded(img, payloads, origin);
-  } catch (...) {
-    alloc_.release(rect);
-    throw;
-  }
-  total_stats_ += decode;
-  task.image = img;
-  const TaskId id = task.rec.id;
-  tasks_.emplace(id, std::move(task));
-  return id;
+  TaskRecord rec;
+  rec.rect = {origin.x, origin.y, img.task_w, img.task_h};
+  rec.stream_bits = stream_bits;
+  rec.decode = decode;
+  rec.decode_seconds = decode_seconds;
+  rec.threads_used = threads_used;
+  return commit(img, payloads, std::move(rec));
 }
 
 void ReconfigController::relocate_decoded(
@@ -223,34 +171,22 @@ void ReconfigController::relocate_decoded(
   task.rec.rect = new_rect;
 }
 
-TaskId ReconfigController::load(const BitVector& vbs_stream, int threads) {
+TaskId ReconfigController::load(const BitVector& vbs_stream) {
   const VbsImage img = deserialize_vbs(vbs_stream);
   const auto slot = alloc_.find_free(img.task_w, img.task_h);
   if (!slot) return kNoTask;
-  return load_at(vbs_stream, *slot, threads);
+  return load_at(vbs_stream, *slot);
 }
 
-TaskId ReconfigController::load_at(const BitVector& vbs_stream, Point origin,
-                                   int threads) {
+TaskId ReconfigController::load_at(const BitVector& vbs_stream, Point origin) {
   VbsImage img = deserialize_vbs(vbs_stream);
   check_arch(img);
-  const Rect rect{origin.x, origin.y, img.task_w, img.task_h};
-  alloc_.occupy(rect);  // throws if not free / out of bounds
-
-  LoadedTask task;
-  task.rec.id = next_id_++;
-  task.rec.rect = rect;
-  task.rec.stream_bits = vbs_stream.size();
-  try {
-    decode_into(img, origin, threads, task.rec);
-  } catch (...) {
-    alloc_.release(rect);
-    throw;
-  }
-  task.image = std::move(img);
-  const TaskId id = task.rec.id;
-  tasks_.emplace(id, std::move(task));
-  return id;
+  TaskRecord rec;
+  rec.rect = {origin.x, origin.y, img.task_w, img.task_h};
+  rec.stream_bits = vbs_stream.size();
+  const auto decoded = decode(std::move(img), rec.decode_seconds);
+  rec.decode = decoded->decode;
+  return commit(std::move(decoded->image), decoded->payloads, std::move(rec));
 }
 
 void ReconfigController::unload(TaskId id) {
@@ -260,21 +196,19 @@ void ReconfigController::unload(TaskId id) {
   tasks_.erase(id);
 }
 
-void ReconfigController::relocate(TaskId id, Point new_origin, int threads) {
+void ReconfigController::relocate(TaskId id, Point new_origin) {
   LoadedTask& task = lookup(id);
-  const Rect old_rect = task.rec.rect;
-  const Rect new_rect{new_origin.x, new_origin.y, old_rect.w, old_rect.h};
-  if (new_rect == old_rect) return;
-  // The new region must be free; a task may not overlap itself mid-move
-  // (the controller has no shadow configuration plane).
-  alloc_.occupy(new_rect);
-  decode_into(task.image, new_origin, threads, task.rec);
-  clear_region(old_rect);
-  alloc_.release(old_rect);
-  task.rec.rect = new_rect;
+  if (new_origin == Point{task.rec.rect.x, task.rec.rect.y}) return;
+  double seconds = 0.0;
+  const auto decoded = decode(task.image, seconds);
+  relocate_decoded(id, new_origin, decoded->payloads);
+  task.rec.decode += decoded->decode;
+  task.rec.decode_seconds = seconds;
+  task.rec.threads_used = 1;
+  total_stats_ += decoded->decode;
 }
 
-void ReconfigController::defragment(int threads) {
+void ReconfigController::defragment() {
   // Greedy compaction: tasks in increasing current-origin order are moved
   // to the first free slot, which is never further from the origin.
   std::vector<TaskId> ids = task_ids();
@@ -296,7 +230,7 @@ void ReconfigController::defragment(int threads) {
     const Rect target{slot->x, slot->y, r.w, r.h};
     if (target == r || target.overlaps(r)) continue;
     if ((target.y > r.y) || (target.y == r.y && target.x >= r.x)) continue;
-    relocate(id, {target.x, target.y}, threads);
+    relocate(id, {target.x, target.y});
   }
 }
 

@@ -1,12 +1,15 @@
 // The run-time reconfiguration controller (paper Fig. 2): loads Virtual
-// Bit-Streams from external memory, de-virtualizes them — optionally in
-// parallel, macro regions being independent (paper Section II-C) — and
-// finalizes the configuration at the physical location chosen by the
-// placement allocator. Also implements task eviction and the relocation /
-// migration the VBS format exists to enable.
+// Bit-Streams from external memory, de-virtualizes them serially with
+// decode_stream (vbs/devirtualizer.h) and finalizes the configuration at
+// the physical location chosen by the placement allocator. Also implements
+// task eviction and the relocation / migration the VBS format exists to
+// enable. Parallel decoding (macro regions are independent, paper Section
+// II-C) is the service's: it decodes on its ThreadPool and commits here
+// through load_decoded and relocate_decoded.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "fabric/fabric.h"
@@ -28,6 +31,8 @@ struct TaskRecord {
   std::size_t stream_bits = 0;   ///< serialized VBS size
   DecodeStats decode;
   double decode_seconds = 0.0;
+  /// Decode threads: 1 for the controller's own loads, the pool size for
+  /// the service's (kept in snapshots).
   int threads_used = 1;
 };
 
@@ -44,28 +49,31 @@ class ReconfigController {
   int num_tasks() const { return static_cast<int>(tasks_.size()); }
 
   /// Loads a serialized VBS wherever it fits (first fit). Returns kNoTask
-  /// if no free rectangle is large enough. `threads` >= 2 decodes entries
-  /// in parallel.
-  TaskId load(const BitVector& vbs_stream, int threads = 1);
+  /// if no free rectangle is large enough.
+  TaskId load(const BitVector& vbs_stream);
 
-  /// Loads at a caller-chosen origin; throws std::logic_error if the
-  /// region is occupied or out of bounds.
-  TaskId load_at(const BitVector& vbs_stream, Point origin, int threads = 1);
+  /// Loads at a caller-chosen origin: decodes, then commits like
+  /// load_decoded. Throws std::logic_error if the region is occupied or out
+  /// of bounds, VbsError on a hostile stream or a failed decode; a throw
+  /// leaves the allocator and configuration memory untouched.
+  TaskId load_at(const BitVector& vbs_stream, Point origin);
 
   /// Clears the task's region (configuration zeroed) and frees it.
   void unload(TaskId id);
 
-  /// Migrates a loaded task: decodes its retained VBS at the new origin,
-  /// then clears the old region — the on-the-fly relocation of Section V.
-  void relocate(TaskId id, Point new_origin, int threads = 1);
+  /// Migrates a loaded task: decodes its retained VBS, then moves it like
+  /// relocate_decoded — the on-the-fly relocation of Section V. The decode
+  /// runs before the allocator is touched, so a failed decode leaves the
+  /// task where it was.
+  void relocate(TaskId id, Point new_origin);
 
   /// Compacts all tasks toward the origin to fight fragmentation.
-  void defragment(int threads = 1);
+  void defragment();
 
   /// Commits a pre-decoded image at `origin` without running the
   /// devirtualizer: `payloads[i]` is the decoded routing payload of
-  /// `img.entries[i]` (what the decode phase of load_at produces, and what
-  /// a DecodedStreamCache retains). `decode` is whatever devirtualization
+  /// `img.entries[i]` (what decode_stream produces, and what a
+  /// DecodedStreamCache retains). `decode` is whatever devirtualization
   /// cost produced the payloads — zero for a cache hit — and is recorded
   /// verbatim in the task record and the aggregate stats.
   TaskId load_decoded(const VbsImage& img,
@@ -93,12 +101,12 @@ class ReconfigController {
   /// Aggregate decode throughput counters across all loads.
   const DecodeStats& total_decode_stats() const { return total_stats_; }
 
-  /// Installs a deterministic fault plan (util/fault.h): decode_into then
-  /// injects transient decode faults and load_decoded transient allocation
-  /// faults, each keyed by a serial per-site sequence counter and thrown
-  /// as VbsError{kFaultInjected} with full rollback (allocator and
-  /// configuration memory untouched). nullptr (the default) disables
-  /// injection; the plan must outlive the controller.
+  /// Installs a deterministic fault plan (util/fault.h): load_at and
+  /// relocate then inject transient decode faults and load_decoded
+  /// transient allocation faults, each keyed by a serial per-site sequence
+  /// counter and thrown as VbsError{kFaultInjected} with full rollback
+  /// (allocator and configuration memory untouched). nullptr (the default)
+  /// disables injection; the plan must outlive the controller.
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
 
   // --- snapshot / recovery hooks (rtc/service/journal.h) ---------------------
@@ -134,9 +142,14 @@ class ReconfigController {
     VbsImage image;  ///< retained for relocation
   };
 
-  /// Decodes `img` into the configuration memory at `origin`.
-  void decode_into(const VbsImage& img, Point origin, int threads,
-                   TaskRecord& rec);
+  /// Decodes `img` with decode_stream: the decode-fault site, the
+  /// rtc/decode span and the rtc.decode.* counters. Changes no state but
+  /// decode_seq_.
+  std::shared_ptr<DecodedStream> decode(VbsImage img, double& seconds);
+  /// Occupies rec.rect, writes the payloads and adopts the task under the
+  /// next id: the commit step of load_at and load_decoded.
+  TaskId commit(VbsImage img, const std::vector<BitVector>& payloads,
+                TaskRecord rec);
   /// Writes already-decoded entry payloads into the configuration memory.
   void write_decoded(const VbsImage& img,
                      const std::vector<BitVector>& payloads, Point origin);

@@ -1,10 +1,8 @@
 #include "rtc/service/stream_cache.h"
 
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "util/error.h"
 #include "util/hash.h"
 #include "util/telemetry.h"
 
@@ -17,36 +15,6 @@ std::uint64_t stream_content_hash(const BitVector& stream) {
   std::uint64_t h = kFnvOffset64;
   for (const std::uint64_t w : stream.words()) h = hash_u64(h, w);
   return hash_u64(h, static_cast<std::uint64_t>(stream.size()));
-}
-
-std::shared_ptr<DecodedStream> decode_stream(VbsImage image) {
-  RegionDecoderCache decoders;
-  return decode_stream(std::move(image), decoders);
-}
-
-std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
-                                             RegionDecoderCache& decoders) {
-  auto out = std::make_shared<DecodedStream>();
-  out->image = std::move(image);
-  const VbsImage& img = out->image;
-  out->payloads.resize(img.entries.size());
-  for (std::size_t i = 0; i < img.entries.size(); ++i) {
-    const VbsEntry& e = img.entries[i];
-    if (!decoders.decoder_for(img, e)
-             .decode_entry(e, out->payloads[i], &out->decode)) {
-      throw VbsError(VbsErrc::kDecodeFailed,
-                     "decode_stream: entry " + std::to_string(e.cx) +
-                               "," + std::to_string(e.cy) +
-                               " failed to decode");
-    }
-  }
-  return out;
-}
-
-std::size_t DecodedStream::footprint_bits() const {
-  std::size_t bits = 0;
-  for (const BitVector& p : payloads) bits += p.size();
-  return bits;
 }
 
 DecodedStreamCache::DecodedStreamCache(std::size_t capacity_bits)

@@ -8,7 +8,8 @@
 // payloads keyed by a content hash of the serialized stream: a repeated
 // load of the same task skips devirtualization entirely, and a relocation
 // copies the cached payload instead of re-routing. Capacity is bounded in
-// payload bits with LRU eviction.
+// payload bits with LRU eviction. The cached value, DecodedStream, and the
+// serial decode_stream loop that produces one live in vbs/devirtualizer.h.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +31,6 @@ namespace vbs {
 /// the point; distinct streams colliding is astronomically unlikely and
 /// would only mis-share a decode, never corrupt memory.
 std::uint64_t stream_content_hash(const BitVector& stream);
-
-/// One devirtualized stream: the parsed image, the decoded routing payload
-/// of every entry, and what the decode cost when it actually ran.
-struct DecodedStream {
-  VbsImage image;
-  std::vector<BitVector> payloads;
-  DecodeStats decode;
-
-  /// Bits this entry charges against the cache capacity.
-  std::size_t footprint_bits() const;
-};
-
-/// Serially devirtualizes every entry of a parsed image into a cacheable
-/// DecodedStream. Throws std::runtime_error if an entry fails to decode
-/// (impossible for encoder-validated streams). The service's batch path
-/// does the same work as a flat parallel item list; this is the one-stream
-/// form for relocations and tests. The first form builds its own
-/// decoders; the second decodes on `decoders` (one thread's set).
-std::shared_ptr<DecodedStream> decode_stream(VbsImage image);
-std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
-                                             RegionDecoderCache& decoders);
 
 class DecodedStreamCache {
  public:

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "util/epoch.h"
 #include "util/error.h"
@@ -402,6 +403,42 @@ Devirtualizer& RegionDecoderCache::decoder_for(const VbsImage& header,
   return *slot_for(header, entry.cx, entry.cy).decoder;
 }
 
+std::size_t DecodedStream::footprint_bits() const {
+  std::size_t bits = 0;
+  for (const BitVector& p : payloads) bits += p.size();
+  return bits;
+}
+
+std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
+                                             DecodeStats* spent) {
+  RegionDecoderCache decoders;
+  return decode_stream(std::move(image), decoders, spent);
+}
+
+std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
+                                             RegionDecoderCache& decoders,
+                                             DecodeStats* spent) {
+  auto out = std::make_shared<DecodedStream>();
+  out->image = std::move(image);
+  const VbsImage& img = out->image;
+  out->payloads.resize(img.entries.size());
+  for (std::size_t i = 0; i < img.entries.size(); ++i) {
+    const VbsEntry& e = img.entries[i];
+    DecodeStats cost;
+    const bool ok =
+        decoders.decoder_for(img, e).decode_entry(e, out->payloads[i], &cost);
+    out->decode += cost;
+    if (spent != nullptr) *spent += cost;
+    if (!ok) {
+      throw VbsError(VbsErrc::kDecodeFailed,
+                     "decode: connection list failed to route (entry at " +
+                         std::to_string(e.cx) + "," + std::to_string(e.cy) +
+                         ")");
+    }
+  }
+  return out;
+}
+
 BitVector devirtualize_image(const VbsImage& img, const FabricLayout& target,
                              Point origin, DecodeStats* stats) {
   if (img.spec.chan_width != target.spec().chan_width ||
@@ -416,17 +453,11 @@ BitVector devirtualize_image(const VbsImage& img, const FabricLayout& target,
     throw VbsError(VbsErrc::kNoPlacement,
                    "devirtualize: task does not fit at origin");
   }
-  RegionDecoderCache cache;
+  const auto decoded = decode_stream(img, stats);
   BitVector config(target.config_bits_total());
-  BitVector routing;
-  for (const VbsEntry& e : img.entries) {
-    if (!cache.decoder_for(img, e).decode_entry(e, routing, stats)) {
-      throw VbsError(
-          VbsErrc::kDecodeFailed,
-          "devirtualize: connection list failed to route (entry at " +
-          std::to_string(e.cx) + "," + std::to_string(e.cy) + ")");
-    }
-    write_entry_config(img, e, routing, target, origin, config);
+  for (std::size_t i = 0; i < img.entries.size(); ++i) {
+    write_entry_config(img, img.entries[i], decoded->payloads[i], target,
+                       origin, config);
   }
   return config;
 }

@@ -170,18 +170,18 @@ class Devirtualizer {
 /// The region models and decoders of the region shapes decodes meet, keyed
 /// by (architecture, cluster size c, extent, stream version). A task has
 /// the full c x c shape plus up to three partial extents when its size is
-/// not a multiple of c. The encoder's feedback loop, devirtualize_image,
-/// the run-time controller and the service all decode through this class,
-/// so the decode contract is chosen here, from the image header, and
-/// nowhere else.
+/// not a multiple of c. The encoder's feedback loop, decode_stream and the
+/// service's batch decode all decode through this class, so the decode
+/// contract is chosen here, from the image header, and nowhere else.
 ///
 /// Lifetime. A cache is not thread-safe: one per decoding thread. A
-/// one-image decode keeps a local cache for that image. The service keeps
-/// one cache per pool rank for its whole life, so a rank builds each shape
-/// once instead of once per load, and its uncached-relocation re-decode
-/// uses rank 0's. A reused decoder resets its search state per entry, so
-/// decoding stays pure per entry: the same payload and DecodeStats as a
-/// fresh decoder.
+/// one-image decode_stream (devirtualize_image, and the run-time
+/// controller's load_at and relocate) keeps a local cache for that image.
+/// The service keeps one cache per pool rank for its whole life, so a rank
+/// builds each shape once instead of once per load, and its
+/// uncached-relocation re-decode passes rank 0's to decode_stream. A reused
+/// decoder resets its search state per entry, so decoding stays pure per
+/// entry: the same payload and DecodeStats as a fresh decoder.
 ///
 /// Retention. A cache keeps at most kMaxShapes shapes and kMaxBytes of
 /// retained_bytes(), dropping the least recently used shape first; the
@@ -221,10 +221,37 @@ class RegionDecoderCache {
   std::vector<std::unique_ptr<Slot>> slots_;  ///< most recently used first
 };
 
-/// Decodes a whole image into a full-fabric raw configuration, placing the
-/// task origin at `origin` (relocation: the same image decodes at any
-/// origin, paper Section I). Throws std::runtime_error if any entry fails —
-/// impossible for encoder-validated images — or if the task does not fit.
+/// One devirtualized stream: the parsed image, the decoded routing payload
+/// of every entry (position-independent: it writes at any origin), and what
+/// the decode cost.
+struct DecodedStream {
+  VbsImage image;
+  std::vector<BitVector> payloads;
+  DecodeStats decode;
+
+  /// Bits this stream charges against a decoded-stream cache's capacity.
+  std::size_t footprint_bits() const;
+};
+
+/// The whole-image decode loop: devirtualizes every entry of `image`
+/// serially, in entry order, on `decoders` (one thread's set; the first
+/// form builds its own). Throws VbsError{kDecodeFailed} at the first entry
+/// that fails to route, which is impossible for encoder-validated streams.
+/// `spent`, if given, also receives each entry's cost as it is decoded, so
+/// it counts the work of a failed decode too. The service's batch path
+/// decodes the same entries as one parallel work list instead.
+std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
+                                             DecodeStats* spent = nullptr);
+std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
+                                             RegionDecoderCache& decoders,
+                                             DecodeStats* spent = nullptr);
+
+/// Decodes a whole image (decode_stream) into a full-fabric raw
+/// configuration, placing the task origin at `origin` (relocation: the same
+/// image decodes at any origin, paper Section I). Throws VbsError:
+/// kArchMismatch if the image targets another architecture, kNoPlacement if
+/// the task does not fit at `origin`, kDecodeFailed if an entry fails.
+/// `stats` receives the decode cost, that of a failed decode included.
 BitVector devirtualize_image(const VbsImage& img, const FabricLayout& target,
                              Point origin, DecodeStats* stats = nullptr);
 

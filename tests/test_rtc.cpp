@@ -1,5 +1,6 @@
 // Run-time controller tests: allocation, multi-task loading, isolation,
-// eviction, relocation/migration, defragmentation, parallel decode.
+// eviction, relocation/migration, defragmentation, decode records and
+// fault rollback.
 #include <gtest/gtest.h>
 
 #include "bitstream/connectivity.h"
@@ -7,8 +8,8 @@
 #include "netlist/generator.h"
 #include "rtc/allocator.h"
 #include "rtc/controller.h"
-#include "rtc/service/stream_cache.h"
 #include "util/rng.h"
+#include "vbs/devirtualizer.h"
 #include "vbs/encoder.h"
 
 namespace vbs {
@@ -278,28 +279,15 @@ TEST(Controller, DefragmentCompacts) {
   t.expect_frames_at(rtc, {4, 0});
 }
 
-class ParallelDecode : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelDecode, MatchesSerialDecode) {
-  TaskFixture t(60, 50, 9, 8, GetParam() % 2 == 0 ? 2 : 1);
-  ReconfigController serial(t.r.fabric->spec(), 9, 9);
-  ReconfigController parallel(t.r.fabric->spec(), 9, 9);
-  serial.load(t.stream, 1);
-  parallel.load(t.stream, GetParam());
-  EXPECT_EQ(serial.config_memory(), parallel.config_memory());
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelDecode, ::testing::Values(2, 3, 4, 8));
-
 TEST(Controller, RecordsAndStats) {
   TaskFixture t(25, 51, 6);
   ReconfigController rtc(t.r.fabric->spec(), 6, 6);
-  const TaskId id = rtc.load(t.stream, 2);
+  const TaskId id = rtc.load(t.stream);
   const TaskRecord& rec = rtc.record(id);
   EXPECT_EQ(rec.stream_bits, t.stream.size());
   EXPECT_GT(rec.decode.entries_decoded, 0);
   EXPECT_GE(rec.decode_seconds, 0.0);
-  EXPECT_EQ(rec.threads_used, 2);
+  EXPECT_EQ(rec.threads_used, 1);
   EXPECT_GE(rtc.total_decode_stats().entries_decoded,
             rec.decode.entries_decoded);
 }
@@ -417,6 +405,38 @@ TEST(Controller, FaultPlanInjectsAndRollsBack) {
   for (const std::uint64_t w : rtc.config_memory().words()) EXPECT_EQ(w, 0u);
   rtc.set_fault_plan(nullptr);
   EXPECT_NE(rtc.load_at(t.stream, {0, 0}), kNoTask);
+}
+
+TEST(Controller, RelocateDecodeFaultRollsBack) {
+  TaskFixture t(20, 52, 5, 8);
+  ReconfigController rtc(t.r.fabric->spec(), 12, 6);
+  const TaskId id = rtc.load_at(t.stream, {0, 0});
+  const double occupancy = rtc.occupancy();
+  const BitVector config = rtc.config_memory();
+  const long long entries = rtc.record(id).decode.entries_decoded;
+  // A decode fault on the move must leave the destination free and the
+  // task, its record and the configuration memory as they were.
+  const FaultPlan plan(FaultPlanConfig{7, 1.0, 0.0, 0.0, 0.0, 8});
+  rtc.set_fault_plan(&plan);
+  try {
+    rtc.relocate(id, {6, 0});
+    FAIL() << "injected decode fault not thrown";
+  } catch (const VbsError& e) {
+    EXPECT_EQ(e.code(), VbsErrc::kFaultInjected);
+  }
+  EXPECT_EQ(rtc.record(id).rect, (Rect{0, 0, 5, 5}));
+  EXPECT_EQ(rtc.occupancy(), occupancy);
+  EXPECT_EQ(rtc.config_memory(), config);
+  EXPECT_EQ(rtc.record(id).decode.entries_decoded, entries);
+  // Once the fault clears the move succeeds, and its decode is counted in
+  // the task record and the controller totals.
+  rtc.set_fault_plan(nullptr);
+  rtc.relocate(id, {6, 0});
+  EXPECT_EQ(rtc.record(id).rect, (Rect{6, 0, 5, 5}));
+  EXPECT_EQ(rtc.occupancy(), occupancy);
+  t.expect_frames_at(rtc, {6, 0});
+  EXPECT_EQ(rtc.record(id).decode.entries_decoded, 2 * entries);
+  EXPECT_EQ(rtc.total_decode_stats().entries_decoded, 2 * entries);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //
 // Usage:
 //   vbsdecode <task.vbs> --out config.bin [--fabric WxH] [--origin X,Y]
-//             [--threads N] [--json]
+//             [--json]
 //
 // The fabric defaults to exactly the task footprint at origin 0,0.
 // --json replaces the human-readable report with a single JSON object
@@ -34,15 +34,14 @@ namespace {
 
 constexpr const char* kUsage =
     "vbsdecode <task.vbs> --out config.bin [--fabric WxH] [--origin X,Y] "
-    "[--threads N] [--trace-out trace.json] [--metrics] [--json]";
+    "[--trace-out trace.json] [--metrics] [--json]";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   return tool_main("vbsdecode", kUsage, [&] {
     const CliArgs args(argc, argv,
-                       {"--out", "--fabric", "--origin", "--threads",
-                        "--trace-out"},
+                       {"--out", "--fabric", "--origin", "--trace-out"},
                        {"--json", "--metrics", "--help"});
     if (args.has_flag("--help") || args.positional().size() != 1 ||
         !args.value("--out")) {
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
     if (const auto o = args.value("--origin")) {
       std::tie(origin.x, origin.y) = parse_pair(*o, ',');
     }
-    const int threads = threads_or(args);
     const bool json = args.has_flag("--json");
     const TelemetryCli telemetry(args);
 
@@ -78,7 +76,7 @@ int main(int argc, char** argv) {
       // Route the load through the controller so the tool measures
       // exactly what the runtime would do.
       rtc_opt.emplace(img.spec, fw, fh);
-      id = rtc_opt->load_at(stream, origin, threads);
+      id = rtc_opt->load_at(stream, origin);
     } catch (const VbsError& ex) {
       return typed_error_exit("vbsdecode", ex, json);
     }
@@ -106,9 +104,8 @@ int main(int argc, char** argv) {
       std::printf("  \"config_bits\": %zu,\n",
                   rtc.fabric().config_bits_total());
       std::printf(
-          "  \"timing\": {\"seconds\": %.6f, \"threads\": %d, "
-          "\"mbits_per_sec\": %.2f},\n",
-          rec.decode_seconds, rec.threads_used, mbits_per_sec);
+          "  \"timing\": {\"seconds\": %.6f, \"mbits_per_sec\": %.2f},\n",
+          rec.decode_seconds, mbits_per_sec);
       std::printf("  \"build\": %s,\n", build_info_json(2).c_str());
       std::printf("  \"metrics\": %s\n",
                   telem::snapshot().to_json(2).c_str());
@@ -125,9 +122,8 @@ int main(int argc, char** argv) {
         rec.decode.entries_decoded, rec.decode.raw_entries,
         rec.decode.pairs_routed, rec.decode.nodes_expanded);
     std::printf(
-        "vbsdecode: %.3f s with %d thread(s): %.2f Mb of configuration per "
-        "second\n",
-        rec.decode_seconds, rec.threads_used, mbits_per_sec);
+        "vbsdecode: %.3f s: %.2f Mb of configuration per second\n",
+        rec.decode_seconds, mbits_per_sec);
     telemetry.finish();
     return 0;
   });

@@ -21,6 +21,7 @@
 // verifies (under --table2: every MCW search finds a width), else 1.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -75,8 +76,11 @@ std::string percent(double ratio) {
   return TablePrinter::fmt(100.0 * ratio, 1) + "%";
 }
 
+/// Rounded to the nearest bit: the geomean of equal sizes is exp(mean log)
+/// and can land a hair under them.
 std::string bits(double v) {
-  return TablePrinter::fmt_bits(static_cast<unsigned long long>(v));
+  return TablePrinter::fmt_bits(
+      static_cast<unsigned long long>(std::llround(v)));
 }
 
 /// The paper's evaluation setup: channel width normalized to 20 tracks.
