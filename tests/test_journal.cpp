@@ -424,6 +424,59 @@ TEST(ServiceDurabilityTest, JournalBytesArePinned) {
   EXPECT_EQ(wal_after, 0xb95320df081b49f1ull);
 }
 
+// Pins a snapshot taken with work still queued: a live load, a load shed
+// by a higher-priority tenant, an unload and a relocate, on top of earlier
+// drains that evicted tasks and filled the cache. Recovery from it must
+// then drain to the same results and state as the original service.
+TEST(ServiceDurabilityTest, SnapshotWithQueuedWorkIsPinned) {
+  TempDir dir("pinned_queue");
+  TempDir copy("pinned_queue_copy");
+  const auto& streams = test_streams();
+  ReconfigService svc(test_arch(), 8, 8, small_opts(1));
+  svc.open_journal(dir.path);
+  svc.set_tenant_priority(1, 5);
+  svc.set_tenant_priority(2, 3);
+  std::vector<RequestId> loads;
+  for (int i = 0; i < 6; ++i) {
+    loads.push_back(svc.submit_load(streams[static_cast<std::size_t>(i % 3)],
+                                    i % 3));
+    if (i % 2 == 1) svc.drain();
+  }
+  ASSERT_FALSE(svc.eviction_log().empty());
+  ASSERT_GT(svc.cache().entries(), 0u);
+  for (int i = 0; i < 4; ++i) svc.submit_load(streams[0], 0);
+  svc.submit_load(streams[1], 1);  // queue full: sheds tenant 0's newest
+  ASSERT_EQ(svc.stats().shed, 1);
+  ASSERT_NE(svc.task_of(loads[4]), kNoTask);
+  ASSERT_NE(svc.task_of(loads[5]), kNoTask);
+  svc.submit_unload(loads[4], 1);
+  svc.submit_relocate(loads[5], 2);
+  ASSERT_EQ(svc.pending(), 7u);
+
+  svc.compact_journal();
+  const std::uint64_t fp = svc.state_fingerprint();
+  EXPECT_EQ(file_fnv(dir.path + "/snap.1"), 0xa99613184b88a175ull);
+  EXPECT_EQ(fp, 0x789651be573d7fc2ull);
+
+  fs::copy(dir.path, copy.path, fs::copy_options::recursive);
+  ReconfigService::RecoveryInfo info;
+  const auto recovered = ReconfigService::recover(copy.path, 2, &info);
+  EXPECT_TRUE(info.from_snapshot);
+  EXPECT_EQ(recovered->state_fingerprint(), fp);
+  const std::vector<RequestResult> want = svc.drain();
+  const std::vector<RequestResult> got = recovered->drain();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].request, want[i].request) << i;
+    EXPECT_EQ(got[i].status, want[i].status) << i;
+    EXPECT_EQ(got[i].task, want[i].task) << i;
+    EXPECT_EQ(got[i].rect, want[i].rect) << i;
+    EXPECT_EQ(got[i].code, want[i].code) << i;
+    EXPECT_EQ(got[i].latency_ticks, want[i].latency_ticks) << i;
+  }
+  EXPECT_EQ(recovered->state_fingerprint(), svc.state_fingerprint());
+}
+
 TEST(ServiceDurabilityTest, PersistentAppendFailureDetachesJournal) {
   // Search for a seed whose injected sync failures spare journal creation
   // but kill one append twice in a row (append retries once). Determinism
