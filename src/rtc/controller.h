@@ -113,20 +113,21 @@ class ReconfigController {
   //
   // The service journal restores a controller to a byte-identical prior
   // state: the whole configuration memory, every task (region re-occupied,
-  // record and retained image re-adopted — without re-decoding), and the
-  // serial counters that key fault-plan decisions. Restore hooks are only
-  // meaningful on a freshly-constructed controller.
+  // record and retained image re-adopted — without re-decoding), the
+  // serial counters that key fault-plan decisions and the aggregate decode
+  // stats. Restore hooks are only meaningful on a freshly-constructed
+  // controller.
 
   TaskId next_task_id() const { return next_id_; }
   std::uint64_t decode_seq() const { return decode_seq_; }
   std::uint64_t alloc_seq() const { return alloc_seq_; }
   void restore_counters(TaskId next_id, std::uint64_t decode_seq,
-                        std::uint64_t alloc_seq) {
+                        std::uint64_t alloc_seq, const DecodeStats& total) {
     next_id_ = next_id;
     decode_seq_ = decode_seq;
     alloc_seq_ = alloc_seq;
+    total_stats_ = total;
   }
-  void set_total_decode_stats(const DecodeStats& s) { total_stats_ = s; }
   /// Replaces the configuration memory wholesale; throws std::logic_error
   /// on a size mismatch (snapshot from a different fabric).
   void restore_config_memory(const BitVector& config);

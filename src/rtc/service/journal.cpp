@@ -205,9 +205,10 @@ ServiceJournal::ScanResult ServiceJournal::scan(const std::string& dir) {
     if (i != 0 && head) bad("open/barrier record mid-stream");
   }
   if (out.records.front().kind == Kind::kSnapshotBarrier) {
-    out.epoch = ByteReader(out.records.front().payload, VbsErrc::kBadJournal,
-                           "journal barrier")
-                    .u64();
+    ByteReader r(out.records.front().payload, VbsErrc::kBadJournal,
+                 "journal barrier");
+    out.epoch = r.u64();
+    r.expect_end("barrier");
     if (out.epoch == 0) bad("barrier epoch 0");
     const std::string snap =
         dir + "/" + kSnapPrefix + std::to_string(out.epoch);

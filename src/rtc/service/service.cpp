@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "flow/artifact_io.h"
 #include "util/bitio.h"
@@ -113,6 +114,16 @@ void ReconfigService::admit_load(Request req) {
   }
 }
 
+template <class Write>
+void ReconfigService::journal_write(Write write) {
+  try {
+    write(*journal_);
+  } catch (const VbsError&) {
+    journal_.reset();  // durability is gone; keep serving from memory
+    throw;
+  }
+}
+
 RequestId ReconfigService::submit_load(BitVector stream, int tenant) {
   Request req = make_request(RequestKind::kLoad, tenant);
   req.stream = std::move(stream);
@@ -132,8 +143,10 @@ RequestId ReconfigService::submit_load(BitVector stream, int tenant) {
     if (last_shed_ != kNoRequest) {
       std::string s;
       put_u64(s, static_cast<std::uint64_t>(last_shed_));
-      journal_append2(ServiceJournal::Kind::kAdmitLoad, p,
-                      ServiceJournal::Kind::kShed, s);
+      journal_write([&](ServiceJournal& j) {
+        j.append2(ServiceJournal::Kind::kAdmitLoad, p,
+                  ServiceJournal::Kind::kShed, s);
+      });
     } else {
       journal_append(ServiceJournal::Kind::kAdmitLoad, p);
     }
@@ -142,23 +155,18 @@ RequestId ReconfigService::submit_load(BitVector stream, int tenant) {
 }
 
 RequestId ReconfigService::submit_unload(RequestId load_request, int tenant) {
-  Request req = make_request(RequestKind::kUnload, tenant);
-  req.target = load_request;
-  const RequestId id = req.id;
-  queue_.push_back(std::move(req));
-  if (journal_) {
-    std::string p;
-    put_u64(p, static_cast<std::uint64_t>(id));
-    put_u64(p, static_cast<std::uint64_t>(load_request));
-    put_u32(p, static_cast<std::uint32_t>(tenant));
-    journal_append(ServiceJournal::Kind::kAdmitUnload, p);
-  }
-  return id;
+  return submit_targeted(RequestKind::kUnload, load_request, tenant);
 }
 
 RequestId ReconfigService::submit_relocate(RequestId load_request,
                                            int tenant) {
-  Request req = make_request(RequestKind::kRelocate, tenant);
+  return submit_targeted(RequestKind::kRelocate, load_request, tenant);
+}
+
+RequestId ReconfigService::submit_targeted(RequestKind kind,
+                                           RequestId load_request,
+                                           int tenant) {
+  Request req = make_request(kind, tenant);
   req.target = load_request;
   const RequestId id = req.id;
   queue_.push_back(std::move(req));
@@ -167,7 +175,10 @@ RequestId ReconfigService::submit_relocate(RequestId load_request,
     put_u64(p, static_cast<std::uint64_t>(id));
     put_u64(p, static_cast<std::uint64_t>(load_request));
     put_u32(p, static_cast<std::uint32_t>(tenant));
-    journal_append(ServiceJournal::Kind::kAdmitRelocate, p);
+    journal_append(kind == RequestKind::kUnload
+                       ? ServiceJournal::Kind::kAdmitUnload
+                       : ServiceJournal::Kind::kAdmitRelocate,
+                   p);
   }
   return id;
 }
@@ -755,228 +766,344 @@ void ReconfigService::process_relocate(Request& req,
 }
 
 // --- durability: journaling, snapshots, recovery -----------------------------
+//
+// The durable state is listed once, in walk_state, in snapshot order. Three
+// archives drive that walk, each with its own coding per primitive:
+//   StateHasher     state_fingerprint(): folds every field as one u64 and
+//                   skips the snapshot-only bulk fields;
+//   SnapshotWriter  serialize_snapshot(): fixed widths (artio, BitWriter);
+//   SnapshotReader  restore_snapshot(): the same widths back, every count
+//                   bounded before anything is allocated for it.
+// The reader's primitives take each field by reference and assign it, so
+// the one list both saves and restores.
 
 namespace {
+
+constexpr std::uint32_t kSnapshotVersion = 2;
+constexpr std::uint32_t kOpenVersion = 1;
 
 [[noreturn]] void bad_journal(const std::string& what) {
   throw VbsError(VbsErrc::kBadJournal, "journal: " + what);
 }
 
-void put_decode_stats(BitWriter& w, const DecodeStats& s) {
-  artio::put_i64(w, s.pairs_routed);
-  artio::put_i64(w, s.pairs_failed);
-  artio::put_i64(w, s.nodes_expanded);
-  artio::put_i64(w, s.entries_decoded);
-  artio::put_i64(w, s.raw_entries);
-  artio::put_i64(w, s.negotiation_iterations);
-}
+class StateHasher {
+ public:
+  explicit StateHasher(std::uint64_t seed) : h_(seed) {}
+  std::uint64_t value() const { return h_; }
 
-DecodeStats get_decode_stats(BitReader& r) {
-  DecodeStats s;
-  s.pairs_routed = artio::get_i64(r);
-  s.pairs_failed = artio::get_i64(r);
-  s.nodes_expanded = artio::get_i64(r);
-  s.entries_decoded = artio::get_i64(r);
-  s.raw_entries = artio::get_i64(r);
-  s.negotiation_iterations = artio::get_i64(r);
-  return s;
-}
-
-void put_bytes(BitWriter& w, const std::string& s) {
-  artio::put_i64(w, static_cast<std::int64_t>(s.size()));
-  for (const char c : s) w.write(static_cast<unsigned char>(c), 8);
-}
-
-std::string get_bytes(BitReader& r) {
-  const std::int64_t n = artio::get_i64(r);
-  // Bound BEFORE allocating: a corrupt length must reject, not bad_alloc.
-  if (n < 0 || static_cast<std::uint64_t>(n) > r.remaining() / 8) {
-    bad_journal("bad byte count");
+  void i32(std::uint64_t v) { fold(v); }
+  void i64(std::uint64_t v) { fold(v); }
+  void u64(std::uint64_t v) { fold(v); }
+  template <class E> void u8(E v, E, const char*) {
+    fold(static_cast<std::uint64_t>(v));
   }
-  std::string s(static_cast<std::size_t>(n), '\0');
-  for (char& c : s) c = static_cast<char>(r.read(8));
-  return s;
+  void flag(bool v) { fold(v ? 1 : 0); }
+  void count(std::size_t n, const char*) { fold(n); }
+  /// Configuration memory: its words, then its size.
+  void bits(const BitVector& b) {
+    for (const std::uint64_t w : b.words()) fold(w);
+    fold(b.size());
+  }
+
+ private:
+  void fold(std::uint64_t v) { h_ = hash_u64(h_, v); }
+  std::uint64_t h_;
+};
+
+class SnapshotWriter {
+ public:
+  /// Starts the snapshot with its version and the kOpen configuration.
+  explicit SnapshotWriter(const std::string& open) {
+    w_.write(kSnapshotVersion, 32);
+    i64(open.size());
+    for (const char c : open) w_.write(static_cast<unsigned char>(c), 8);
+  }
+  BitVector take() { return w_.take(); }
+
+  void i32(std::int32_t v) { artio::put_i32(w_, v); }
+  void i64(std::int64_t v) { artio::put_i64(w_, v); }
+  void u64(std::uint64_t v) { w_.write(v, 64); }
+  template <class E> void u8(E v, E, const char*) {
+    w_.write(static_cast<std::uint64_t>(v), 8);
+  }
+  void flag(bool v) { w_.write_bit(v); }
+  void count(std::size_t n, const char*) { i32(n); }
+  void bits(const BitVector& b) {
+    u64(b.size());
+    w_.write_vector(b);
+  }
+  void image(const VbsImage& img) { bits(serialize_vbs(img)); }
+
+ private:
+  BitWriter w_;
+};
+
+class SnapshotReader {
+ public:
+  explicit SnapshotReader(const BitVector& snapshot) : r_(snapshot) {}
+  /// The snapshot's head: the version, then the kOpen configuration.
+  std::string open() {
+    if (r_.read(32) != kSnapshotVersion) {
+      bad_journal("unsupported snapshot version");
+    }
+    const std::int64_t n = artio::get_i64(r_);
+    // Bound BEFORE allocating: a corrupt length must reject, not bad_alloc.
+    if (n < 0 || static_cast<std::uint64_t>(n) > r_.remaining() / 8) {
+      bad_journal("bad byte count");
+    }
+    std::string s(static_cast<std::size_t>(n), '\0');
+    for (char& c : s) c = static_cast<char>(r_.read(8));
+    return s;
+  }
+  bool at_end() const { return r_.at_end(); }
+
+  template <class T> void i32(T& v) { v = static_cast<T>(artio::get_i32(r_)); }
+  template <class T> void i64(T& v) { v = static_cast<T>(artio::get_i64(r_)); }
+  template <class T> void u64(T& v) { v = static_cast<T>(r_.read(64)); }
+  template <class E> void u8(E& v, E max, const char* what) {
+    const std::uint64_t raw = r_.read(8);
+    if (raw > static_cast<std::uint64_t>(max)) {
+      bad_journal(std::string("bad ") + what);
+    }
+    v = static_cast<E>(raw);
+  }
+  void flag(bool& v) { v = r_.read_bit(); }
+  /// Rejects counts that could not fit in the remaining bits (every element
+  /// takes at least 64): a corrupt count fails typed, before allocating.
+  std::size_t count(const char* what) {
+    const std::int64_t n = artio::get_i32(r_);
+    if (n < 0 || static_cast<std::uint64_t>(n) > r_.remaining() / 64) {
+      bad_journal(std::string("bad ") + what + " count");
+    }
+    return static_cast<std::size_t>(n);
+  }
+  void bits(BitVector& b) { b = r_.read_vector(r_.read(64)); }
+  void image(VbsImage& img) {
+    img = deserialize_vbs(r_.read_vector(r_.read(64)));
+  }
+
+ private:
+  BitReader r_;
+};
+
+/// Whether an archive rebuilds the state it walks, and whether it walks the
+/// snapshot-only bulk fields (task images, threads_used, cache payloads).
+template <class Ar>
+constexpr bool kLoads = std::is_same_v<Ar, SnapshotReader>;
+template <class Ar>
+constexpr bool kBulk = !std::is_same_v<Ar, StateHasher>;
+
+template <class Ar, class... T>
+void i64s(Ar& ar, T&... v) {
+  (ar.i64(v), ...);
 }
 
-/// Rejects element counts that could not possibly fit in the remaining
-/// bits (each element consumes at least `min_bits`) — corrupt counts must
-/// fail typed, before any proportional allocation.
-void check_count(const BitReader& r, std::int64_t n, std::size_t min_bits,
-                 const char* what) {
-  if (n < 0 || static_cast<std::uint64_t>(n) > r.remaining() / min_bits) {
-    bad_journal(std::string("bad ") + what + " count");
+template <class Ar, class R>
+void walk_rect(Ar& ar, R& r) {
+  ar.i32(r.x);
+  ar.i32(r.y);
+  ar.i32(r.w);
+  ar.i32(r.h);
+}
+
+template <class Ar, class D>
+void walk_decode(Ar& ar, D& d) {
+  i64s(ar, d.pairs_routed, d.pairs_failed, d.nodes_expanded,
+       d.entries_decoded, d.raw_entries, d.negotiation_iterations);
+}
+
+/// A sequence as its count, then `each` element; a loading archive appends
+/// the elements it reads.
+template <class Ar, class Seq, class Fn>
+void walk_seq(Ar& ar, Seq& seq, const char* what, Fn each) {
+  if constexpr (kLoads<Ar>) {
+    for (std::size_t n = ar.count(what); n > 0; --n) {
+      typename Seq::value_type v{};
+      each(v);
+      seq.push_back(std::move(v));
+    }
+  } else {
+    ar.count(seq.size(), what);
+    for (auto& v : seq) each(v);
   }
 }
 
-void put_bitvec(BitWriter& w, const BitVector& bits) {
-  w.write(bits.size(), 64);
-  w.write_vector(bits);
+/// A map as its count, then `each` key and value.
+template <class Ar, class Map, class Fn>
+void walk_map(Ar& ar, Map& map, const char* what, Fn each) {
+  if constexpr (kLoads<Ar>) {
+    for (std::size_t n = ar.count(what); n > 0; --n) {
+      typename Map::key_type k{};
+      typename Map::mapped_type v{};
+      each(k, v);
+      map[k] = std::move(v);
+    }
+  } else {
+    ar.count(map.size(), what);
+    for (auto& [k, v] : map) each(k, v);
+  }
 }
 
-BitVector get_bitvec(BitReader& r) {
-  const std::uint64_t nbits = r.read(64);
-  return r.read_vector(static_cast<std::size_t>(nbits));
+/// A controller task; its image and threads_used are snapshot-only.
+template <class Ar, class Rec, class Img>
+void walk_task(Ar& ar, Rec& rec, Img& image) {
+  ar.i32(rec.id);
+  walk_rect(ar, rec.rect);
+  ar.i64(rec.stream_bits);
+  walk_decode(ar, rec.decode);
+  if constexpr (kBulk<Ar>) {
+    ar.i32(rec.threads_used);
+    ar.image(image);
+  }
 }
 
-void put_rect(BitWriter& w, const Rect& rect) {
-  artio::put_i32(w, rect.x);
-  artio::put_i32(w, rect.y);
-  artio::put_i32(w, rect.w);
-  artio::put_i32(w, rect.h);
+/// A cache entry. The key IS the content hash, so the fingerprint folds
+/// the entry's footprint beside it and none of its payload bytes.
+template <class Ar, class Key, class Stream>
+void walk_cache_entry(Ar& ar, Key& key, Stream& ds) {
+  ar.u64(key);
+  if constexpr (kBulk<Ar>) {
+    ar.image(ds.image);
+    walk_seq(ar, ds.payloads, "payload", [&](auto& p) { ar.bits(p); });
+    walk_decode(ar, ds.decode);
+  } else {
+    ar.u64(ds.footprint_bits());
+  }
 }
 
-Rect get_rect(BitReader& r) {
-  Rect rect;
-  rect.x = artio::get_i32(r);
-  rect.y = artio::get_i32(r);
-  rect.w = artio::get_i32(r);
-  rect.h = artio::get_i32(r);
-  return rect;
+/// The decoded-stream cache, restored through its setters. The snapshot
+/// walks counters, then entries; the fingerprint walks entries, the cache
+/// size, then counters.
+template <class Ar, class Cache>
+void walk_cache(Ar& ar, Cache& cache) {
+  long long hits = cache.hits(), misses = cache.misses();
+  long long insertions = cache.insertions(), evictions = cache.evictions();
+  long long fault_drops = cache.fault_drops();
+  std::uint64_t insert_seq = cache.insert_seq();
+  const auto counters = [&] {
+    i64s(ar, hits, misses, insertions, evictions, fault_drops);
+    ar.u64(insert_seq);
+  };
+  if constexpr (kBulk<Ar>) counters();
+  if constexpr (kLoads<Ar>) {
+    cache.restore_counters(hits, misses, insertions, evictions, fault_drops,
+                           insert_seq);
+    for (std::size_t n = ar.count("cache entry"); n > 0; --n) {
+      std::uint64_t key = 0;
+      auto ds = std::make_shared<DecodedStream>();
+      walk_cache_entry(ar, key, *ds);
+      cache.restore_entry(key, std::move(ds));  // MRU -> LRU rebuilds order
+    }
+  } else {
+    const auto entries = cache.entries_mru();
+    ar.count(entries.size(), "cache entry");
+    for (const auto& [key, value] : entries) walk_cache_entry(ar, key, *value);
+  }
+  if constexpr (!kBulk<Ar>) {
+    ar.u64(cache.size_bits());
+    counters();
+  }
 }
-
-void fp_u64(std::uint64_t& h, std::uint64_t v) { h = hash_u64(h, v); }
-void fp_i64(std::uint64_t& h, long long v) {
-  h = hash_u64(h, static_cast<std::uint64_t>(v));
-}
-void fp_decode(std::uint64_t& h, const DecodeStats& s) {
-  fp_i64(h, s.pairs_routed);
-  fp_i64(h, s.pairs_failed);
-  fp_i64(h, s.nodes_expanded);
-  fp_i64(h, s.entries_decoded);
-  fp_i64(h, s.raw_entries);
-  fp_i64(h, s.negotiation_iterations);
-}
-void fp_rect(std::uint64_t& h, const Rect& r) {
-  fp_i64(h, r.x);
-  fp_i64(h, r.y);
-  fp_i64(h, r.w);
-  fp_i64(h, r.h);
-}
-
-constexpr std::uint32_t kSnapshotVersion = 2;
-constexpr std::uint32_t kOpenVersion = 1;
 
 }  // namespace
 
+template <class Ar, class Svc>
+void ReconfigService::walk_state(Ar& ar, Svc& svc) {
+  // Controller: configuration memory (the paper-level ground truth), the
+  // serial counters that key fault rolls, the tasks. A loading archive
+  // hands each part to the controller's restore hooks.
+  auto& rtc = svc.rtc_;
+  if constexpr (kLoads<Ar>) {
+    BitVector config;
+    ar.bits(config);
+    rtc.restore_config_memory(config);
+  } else {
+    ar.bits(rtc.config_memory());
+  }
+  TaskId next_id = rtc.next_task_id();
+  std::uint64_t decode_seq = rtc.decode_seq(), alloc_seq = rtc.alloc_seq();
+  DecodeStats total = rtc.total_decode_stats();
+  ar.i32(next_id);
+  ar.u64(decode_seq);
+  ar.u64(alloc_seq);
+  walk_decode(ar, total);
+  if constexpr (kLoads<Ar>) {
+    rtc.restore_counters(next_id, decode_seq, alloc_seq, total);
+    for (std::size_t n = ar.count("task"); n > 0; --n) {
+      TaskRecord rec;
+      VbsImage image;
+      walk_task(ar, rec, image);
+      rtc.restore_task(rec, std::move(image));
+    }
+  } else {
+    const std::vector<TaskId> ids = rtc.task_ids();
+    ar.count(ids.size(), "task");
+    for (const TaskId id : ids) walk_task(ar, rtc.record(id), rtc.image_of(id));
+  }
+  walk_cache(ar, svc.cache_);
+  // Service: request ids, the modeled clock, admission state, tables.
+  ar.i64(svc.next_request_);
+  ar.u64(svc.use_seq_);
+  ar.i64(svc.now_ticks_);
+  ar.i64(svc.live_loads_);
+  ar.i64(svc.last_shed_);
+  walk_map(ar, svc.tenant_priority_, "priority", [&](auto& tenant, auto& p) {
+    ar.i32(tenant);
+    ar.i32(p);
+  });
+  walk_map(ar, svc.tenants_, "tenant", [&](auto& tenant, auto& t) {
+    ar.i32(tenant);
+    ar.i32(t.priority);
+    i64s(ar, t.submitted, t.done, t.rejected, t.failed, t.shed,
+         t.deadline_misses, t.retries, t.latency_ticks, t.queue_wait_ticks,
+         t.backoff_ticks, t.spike_ticks, t.exec_ticks);
+  });
+  walk_map(ar, svc.task_of_request_, "request-map",
+           [&](auto& req, auto& task) {
+             ar.i64(req);
+             ar.i32(task);
+           });
+  walk_map(ar, svc.task_info_, "task-info", [&](auto& task, auto& info) {
+    ar.i32(task);
+    ar.u64(info.content_hash);
+    ar.u64(info.last_use);
+    ar.i64(info.origin_request);
+  });
+  walk_seq(ar, svc.eviction_log_, "eviction", [&](auto& e) {
+    ar.i64(e.seq);
+    ar.i32(e.task);
+    walk_rect(ar, e.rect);
+    ar.i64(e.cause);
+  });
+  auto& s = svc.stats_;
+  i64s(ar, s.loads, s.unloads, s.relocates, s.rejected, s.failed, s.shed,
+       s.deadline_misses, s.retries, s.faults_injected, s.latency_spike_ticks,
+       s.warm_loads, s.cold_loads, s.relocates_cached, s.relocates_decoded,
+       s.batches, s.task_evictions);
+  walk_decode(ar, s.decode);
+  walk_seq(ar, svc.queue_, "queue", [&](auto& q) {
+    ar.i64(q.id);
+    ar.u8(q.kind, RequestKind::kRelocate, "queued request kind");
+    if constexpr (kBulk<Ar>) {
+      ar.bits(q.stream);
+    } else {  // the fingerprint folds a queued load's content hash
+      ar.u64(q.kind == RequestKind::kLoad ? stream_content_hash(q.stream) : 0);
+    }
+    ar.i64(q.target);
+    ar.i32(q.tenant);
+    ar.i32(q.priority);
+    ar.i32(q.attempt);
+    ar.flag(q.shed);
+    i64s(ar, q.submitted_tick, q.not_before, q.retry_tick, q.queue_wait_ticks,
+         q.backoff_ticks, q.spike_ticks, q.exec_ticks);
+  });
+}
+
 std::uint64_t ReconfigService::state_fingerprint() const {
   constexpr char kTag[] = "vbs.service.state.v1";
-  std::uint64_t h = fnv1a64(kTag, sizeof kTag - 1);
-  // Configuration memory: the paper-level ground truth.
-  const BitVector& config = rtc_.config_memory();
-  for (const std::uint64_t w : config.words()) fp_u64(h, w);
-  fp_u64(h, config.size());
-  // Controller: tasks, serial fault counters, aggregate decode stats.
-  fp_i64(h, rtc_.next_task_id());
-  fp_u64(h, rtc_.decode_seq());
-  fp_u64(h, rtc_.alloc_seq());
-  fp_decode(h, rtc_.total_decode_stats());
-  const std::vector<TaskId> ids = rtc_.task_ids();
-  fp_u64(h, ids.size());
-  for (const TaskId id : ids) {
-    const TaskRecord& rec = rtc_.record(id);
-    fp_i64(h, id);
-    fp_rect(h, rec.rect);
-    fp_u64(h, rec.stream_bits);
-    fp_decode(h, rec.decode);  // wall time and threads_used excluded
-  }
-  // Cache: content keys in MRU order, counters, the insertion fault clock.
-  const auto entries = cache_.entries_mru();
-  fp_u64(h, entries.size());
-  for (const auto& [key, value] : entries) {
-    fp_u64(h, key);  // key IS the content hash; payload bytes add nothing
-    fp_u64(h, value->footprint_bits());
-  }
-  fp_u64(h, cache_.size_bits());
-  fp_i64(h, cache_.hits());
-  fp_i64(h, cache_.misses());
-  fp_i64(h, cache_.insertions());
-  fp_i64(h, cache_.evictions());
-  fp_i64(h, cache_.fault_drops());
-  fp_u64(h, cache_.insert_seq());
-  // Service scalars: request ids, the modeled clock, admission state.
-  fp_i64(h, next_request_);
-  fp_u64(h, use_seq_);
-  fp_i64(h, now_ticks_);
-  fp_u64(h, live_loads_);
-  fp_i64(h, last_shed_);
-  fp_u64(h, tenant_priority_.size());
-  for (const auto& [tenant, prio] : tenant_priority_) {
-    fp_i64(h, tenant);
-    fp_i64(h, prio);
-  }
-  fp_u64(h, tenants_.size());
-  for (const auto& [tenant, t] : tenants_) {
-    fp_i64(h, tenant);
-    fp_i64(h, t.priority);
-    fp_i64(h, t.submitted);
-    fp_i64(h, t.done);
-    fp_i64(h, t.rejected);
-    fp_i64(h, t.failed);
-    fp_i64(h, t.shed);
-    fp_i64(h, t.deadline_misses);
-    fp_i64(h, t.retries);
-    fp_i64(h, t.latency_ticks);
-    fp_i64(h, t.queue_wait_ticks);
-    fp_i64(h, t.backoff_ticks);
-    fp_i64(h, t.spike_ticks);
-    fp_i64(h, t.exec_ticks);
-  }
-  fp_u64(h, task_of_request_.size());
-  for (const auto& [req, task] : task_of_request_) {
-    fp_i64(h, req);
-    fp_i64(h, task);
-  }
-  fp_u64(h, task_info_.size());
-  for (const auto& [task, info] : task_info_) {
-    fp_i64(h, task);
-    fp_u64(h, info.content_hash);
-    fp_u64(h, info.last_use);
-    fp_i64(h, info.origin_request);
-  }
-  fp_u64(h, eviction_log_.size());
-  for (const EvictionEvent& e : eviction_log_) {
-    fp_i64(h, e.seq);
-    fp_i64(h, e.task);
-    fp_rect(h, e.rect);
-    fp_i64(h, e.cause);
-  }
-  fp_i64(h, stats_.loads);
-  fp_i64(h, stats_.unloads);
-  fp_i64(h, stats_.relocates);
-  fp_i64(h, stats_.rejected);
-  fp_i64(h, stats_.failed);
-  fp_i64(h, stats_.shed);
-  fp_i64(h, stats_.deadline_misses);
-  fp_i64(h, stats_.retries);
-  fp_i64(h, stats_.faults_injected);
-  fp_i64(h, stats_.latency_spike_ticks);
-  fp_i64(h, stats_.warm_loads);
-  fp_i64(h, stats_.cold_loads);
-  fp_i64(h, stats_.relocates_cached);
-  fp_i64(h, stats_.relocates_decoded);
-  fp_i64(h, stats_.batches);
-  fp_i64(h, stats_.task_evictions);
-  fp_decode(h, stats_.decode);
-  fp_u64(h, queue_.size());
-  for (const Request& q : queue_) {
-    fp_i64(h, q.id);
-    fp_i64(h, static_cast<int>(q.kind));
-    fp_u64(h, q.kind == RequestKind::kLoad ? stream_content_hash(q.stream)
-                                           : 0);
-    fp_i64(h, q.target);
-    fp_i64(h, q.tenant);
-    fp_i64(h, q.priority);
-    fp_i64(h, q.attempt);
-    fp_i64(h, q.shed ? 1 : 0);
-    fp_i64(h, q.submitted_tick);
-    fp_i64(h, q.not_before);
-    fp_i64(h, q.retry_tick);
-    fp_i64(h, q.queue_wait_ticks);
-    fp_i64(h, q.backoff_ticks);
-    fp_i64(h, q.spike_ticks);
-    fp_i64(h, q.exec_ticks);
-  }
-  return h;
+  StateHasher h(fnv1a64(kTag, sizeof kTag - 1));
+  walk_state(h, *this);
+  return h.value();
 }
 
 std::string ReconfigService::serialize_open() const {
@@ -1003,345 +1130,55 @@ std::string ReconfigService::serialize_open() const {
 
 std::unique_ptr<ReconfigService> ReconfigService::construct_from_open(
     const std::string& open_payload, int threads) {
-  try {
-    ByteReader r(open_payload, VbsErrc::kBadJournal, "journal open");
-    if (r.u32() != kOpenVersion) bad_journal("unsupported open version");
-    ArchSpec spec;
-    spec.chan_width = static_cast<int>(r.u32());
-    spec.lut_k = static_cast<int>(r.u32());
-    const std::uint32_t sb = r.u32();
-    if (sb > static_cast<std::uint32_t>(SbPattern::kWilton)) {
-      bad_journal("bad sb_pattern");
-    }
-    spec.sb_pattern = static_cast<SbPattern>(sb);
-    const int w = static_cast<int>(r.u32());
-    const int h = static_cast<int>(r.u32());
-    ServiceOptions o;
-    o.threads = static_cast<int>(r.u32());
-    o.cache_capacity_bits = static_cast<std::size_t>(r.u64());
-    o.policy = r.str();
-    o.evict_to_fit = r.u32() != 0;
-    o.max_batch = static_cast<int>(r.u32());
-    o.queue_limit = static_cast<std::size_t>(r.u64());
-    o.deadline_ticks = static_cast<long long>(r.u64());
-    o.retry_limit = static_cast<int>(r.u32());
-    o.retry_backoff_ticks = static_cast<long long>(r.u64());
-    o.faults = FaultPlan::parse(r.str());
-    if (!r.at_end()) bad_journal("trailing open bytes");
-    if (threads > 0) o.threads = threads;
-    return std::make_unique<ReconfigService>(spec, w, h, std::move(o));
-  } catch (const VbsError& e) {
-    if (e.code() == VbsErrc::kBadJournal) throw;
-    bad_journal(e.what());
-  } catch (const std::exception& e) {
-    // Validation failures (ArchSpec, ServiceOptions, FaultPlan::parse) mean
-    // the journal's configuration record is corrupt.
-    bad_journal(e.what());
+  ByteReader r(open_payload, VbsErrc::kBadJournal, "journal open");
+  if (r.u32() != kOpenVersion) bad_journal("unsupported open version");
+  ArchSpec spec;
+  spec.chan_width = static_cast<int>(r.u32());
+  spec.lut_k = static_cast<int>(r.u32());
+  const std::uint32_t sb = r.u32();
+  if (sb > static_cast<std::uint32_t>(SbPattern::kWilton)) {
+    bad_journal("bad sb_pattern");
   }
+  spec.sb_pattern = static_cast<SbPattern>(sb);
+  const int w = static_cast<int>(r.u32());
+  const int h = static_cast<int>(r.u32());
+  ServiceOptions o;
+  o.threads = static_cast<int>(r.u32());
+  o.cache_capacity_bits = static_cast<std::size_t>(r.u64());
+  o.policy = r.str();
+  o.evict_to_fit = r.u32() != 0;
+  o.max_batch = static_cast<int>(r.u32());
+  o.queue_limit = static_cast<std::size_t>(r.u64());
+  o.deadline_ticks = static_cast<long long>(r.u64());
+  o.retry_limit = static_cast<int>(r.u32());
+  o.retry_backoff_ticks = static_cast<long long>(r.u64());
+  o.faults = FaultPlan::parse(r.str());
+  if (!r.at_end()) bad_journal("trailing open bytes");
+  if (threads > 0) o.threads = threads;
+  return std::make_unique<ReconfigService>(spec, w, h, std::move(o));
 }
 
 BitVector ReconfigService::serialize_snapshot() const {
-  BitWriter w;
-  w.write(kSnapshotVersion, 32);
-  put_bytes(w, serialize_open());
-  // Controller.
-  put_bitvec(w, rtc_.config_memory());
-  artio::put_i32(w, rtc_.next_task_id());
-  w.write(rtc_.decode_seq(), 64);
-  w.write(rtc_.alloc_seq(), 64);
-  put_decode_stats(w, rtc_.total_decode_stats());
-  const std::vector<TaskId> ids = rtc_.task_ids();
-  artio::put_i32(w, static_cast<std::int32_t>(ids.size()));
-  for (const TaskId id : ids) {
-    const TaskRecord& rec = rtc_.record(id);
-    artio::put_i32(w, id);
-    put_rect(w, rec.rect);
-    artio::put_i64(w, static_cast<std::int64_t>(rec.stream_bits));
-    put_decode_stats(w, rec.decode);
-    artio::put_i32(w, rec.threads_used);
-    put_bitvec(w, serialize_vbs(rtc_.image_of(id)));
-  }
-  // Cache (entries MRU -> LRU; restore_entry rebuilds the same order).
-  artio::put_i64(w, cache_.hits());
-  artio::put_i64(w, cache_.misses());
-  artio::put_i64(w, cache_.insertions());
-  artio::put_i64(w, cache_.evictions());
-  artio::put_i64(w, cache_.fault_drops());
-  w.write(cache_.insert_seq(), 64);
-  const auto entries = cache_.entries_mru();
-  artio::put_i32(w, static_cast<std::int32_t>(entries.size()));
-  for (const auto& [key, value] : entries) {
-    w.write(key, 64);
-    put_bitvec(w, serialize_vbs(value->image));
-    artio::put_i32(w, static_cast<std::int32_t>(value->payloads.size()));
-    for (const BitVector& p : value->payloads) put_bitvec(w, p);
-    put_decode_stats(w, value->decode);
-  }
-  // Service scalars and tables.
-  artio::put_i64(w, next_request_);
-  w.write(use_seq_, 64);
-  artio::put_i64(w, now_ticks_);
-  artio::put_i64(w, static_cast<std::int64_t>(live_loads_));
-  artio::put_i64(w, last_shed_);
-  artio::put_i32(w, static_cast<std::int32_t>(tenant_priority_.size()));
-  for (const auto& [tenant, prio] : tenant_priority_) {
-    artio::put_i32(w, tenant);
-    artio::put_i32(w, prio);
-  }
-  artio::put_i32(w, static_cast<std::int32_t>(tenants_.size()));
-  for (const auto& [tenant, t] : tenants_) {
-    artio::put_i32(w, tenant);
-    artio::put_i32(w, t.priority);
-    artio::put_i64(w, t.submitted);
-    artio::put_i64(w, t.done);
-    artio::put_i64(w, t.rejected);
-    artio::put_i64(w, t.failed);
-    artio::put_i64(w, t.shed);
-    artio::put_i64(w, t.deadline_misses);
-    artio::put_i64(w, t.retries);
-    artio::put_i64(w, t.latency_ticks);
-    artio::put_i64(w, t.queue_wait_ticks);
-    artio::put_i64(w, t.backoff_ticks);
-    artio::put_i64(w, t.spike_ticks);
-    artio::put_i64(w, t.exec_ticks);
-  }
-  artio::put_i32(w, static_cast<std::int32_t>(task_of_request_.size()));
-  for (const auto& [req, task] : task_of_request_) {
-    artio::put_i64(w, req);
-    artio::put_i32(w, task);
-  }
-  artio::put_i32(w, static_cast<std::int32_t>(task_info_.size()));
-  for (const auto& [task, info] : task_info_) {
-    artio::put_i32(w, task);
-    w.write(info.content_hash, 64);
-    w.write(info.last_use, 64);
-    artio::put_i64(w, info.origin_request);
-  }
-  artio::put_i32(w, static_cast<std::int32_t>(eviction_log_.size()));
-  for (const EvictionEvent& e : eviction_log_) {
-    artio::put_i64(w, e.seq);
-    artio::put_i32(w, e.task);
-    put_rect(w, e.rect);
-    artio::put_i64(w, e.cause);
-  }
-  artio::put_i64(w, stats_.loads);
-  artio::put_i64(w, stats_.unloads);
-  artio::put_i64(w, stats_.relocates);
-  artio::put_i64(w, stats_.rejected);
-  artio::put_i64(w, stats_.failed);
-  artio::put_i64(w, stats_.shed);
-  artio::put_i64(w, stats_.deadline_misses);
-  artio::put_i64(w, stats_.retries);
-  artio::put_i64(w, stats_.faults_injected);
-  artio::put_i64(w, stats_.latency_spike_ticks);
-  artio::put_i64(w, stats_.warm_loads);
-  artio::put_i64(w, stats_.cold_loads);
-  artio::put_i64(w, stats_.relocates_cached);
-  artio::put_i64(w, stats_.relocates_decoded);
-  artio::put_i64(w, stats_.batches);
-  artio::put_i64(w, stats_.task_evictions);
-  put_decode_stats(w, stats_.decode);
-  artio::put_i32(w, static_cast<std::int32_t>(queue_.size()));
-  for (const Request& q : queue_) {
-    artio::put_i64(w, q.id);
-    w.write(static_cast<std::uint64_t>(q.kind), 8);
-    put_bitvec(w, q.stream);
-    artio::put_i64(w, q.target);
-    artio::put_i32(w, q.tenant);
-    artio::put_i32(w, q.priority);
-    artio::put_i32(w, q.attempt);
-    w.write_bit(q.shed);
-    artio::put_i64(w, q.submitted_tick);
-    artio::put_i64(w, q.not_before);
-    artio::put_i64(w, q.retry_tick);
-    artio::put_i64(w, q.queue_wait_ticks);
-    artio::put_i64(w, q.backoff_ticks);
-    artio::put_i64(w, q.spike_ticks);
-    artio::put_i64(w, q.exec_ticks);
-  }
+  SnapshotWriter w(serialize_open());
+  walk_state(w, *this);
   return w.take();
 }
 
 std::unique_ptr<ReconfigService> ReconfigService::restore_snapshot(
     const BitVector& snapshot, int threads) {
-  try {
-    BitReader r(snapshot);
-    if (r.read(32) != kSnapshotVersion) {
-      bad_journal("unsupported snapshot version");
-    }
-    auto svc = construct_from_open(get_bytes(r), threads);
-    // Controller.
-    svc->rtc_.restore_config_memory(get_bitvec(r));
-    const TaskId next_id = artio::get_i32(r);
-    const std::uint64_t decode_seq = r.read(64);
-    const std::uint64_t alloc_seq = r.read(64);
-    svc->rtc_.restore_counters(next_id, decode_seq, alloc_seq);
-    svc->rtc_.set_total_decode_stats(get_decode_stats(r));
-    const std::int32_t ntasks = artio::get_i32(r);
-    check_count(r, ntasks, 64, "task");
-    for (std::int32_t i = 0; i < ntasks; ++i) {
-      TaskRecord rec;
-      rec.id = artio::get_i32(r);
-      rec.rect = get_rect(r);
-      rec.stream_bits = static_cast<std::size_t>(artio::get_i64(r));
-      rec.decode = get_decode_stats(r);
-      rec.threads_used = artio::get_i32(r);
-      svc->rtc_.restore_task(rec, deserialize_vbs(get_bitvec(r)));
-    }
-    // Cache.
-    const long long hits = artio::get_i64(r);
-    const long long misses = artio::get_i64(r);
-    const long long insertions = artio::get_i64(r);
-    const long long evictions = artio::get_i64(r);
-    const long long fault_drops = artio::get_i64(r);
-    const std::uint64_t insert_seq = r.read(64);
-    svc->cache_.restore_counters(hits, misses, insertions, evictions,
-                                 fault_drops, insert_seq);
-    const std::int32_t nentries = artio::get_i32(r);
-    check_count(r, nentries, 64, "cache entry");
-    for (std::int32_t i = 0; i < nentries; ++i) {
-      const std::uint64_t key = r.read(64);
-      auto ds = std::make_shared<DecodedStream>();
-      ds->image = deserialize_vbs(get_bitvec(r));
-      const std::int32_t npayloads = artio::get_i32(r);
-      check_count(r, npayloads, 64, "payload");
-      ds->payloads.resize(static_cast<std::size_t>(npayloads));
-      for (BitVector& p : ds->payloads) p = get_bitvec(r);
-      ds->decode = get_decode_stats(r);
-      svc->cache_.restore_entry(key, std::move(ds));
-    }
-    // Service scalars and tables.
-    svc->next_request_ = artio::get_i64(r);
-    svc->use_seq_ = r.read(64);
-    svc->now_ticks_ = artio::get_i64(r);
-    svc->live_loads_ = static_cast<std::size_t>(artio::get_i64(r));
-    svc->last_shed_ = artio::get_i64(r);
-    const std::int32_t nprio = artio::get_i32(r);
-    check_count(r, nprio, 64, "priority");
-    for (std::int32_t i = 0; i < nprio; ++i) {
-      const int tenant = artio::get_i32(r);
-      svc->tenant_priority_[tenant] = artio::get_i32(r);
-    }
-    const std::int32_t ntenants = artio::get_i32(r);
-    check_count(r, ntenants, 64, "tenant");
-    for (std::int32_t i = 0; i < ntenants; ++i) {
-      const int tenant = artio::get_i32(r);
-      TenantStats& t = svc->tenants_[tenant];
-      t.priority = artio::get_i32(r);
-      t.submitted = artio::get_i64(r);
-      t.done = artio::get_i64(r);
-      t.rejected = artio::get_i64(r);
-      t.failed = artio::get_i64(r);
-      t.shed = artio::get_i64(r);
-      t.deadline_misses = artio::get_i64(r);
-      t.retries = artio::get_i64(r);
-      t.latency_ticks = artio::get_i64(r);
-      t.queue_wait_ticks = artio::get_i64(r);
-      t.backoff_ticks = artio::get_i64(r);
-      t.spike_ticks = artio::get_i64(r);
-      t.exec_ticks = artio::get_i64(r);
-    }
-    const std::int32_t nreq = artio::get_i32(r);
-    check_count(r, nreq, 64, "request-map");
-    for (std::int32_t i = 0; i < nreq; ++i) {
-      const RequestId req = artio::get_i64(r);
-      svc->task_of_request_[req] = artio::get_i32(r);
-    }
-    const std::int32_t ninfo = artio::get_i32(r);
-    check_count(r, ninfo, 64, "task-info");
-    for (std::int32_t i = 0; i < ninfo; ++i) {
-      const TaskId task = artio::get_i32(r);
-      TaskInfo& info = svc->task_info_[task];
-      info.content_hash = r.read(64);
-      info.last_use = r.read(64);
-      info.origin_request = artio::get_i64(r);
-    }
-    const std::int32_t nevict = artio::get_i32(r);
-    check_count(r, nevict, 64, "eviction");
-    svc->eviction_log_.reserve(static_cast<std::size_t>(nevict));
-    for (std::int32_t i = 0; i < nevict; ++i) {
-      EvictionEvent e;
-      e.seq = artio::get_i64(r);
-      e.task = artio::get_i32(r);
-      e.rect = get_rect(r);
-      e.cause = artio::get_i64(r);
-      svc->eviction_log_.push_back(e);
-    }
-    svc->stats_.loads = artio::get_i64(r);
-    svc->stats_.unloads = artio::get_i64(r);
-    svc->stats_.relocates = artio::get_i64(r);
-    svc->stats_.rejected = artio::get_i64(r);
-    svc->stats_.failed = artio::get_i64(r);
-    svc->stats_.shed = artio::get_i64(r);
-    svc->stats_.deadline_misses = artio::get_i64(r);
-    svc->stats_.retries = artio::get_i64(r);
-    svc->stats_.faults_injected = artio::get_i64(r);
-    svc->stats_.latency_spike_ticks = artio::get_i64(r);
-    svc->stats_.warm_loads = artio::get_i64(r);
-    svc->stats_.cold_loads = artio::get_i64(r);
-    svc->stats_.relocates_cached = artio::get_i64(r);
-    svc->stats_.relocates_decoded = artio::get_i64(r);
-    svc->stats_.batches = artio::get_i64(r);
-    svc->stats_.task_evictions = artio::get_i64(r);
-    svc->stats_.decode = get_decode_stats(r);
-    const std::int32_t nqueue = artio::get_i32(r);
-    check_count(r, nqueue, 64, "queue");
-    for (std::int32_t i = 0; i < nqueue; ++i) {
-      Request q;
-      q.id = artio::get_i64(r);
-      const std::uint64_t kind = r.read(8);
-      if (kind > static_cast<std::uint64_t>(RequestKind::kRelocate)) {
-        bad_journal("bad queued request kind");
-      }
-      q.kind = static_cast<RequestKind>(kind);
-      q.stream = get_bitvec(r);
-      q.target = artio::get_i64(r);
-      q.tenant = artio::get_i32(r);
-      q.priority = artio::get_i32(r);
-      q.attempt = artio::get_i32(r);
-      q.shed = r.read_bit();
-      q.submitted_tick = artio::get_i64(r);
-      q.not_before = artio::get_i64(r);
-      q.retry_tick = artio::get_i64(r);
-      q.queue_wait_ticks = artio::get_i64(r);
-      q.backoff_ticks = artio::get_i64(r);
-      q.spike_ticks = artio::get_i64(r);
-      q.exec_ticks = artio::get_i64(r);
-      // Wall clock is not part of the contract; restamp on the telemetry
-      // clock so the restored request still reports a sane wall latency.
-      q.submitted_ns = telem::now_ns();
-      svc->queue_.push_back(std::move(q));
-    }
-    if (!r.at_end()) bad_journal("trailing snapshot bits");
-    return svc;
-  } catch (const VbsError& e) {
-    if (e.code() == VbsErrc::kBadJournal) throw;
-    bad_journal(e.what());  // truncation, bad VBS image, ... : corrupt
-  } catch (const std::exception& e) {
-    bad_journal(e.what());  // inconsistent snapshot (overlapping tasks, ...)
-  }
+  SnapshotReader r(snapshot);
+  auto svc = construct_from_open(r.open(), threads);
+  walk_state(r, *svc);
+  if (!r.at_end()) bad_journal("trailing snapshot bits");
+  // Wall clock is not part of the contract; restamp on the telemetry clock
+  // so a restored request still reports a sane wall latency.
+  for (Request& q : svc->queue_) q.submitted_ns = telem::now_ns();
+  return svc;
 }
 
 void ReconfigService::journal_append(ServiceJournal::Kind kind,
                                      const std::string& payload) {
-  try {
-    journal_->append(kind, payload);
-  } catch (const VbsError&) {
-    journal_.reset();  // durability is gone; keep serving from memory
-    throw;
-  }
-}
-
-void ReconfigService::journal_append2(ServiceJournal::Kind k1,
-                                      const std::string& p1,
-                                      ServiceJournal::Kind k2,
-                                      const std::string& p2) {
-  try {
-    journal_->append2(k1, p1, k2, p2);
-  } catch (const VbsError&) {
-    journal_.reset();
-    throw;
-  }
+  journal_write([&](ServiceJournal& j) { j.append(kind, payload); });
 }
 
 void ReconfigService::open_journal(const std::string& dir,
@@ -1354,12 +1191,9 @@ void ReconfigService::compact_journal() {
   if (!journal_) {
     throw std::logic_error("compact_journal: no journal attached");
   }
-  try {
-    journal_->compact(serialize_snapshot(), state_fingerprint());
-  } catch (const VbsError&) {
-    journal_.reset();
-    throw;
-  }
+  journal_write([&](ServiceJournal& j) {
+    j.compact(serialize_snapshot(), state_fingerprint());
+  });
 }
 
 std::unique_ptr<ReconfigService> ReconfigService::recover(
@@ -1371,18 +1205,27 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
   ri.journal_bytes = sr.wal_bytes;
   ri.epoch = sr.epoch;
 
+  ri.from_snapshot = !sr.snapshot_path.empty();
+  std::uint64_t stored_fp = 0;
+  const BitVector snap =
+      ri.from_snapshot
+          ? ServiceJournal::read_snapshot(sr.snapshot_path, &stored_fp)
+          : BitVector();
   std::unique_ptr<ReconfigService> svc;
-  if (!sr.snapshot_path.empty()) {
-    ri.from_snapshot = true;
-    std::uint64_t stored_fp = 0;
-    const BitVector snap =
-        ServiceJournal::read_snapshot(sr.snapshot_path, &stored_fp);
-    svc = restore_snapshot(snap, threads);
-    if (svc->state_fingerprint() != stored_fp) {
-      bad_journal("snapshot fingerprint mismatch");
-    }
-  } else {
-    svc = construct_from_open(sr.records.front().payload, threads);
+  try {
+    svc = ri.from_snapshot
+              ? restore_snapshot(snap, threads)
+              : construct_from_open(sr.records.front().payload, threads);
+  } catch (const VbsError& e) {
+    if (e.code() == VbsErrc::kBadJournal) throw;
+    bad_journal(e.what());  // truncation, bad VBS image, ... : corrupt
+  } catch (const std::exception& e) {
+    // Validation failures (ArchSpec, ServiceOptions, FaultPlan::parse) and
+    // inconsistent snapshots (overlapping tasks, ...) mean a corrupt base.
+    bad_journal(e.what());
+  }
+  if (ri.from_snapshot && svc->state_fingerprint() != stored_fp) {
+    bad_journal("snapshot fingerprint mismatch");
   }
 
   // Replay through the public mutators — the same code path as the live
@@ -1396,6 +1239,7 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
         const auto id = static_cast<RequestId>(r.u64());
         const auto tenant = static_cast<int>(r.u32());
         BitVector stream = r.bits();
+        r.expect_end("load");
         if (svc->submit_load(std::move(stream), tenant) != id) {
           bad_journal("replayed load got a different request id");
         }
@@ -1404,13 +1248,13 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
         // tail, which is the one legitimate crash window.
         if (svc->last_shed_ != kNoRequest) {
           if (i + 1 < sr.records.size()) {
-            const ServiceJournal::Record& shed = sr.records[i + 1];
+            const ServiceJournal::Record& shed = sr.records[++i];
+            ByteReader s(shed.payload, VbsErrc::kBadJournal, "journal shed");
             if (shed.kind != ServiceJournal::Kind::kShed ||
-                ByteReader(shed.payload, VbsErrc::kBadJournal, "journal shed")
-                        .u64() != static_cast<std::uint64_t>(svc->last_shed_)) {
+                s.u64() != static_cast<std::uint64_t>(svc->last_shed_)) {
               bad_journal("shed record disagrees with replay");
             }
-            ++i;
+            s.expect_end("shed");
           }
         } else if (i + 1 < sr.records.size() &&
                    sr.records[i + 1].kind == ServiceJournal::Kind::kShed) {
@@ -1424,6 +1268,7 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
         const auto id = static_cast<RequestId>(r.u64());
         const auto target = static_cast<RequestId>(r.u64());
         const auto tenant = static_cast<int>(r.u32());
+        r.expect_end("admission");
         const RequestId got =
             rec.kind == ServiceJournal::Kind::kAdmitUnload
                 ? svc->submit_unload(target, tenant)
@@ -1437,12 +1282,14 @@ std::unique_ptr<ReconfigService> ReconfigService::recover(
       case ServiceJournal::Kind::kSetPriority: {
         const auto tenant = static_cast<int>(r.u32());
         const auto priority = static_cast<int>(r.u32());
+        r.expect_end("priority");
         svc->set_tenant_priority(tenant, priority);
         ++ri.admits;
         break;
       }
       case ServiceJournal::Kind::kCommit: {
         const std::uint64_t fp = r.u64();
+        r.expect_end("commit");
         svc->drain();
         if (svc->state_fingerprint() != fp) {
           bad_journal("commit fingerprint mismatch after replayed drain");

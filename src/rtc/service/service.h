@@ -283,9 +283,13 @@ class ReconfigService {
   /// Order-sensitive fingerprint of every replay-deterministic piece of
   /// state: configuration memory, tasks and their records, the decoded-
   /// stream cache (keys, order, counters), queue contents, tenant stats,
-  /// eviction log, all serial counters and the modeled clock. Wall-clock
-  /// fields and thread counts are excluded. This is the value kCommit
-  /// records carry and the crash harness compares.
+  /// eviction log, all serial counters and the modeled clock. It walks the
+  /// same field list as the snapshot (walk_state), minus the snapshot-only
+  /// fields (task images, threads_used, cache payloads and their decode
+  /// stats; queued streams fold as content hashes), plus two derived
+  /// values (the cache's size_bits and each entry's footprint). Wall-clock
+  /// fields are excluded. This is the value kCommit records carry and the
+  /// crash harness compares.
   std::uint64_t state_fingerprint() const;
 
  private:
@@ -316,6 +320,9 @@ class ReconfigService {
   };
 
   Request make_request(RequestKind kind, int tenant);
+  /// submit_unload and submit_relocate: a request naming a load request.
+  RequestId submit_targeted(RequestKind kind, RequestId load_request,
+                            int tenant);
   /// Bounded admission: sheds the newest lowest-priority queued load (or
   /// the incoming one) when the live-load count hits queue_limit.
   void admit_load(Request req);
@@ -351,20 +358,30 @@ class ReconfigService {
   /// Full service configuration (arch, fabric, options) — the journal's
   /// kOpen payload and the head of every snapshot.
   std::string serialize_open() const;
-  /// Whole-state snapshot payload (everything state_fingerprint covers,
-  /// plus the bulk data — config memory, task images, cache payloads —
-  /// needed to rebuild it). Wall-clock fields are zeroed.
+  /// Whole-state snapshot payload: serialize_open(), then walk_state —
+  /// the walk state_fingerprint takes, with the bulk data needed to
+  /// rebuild the state (task images and threads_used, cache payloads and
+  /// their decode stats, queued streams). Wall-clock fields are left out.
   BitVector serialize_snapshot() const;
   /// Rebuilds a service from a snapshot payload (static: the payload's
-  /// open section decides the construction parameters).
+  /// open section decides the construction parameters), reading it back
+  /// through the same walk.
   static std::unique_ptr<ReconfigService> restore_snapshot(
       const BitVector& snapshot, int threads);
+  /// The one list of the durable state (service.cpp): every replay-
+  /// deterministic field, in snapshot order, through archive `ar`.
+  template <class Ar, class Svc>
+  static void walk_state(Ar& ar, Svc& svc);
+  /// A fresh service from a kOpen payload. Like restore_snapshot it may
+  /// throw any error on a corrupt payload; recover() types them all as
+  /// kBadJournal.
   static std::unique_ptr<ReconfigService> construct_from_open(
       const std::string& open_payload, int threads);
-  /// Appends to the journal, detaching it on a (typed) I/O failure.
+  /// Runs one journal write (append, append2, compact), detaching the
+  /// journal on a (typed) I/O failure before rethrowing it.
+  template <class Write>
+  void journal_write(Write write);
   void journal_append(ServiceJournal::Kind kind, const std::string& payload);
-  void journal_append2(ServiceJournal::Kind k1, const std::string& p1,
-                       ServiceJournal::Kind k2, const std::string& p2);
 
   ReconfigController rtc_;
   ServiceOptions opts_;

@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "flow/flow.h"
 #include "hex.h"
@@ -475,6 +476,86 @@ TEST(ServiceDurabilityTest, SnapshotWithQueuedWorkIsPinned) {
     EXPECT_EQ(got[i].latency_ticks, want[i].latency_ticks) << i;
   }
   EXPECT_EQ(recovered->state_fingerprint(), svc.state_fingerprint());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Writes a WAL of `records` framed as journal.h documents it, so a test
+/// can store a payload the service never writes under a valid checksum.
+void write_wal(const std::string& path,
+               const std::vector<ServiceJournal::Record>& records) {
+  std::string bytes = "VJL1";
+  for (const ServiceJournal::Record& rec : records) {
+    const auto kind = static_cast<std::uint8_t>(rec.kind);
+    put_u32(bytes, static_cast<std::uint32_t>(rec.payload.size()));
+    put_u8(bytes, kind);
+    bytes += rec.payload;
+    put_u64(bytes, hash_u64(fnv1a64(rec.payload.data(), rec.payload.size(),
+                                    fnv1a64(&kind, 1)),
+                            rec.payload.size()));
+  }
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void expect_bad_journal(const std::string& dir, const std::string& label) {
+  try {
+    ReconfigService::recover(dir, 1);
+    ADD_FAILURE() << label << ": expected kBadJournal";
+  } catch (const VbsError& e) {
+    EXPECT_EQ(e.code(), VbsErrc::kBadJournal) << label;
+  }
+}
+
+// Every record's payload must end where its last field ends: one extra
+// byte behind a valid checksum is corruption, for each kind replay reads
+// (admissions, shed companion, priority, commit) and for the barrier.
+TEST(ServiceDurabilityTest, TrailingRecordBytesAreBadJournal) {
+  TempDir dir("trailing");
+  const std::string wal = dir.path + "/journal.wal";
+  const auto& streams = test_streams();
+  {
+    ReconfigService svc(test_arch(), 16, 12, small_opts(1));
+    svc.open_journal(dir.path);
+    svc.set_tenant_priority(1, 5);
+    std::vector<RequestId> loads;
+    for (int i = 0; i < 5; ++i) {  // queue_limit is 4: the fifth load sheds
+      loads.push_back(
+          svc.submit_load(streams[static_cast<std::size_t>(i % 3)], 0));
+    }
+    svc.submit_unload(loads[0], 0);
+    svc.submit_relocate(loads[1], 0);
+    svc.drain();
+  }
+  const std::string original = read_file(wal);
+  const std::vector<ServiceJournal::Record> records =
+      ServiceJournal::scan(dir.path).records;
+  write_wal(wal, records);
+  ASSERT_EQ(read_file(wal), original);  // the framing above is the real one
+
+  std::set<ServiceJournal::Kind> kinds;
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    std::vector<ServiceJournal::Record> tampered = records;
+    tampered[i].payload.push_back('\0');
+    write_wal(wal, tampered);
+    expect_bad_journal(dir.path, "record " + std::to_string(i));
+    kinds.insert(records[i].kind);
+  }
+  EXPECT_EQ(kinds.size(), 6u);  // every kind replay reads
+
+  write_wal(wal, records);
+  ReconfigService::recover(dir.path, 1)->compact_journal();
+  std::vector<ServiceJournal::Record> barrier =
+      ServiceJournal::scan(dir.path).records;
+  ASSERT_EQ(barrier.size(), 1u);
+  ASSERT_EQ(barrier[0].kind, ServiceJournal::Kind::kSnapshotBarrier);
+  barrier[0].payload.push_back('\0');
+  write_wal(wal, barrier);
+  expect_bad_journal(dir.path, "barrier");
 }
 
 TEST(ServiceDurabilityTest, PersistentAppendFailureDetachesJournal) {
