@@ -1,13 +1,12 @@
-#include "vbs/lookahead.h"
+#include "arch/lookahead.h"
 
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <stdexcept>
 
 #include "arch/arch_registry.h"
 #include "arch/macro_model.h"
-#include "vbs/vbs_format.h"
+#include "util/error.h"
 
 namespace vbs {
 
@@ -34,7 +33,8 @@ Lookahead::Lookahead(const ArchSpec& spec)
       cross_y_(spec.pins_on_y() + 1) {
   spec.validate();
   if (table_bytes(spec) > kMaxLookaheadBytes) {
-    throw std::invalid_argument("Lookahead: table exceeds resource limit");
+    throw VbsError(VbsErrc::kResourceLimit,
+                   "Lookahead: table exceeds resource limit");
   }
   const std::shared_ptr<const MacroModel> shared_macro = MacroModel::of(spec);
   const MacroModel& macro = *shared_macro;

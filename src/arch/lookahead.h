@@ -1,7 +1,7 @@
-// Map lookahead for the de-virtualizer's A* (stream version 2): a table of
-// unit-cost lower bounds on the distance from any routing node to any
-// region port, after the map lookahead of VPR 8 (Murray et al., "VTR 8",
-// ACM TRETS 2020).
+// Map lookahead for A*: a table of unit-cost lower bounds on the distance
+// from any routing node to any macro port, after the map lookahead of VPR 8
+// (Murray et al., "VTR 8", ACM TRETS 2020). It aims both the global router
+// (route/router.h) and the de-virtualizer (stream version 2).
 //
 // Construction. One breadth-first search per macro port type (4W + L of
 // them) over a full 5 x 5 virtual region, with the target at the centre
@@ -13,16 +13,18 @@
 //   h = T[port][local][clamp(dy)][clamp(dx)]
 //       + (|dx| - 2)+ * (pins_on_x + 1) + (|dy| - 2)+ * (pins_on_y + 1)
 //
-// Admissibility. Every node the decoder enters costs at least 1, and port
-// reservations and region edges only remove edges from the graph, so h
-// stays a lower bound in every negotiation round (test_devirt checks
-// h <= the region's BFS distance for every node and target). A 3 x 3
+// Admissibility. Every node a search enters costs at least 1, and port
+// reservations, region and fabric edges, masked tracks and reserved pins
+// only remove edges from the graph, so h stays a lower bound in every
+// negotiation round (test_devirt checks h <= the region's BFS distance for
+// every node and target, test_route the same over a fabric). A 3 x 3
 // window is not enough: shortest paths within two tiles of the target can
 // leave it, and its bounds overshoot.
 //
 // Sharing. The table depends on the architecture only. Lookahead::of
 // builds it once per ArchSpec per process and shares it immutably across
-// threads and decoders; for the paper's W = 20, K = 6 it is about 0.8 MB.
+// threads, routers and decoders, so a flow that routes and then encodes
+// builds it once; for the paper's W = 20, K = 6 it is about 0.8 MB.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +36,16 @@
 
 namespace vbs {
 
+/// Largest table Lookahead builds. The table grows with W^2 (0.8 MB at
+/// the paper's W = 20); this bound is reached at W ~ 96. deserialize_vbs
+/// also rejects version-2 streams whose table would exceed it.
+inline constexpr std::uint64_t kMaxLookaheadBytes = std::uint64_t{1} << 24;
+
 class Lookahead {
  public:
   /// Builds the table of `spec`; throws std::invalid_argument for an
-  /// invalid spec or one whose table exceeds kMaxLookaheadBytes.
+  /// invalid spec and VbsError kResourceLimit for one whose table exceeds
+  /// kMaxLookaheadBytes.
   explicit Lookahead(const ArchSpec& spec);
 
   /// The process-wide table of `spec`, built on first use. Thread-safe;

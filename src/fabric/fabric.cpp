@@ -77,15 +77,18 @@ Fabric::Fabric(const ArchSpec& spec, int width, int height)
   }
 
   // Representative positions: last writer wins; any representative tile of
-  // a (at most two-tile) wire is fine for distance heuristics.
+  // a (at most two-tile) wire is fine for distance heuristics, as long as
+  // the local id is the wire's id in that same tile.
   pos_x_.assign(num_nodes_, 0);
   pos_y_.assign(num_nodes_, 0);
+  local_.assign(num_nodes_, 0);
   for (int my = 0; my < height; ++my) {
     for (int mx = 0; mx < width; ++mx) {
       for (int local = 0; local < nloc; ++local) {
         const int g = node_of_raw_[raw_id(mx, my, local)];
         pos_x_[g] = static_cast<std::int16_t>(mx);
         pos_y_[g] = static_cast<std::int16_t>(my);
+        local_[g] = static_cast<std::int16_t>(local);
       }
     }
   }

@@ -76,6 +76,10 @@ class Fabric : public FabricLayout {
   }
   /// Representative tile of a node (for distance heuristics).
   Point node_pos(int g) const { return {pos_x_[g], pos_y_[g]}; }
+  /// Macro-local id of a node at its node_pos tile (arch/lookahead.h's
+  /// `local`). A boundary port's node carries its port there:
+  /// macro().node_port(node_local(g)) >= 0.
+  int node_local(int g) const { return local_[g]; }
 
   // --- switches (graph edges) ----------------------------------------------
   struct Edge {
@@ -118,7 +122,7 @@ class Fabric : public FabricLayout {
   MacroModel macro_;
   int num_nodes_ = 0;
   std::vector<std::int32_t> node_of_raw_;  ///< raw (macro,local) -> global
-  std::vector<std::int16_t> pos_x_, pos_y_;
+  std::vector<std::int16_t> pos_x_, pos_y_, local_;
   std::vector<std::size_t> edge_begin_;
   std::vector<Edge> edge_data_;
   std::vector<std::size_t> port_begin_;

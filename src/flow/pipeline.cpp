@@ -89,6 +89,7 @@ std::uint64_t FlowPipeline::stage_fingerprint(Stage s) const {
   h = hash_u64(h, stage_fingerprint(Stage::kPlace));
   if (s == Stage::kRoute) {
     const RouterOptions& r = opts_.route;
+    h = hash_u64(h, kRouterHeuristicTag);
     h = hash_u64(h, static_cast<std::uint64_t>(r.max_iterations));
     h = hash_double(h, r.first_iter_pres);
     h = hash_double(h, r.initial_pres);

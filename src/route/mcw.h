@@ -47,8 +47,14 @@ struct McwOptions {
   /// (off = every trial routes cold; Determinism.McwWarmStartMatchesColdSearch
   /// compares the two, and CHANGES.md keeps the last suite-wide ratio).
   bool warm_start = true;
-  RouterOptions router;    ///< per-trial router settings
-  McwOptions() { router.stall_abort = kMcwTrialStallAbort; }
+  /// Per-trial router settings. A trial only asks whether a width is
+  /// routable, so it aims with the pure admissible lookahead bound
+  /// (astar_fac 0): the flow's directed default finds wider channels.
+  RouterOptions router;
+  McwOptions() {
+    router.stall_abort = kMcwTrialStallAbort;
+    router.astar_fac = 0.0;
+  }
 };
 
 /// One routing trial of the search, for cost reporting (satellite of the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -11,7 +10,11 @@ namespace vbs {
 
 PathfinderRouter::PathfinderRouter(const Fabric& fabric, RouteRequest request,
                                    int width_limit)
-    : fabric_(fabric), request_(std::move(request)) {
+    : fabric_(fabric),
+      request_(std::move(request)),
+      lookahead_(Lookahead::of(fabric.spec())),
+      cross_x_(fabric.spec().pins_on_x() + 1),
+      cross_y_(fabric.spec().pins_on_y() + 1) {
   const int n = fabric_.num_nodes();
   occ_.assign(static_cast<std::size_t>(n), 0);
   hist_.assign(static_cast<std::size_t>(n), 0.0f);
@@ -61,6 +64,11 @@ PathfinderRouter::PathfinderRouter(const Fabric& fabric, RouteRequest request,
   // window when bounded-box routing is on.
   net_box_.reserve(request_.nets.size());
   for (NetSpec& nspec : request_.nets) {
+    // The lookahead aims at macro ports: every sink (an LB pin or an I/O
+    // track on the fabric edge) carries one at its node_pos tile.
+    assert(std::all_of(nspec.sinks.begin(), nspec.sinks.end(), [&](int g) {
+      return mm.node_port(fabric_.node_local(g)) >= 0;
+    }));
     const Point s = fabric_.node_pos(nspec.source);
     std::stable_sort(nspec.sinks.begin(), nspec.sinks.end(), [&](int a, int b) {
       return manhattan(fabric_.node_pos(a), s) > manhattan(fabric_.node_pos(b), s);
@@ -240,16 +248,6 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
                                       double pres_fac, double astar_fac,
                                       const BBox& box) {
   RouterScratch& s = scratch_;
-  const int px1 = fabric_.spec().pins_on_x() + 1;
-  const int py1 = fabric_.spec().pins_on_y() + 1;
-  const Point sink_pos = fabric_.node_pos(sink);
-  auto heur = [&](int v) {
-    const Point p = fabric_.node_pos(v);
-    return static_cast<float>(
-        astar_fac * (std::abs(p.x - sink_pos.x) * px1 +
-                     std::abs(p.y - sink_pos.y) * py1));
-  };
-
   s.begin_search();
   s.heap.clear();
   // Multi-source expansion from the tree nodes inside the box (all of them
@@ -263,7 +261,7 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
     s.path_cost[v] = 0.0f;
     s.back_node[v] = -1;
     s.back_edge[v] = -1;
-    s.heap.seed(heur(tn.rr), 0.0f, tn.rr);
+    s.heap.seed(estimate(tn.rr, sink, astar_fac), 0.0f, tn.rr);
   }
   s.heap.heapify();
 
@@ -291,7 +289,7 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
         s.path_cost[sv] = npc;
         s.back_node[sv] = node;
         s.back_edge[sv] = static_cast<std::int64_t>(edge_base + k);
-        s.heap.push(npc + heur(v), npc, v);
+        s.heap.push(npc + estimate(v, sink, astar_fac), npc, v);
       }
     }
   }

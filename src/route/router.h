@@ -5,6 +5,13 @@
 // expansion; congestion is negotiated across iterations through present-
 // usage and history costs until no routing resource is overused.
 //
+// The A* estimate from node v to a sink dx, dy tiles away is
+//   h(v) = Lookahead::bound(sink port, node_local(v), dx, dy)
+//          + astar_fac * (|dx| * (pins_on_x + 1) + |dy| * (pins_on_y + 1)):
+// the architecture's map-lookahead table (arch/lookahead.h, the one the
+// de-virtualizer uses) is an admissible lower bound, since every node costs
+// at least 1; the Manhattan term on top trades optimality for fewer pops.
+//
 // Hot-path configuration (each individually toggleable via RouterOptions;
 // Determinism.BoundedRouterPopsFewerThanTextbookBaseline checks the
 // defaults against the textbook baseline):
@@ -17,12 +24,15 @@
 //   * incremental_reroute (default ON): congested nets keep the legal part
 //     of their tree across iterations and reroute only the connections
 //     crossing overused nodes, instead of whole-net rip-up.
-//   * astar_fac (default 1.5): calibrated heuristic weight, see below.
+//   * astar_fac (default 1.0): weight of the Manhattan term, see below.
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
+#include "arch/lookahead.h"
 #include "fabric/fabric.h"
 #include "netlist/netlist.h"
 #include "route/scratch.h"
@@ -53,18 +63,25 @@ struct NetRoute {
   std::vector<TreeNode> nodes;
 };
 
+/// Tag of the router's A* estimate (lookahead bound + weighted Manhattan
+/// term), folded into a flow checkpoint's route fingerprint: routes found
+/// under an earlier estimate are never resumed as if this router made them.
+inline constexpr std::uint64_t kRouterHeuristicTag = 2;
+
 struct RouterOptions {
   int max_iterations = 50;
   double first_iter_pres = 0.0;   ///< free overlap on the first iteration
   double initial_pres = 0.5;      ///< present-congestion factor, iteration 2
   double pres_mult = 1.8;         ///< growth per iteration
   double hist_fac = 1.0;          ///< history accumulation per overuse
-  /// A* heuristic weight (>1 trades wire quality for search speed). The
-  /// default was calibrated on the MCNC-like suite (numbers in CHANGES.md):
-  /// versus the 1.15 the seed shipped, 1.5 cuts heap pops ~2x at ~2% more
-  /// wire; the empty-fabric per-tile scale underestimates congested-
-  /// iteration costs, so a stronger weight keeps the wave directed.
-  double astar_fac = 1.5;
+  /// Weight of the Manhattan term added to the admissible lookahead bound
+  /// in the A* estimate. 0 is the pure bound: each search then finds a
+  /// cheapest path inside its box (the minimum-channel-width search uses
+  /// it, see McwOptions). The default 1.0 keeps the wave directed through
+  /// congested iterations: against 0 it cuts heap pops about 3x on the
+  /// Table II circuits and gives smaller VBS streams for about 7% more
+  /// wire (numbers in CHANGES.md).
+  double astar_fac = 1.0;
   /// Abort as unroutable when the overused-node count has not improved for
   /// this many iterations (0 = disabled). Used by the minimum-channel-width
   /// search to cut hopeless trials short.
@@ -127,6 +144,8 @@ class PathfinderRouter {
   /// across trial widths; terminals must sit on unmasked wires (I/O ports
   /// come from build_route_request's io_tracks_from_top mode).
   /// 0 = the fabric's full width.
+  /// Throws VbsError kResourceLimit when the fabric's lookahead table
+  /// would exceed kMaxLookaheadBytes (W ~ 96 or more).
   PathfinderRouter(const Fabric& fabric, RouteRequest request,
                    int width_limit = 0);
 
@@ -138,6 +157,20 @@ class PathfinderRouter {
   void seed_routes(const std::vector<NetRoute>& prior);
 
   RoutingResult route(const RouterOptions& opts = {});
+
+  /// The A* estimate of the cost from node `v` to the net sink `sink` (see
+  /// the header comment); with astar_fac = 0 it is a lower bound on every
+  /// path's cost.
+  float estimate(int v, int sink, double astar_fac) const {
+    const Point p = fabric_.node_pos(v);
+    const Point t = fabric_.node_pos(sink);
+    const int dx = p.x - t.x;
+    const int dy = p.y - t.y;
+    const int port = fabric_.macro().node_port(fabric_.node_local(sink));
+    return static_cast<float>(
+        lookahead_->bound(port, fabric_.node_local(v), dx, dy) +
+        astar_fac * (std::abs(dx) * cross_x_ + std::abs(dy) * cross_y_));
+  }
 
  private:
   /// Inclusive tile-coordinate expansion window.
@@ -174,6 +207,9 @@ class PathfinderRouter {
 
   const Fabric& fabric_;
   RouteRequest request_;
+  std::shared_ptr<const Lookahead> lookahead_;  ///< Lookahead::of(spec)
+  int cross_x_;  ///< nodes on a ChanX track across one macro: pins_on_x + 1
+  int cross_y_;  ///< nodes on a ChanY track across one macro: pins_on_y + 1
   std::vector<NetRoute> routes_;
 
   // Per-RR-node congestion state.

@@ -8,8 +8,9 @@
 // once the queue has grown to its working size.
 //
 // est is the path cost so far plus an estimate of the rest: the router's
-// astar_fac-weighted Manhattan distance, and the de-virtualizer's
-// heuristic chosen by the stream version (vbs/devirtualizer.h).
+// lookahead bound plus its astar_fac-weighted Manhattan term
+// (route/router.h), and the de-virtualizer's heuristic chosen by the
+// stream version (vbs/devirtualizer.h).
 //
 // Key exactness. Both kernels require est >= 0 (never -0, never NaN) and
 // node >= 0. For non-negative IEEE floats the u32 bit pattern orders

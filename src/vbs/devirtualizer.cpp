@@ -6,10 +6,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "arch/lookahead.h"
 #include "util/epoch.h"
 #include "util/error.h"
 #include "util/telemetry.h"
-#include "vbs/lookahead.h"
 
 namespace vbs {
 

@@ -23,7 +23,7 @@
 // Version 1 estimates the remaining cost as the Manhattan tile distance
 // times (min(pins_on_x, pins_on_y) + 1); it is 0 inside a single tile, so
 // every version-1 search at c = 1 is plain Dijkstra. Version 2 reads the
-// lookahead table (vbs/lookahead.h), a far tighter unit-cost lower bound.
+// lookahead table (arch/lookahead.h), a far tighter unit-cost lower bound.
 // Both are admissible, so both find a cheapest path, but they break ties
 // between equally cheap paths differently and therefore decode different
 // switches: a stream must be decoded with the heuristic the encoder

@@ -4,8 +4,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "arch/lookahead.h"
 #include "util/bitio.h"
-#include "vbs/lookahead.h"
 #include "vbs/region_model.h"
 
 namespace vbs {

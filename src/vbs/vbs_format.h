@@ -29,7 +29,7 @@
 // decoded with the heuristic it was validated against:
 //
 //   1  est = cost + Manhattan tile distance x (min(pins_on_x, pins_on_y)+1)
-//   2  est = cost + the per-architecture lookahead table (vbs/lookahead.h)
+//   2  est = cost + the per-architecture lookahead table (arch/lookahead.h)
 //
 // The encoder writes version 2; version-1 streams still decode exactly as
 // they did when they were written.
@@ -98,13 +98,11 @@ struct VbsImage {
 /// task area or per-entry region footprint exceeds these with a typed
 /// kResourceLimit error, so a hostile 31-bit preamble cannot demand
 /// gigabytes of region-model or payload memory. Both are far above any
-/// fabric the paper (W=20, c<=8) or this repo's encoder produces.
+/// fabric the paper (W=20, c<=8) or this repo's encoder produces. A
+/// version-2 header is also rejected when its architecture's lookahead
+/// table would exceed kMaxLookaheadBytes (arch/lookahead.h).
 inline constexpr std::uint64_t kMaxTaskMacros = std::uint64_t{1} << 20;
 inline constexpr std::uint64_t kMaxEntryConfigBits = std::uint64_t{1} << 22;
-/// Version 2 decodes with a per-architecture lookahead table whose size
-/// grows with W^2 (0.8 MB at the paper's W = 20, this bound at W ~ 96);
-/// deserialize_vbs rejects version-2 headers whose table would exceed it.
-inline constexpr std::uint64_t kMaxLookaheadBytes = std::uint64_t{1} << 24;
 
 /// Serializes to the on-wire bit format; the paper's compressed sizes are
 /// measured as serialize(img).size().

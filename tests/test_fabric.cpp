@@ -125,6 +125,22 @@ TEST(Fabric, NodePositionsWithinGrid) {
   }
 }
 
+// node_local names a node by its id in the macro at node_pos, the tile the
+// router's lookahead measures from; an abutted wire keeps one of its two.
+TEST(Fabric, NodeLocalIsTheNodesIdAtItsTile) {
+  const ArchSpec s = small_spec();
+  const Fabric f(s, 4, 3);
+  for (int g = 0; g < f.num_nodes(); ++g) {
+    const Point p = f.node_pos(g);
+    EXPECT_EQ(f.global_node(p.x, p.y, f.node_local(g)), g) << "node " << g;
+  }
+  // The shared east/west wire is named from the eastern tile.
+  const MacroModel& mm = f.macro();
+  const int shared = f.global_node(1, 1, mm.x(2, s.pins_on_x()));
+  EXPECT_EQ(f.node_pos(shared), (Point{2, 1}));
+  EXPECT_EQ(f.node_local(shared), mm.xw(2));
+}
+
 TEST(Fabric, RejectsBadDimensions) {
   EXPECT_THROW(Fabric(small_spec(), 0, 3), std::invalid_argument);
   EXPECT_THROW(FabricLayout(small_spec(), 3, 0), std::invalid_argument);

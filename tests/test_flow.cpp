@@ -2,6 +2,7 @@
 // cluster (task size not a multiple of c) and decoder-cache paths.
 #include <gtest/gtest.h>
 
+#include "arch/lookahead.h"
 #include "bitstream/bitstream.h"
 #include "bitstream/connectivity.h"
 #include "flow/flow.h"
@@ -10,7 +11,6 @@
 #include "util/telemetry.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/encoder.h"
-#include "vbs/lookahead.h"
 
 namespace vbs {
 namespace {

@@ -420,9 +420,9 @@ TEST(ServiceDurabilityTest, JournalBytesArePinned) {
   svc.drain();
   const std::uint64_t wal_after = file_fnv(wal);
 
-  EXPECT_EQ(wal_before, 0x52b786ab14af255cull);
-  EXPECT_EQ(snap, 0xbfd9c4dc6de36d50ull);
-  EXPECT_EQ(wal_after, 0xb95320df081b49f1ull);
+  EXPECT_EQ(wal_before, 0xdc50fddc54d128efull);
+  EXPECT_EQ(snap, 0x5f77cb3badfb9251ull);
+  EXPECT_EQ(wal_after, 0xd669baf77aea4c52ull);
 }
 
 // Pins a snapshot taken with work still queued: a live load, a load shed
@@ -456,8 +456,8 @@ TEST(ServiceDurabilityTest, SnapshotWithQueuedWorkIsPinned) {
 
   svc.compact_journal();
   const std::uint64_t fp = svc.state_fingerprint();
-  EXPECT_EQ(file_fnv(dir.path + "/snap.1"), 0xa99613184b88a175ull);
-  EXPECT_EQ(fp, 0x789651be573d7fc2ull);
+  EXPECT_EQ(file_fnv(dir.path + "/snap.1"), 0xb2a7037e6a7ef2aeull);
+  EXPECT_EQ(fp, 0xb6ed8defdddb3e68ull);
 
   fs::copy(dir.path, copy.path, fs::copy_options::recursive);
   ReconfigService::RecoveryInfo info;

@@ -342,6 +342,35 @@ TEST(Pipeline, ResumeRejectsForeignArtifacts) {
   EXPECT_THROW(FlowPipeline::resume_from(dir_a.path), ArtifactError);
 }
 
+// Route checkpoints of the router that aimed with Manhattan distance alone
+// must not resume under the lookahead router, whatever astar_fac their
+// flow.meta names. These are the route fingerprints that router wrote for
+// this design: at its default astar_fac 1.5, and with 1.0 (the lookahead
+// router's default) given explicitly. Re-stamping this run's route.art
+// with them stands in for such a checkpoint.
+TEST(Pipeline, ResumeRejectsManhattanRoutedCheckpoints) {
+  const std::pair<double, std::uint64_t> manhattan[] = {
+      {1.5, 0x63ffe89519acc1a7ull}, {1.0, 0x9e24f8008f74d5dfull}};
+  for (const auto& [astar_fac, fingerprint] : manhattan) {
+    SCOPED_TRACE(astar_fac);
+    TempDir dir("ckpt_manhattan");
+    FlowOptions o = small_opts();
+    o.route.astar_fac = astar_fac;
+    FlowPipeline pipe(small_netlist(), 7, 7, o);
+    pipe.run_to(Stage::kRoute);
+    pipe.save_checkpoint(dir.path, Stage::kRoute);
+    EXPECT_TRUE(FlowPipeline::resume_from(dir.path).completed(Stage::kRoute));
+
+    const std::string route = (fs::path(dir.path) / "route.art").string();
+    std::uint64_t written = 0;
+    const BitVector payload =
+        read_artifact_file(route, ArtifactStage::kRoute, nullptr, &written);
+    EXPECT_NE(written, fingerprint);
+    write_artifact_file(route, ArtifactStage::kRoute, fingerprint, payload);
+    EXPECT_THROW(FlowPipeline::resume_from(dir.path), ArtifactError);
+  }
+}
+
 TEST(Pipeline, SaveDropsStaleDownstreamArtifacts) {
   TempDir dir("ckpt_stale");
   FlowPipeline pipe(small_netlist(), 7, 7, small_opts());

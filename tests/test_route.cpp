@@ -12,6 +12,7 @@
 #include "netlist/generator.h"
 #include "route/mcw.h"
 #include "route/routing_stats.h"
+#include "util/error.h"
 
 namespace vbs {
 namespace {
@@ -181,6 +182,28 @@ TEST(Route, McwSearchFindsMinimum) {
   }
 }
 
+/// Global nodes of every track wire a width_limit trial masks out.
+std::set<int> masked_nodes(const Fabric& f, int limit) {
+  const MacroModel& mm = f.macro();
+  const ArchSpec& spec = f.spec();
+  std::set<int> masked;
+  for (int my = 0; my < f.height(); ++my) {
+    for (int mx = 0; mx < f.width(); ++mx) {
+      for (int t = 0; t < spec.chan_width - limit; ++t) {
+        masked.insert(f.global_node(mx, my, mm.xw(t)));
+        masked.insert(f.global_node(mx, my, mm.ys(t)));
+        for (int s = 0; s <= spec.pins_on_x(); ++s) {
+          masked.insert(f.global_node(mx, my, mm.x(t, s)));
+        }
+        for (int s = 0; s <= spec.pins_on_y(); ++s) {
+          masked.insert(f.global_node(mx, my, mm.y(t, s)));
+        }
+      }
+    }
+  }
+  return masked;
+}
+
 TEST(Route, WidthLimitMasksExcessTracks) {
   // Routing a W=12 fabric with width_limit 6 must behave like a 6-track
   // fabric: only the top 6 tracks survive, so no route may touch a wire of
@@ -207,26 +230,135 @@ TEST(Route, WidthLimitMasksExcessTracks) {
   const RoutingResult rr = router.route({});
   ASSERT_TRUE(rr.success);
 
-  const MacroModel& mm = fabric.macro();
-  std::set<int> masked;
-  for (int my = 0; my < fabric.height(); ++my) {
-    for (int mx = 0; mx < fabric.width(); ++mx) {
-      for (int t = 0; t < spec.chan_width - limit; ++t) {
-        masked.insert(fabric.global_node(mx, my, mm.xw(t)));
-        masked.insert(fabric.global_node(mx, my, mm.ys(t)));
-        for (int s = 0; s <= spec.pins_on_x(); ++s) {
-          masked.insert(fabric.global_node(mx, my, mm.x(t, s)));
-        }
-        for (int s = 0; s <= spec.pins_on_y(); ++s) {
-          masked.insert(fabric.global_node(mx, my, mm.y(t, s)));
-        }
-      }
-    }
-  }
+  const std::set<int> masked = masked_nodes(fabric, limit);
   for (const NetRoute& route : rr.routes) {
     for (const auto& tn : route.nodes) {
       EXPECT_FALSE(masked.count(tn.rr)) << "route uses a masked track wire";
     }
+  }
+}
+
+/// Unit-cost hop counts from every fabric node to `target`, through nodes
+/// not in `blocked`: the distances A* with unit node costs would find.
+std::vector<int> fabric_hops(const Fabric& f, int target,
+                             const std::set<int>& blocked) {
+  std::vector<int> dist(static_cast<std::size_t>(f.num_nodes()), -1);
+  std::vector<int> queue{target};
+  dist[static_cast<std::size_t>(target)] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const int node = queue[head];
+    for (const Fabric::Edge& e : f.edges(node)) {
+      int& d = dist[static_cast<std::size_t>(e.to)];
+      if (d < 0 && !blocked.count(e.to)) {
+        d = dist[static_cast<std::size_t>(node)] + 1;
+        queue.push_back(e.to);
+      }
+    }
+  }
+  return dist;
+}
+
+// The router's estimate with astar_fac = 0 is the lookahead bound, which
+// must never exceed the unit-cost distance in the fabric graph (every node
+// costs at least 1): at full width, and at a masked width whose trial
+// fabric keeps only the top tracks. Every sink of a placed design is a
+// target; every node that can reach it is a start.
+TEST(Route, EstimateNeverOverestimatesTheUnitCostDistance) {
+  GenParams p;
+  p.n_lut = 30;
+  p.n_pi = 6;
+  p.n_po = 6;
+  p.seed = 11;
+  const Netlist nl = generate_netlist(p);
+  long long pairs = 0;
+  for (const SbPattern sb : {SbPattern::kDisjoint, SbPattern::kWilton}) {
+    ArchSpec spec;
+    spec.chan_width = 8;
+    spec.sb_pattern = sb;
+    const PackedDesign pd = pack_netlist(nl, spec);
+    PlaceOptions popts;
+    popts.io_per_tile = 3;  // keep logical I/O tracks below the limit
+    const Placement pl = place_design(nl, pd, spec, 6, 5, popts);
+    const Fabric fabric(spec, 6, 5);
+    for (const int limit : {0, 5}) {
+      SCOPED_TRACE("sb=" + std::to_string(static_cast<int>(sb)) +
+                   " width_limit=" + std::to_string(limit));
+      const RouteRequest req = build_route_request(
+          fabric, nl, pd, pl, /*io_tracks_from_top=*/limit > 0);
+      const PathfinderRouter router(fabric, req, limit);
+      const std::set<int> blocked =
+          limit > 0 ? masked_nodes(fabric, limit) : std::set<int>{};
+      long long bad = 0;
+      for (const NetSpec& net : req.nets) {
+        for (const int sink : net.sinks) {
+          const std::vector<int> dist = fabric_hops(fabric, sink, blocked);
+          for (int v = 0; v < fabric.num_nodes(); ++v) {
+            const int d = dist[static_cast<std::size_t>(v)];
+            if (d < 0) continue;  // unreachable: any bound is admissible
+            ++pairs;
+            bad += router.estimate(v, sink, 0.0) > static_cast<float>(d);
+          }
+        }
+      }
+      EXPECT_EQ(bad, 0);
+    }
+  }
+  EXPECT_GT(pairs, 1000000);
+}
+
+// The lookahead aims at a macro port, so every sink the router is handed,
+// LB input pins and I/O tracks on all four fabric edges alike, must carry
+// one at its representative tile.
+TEST(Route, EverySinkCarriesAMacroPort) {
+  GenParams p;
+  p.n_lut = 60;
+  p.n_pi = 12;
+  p.n_po = 12;
+  p.seed = 11;
+  const Netlist nl = generate_netlist(p);
+  ArchSpec spec;
+  spec.chan_width = 10;
+  const PackedDesign pd = pack_netlist(nl, spec);
+  const Placement pl = place_design(nl, pd, spec, 8, 8, {});
+  const Fabric fabric(spec, 8, 8);
+  const MacroModel& mm = fabric.macro();
+  for (const bool from_top : {false, true}) {
+    SCOPED_TRACE(from_top ? "I/O tracks from the top" : "I/O tracks as placed");
+    std::set<Side> io_sides;
+    int sinks = 0;
+    for (const NetSpec& net :
+         build_route_request(fabric, nl, pd, pl, from_top).nets) {
+      for (const int sink : net.sinks) {
+        ++sinks;
+        const int port = mm.node_port(fabric.node_local(sink));
+        ASSERT_GE(port, 0) << "sink " << sink;
+        const Point at = fabric.node_pos(sink);
+        EXPECT_EQ(fabric.port_global(at.x, at.y, port), sink);
+        if (mm.is_boundary_port(port)) {
+          io_sides.insert(static_cast<Side>(port / spec.chan_width));
+        }
+      }
+    }
+    EXPECT_GT(sinks, 100);
+    EXPECT_EQ(io_sides.size(), 4u);
+  }
+}
+
+// An architecture whose lookahead table would exceed kMaxLookaheadBytes
+// (W ~ 96 and up) cannot be routed: the router's constructor raises a
+// typed resource limit before any table is allocated.
+TEST(Route, OversizedLookaheadIsAResourceLimit) {
+  ArchSpec spec;
+  while (Lookahead::table_bytes(spec) <= kMaxLookaheadBytes) {
+    ++spec.chan_width;
+  }
+  EXPECT_GE(spec.chan_width, 90);
+  const Fabric fabric(spec, 2, 2);
+  try {
+    const PathfinderRouter router(fabric, RouteRequest{});
+    ADD_FAILURE() << "W=" << spec.chan_width << " router constructed";
+  } catch (const VbsError& e) {
+    EXPECT_EQ(e.code(), VbsErrc::kResourceLimit);
   }
 }
 
