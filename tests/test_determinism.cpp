@@ -130,13 +130,14 @@ std::vector<McncCircuit> suite5() {
   return cs;
 }
 
-/// Every stage-artifact file in a checkpoint directory, keyed by name.
-/// flow.meta (the requested options) is not a stage artifact.
+/// Every vbs.artifact.v1 file in a checkpoint directory (the stage
+/// artifacts and flow.meta, the requested options), keyed by name.
 std::map<std::string, std::string> checkpoint_bytes(const std::string& dir) {
   std::map<std::string, std::string> files;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
     if (!e.is_regular_file()) continue;
-    if (e.path().extension() != ".art") continue;
+    const auto ext = e.path().extension();
+    if (ext != ".art" && ext != ".meta") continue;
     std::ifstream in(e.path(), std::ios::binary);
     std::stringstream ss;
     ss << in.rdbuf();
@@ -146,26 +147,35 @@ std::map<std::string, std::string> checkpoint_bytes(const std::string& dir) {
 }
 
 // The serial flow's artifact bytes, pinned: FNV-1a-64 of every
-// vbs.artifact.v1 stage file (pack, place, route) of each suite circuit's
-// checkpoint through the route stage. Any change to a placement, a routing
-// tree, a heap-pop count or the container layout changes a hash.
+// vbs.artifact.v1 file (flow.meta, pack, place, route) of each suite
+// circuit's checkpoint through the route stage, plus flow.meta and the
+// encode artifact of a small design encoded at c = 2. Any change to a
+// placement, a routing tree, a heap-pop count, an option slot of flow.meta,
+// a stage fingerprint or the container layout changes a hash.
 TEST(Determinism, SerialArtifactBytesArePinned) {
   const std::map<std::string, std::uint64_t> pinned = {
+      {"bigkey/flow.meta", 0x4cc9e6291e2686bfull},
       {"bigkey/pack.art", 0x8b1e3f2b9f3a56c7ull},
       {"bigkey/place.art", 0x8f23e636d1f05718ull},
       {"bigkey/route.art", 0x283e60f9c825c221ull},
+      {"des/flow.meta", 0x74d76b1fe4cf3a72ull},
       {"des/pack.art", 0x12afca6f4a1f977eull},
       {"des/place.art", 0xcb03e917dd7ef9a4ull},
       {"des/route.art", 0xeb6cf32bcbeb3c86ull},
+      {"dsip/flow.meta", 0xad7412881d370aa5ull},
       {"dsip/pack.art", 0x159da4d7fa9d4c63ull},
       {"dsip/place.art", 0x8218f824d9414491ull},
       {"dsip/route.art", 0x1ab375fa17157488ull},
+      {"ex5p/flow.meta", 0x34c03f0c9811abdbull},
       {"ex5p/pack.art", 0x6e819ebcec7464acull},
       {"ex5p/place.art", 0xb0fe518d5a7eb7c9ull},
       {"ex5p/route.art", 0xb4ae78c16bc0045eull},
+      {"tseng/flow.meta", 0x11e7f6deae60cf27ull},
       {"tseng/pack.art", 0x241e05d5fa2278dbull},
       {"tseng/place.art", 0x237481f3b73f407dull},
       {"tseng/route.art", 0xd60c0e4cc4fa3b96ull},
+      {"small_c2/encode.art", 0xb8ccf7bc56b7f847ull},
+      {"small_c2/flow.meta", 0x4c1ca2243f6327ddull},
   };
   const std::string root =
       (std::filesystem::temp_directory_path() /
@@ -184,9 +194,25 @@ TEST(Determinism, SerialArtifactBytesArePinned) {
     pipe.save_checkpoint(dir, Stage::kRoute);
     const std::map<std::string, std::string> files = checkpoint_bytes(dir);
     std::filesystem::remove_all(dir);
-    ASSERT_EQ(files.size(), 3u);
+    ASSERT_EQ(files.size(), 4u);
     for (const auto& [name, bytes] : files) {
       got[c.name + "/" + name] = fnv1a64(bytes.data(), bytes.size());
+    }
+  }
+  {
+    EncodeOptions eo;
+    eo.cluster = 2;
+    FlowPipeline pipe(test_netlist(3), 11, 11, flow_opts(true), eo);
+    pipe.run_to(Stage::kEncode);
+    const std::string dir = root + "_small_c2";
+    pipe.save_checkpoint(dir);
+    const std::map<std::string, std::string> files = checkpoint_bytes(dir);
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(files.size(), 5u);
+    for (const char* name : {"encode.art", "flow.meta"}) {
+      const std::string& bytes = files.at(name);
+      got[std::string("small_c2/") + name] =
+          fnv1a64(bytes.data(), bytes.size());
     }
   }
   EXPECT_EQ(got, pinned);
