@@ -48,10 +48,8 @@ int main() {
 
   ServiceOptions opts;
   opts.threads = 2;
-  opts.policy = "best_fit";
   ReconfigService svc(arch, 12, 8, opts);
-  std::printf("service on a 12x8 chip, policy=best_fit, threads=%d\n\n",
-              opts.threads);
+  std::printf("service on a 12x8 chip, threads=%d\n\n", opts.threads);
 
   // A burst of tenants arrives; the four loads decode as one batch and the
   // repeated fir/crc streams hit the decoded-stream cache.

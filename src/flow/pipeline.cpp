@@ -35,6 +35,20 @@ std::uint64_t hash_bool(std::uint64_t h, bool v) {
   return hash_u64(h, v ? 1 : 0);
 }
 
+// Retired flow.meta slots and route/encode fingerprint terms: the values
+// of router and encoder settings that were options once and are constants
+// of route/router.cpp and vbs/encoder.cpp now. Kept here, in their old
+// order, so flow.meta bytes and stage fingerprints do not move. They must
+// equal those constants: changing one there and here moves the stage's
+// fingerprint, so checkpoints made with the old value no longer resume.
+// PathFinder's first-iteration, initial and growth present-congestion
+// factors and its history factor:
+constexpr double kRetiredNegotiation[4] = {0.0, 0.5, 1.8, 1.0};
+constexpr int kRetiredStallRestarts = 0;
+constexpr int kRetiredBbMargin = 3;
+constexpr int kRetiredReorderAttempts = 24;
+constexpr std::uint64_t kRetiredEncodeSeed = 0x5eed;
+
 }  // namespace
 
 const char* stage_name(Stage s) { return kStageNames[static_cast<int>(s)]; }
@@ -91,23 +105,20 @@ std::uint64_t FlowPipeline::stage_fingerprint(Stage s) const {
     const RouterOptions& r = opts_.route;
     h = hash_u64(h, kRouterHeuristicTag);
     h = hash_u64(h, static_cast<std::uint64_t>(r.max_iterations));
-    h = hash_double(h, r.first_iter_pres);
-    h = hash_double(h, r.initial_pres);
-    h = hash_double(h, r.pres_mult);
-    h = hash_double(h, r.hist_fac);
+    for (const double v : kRetiredNegotiation) h = hash_double(h, v);
     h = hash_double(h, r.astar_fac);
     h = hash_u64(h, static_cast<std::uint64_t>(r.stall_abort));
-    h = hash_u64(h, static_cast<std::uint64_t>(r.stall_restarts));
+    h = hash_u64(h, static_cast<std::uint64_t>(kRetiredStallRestarts));
     h = hash_bool(h, r.bounded_box);
-    h = hash_u64(h, static_cast<std::uint64_t>(r.bb_margin));
+    h = hash_u64(h, static_cast<std::uint64_t>(kRetiredBbMargin));
     h = hash_bool(h, r.incremental_reroute);
     return h;
   }
   h = hash_u64(h, stage_fingerprint(Stage::kRoute));
   const EncodeOptions& e = encode_opts_;
   h = hash_u64(h, static_cast<std::uint64_t>(e.cluster));
-  h = hash_u64(h, static_cast<std::uint64_t>(e.reorder_attempts));
-  h = hash_u64(h, e.seed);
+  h = hash_u64(h, static_cast<std::uint64_t>(kRetiredReorderAttempts));
+  h = hash_u64(h, kRetiredEncodeSeed);
   h = hash_u64(h, static_cast<std::uint64_t>(e.decode_iterations));
   h = hash_bool(h, e.compact_fanout);
   h = hash_bool(h, e.force_raw);
@@ -259,9 +270,11 @@ const EncodeStats& FlowPipeline::encode_stats() {
 }
 
 BitVector FlowPipeline::serialize_meta() const {
-  // The four "retired" slots belonged to the removed parallel engines. They
-  // hold the constants a default run wrote, so the layout and a default
-  // run's bytes are unchanged; parse_meta reads and ignores them.
+  // The "retired" slots belonged to removed options: the parallel engines'
+  // thread counts, and router and encoder settings that are now constants
+  // of the module that reads them. They hold the values a default run
+  // wrote, so the layout and a default run's bytes are unchanged;
+  // parse_meta reads and ignores them.
   BitWriter w;
   put_i32(w, grid_w_);
   put_i32(w, grid_h_);
@@ -276,21 +289,18 @@ BitVector FlowPipeline::serialize_meta() const {
   w.write_bit(opts_.place.incremental_bbox);
   put_i32(w, 0);  // retired: placer thread count
   put_i32(w, opts_.route.max_iterations);
-  put_f64(w, opts_.route.first_iter_pres);
-  put_f64(w, opts_.route.initial_pres);
-  put_f64(w, opts_.route.pres_mult);
-  put_f64(w, opts_.route.hist_fac);
+  for (const double v : kRetiredNegotiation) put_f64(w, v);
   put_f64(w, opts_.route.astar_fac);
   put_i32(w, opts_.route.stall_abort);
-  put_i32(w, opts_.route.stall_restarts);
+  put_i32(w, kRetiredStallRestarts);
   w.write_bit(opts_.route.bounded_box);
-  put_i32(w, opts_.route.bb_margin);
+  put_i32(w, kRetiredBbMargin);
   w.write_bit(opts_.route.incremental_reroute);
   put_i32(w, 0);  // retired: router thread count
   put_i32(w, 1);  // retired: router batch size
   put_i32(w, encode_opts_.cluster);
-  put_i32(w, encode_opts_.reorder_attempts);
-  w.write(encode_opts_.seed, 64);
+  put_i32(w, kRetiredReorderAttempts);
+  w.write(kRetiredEncodeSeed, 64);
   put_i32(w, encode_opts_.decode_iterations);
   w.write_bit(encode_opts_.compact_fanout);
   w.write_bit(encode_opts_.force_raw);
@@ -325,21 +335,18 @@ MetaContents parse_meta(const BitVector& bits) {
   m.opts.place.incremental_bbox = r.read_bit();
   get_i32(r);  // retired: placer thread count
   m.opts.route.max_iterations = get_i32(r);
-  m.opts.route.first_iter_pres = get_f64(r);
-  m.opts.route.initial_pres = get_f64(r);
-  m.opts.route.pres_mult = get_f64(r);
-  m.opts.route.hist_fac = get_f64(r);
+  for (int i = 0; i < 4; ++i) get_f64(r);  // retired: negotiation schedule
   m.opts.route.astar_fac = get_f64(r);
   m.opts.route.stall_abort = get_i32(r);
-  m.opts.route.stall_restarts = get_i32(r);
+  get_i32(r);  // retired: stall restarts
   m.opts.route.bounded_box = r.read_bit();
-  m.opts.route.bb_margin = get_i32(r);
+  get_i32(r);  // retired: bounding-box margin
   m.opts.route.incremental_reroute = r.read_bit();
   get_i32(r);  // retired: router thread count
   get_i32(r);  // retired: router batch size
   m.eopts.cluster = get_i32(r);
-  m.eopts.reorder_attempts = get_i32(r);
-  m.eopts.seed = r.read(64);
+  get_i32(r);  // retired: encoder reorder attempts
+  r.read(64);  // retired: encoder shuffle seed
   m.eopts.decode_iterations = get_i32(r);
   m.eopts.compact_fanout = r.read_bit();
   m.eopts.force_raw = r.read_bit();

@@ -16,13 +16,13 @@ McwResult find_min_channel_width(const ArchSpec& base_spec, const Netlist& nl,
   telem::Span search_span("mcw", "search");
   const std::uint64_t search_start = telem::now_ns();
   McwResult res;
-  int lo = std::max(2, opts.lo);  // below 2 tracks the SB degenerates
   const int hi = opts.hi;
 
   // The placer's I/O tracks must exist at a trial width, so any width at or
-  // below the highest used track is infeasible before routing; the search
-  // floor rises to the first width that can carry every placed I/O.
-  lo = std::max(lo, min_channel_width_for_io(pl));
+  // below the highest used track is infeasible before routing: the search
+  // floor is the first width that can carry every placed I/O (at least 2;
+  // below 2 tracks the SB degenerates).
+  int lo = min_channel_width_for_io(pl);
   if (lo > hi) return res;  // mcw = -1: no feasible width at all
 
   // One fabric/route-request pair at the running upper bound, resized
@@ -51,17 +51,13 @@ McwResult find_min_channel_width(const ArchSpec& base_spec, const Netlist& nl,
     }
     PathfinderRouter router(*fabric, base_request,
                             width < fabric_w ? width : 0);
-    RouterOptions ropts = opts.router;
+    // A seed can corner the negotiation where a cold route would have
+    // converged; a stalled seeded trial rips everything (trees AND history)
+    // and reroutes once, so a post-restart verdict is exactly a cold
+    // route's verdict.
     const bool seeded = opts.warm_start && !warm.empty();
-    if (seeded) {
-      router.seed_routes(warm);
-      // A seed can corner the negotiation where a cold route would have
-      // converged; a stalled seeded trial rips everything (trees AND
-      // history) and reroutes once, so a post-restart verdict is exactly
-      // a cold route's verdict.
-      if (ropts.stall_restarts == 0) ropts.stall_restarts = 1;
-    }
-    RoutingResult rr = router.route(ropts);
+    if (seeded) router.seed_routes(warm);
+    RoutingResult rr = router.route(opts.router);
     McwTrial t;
     t.width = width;
     t.routable = rr.success;

@@ -10,7 +10,9 @@
 // last routable solution (connections over now-masked tracks are ripped
 // up), and the router only re-finds the ripped connections plus whatever
 // congestion negotiation they trigger — typically a small fraction of a
-// cold route's heap pops.
+// cold route's heap pops. A seeded trial that stalls restarts once from
+// scratch (PathfinderRouter::seed_routes), so its verdict is a cold
+// trial's.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +38,9 @@ inline constexpr int kMcwDefaultProbe = 20;
 /// max_iterations budget.
 inline constexpr int kMcwTrialStallAbort = 8;
 
+/// The search floor is not an option: it is min_channel_width_for_io, the
+/// first width that carries every placed I/O track (never below 2).
 struct McwOptions {
-  int lo = 2;              ///< smallest width to consider
   int hi = 64;             ///< give-up upper bound
   /// First width to probe (e.g. a known or expected MCW); <= 0 picks
   /// kMcwDefaultProbe. A good hint halves the number of expensive failing

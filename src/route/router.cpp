@@ -88,6 +88,7 @@ PathfinderRouter::PathfinderRouter(const Fabric& fabric, RouteRequest request,
 
 void PathfinderRouter::seed_routes(const std::vector<NetRoute>& prior) {
   assert(prior.size() == request_.nets.size());
+  seeded_ = true;
   RouterScratch& s = scratch_;
   for (std::size_t i = 0; i < prior.size() && i < routes_.size(); ++i) {
     const auto& src = prior[i].nodes;
@@ -136,6 +137,20 @@ void PathfinderRouter::seed_routes(const std::vector<NetRoute>& prior) {
 }
 
 namespace {
+
+// PathFinder's negotiation schedule (McMurchie & Ebeling): the present-
+// congestion factor is free on the first iteration, kInitialPres on the
+// second and grows by kPresMult per iteration after that; every overused
+// node's history cost grows by kHistFac per excess occupant. flow.meta and
+// the route stage's fingerprint (flow/pipeline.cpp) record these values and
+// kBbMargin: a change here must change them there too.
+constexpr double kFirstIterPres = 0.0;
+constexpr double kInitialPres = 0.5;
+constexpr double kPresMult = 1.8;
+constexpr double kHistFac = 1.0;
+/// Tiles added on every side of a connection's bounding box.
+constexpr int kBbMargin = 3;
+
 inline double congestion_cost(double hist, double pres_fac, int occ) {
   return (1.0 + hist) * (1.0 + pres_fac * occ);
 }
@@ -226,7 +241,7 @@ PathfinderRouter::BBox PathfinderRouter::expansion_box(
     // makes the textbook multi-source formulation balloon.
     box = {std::min(near_pos.x, sink_pos.x), std::min(near_pos.y, sink_pos.y),
            std::max(near_pos.x, sink_pos.x), std::max(near_pos.y, sink_pos.y)};
-    margin = opts.bb_margin;
+    margin = kBbMargin;
   } else {
     // Grow to the whole net's terminal box with a fattened margin; a
     // second failure is then almost certainly real congestion, handled by
@@ -236,8 +251,7 @@ PathfinderRouter::BBox PathfinderRouter::expansion_box(
     box.y0 = std::min(box.y0, sink_pos.y);
     box.x1 = std::max(box.x1, sink_pos.x);
     box.y1 = std::max(box.y1, sink_pos.y);
-    margin =
-        opts.bb_margin * 2 + (fabric_.width() + fabric_.height()) / 8;
+    margin = kBbMargin * 2 + (fabric_.width() + fabric_.height()) / 8;
   }
   return {std::max(0, box.x0 - margin), std::max(0, box.y0 - margin),
           std::min(fabric_.width() - 1, box.x1 + margin),
@@ -424,10 +438,11 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
     }
   }
 
-  double pres_fac = opts.first_iter_pres;
+  double pres_fac = kFirstIterPres;
   std::size_t best_overused = static_cast<std::size_t>(-1);
   int best_iter = 0;
-  int restarts_left = opts.stall_restarts;
+  // A seeded route gets one restart from scratch on a near-miss stall.
+  int restarts_left = seeded_ ? 1 : 0;
   bool full_iter = true;  // route everything: iteration 1, or post-restart
   int schedule_start = 0;  // iteration before the current pres schedule
   int iter_limit = opts.max_iterations;
@@ -458,7 +473,7 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
     for (std::size_t v = 0; v < occ_.size(); ++v) {
       if (occ_[v] > 1) {
         ++overused;
-        hist_[v] += static_cast<float>(opts.hist_fac * (occ_[v] - 1));
+        hist_[v] += static_cast<float>(kHistFac * (occ_[v] - 1));
       }
     }
     result.overused_nodes = overused;
@@ -515,7 +530,7 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
         --restarts_left;
         for (std::size_t i = 0; i < routes_.size(); ++i) rip_up(i);
         std::fill(hist_.begin(), hist_.end(), 0.0f);
-        pres_fac = opts.first_iter_pres;
+        pres_fac = kFirstIterPres;
         best_overused = static_cast<std::size_t>(-1);
         best_iter = iter;
         schedule_start = iter;
@@ -528,8 +543,7 @@ RoutingResult PathfinderRouter::route(const RouterOptions& opts) {
       }
       break;  // congestion negotiation has stalled: treat as unroutable
     }
-    pres_fac = iter == schedule_start + 1 ? opts.initial_pres
-                                          : pres_fac * opts.pres_mult;
+    pres_fac = iter == schedule_start + 1 ? kInitialPres : pres_fac * kPresMult;
     log_debug("pathfinder iter " + std::to_string(iter) + ": " +
               std::to_string(overused) + " overused nodes");
   }

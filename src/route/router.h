@@ -12,12 +12,15 @@
 // de-virtualizer uses) is an admissible lower bound, since every node costs
 // at least 1; the Manhattan term on top trades optimality for fewer pops.
 //
-// Hot-path configuration (each individually toggleable via RouterOptions;
+// The negotiation schedule (present-congestion start, growth and history
+// factors) and the bounding-box margin are constants of router.cpp. The
+// hot-path switches below stay in RouterOptions because turning them off
+// gives the textbook PathFinder baseline, which
 // Determinism.BoundedRouterPopsFewerThanTextbookBaseline checks the
-// defaults against the textbook baseline):
+// defaults against:
 //   * bounded_box (default ON): expansion and tree seeding restricted to
-//     the box around the sink and the nearest tree point plus `bb_margin`
-//     tiles, VPR's classic pruning. A connection that cannot complete
+//     the box around the sink and the nearest tree point plus a 3-tile
+//     margin, VPR's classic pruning. A connection that cannot complete
 //     inside its box is retried with the net's whole terminal box and
 //     finally with no box at all, so bounding never turns a routable
 //     design into an unroutable one.
@@ -70,10 +73,6 @@ inline constexpr std::uint64_t kRouterHeuristicTag = 2;
 
 struct RouterOptions {
   int max_iterations = 50;
-  double first_iter_pres = 0.0;   ///< free overlap on the first iteration
-  double initial_pres = 0.5;      ///< present-congestion factor, iteration 2
-  double pres_mult = 1.8;         ///< growth per iteration
-  double hist_fac = 1.0;          ///< history accumulation per overuse
   /// Weight of the Manhattan term added to the admissible lookahead bound
   /// in the A* estimate. 0 is the pure bound: each search then finds a
   /// cheapest path inside its box (the minimum-channel-width search uses
@@ -84,23 +83,19 @@ struct RouterOptions {
   double astar_fac = 1.0;
   /// Abort as unroutable when the overused-node count has not improved for
   /// this many iterations (0 = disabled). Used by the minimum-channel-width
-  /// search to cut hopeless trials short.
+  /// search to cut hopeless trials short. A seeded route (seed_routes)
+  /// absorbs its first near-miss stall (at most 64 overused nodes)
+  /// instead: it rips up EVERY net — trees, occupancy and history — and
+  /// renegotiates from scratch once, so a seed that painted itself into a
+  /// corner gets an attempt identical to an unseeded route, and the
+  /// verdict after the restart matches a cold router's exactly.
   int stall_abort = 0;
-  /// Stalls to absorb by ripping up EVERY net — trees, occupancy and
-  /// history — and renegotiating from scratch instead of aborting (0 =
-  /// abort on first stall). A seeded route (seed_routes) that painted
-  /// itself into a corner gets a second attempt identical to an unseeded
-  /// route this way, so its verdict after the restart matches a cold
-  /// router's exactly. Only meaningful with stall_abort > 0.
-  int stall_restarts = 0;
   /// Restrict each connection's expansion (and its tree seeds) to the box
   /// around the sink and the nearest point of the current route tree,
-  /// grown by `bb_margin` tiles (default on). A failing connection
-  /// automatically retries with the whole terminal box and then unbounded,
-  /// so this is a pure pruning optimization, never a routability change.
+  /// grown by 3 tiles (default on). A failing connection automatically
+  /// retries with the whole terminal box and then unbounded, so this is a
+  /// pure pruning optimization, never a routability change.
   bool bounded_box = true;
-  /// Tiles added on every side of the bounding box.
-  int bb_margin = 3;
   /// On reroute iterations, keep the legal part of a congested net's tree
   /// and reroute only the connections whose path crosses an overused node,
   /// instead of ripping up and rebuilding the whole net (default on).
@@ -154,6 +149,8 @@ class PathfinderRouter {
   /// search. For each net the maximal legal subtree is kept: nodes on
   /// masked tracks are dropped (with their subtrees), then branches that no
   /// longer reach a sink. Must be called before route(), at most once.
+  /// A seeded route restarts once from scratch on a near-miss stall (see
+  /// RouterOptions::stall_abort).
   void seed_routes(const std::vector<NetRoute>& prior);
 
   RoutingResult route(const RouterOptions& opts = {});
@@ -211,6 +208,7 @@ class PathfinderRouter {
   int cross_x_;  ///< nodes on a ChanX track across one macro: pins_on_x + 1
   int cross_y_;  ///< nodes on a ChanY track across one macro: pins_on_y + 1
   std::vector<NetRoute> routes_;
+  bool seeded_ = false;  ///< seed_routes was called: restart once on a stall
 
   // Per-RR-node congestion state.
   std::vector<std::uint16_t> occ_;

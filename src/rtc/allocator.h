@@ -4,9 +4,9 @@
 //
 // Occupancy is mirrored in a summed-area table so rectangle probes
 // (`is_free`, `occupied_in`) are O(1) regardless of the rectangle size;
-// placement policies (rtc/service/placement_policy.h) scan many candidate
-// origins per request and rely on that. The table is rebuilt on
-// occupy/release (O(W*H)), which is far rarer than probing.
+// the service's eviction planner (rtc/service/eviction.h) scans many
+// candidate origins per request and relies on that. The table is rebuilt
+// on occupy/release (O(W*H)), which is far rarer than probing.
 #pragma once
 
 #include <optional>
@@ -23,9 +23,8 @@ class RectAllocator {
   int width() const { return width_; }
   int height() const { return height_; }
 
-  /// First-fit origin for a w x h task, or nullopt if none exists. This is
-  /// the row-major scan placement policies build on; richer policies live
-  /// in rtc/service/placement_policy.h.
+  /// First-fit origin for a w x h task, or nullopt if none exists: the
+  /// row-major scan both the controller and the service place with.
   std::optional<Point> find_free(int w, int h) const;
 
   /// Marks a rectangle occupied. Throws std::logic_error if any tile is

@@ -95,7 +95,8 @@ class ReconfigController {
   std::optional<Point> find_free_slot(int w, int h) const {
     return alloc_.find_free(w, h);
   }
-  /// Read-only view of the tile allocator; placement policies probe it.
+  /// Read-only view of the tile allocator; the service's placement and
+  /// eviction planner probe it.
   const RectAllocator& allocator() const { return alloc_; }
 
   /// Aggregate decode throughput counters across all loads.

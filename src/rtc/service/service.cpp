@@ -14,6 +14,9 @@ namespace vbs {
 
 namespace {
 
+/// Max consecutive load requests devirtualized as one batch.
+constexpr std::size_t kMaxBatch = 16;
+
 /// Fault-plan sequence key of one request attempt: id and attempt are the
 /// logical identity of a processing step, so the same plan rolls the same
 /// faults at any thread count.
@@ -46,13 +49,9 @@ ReconfigService::ReconfigService(const ArchSpec& spec, int width, int height,
                                  ServiceOptions opts)
     : rtc_(spec, width, height),
       opts_(std::move(opts)),
-      policy_(make_placement_policy(opts_.policy)),
       cache_(opts_.cache_capacity_bits),
       pool_(std::max(1, opts_.threads)) {
   decoders_.resize(static_cast<std::size_t>(pool_.size()));
-  if (opts_.max_batch < 1) {
-    throw std::invalid_argument("service: max_batch must be >= 1");
-  }
   if (opts_.retry_limit < 0 || opts_.retry_backoff_ticks < 0 ||
       opts_.deadline_ticks < 0) {
     throw std::invalid_argument(
@@ -370,13 +369,13 @@ std::vector<RequestResult> ReconfigService::drain() {
         continue;
       }
       if (work[i].kind == RequestKind::kLoad) {
-        // Maximal run of consecutive live loads, capped at max_batch: one
+        // Maximal run of consecutive live loads, capped at kMaxBatch: one
         // parallel devirtualization batch. The cap only bounds memory;
         // batch boundaries depend on the (sorted) queue alone, never on
         // thread count.
         std::vector<Request*> batch;
         while (i < work.size() && work[i].kind == RequestKind::kLoad &&
-               static_cast<int>(batch.size()) < opts_.max_batch) {
+               batch.size() < kMaxBatch) {
           if (work[i].shed) {
             emit_shed(work[i]);
           } else {
@@ -413,8 +412,7 @@ std::vector<RequestResult> ReconfigService::drain() {
 std::optional<Point> ReconfigService::admit_placement(int w, int h,
                                                       RequestId cause,
                                                       RequestResult& res) {
-  if (const auto slot = policy_->place(rtc_.allocator(), w, h)) return slot;
-  if (!opts_.evict_to_fit) return std::nullopt;
+  if (const auto slot = rtc_.allocator().find_free(w, h)) return slot;
 
   std::vector<VictimCandidate> candidates;
   candidates.reserve(task_info_.size());
@@ -725,10 +723,10 @@ void ReconfigService::process_relocate(Request& req,
   const Rect cur = rtc_.record(id).rect;
   res.task = id;
   res.rect = cur;
-  // Destination by policy on the live occupancy (own tiles still marked, so
-  // the choice can never overlap the task itself — the controller has no
+  // Destination: first fit on the live occupancy (own tiles still marked,
+  // so the choice can never overlap the task itself — the controller has no
   // shadow plane). No free slot means the relocation is a no-op.
-  const auto slot = policy_->place(rtc_.allocator(), cur.w, cur.h);
+  const auto slot = rtc_.allocator().find_free(cur.w, cur.h);
   if (slot) {
     TaskInfo& info = task_info_.at(id);
     const std::uint64_t t0 = telem::now_ns();
@@ -781,6 +779,9 @@ namespace {
 
 constexpr std::uint32_t kSnapshotVersion = 2;
 constexpr std::uint32_t kOpenVersion = 1;
+/// The kOpen record keeps the slots of three retired options: the placement
+/// policy (always first fit), evict-to-fit (always on) and the batch cap.
+constexpr const char* kOpenPolicy = "first_fit";
 
 [[noreturn]] void bad_journal(const std::string& what) {
   throw VbsError(VbsErrc::kBadJournal, "journal: " + what);
@@ -1117,9 +1118,9 @@ std::string ReconfigService::serialize_open() const {
   put_u32(p, static_cast<std::uint32_t>(rtc_.fabric().height()));
   put_u32(p, static_cast<std::uint32_t>(opts_.threads));
   put_u64(p, opts_.cache_capacity_bits);
-  put_str(p, opts_.policy);
-  put_u32(p, opts_.evict_to_fit ? 1 : 0);
-  put_u32(p, static_cast<std::uint32_t>(opts_.max_batch));
+  put_str(p, kOpenPolicy);  // retired placement policy, evict flag, batch
+  put_u32(p, 1);
+  put_u32(p, static_cast<std::uint32_t>(kMaxBatch));
   put_u64(p, opts_.queue_limit);
   put_u64(p, static_cast<std::uint64_t>(opts_.deadline_ticks));
   put_u32(p, static_cast<std::uint32_t>(opts_.retry_limit));
@@ -1145,9 +1146,10 @@ std::unique_ptr<ReconfigService> ReconfigService::construct_from_open(
   ServiceOptions o;
   o.threads = static_cast<int>(r.u32());
   o.cache_capacity_bits = static_cast<std::size_t>(r.u64());
-  o.policy = r.str();
-  o.evict_to_fit = r.u32() != 0;
-  o.max_batch = static_cast<int>(r.u32());
+  // Only the values the retired options always had can be replayed.
+  if (r.str() != kOpenPolicy || r.u32() != 1 || r.u32() != kMaxBatch) {
+    bad_journal("unsupported placement policy, eviction or batch setting");
+  }
   o.queue_limit = static_cast<std::size_t>(r.u64());
   o.deadline_ticks = static_cast<long long>(r.u64());
   o.retry_limit = static_cast<int>(r.u32());

@@ -12,18 +12,19 @@
 //           so a flood from one tenant cannot starve the others.
 //   decode  drain() walks the queue in priority order (stable within a
 //           priority, so the default configuration is plain admission
-//           order); maximal runs of consecutive loads are devirtualized as
-//           one batch on the shared ThreadPool (entries of all batched
-//           streams are one flat work list — decoding is pure, so
-//           scheduling never affects results). Streams already in the
+//           order); maximal runs of up to 16 consecutive loads are
+//           devirtualized as one batch on the shared ThreadPool (entries
+//           of all batched streams are one flat work list — decoding is
+//           pure, so scheduling never affects results). Streams already in the
 //           DecodedStreamCache (or duplicated within the batch) skip
 //           devirtualization entirely.
-//   commit  requests complete strictly in processing order against the
-//           placement policy; when a load does not fit and evict_to_fit is
-//           on, the eviction planner clears the cheapest region and the
-//           victims are appended to the eviction log. Hostile streams
-//           (malformed, undecodable, wrong architecture) complete kFailed
-//           with a typed VbsErrc — they never tear down the drain loop.
+//   commit  requests complete strictly in processing order; a task lands
+//           at the allocator's first fit (row-major scan), and when a load
+//           does not fit, the eviction planner (eviction.h) clears the
+//           cheapest region and the victims are appended to the eviction
+//           log. Hostile streams (malformed, undecodable, wrong
+//           architecture) complete kFailed with a typed VbsErrc — they
+//           never tear down the drain loop.
 //   evict   both layers are bounded: the stream cache by capacity_bits
 //           (LRU), the fabric by evict-to-fit victim selection.
 //   faults  an injected FaultPlan (util/fault.h) makes decode failures,
@@ -58,7 +59,7 @@
 
 #include "rtc/controller.h"
 #include "rtc/service/journal.h"
-#include "rtc/service/placement_policy.h"
+#include "rtc/service/eviction.h"
 #include "rtc/service/stream_cache.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
@@ -155,12 +156,6 @@ struct ServiceOptions {
   int threads = 1;
   /// DecodedStreamCache capacity in payload bits; 0 disables caching.
   std::size_t cache_capacity_bits = std::size_t{64} << 20;
-  /// "first_fit", "best_fit" or "skyline" (placement_policy.h).
-  std::string policy = "first_fit";
-  /// Evict least-valuable tasks when a load does not fit.
-  bool evict_to_fit = true;
-  /// Max consecutive load requests devirtualized as one batch.
-  int max_batch = 16;
   /// Max load requests queued at once; 0 = unbounded (no shedding).
   std::size_t queue_limit = 0;
   /// Max modeled ticks a request may wait before processing; 0 = none.
@@ -385,7 +380,6 @@ class ReconfigService {
 
   ReconfigController rtc_;
   ServiceOptions opts_;
-  std::unique_ptr<PlacementPolicy> policy_;
   DecodedStreamCache cache_;
   ThreadPool pool_;
   /// One decoder set per pool rank, kept for the service's life and

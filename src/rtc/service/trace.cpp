@@ -1,7 +1,6 @@
 #include "rtc/service/trace.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -18,16 +17,6 @@ const char* to_string(ArrivalPattern p) {
     case ArrivalPattern::kUniqueFlood: return "unique_flood";
   }
   return "?";
-}
-
-ArrivalPattern arrival_pattern_from_string(const std::string& name) {
-  if (name == "steady") return ArrivalPattern::kSteady;
-  if (name == "bursty") return ArrivalPattern::kBursty;
-  if (name == "diurnal") return ArrivalPattern::kDiurnal;
-  if (name == "churn") return ArrivalPattern::kChurn;
-  if (name == "flash_crowd") return ArrivalPattern::kFlashCrowd;
-  if (name == "unique_flood") return ArrivalPattern::kUniqueFlood;
-  throw std::invalid_argument("unknown arrival pattern: " + name);
 }
 
 namespace {
@@ -228,119 +217,6 @@ Trace generate_trace(const TraceGenOptions& opts) {
       live.push_back(static_cast<int>(t.events.size()));
       t.events.push_back({TraceEvent::Kind::kLoad, tick, kind, -1});
     }
-  }
-  return t;
-}
-
-std::string trace_to_string(const Trace& trace) {
-  std::ostringstream out;
-  out << "# vbs.rtc_trace.v1\n";
-  out << "trace " << trace.name << "\n";
-  out << "fabric " << trace.fabric_w << " " << trace.fabric_h << "\n";
-  for (const TraceTaskKind& k : trace.kinds) {
-    out << "kind " << k.name << " " << k.n_lut << " " << k.grid << " "
-        << k.seed << " " << k.cluster << "\n";
-  }
-  for (const TraceEvent& e : trace.events) {
-    out << "ev " << e.tick << " ";
-    switch (e.kind) {
-      case TraceEvent::Kind::kLoad:
-        out << "load " << e.task_kind;
-        break;
-      case TraceEvent::Kind::kUnload:
-        out << "unload " << e.ref;
-        break;
-      case TraceEvent::Kind::kRelocate:
-        out << "relocate " << e.ref;
-        break;
-    }
-    if (e.tenant != 0) out << " " << e.tenant;
-    out << "\n";
-  }
-  return out.str();
-}
-
-Trace trace_from_string(const std::string& text) {
-  Trace t;
-  std::istringstream in(text);
-  std::string line;
-  int lineno = 0;
-  bool have_fabric = false;
-  int last_tick = 0;
-  auto fail = [&](const std::string& what) { throw TraceError(lineno, what); };
-  // Strict by design: a trace is input from outside the trust boundary
-  // (tools read arbitrary files), so every record must parse completely,
-  // every reference must resolve, and every field must be in range.
-  auto reject_trailing = [&](std::istringstream& ls) {
-    std::string extra;
-    if (ls >> extra) fail("trailing tokens: " + extra);
-  };
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag)) continue;  // blank / comment line
-    if (tag == "trace") {
-      if (!(ls >> t.name)) fail("trace needs a name");
-      reject_trailing(ls);
-    } else if (tag == "fabric") {
-      if (!(ls >> t.fabric_w >> t.fabric_h)) fail("fabric needs w h");
-      if (t.fabric_w < 1 || t.fabric_h < 1) fail("fabric dims must be >= 1");
-      reject_trailing(ls);
-      have_fabric = true;
-    } else if (tag == "kind") {
-      TraceTaskKind k;
-      if (!(ls >> k.name >> k.n_lut >> k.grid >> k.seed >> k.cluster)) {
-        fail("kind needs name n_lut grid seed cluster");
-      }
-      if (k.n_lut < 1 || k.grid < 1 || k.cluster < 1) {
-        fail("kind fields must be >= 1");
-      }
-      reject_trailing(ls);
-      t.kinds.push_back(std::move(k));
-    } else if (tag == "ev") {
-      TraceEvent e;
-      std::string op;
-      if (!(ls >> e.tick >> op)) fail("ev needs tick and op");
-      if (e.tick < 0) fail("tick must be >= 0");
-      if (e.tick < last_tick) fail("ticks must be non-decreasing");
-      int arg = -1;
-      if (!(ls >> arg)) fail("ev " + op + " needs an argument");
-      if (op == "load") {
-        e.kind = TraceEvent::Kind::kLoad;
-        if (arg < 0 || arg >= static_cast<int>(t.kinds.size())) {
-          fail("load kind index out of range");
-        }
-        e.task_kind = arg;
-      } else if (op == "unload" || op == "relocate") {
-        e.kind = op == "unload" ? TraceEvent::Kind::kUnload
-                                : TraceEvent::Kind::kRelocate;
-        if (arg < 0 || arg >= static_cast<int>(t.events.size()) ||
-            t.events[static_cast<std::size_t>(arg)].kind !=
-                TraceEvent::Kind::kLoad) {
-          fail(op + " must reference an earlier load event");
-        }
-        e.ref = arg;
-      } else {
-        fail("unknown event op: " + op);
-      }
-      if (ls >> e.tenant) {
-        if (e.tenant < 0) fail("tenant must be >= 0");
-      } else {
-        e.tenant = 0;
-        ls.clear();
-      }
-      reject_trailing(ls);
-      last_tick = e.tick;
-      t.events.push_back(e);
-    } else {
-      fail("unknown record: " + tag);
-    }
-  }
-  if (!have_fabric) {
-    throw TraceError(lineno, "missing fabric record");
   }
   return t;
 }

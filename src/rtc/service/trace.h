@@ -18,40 +18,15 @@
 //   unique_flood adversarial: tenant 1 streams never-repeating tiny tasks
 //                (every load a fresh kind), defeating the stream cache
 //
-// Text format (`vbs.rtc_trace.v1`, one record per line, '#' comments):
-//   trace <name>
-//   fabric <w> <h>
-//   kind <name> <n_lut> <grid> <seed> <cluster>
-//   ev <tick> load <kind_index> [tenant]
-//   ev <tick> unload <load_event_index> [tenant]
-//   ev <tick> relocate <load_event_index> [tenant]
-// The trailing tenant id is optional and omitted when 0. Parsing is
-// strict — unknown records, trailing tokens, out-of-range fields,
-// dangling references and non-monotone ticks all raise a TraceError
-// carrying the offending line number.
+// A trace is generated from its options (generate_trace) wherever it is
+// replayed; it has no file format.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "util/error.h"
-
 namespace vbs {
-
-/// Malformed trace text: VbsErrc::kBadTrace plus the 1-based line number
-/// of the offending record ("trace line N: ...").
-class TraceError : public VbsError {
- public:
-  TraceError(int line, const std::string& what)
-      : VbsError(VbsErrc::kBadTrace,
-                 "trace line " + std::to_string(line) + ": " + what),
-        line_(line) {}
-  int line() const { return line_; }
-
- private:
-  int line_;
-};
 
 /// Recipe for one task payload: a synthetic netlist of `n_lut` LUTs placed
 /// and routed on a grid x grid fabric, encoded at `cluster`.
@@ -96,8 +71,6 @@ enum class ArrivalPattern {
 };
 
 const char* to_string(ArrivalPattern p);
-/// Throws std::invalid_argument on an unknown name.
-ArrivalPattern arrival_pattern_from_string(const std::string& name);
 
 struct TraceGenOptions {
   ArrivalPattern pattern = ArrivalPattern::kSteady;
@@ -116,10 +89,5 @@ struct TraceGenOptions {
 /// Deterministic in the options; the same options always yield the same
 /// trace.
 Trace generate_trace(const TraceGenOptions& opts);
-
-std::string trace_to_string(const Trace& trace);
-/// Parses the text format; throws TraceError (with the offending line
-/// number) on malformed input.
-Trace trace_from_string(const std::string& text);
 
 }  // namespace vbs

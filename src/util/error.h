@@ -1,13 +1,13 @@
 // Typed error taxonomy for every trust-the-input path: VBS streams,
-// container files, artifacts, traces, and the service's admission layer.
+// container files, artifacts, journals, the wire, and the service's
+// admission layer.
 //
 // Anything that consumes bytes it did not produce (a serialized VBS, a
-// .vbs/.art file, a trace text) rejects malformed input by throwing a
+// .vbs/.art file, a journal) rejects malformed input by throwing a
 // VbsError carrying a stable VbsErrc code — never an assert, never
 // undefined behaviour, never silent garbage. The legacy exception types
-// (BitstreamError, ArtifactError, TraceError) derive from VbsError so
-// existing catch sites keep working while new code can dispatch on the
-// code alone.
+// (BitstreamError, ArtifactError) derive from VbsError so existing catch
+// sites keep working while new code can dispatch on the code alone.
 //
 // The numeric code values are a stable contract: tools expose them as
 // process exit codes (exit_code_for) and in --json error objects, so they
@@ -31,7 +31,7 @@ enum class VbsErrc : std::uint8_t {
   kTrailingBits = 6,   ///< stream longer than its own content
   kResourceLimit = 7,  ///< well-formed but absurd: decode cost guard
   kBadContainer = 8,   ///< file container (VBS1 / VAR1) malformed
-  kBadTrace = 9,       ///< rtc trace text malformed
+  kBadTrace = 9,       ///< reserved: the retired rtc trace text format
   kArchMismatch = 10,  ///< stream targets a different architecture
   kDecodeFailed = 11,  ///< connection list failed to route in-region
   kNoPlacement = 12,   ///< no free region (even after eviction)

@@ -14,6 +14,13 @@ namespace vbs {
 
 namespace {
 
+/// Seeded shuffles the feedback loop tries after the two deterministic
+/// orders fail, and the seed of their RNG. flow.meta and the encode stage's
+/// fingerprint (flow/pipeline.cpp) record both: a change here must change
+/// them there too.
+constexpr int kReorderAttempts = 24;
+constexpr std::uint64_t kReorderSeed = 0x5eed;
+
 /// Maps a macro-level port of region macro (ux,uy) to the region port id.
 int region_port_of(const RegionModel& rm, int ux, int uy, int macro_port) {
   const int w = rm.spec().chan_width;
@@ -260,7 +267,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
 
   // ---- 3. Assembly + feedback loop -----------------------------------------
   BitVector scratch;
-  Rng rng(opts.seed);
+  Rng rng(kReorderSeed);
   const RegionModel& full_region = regions.region_for(img, 0, 0);
   const unsigned rc_bits = full_region.route_count_bits();
   const unsigned m_bits = full_region.port_field_bits();
@@ -314,7 +321,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
         if (!ok && !opts.no_reorder) {
           int attempt = 0;
           std::vector<VbsConnection> order = e.conns;
-          while (!ok && attempt < 2 + opts.reorder_attempts) {
+          while (!ok && attempt < 2 + kReorderAttempts) {
             if (attempt == 0) {
               std::stable_sort(order.begin(), order.end(),
                                [](const VbsConnection& a, const VbsConnection& b) {

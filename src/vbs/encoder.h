@@ -6,8 +6,8 @@
 //      (in, out*) port pairs — `in` being the terminal nearest the driver;
 //   2. the online de-virtualization algorithm is run offline as a feedback
 //      loop; if the greedy decode fails for the emitted order, the
-//      connection list is re-ordered (deterministic heuristics, then seeded
-//      shuffles);
+//      connection list is re-ordered (two deterministic heuristics, then 24
+//      shuffles from a fixed seed);
 //   3. if no feasible order is found — or the coded list is no smaller —
 //      the region falls back to raw coding, which keeps the stream always
 //      decodable and never larger than necessary.
@@ -26,9 +26,6 @@ namespace vbs {
 
 struct EncodeOptions {
   int cluster = 1;
-  /// Seeded shuffle attempts after the deterministic orders fail.
-  int reorder_attempts = 24;
-  std::uint64_t seed = 0x5eed;
   /// Negotiation budget of the decode feedback loop; 1 = pure greedy
   /// decoding (the decoder must then use the same budget online).
   int decode_iterations = 24;

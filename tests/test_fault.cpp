@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "flow/artifact_io.h"
-#include "rtc/service/trace.h"
 #include "util/bitio.h"
 #include "util/error.h"
 #include "util/fault.h"
@@ -74,15 +73,10 @@ TEST(ErrorTaxonomy, LegacyExceptionTypesDeriveFromVbsError) {
   // must keep working while new code dispatches on VbsError::code().
   const BitstreamError b("bits", VbsErrc::kBadEntry);
   const ArtifactError a("artifact");
-  const TraceError t(4, "bad record");
   const VbsError* vb = &b;
   const VbsError* va = &a;
-  const VbsError* vt = &t;
   EXPECT_EQ(vb->code(), VbsErrc::kBadEntry);
   EXPECT_EQ(va->code(), VbsErrc::kBadContainer);
-  EXPECT_EQ(vt->code(), VbsErrc::kBadTrace);
-  EXPECT_EQ(t.line(), 4);
-  EXPECT_NE(std::string(t.what()).find("line 4"), std::string::npos);
 }
 
 // --- fault plan --------------------------------------------------------------

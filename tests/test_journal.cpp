@@ -558,6 +558,55 @@ TEST(ServiceDurabilityTest, TrailingRecordBytesAreBadJournal) {
   expect_bad_journal(dir.path, "barrier");
 }
 
+// The kOpen record keeps the slots of three retired service options: the
+// placement policy, evict-to-fit and the batch cap, always "first_fit", 1
+// and 16. A journal naming any other value was written for a service that
+// no longer exists, so recovery rejects it rather than replay it
+// differently.
+TEST(ServiceDurabilityTest, RetiredOpenSettingsMustHoldTheirOnlyValue) {
+  TempDir dir("retired_open");
+  const std::string wal = dir.path + "/journal.wal";
+  {
+    ReconfigService svc(test_arch(), 16, 12, small_opts(1));
+    svc.open_journal(dir.path);
+  }
+  const std::vector<ServiceJournal::Record> records =
+      ServiceJournal::scan(dir.path).records;
+  ASSERT_EQ(records.size(), 1u);
+  ASSERT_EQ(records[0].kind, ServiceJournal::Kind::kOpen);
+  const std::string& open = records[0].payload;
+  const auto slots = [](const char* policy, std::uint32_t evict,
+                        std::uint32_t batch) {
+    std::string s;
+    put_str(s, policy);
+    put_u32(s, evict);
+    put_u32(s, batch);
+    return s;
+  };
+  // The slots follow the version, architecture, fabric size and thread
+  // count (seven u32) and the cache capacity (one u64).
+  const std::size_t at = 7 * 4 + 8;
+  const std::string written = slots("first_fit", 1, 16);
+  ASSERT_EQ(open.substr(at, written.size()), written);
+  EXPECT_NE(ReconfigService::recover(dir.path, 1), nullptr);
+
+  const struct {
+    const char* label;
+    std::string slots;
+  } cases[] = {
+      {"best_fit", slots("best_fit", 1, 16)},
+      {"evict flag 0", slots("first_fit", 0, 16)},
+      {"max_batch 8", slots("first_fit", 1, 8)},
+  };
+  for (const auto& c : cases) {
+    ServiceJournal::Record tampered = records[0];
+    tampered.payload =
+        open.substr(0, at) + c.slots + open.substr(at + written.size());
+    write_wal(wal, {tampered});
+    expect_bad_journal(dir.path, c.label);
+  }
+}
+
 TEST(ServiceDurabilityTest, PersistentAppendFailureDetachesJournal) {
   // Search for a seed whose injected sync failures spare journal creation
   // but kill one append twice in a row (append retries once). Determinism

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -407,20 +408,35 @@ TEST(Pipeline, ResumeIgnoresRetiredThreadSlots) {
   pipe.save_checkpoint(clean.path);
   pipe.save_checkpoint(patched.path);
 
-  // Bit offsets of the slots in the flow.meta payload, after the grid,
-  // architecture and flow seed; the placer's seed, effort, I/O capacity and
-  // bbox flag; and the router's knobs up to incremental_reroute.
+  // Bit offsets of the retired slots in the flow.meta payload: the flow and
+  // placer thread counts; the router's negotiation schedule (first-
+  // iteration, initial and growth present-congestion factors, history
+  // factor), stall restarts, bounding-box margin, thread count and batch
+  // size; the encoder's reorder attempts and shuffle seed. Each is patched
+  // from the value a default run writes to one no run ever used.
   const std::string meta = (fs::path(patched.path) / "flow.meta").string();
   std::uint64_t fingerprint = 0;
   BitVector payload =
       read_artifact_file(meta, ArtifactStage::kMeta, nullptr, &fingerprint);
-  const std::pair<std::size_t, std::uint64_t> slots[] = {
-      {200, 1}, {393, 0}, {875, 0}, {907, 1}};
-  BitVector huge;
-  huge.append_bits(0x7fffffff, 32);  // INT32_MAX
-  for (const auto& [pos, written] : slots) {
-    EXPECT_EQ(payload.get_bits(pos, 32), written) << "slot at bit " << pos;
-    payload.overwrite(pos, huge);
+  const auto f64 = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const struct {
+    std::size_t pos;
+    unsigned bits;
+    std::uint64_t written, patched;
+  } slots[] = {
+      {200, 32, 1, 0x7fffffff},           {393, 32, 0, 0x7fffffff},
+      {457, 64, f64(0.0), f64(7.5)},      {521, 64, f64(0.5), f64(7.5)},
+      {585, 64, f64(1.8), f64(7.5)},      {649, 64, f64(1.0), f64(7.5)},
+      {809, 32, 0, 0x7fffffff},           {842, 32, 3, 0x7fffffff},
+      {875, 32, 0, 0x7fffffff},           {907, 32, 1, 0x7fffffff},
+      {971, 32, 24, 0x7fffffff},          {1003, 64, 0x5eed, ~0ull},
+  };
+  for (const auto& s : slots) {
+    EXPECT_EQ(payload.get_bits(s.pos, s.bits), s.written)
+        << "slot at bit " << s.pos;
+    BitVector v;
+    v.append_bits(s.patched, s.bits);
+    payload.overwrite(s.pos, v);
   }
   write_artifact_file(meta, ArtifactStage::kMeta, fingerprint, payload);
 
