@@ -15,20 +15,16 @@ namespace vbs::net {
 
 namespace {
 
-std::uint64_t now_ms() { return telem::now_ns() / 1'000'000; }
+constexpr std::size_t kPostCapacity = 4096;
 
 }  // namespace
 
-EventLoop::EventLoop(std::unique_ptr<Poller> poller,
-                     std::size_t post_capacity)
-    : poller_(poller ? std::move(poller) : std::make_unique<EpollPoller>()),
-      timers_(now_ms()),
-      posted_(post_capacity) {
+EventLoop::EventLoop() : posted_(kPostCapacity) {
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) {
     throw std::runtime_error(std::string("eventfd: ") + std::strerror(errno));
   }
-  poller_->add(wake_fd_, kReadable);
+  poller_.add(wake_fd_, kReadable);
 }
 
 EventLoop::~EventLoop() {
@@ -36,25 +32,18 @@ EventLoop::~EventLoop() {
 }
 
 void EventLoop::watch(int fd, std::uint32_t interest, FdHandler handler) {
-  poller_->add(fd, interest);
+  poller_.add(fd, interest);
   handlers_[fd] = std::move(handler);
 }
 
 void EventLoop::update(int fd, std::uint32_t interest) {
-  poller_->mod(fd, interest);
+  poller_.mod(fd, interest);
 }
 
 void EventLoop::unwatch(int fd) {
-  poller_->del(fd);
+  poller_.del(fd);
   handlers_.erase(fd);
 }
-
-TimerId EventLoop::arm_timer(std::uint64_t delay_ms,
-                             std::function<void()> cb) {
-  return timers_.arm(now_ms() + delay_ms, std::move(cb));
-}
-
-bool EventLoop::cancel_timer(TimerId id) { return timers_.cancel(id); }
 
 void EventLoop::wake() {
   const std::uint64_t one = 1;
@@ -63,6 +52,7 @@ void EventLoop::wake() {
 }
 
 void EventLoop::post(std::function<void()> fn) {
+  telem::counter_add("net.loop_posts");
   // Bounded queue: spin-yield on full rather than dropping — posted work
   // carries completions that must not be lost.
   while (!posted_.push(std::move(fn))) {
@@ -89,14 +79,9 @@ std::size_t EventLoop::drain_posted() {
 
 std::size_t EventLoop::run_once(int timeout_ms) {
   std::size_t processed = drain_posted();
-  const int timer_hint = timers_.next_timeout_ms(now_ms());
-  int timeout = timeout_ms;
-  if (timer_hint >= 0 && (timeout < 0 || timer_hint < timeout)) {
-    timeout = timer_hint;
-  }
-  if (processed > 0) timeout = 0;  // posted work may have armed more
-
-  poller_->wait(events_, timeout);
+  // Having run posted work, poll instead of parking: an iteration that
+  // made progress returns without waiting for fd activity.
+  poller_.wait(events_, processed > 0 ? 0 : timeout_ms);
   for (const PollEvent& ev : events_) {
     if (ev.fd == wake_fd_) {
       std::uint64_t count = 0;
@@ -111,7 +96,6 @@ std::size_t EventLoop::run_once(int timeout_ms) {
     handler(ev.events);
     ++processed;
   }
-  processed += timers_.advance_to(now_ms());
   processed += drain_posted();
   return processed;
 }

@@ -6,14 +6,14 @@
 // fetch_add on the tail and publishes by bumping the cell sequence, a
 // consumer reads the head cell only once its sequence says the payload is
 // complete. push() fails (returns false) on a full ring instead of
-// blocking — the caller decides whether that is backpressure (pause
-// reading the socket) or a door-level shed (error frame). FIFO per
-// producer; with a single producer the order is total, which is what the
-// deterministic replay mode relies on.
+// blocking — the server answers that with a door-level shed (error
+// frame). FIFO per producer; with a single producer the order is total,
+// which is what the deterministic replay mode relies on.
 //
-// The ring never blocks, so waiting is the caller's concern: the server
-// pairs it with a condition variable poked after each push (see
-// rtc/server/server.cpp). Capacity is rounded up to a power of two.
+// The ring never blocks, so waiting is the caller's concern: the server's
+// service thread sleeps on a condition variable, with no timeout, that
+// each push notifies (see rtc/server/server.cpp). Capacity is rounded up
+// to a power of two.
 #pragma once
 
 #include <atomic>

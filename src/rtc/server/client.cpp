@@ -22,6 +22,11 @@ namespace vbs::rpc {
 
 namespace {
 
+/// Receive deadline of RpcClient -> VbsError{kNetTimeout}.
+constexpr int kRecvTimeoutMs = 10'000;
+/// RpcClient's HELLO nonce.
+constexpr std::uint64_t kClientNonce = 0x7e571e57u;
+
 [[noreturn]] void net_closed(const std::string& what) {
   throw VbsError(VbsErrc::kNetClosed, what);
 }
@@ -52,19 +57,18 @@ int connect_blocking(const std::string& host, int port) {
 
 // --- RpcClient ---------------------------------------------------------------
 
-RpcClient::RpcClient(RpcClientOptions opts)
-    : opts_(std::move(opts)), reader_(opts_.max_frame_bytes) {
+RpcClient::RpcClient(RpcClientOptions opts) : opts_(std::move(opts)) {
   fd_ = connect_blocking(opts_.host, opts_.port);
   timeval tv{};
-  tv.tv_sec = opts_.timeout_ms / 1000;
-  tv.tv_usec = (opts_.timeout_ms % 1000) * 1000;
+  tv.tv_sec = kRecvTimeoutMs / 1000;
+  tv.tv_usec = (kRecvTimeoutMs % 1000) * 1000;
   ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 
   // Handshake: HELLO -> CHALLENGE -> AUTH -> AUTH_OK. Close the fd on
   // any failure — a throwing constructor never runs the destructor.
   try {
     send_frame(FrameType::kHello, next_corr_,
-               encode_hello({opts_.tenant, opts_.client_nonce}));
+               encode_hello({opts_.tenant, kClientNonce}));
     const Frame challenge = recv_frame();
     if (challenge.type != FrameType::kChallenge) {
       throw VbsError(VbsErrc::kNetProto, "expected CHALLENGE");
@@ -72,7 +76,7 @@ RpcClient::RpcClient(RpcClientOptions opts)
     const ChallengeMsg ch = decode_challenge(challenge.payload);
     const std::uint64_t proof =
         auth_proof(tenant_secret(opts_.auth_seed, opts_.tenant), opts_.tenant,
-                   opts_.client_nonce, ch.server_nonce);
+                   kClientNonce, ch.server_nonce);
     send_frame(FrameType::kAuth, next_corr_, encode_auth({proof}));
     const Frame ok = recv_frame();  // relays ERROR{kNetAuth} as a throw
     if (ok.type != FrameType::kAuthOk) {
@@ -138,7 +142,7 @@ Frame RpcClient::recv_frame(bool relay_errors) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       throw VbsError(VbsErrc::kNetTimeout,
                      "recv: no frame within " +
-                         std::to_string(opts_.timeout_ms) + "ms");
+                         std::to_string(kRecvTimeoutMs) + "ms");
     }
     close();
     net_closed("recv: " + std::string(std::strerror(errno)));
@@ -264,8 +268,6 @@ struct GenConn {
   int pending_slot = -1;            ///< slot the in-flight load will fill
   std::uint64_t corr = 0;
   std::chrono::steady_clock::time_point sent_at;
-
-  GenConn(std::size_t max_frame) : reader(max_frame) {}
 };
 
 }  // namespace
@@ -296,7 +298,7 @@ LoadGenReport run_loadgen(const LoadGenOptions& opts) {
   std::vector<GenConn> conns;
   conns.reserve(static_cast<std::size_t>(n_conns));
   for (int i = 0; i < n_conns; ++i) {
-    conns.emplace_back(opts.max_frame_bytes);
+    conns.emplace_back();
     conns.back().tenant = tenants[static_cast<std::size_t>(i) % tenants.size()];
     conns.back().client_nonce = 0x10adull + static_cast<std::uint64_t>(i);
   }
@@ -374,7 +376,7 @@ LoadGenReport run_loadgen(const LoadGenOptions& opts) {
       loop.unwatch(gc.conn->fd());
       gc.conn->close();
     }
-    if (--live == 0) loop.stop();
+    --live;
   };
 
   auto update_interest = [&](GenConn& gc) {
@@ -594,11 +596,18 @@ LoadGenReport run_loadgen(const LoadGenOptions& opts) {
     return report;
   }
 
-  loop.arm_timer(static_cast<std::uint64_t>(opts.timeout_ms), [&] {
-    report.timed_out = true;
-    loop.stop();
-  });
-  loop.run();
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(opts.timeout_ms);
+  while (live > 0) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      report.timed_out = true;
+      break;
+    }
+    loop.run_once(static_cast<int>(left.count()));
+  }
 
   if (established == 0 && report.results == 0) {
     net_closed("loadgen: no connection completed the handshake");

@@ -6,9 +6,9 @@
 //                constructor, then synchronous request/reply calls. This
 //                is what the admin replay path and the tests use; every
 //                wire failure surfaces as a typed VbsError (kNetClosed on
-//                a dead peer, kNetTimeout on a receive deadline, kNetAuth
-//                on a rejected handshake, or the server's own error code
-//                relayed from an ERROR frame).
+//                a dead peer, kNetTimeout when no frame arrives within
+//                10 s, kNetAuth on a rejected handshake, or the server's
+//                own error code relayed from an ERROR frame).
 //
 //   run_loadgen — a *closed-loop* load generator: one EventLoop drives
 //                 `connections` concurrent non-blocking connections, each
@@ -22,7 +22,8 @@
 //                 locally by the time it is needed. Per-request latency
 //                 is wall time from the submit write to its RESULT frame
 //                 — the number the bench reports as p50/p99 under
-//                 steady/bursty/flash_crowd arrivals.
+//                 steady/bursty/flash_crowd arrivals. The loop runs
+//                 against a steady_clock deadline (timeout_ms).
 #pragma once
 
 #include <cstdint>
@@ -42,9 +43,6 @@ struct RpcClientOptions {
   int port = 0;
   int tenant = 0;  ///< kAdminTenant for the privileged session
   std::uint64_t auth_seed = 1;
-  std::uint64_t client_nonce = 0x7e571e57u;
-  int timeout_ms = 10'000;  ///< receive deadline -> VbsError{kNetTimeout}
-  std::size_t max_frame_bytes = kMaxFrameBytesDefault;
 };
 
 class RpcClient {
@@ -111,7 +109,6 @@ struct LoadGenOptions {
   /// Pre-built VBS streams, aligned with trace.kinds.
   std::vector<BitVector> kind_streams;
   int timeout_ms = 120'000;  ///< whole-run wall guard
-  std::size_t max_frame_bytes = kMaxFrameBytesDefault;
   /// Client-side hostile-socket schedule (net_short/net_eagain/net_drop).
   FaultPlan net_faults;
 };

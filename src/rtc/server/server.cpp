@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +18,11 @@ namespace vbs::rpc {
 
 namespace {
 
+/// Loop -> service queue depth; a full ring is a door shed.
+constexpr std::size_t kRingCapacity = 1024;
+/// Reads of a connection pause while its outbuf holds more than this.
+constexpr std::size_t kOutbufLimit = 4u << 20;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -26,7 +30,7 @@ namespace {
 }  // namespace
 
 RpcServer::RpcServer(ReconfigService* service, RpcServerOptions opts)
-    : service_(service), opts_(std::move(opts)), ops_(opts_.ring_capacity) {}
+    : service_(service), opts_(std::move(opts)), ops_(kRingCapacity) {}
 
 RpcServer::~RpcServer() { stop(); }
 
@@ -56,7 +60,6 @@ int RpcServer::start() {
 
   service_next_id_.store(service_->next_request_id(),
                          std::memory_order_release);
-  service_pending_.store(service_->pending(), std::memory_order_release);
 
   loop_ = std::make_unique<net::EventLoop>();
   loop_->watch(listen_fd_, net::kReadable,
@@ -127,17 +130,11 @@ void RpcServer::on_accept() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const std::uint64_t id = next_conn_id_++;
-    auto session = std::make_unique<Session>(
-        std::make_unique<net::Conn>(fd, id, opts_.net_faults),
-        opts_.max_frame_bytes);
-    if (reads_globally_paused_) session->read_paused = true;
-    auto* raw = session.get();
-    sessions_[id] = std::move(session);
-    loop_->watch(fd,
-                 raw->read_paused ? std::uint32_t{0} : net::kReadable,
-                 [this, id](std::uint32_t events) {
-                   on_conn_event(id, events);
-                 });
+    sessions_[id] = std::make_unique<Session>(
+        std::make_unique<net::Conn>(fd, id, opts_.net_faults));
+    loop_->watch(fd, net::kReadable, [this, id](std::uint32_t events) {
+      on_conn_event(id, events);
+    });
     c_accepted_.fetch_add(1, std::memory_order_relaxed);
     c_active_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -177,7 +174,11 @@ void RpcServer::on_conn_event(std::uint64_t conn_id, std::uint32_t events) {
     return;
   }
   update_interest(s);
-  if (s.closing && !s.conn->wants_write()) close_session(conn_id);
+  if (s.closing && !s.conn->wants_write()) {
+    close_session(conn_id);
+    return;
+  }
+  stop_loop_if_flushed();
 }
 
 void RpcServer::handle_frame(Session& s, const Frame& f) {
@@ -369,54 +370,41 @@ void RpcServer::close_session(std::uint64_t conn_id) {
   }
   sessions_.erase(it);
   c_active_.fetch_sub(1, std::memory_order_relaxed);
+  stop_loop_if_flushed();
 }
 
 void RpcServer::update_interest(Session& s) {
   if (s.conn->closed()) return;
-  const bool outbuf_over = s.conn->outbuf().size() > opts_.outbuf_limit;
+  const bool paused = s.conn->outbuf().size() > kOutbufLimit;
+  if (paused && !s.read_paused) {
+    c_reads_paused_.fetch_add(1, std::memory_order_relaxed);
+  }
+  s.read_paused = paused;
   std::uint32_t want = 0;
-  if (!s.closing && !s.read_paused && !outbuf_over) want |= net::kReadable;
+  if (!s.closing && !s.read_paused) want |= net::kReadable;
   if (s.conn->wants_write()) want |= net::kWritable;
   loop_->update(s.conn->fd(), want);
 }
 
-void RpcServer::apply_backpressure() {
-  const bool should =
-      opts_.pending_high_water > 0 &&
-      service_pending_.load(std::memory_order_acquire) >
-          opts_.pending_high_water;
-  if (should == reads_globally_paused_) return;
-  reads_globally_paused_ = should;
-  if (should) c_reads_paused_.fetch_add(1, std::memory_order_relaxed);
-  for (auto& [id, session] : sessions_) {
-    session->read_paused = should;
-    update_interest(*session);
-  }
-}
-
 void RpcServer::initiate_loop_shutdown() {
-  if (shutting_down_.exchange(true)) return;
+  if (shutting_down_) return;
+  shutting_down_ = true;
   if (listen_fd_ >= 0) {
     loop_->unwatch(listen_fd_);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  check_flush_and_stop();
+  stop_loop_if_flushed();
 }
 
-void RpcServer::check_flush_and_stop() {
-  bool busy = false;
-  for (auto& [id, session] : sessions_) {
-    if (session->conn->wants_write() && !session->conn->closed()) {
-      session->conn->on_writable();
-      if (session->conn->wants_write()) busy = true;
-    }
+void RpcServer::stop_loop_if_flushed() {
+  if (!shutting_down_) return;
+  for (const auto& [id, session] : sessions_) {
+    // Unsent bytes keep kWritable interest (update_interest), so the
+    // writable event that flushes them calls back here.
+    if (session->conn->wants_write() && !session->conn->closed()) return;
   }
-  if (!busy) {
-    loop_->stop();
-    return;
-  }
-  loop_->arm_timer(1, [this] { check_flush_and_stop(); });
+  loop_->stop();
 }
 
 void RpcServer::post_frame(std::uint64_t conn_id, FrameType type,
@@ -436,7 +424,6 @@ void RpcServer::post_frame(std::uint64_t conn_id, FrameType type,
 
 void RpcServer::service_main() {
   TELEM_SPAN("rpc", "server.service");
-  using namespace std::chrono_literals;
   while (!service_stop_.load(std::memory_order_acquire)) {
     ServiceOp op;
     bool any = false;
@@ -445,19 +432,15 @@ void RpcServer::service_main() {
       service_handle(op);
       if (service_stop_.load(std::memory_order_acquire)) break;
     }
-    publish_pending();
     if (service_stop_.load(std::memory_order_acquire)) break;
-    if (any) {
-      // Submissions may have pushed pending() over the high-water mark:
-      // let the loop re-evaluate its read pauses.
-      loop_->post([this] { apply_backpressure(); });
-    }
     if (!any) {
       if (opts_.auto_drain && service_->pending() > 0) {
         service_drain(0, 0, /*send_ack=*/false);
       } else {
+        // push_op() and stop() notify under service_mutex_, and they are
+        // the only wake sources, so the wait needs no timeout.
         std::unique_lock<std::mutex> lk(service_mutex_);
-        service_cv_.wait_for(lk, 1ms, [this] {
+        service_cv_.wait(lk, [this] {
           return !ops_.empty() ||
                  service_stop_.load(std::memory_order_acquire);
         });
@@ -541,15 +524,9 @@ void RpcServer::service_drain(std::uint64_t ack_conn, std::uint64_t ack_corr,
       post_frame(conn, FrameType::kResult, corr, encode_result(r));
     }
   }
-  publish_pending();
-  loop_->post([this] { apply_backpressure(); });
   if (send_ack) {
     post_frame(ack_conn, FrameType::kAck, ack_corr, encode_ack({kNoRequest}));
   }
-}
-
-void RpcServer::publish_pending() {
-  service_pending_.store(service_->pending(), std::memory_order_release);
 }
 
 }  // namespace vbs::rpc

@@ -11,19 +11,18 @@
 // machine and writes replies — all single-threaded, lock-free protocol
 // state. The *service thread* owns the ReconfigService exclusively: it
 // pops ServiceOps from a bounded MPSC ring, calls submit_*/drain() and
-// hands completion frames back to the loop thread via EventLoop::post().
-// The service is never touched from two threads, so its single-threaded
+// hands completion frames back to the loop thread via EventLoop::post(),
+// one post per frame (plus one that starts a remote shutdown). The
+// service is never touched from two threads, so its single-threaded
 // determinism contract (and its WAL journal) carries over unchanged.
 //
 // Admission control maps connection backpressure onto the service's
-// priority-aware shedding in three rings:
+// priority-aware shedding in two rings:
 //   1. ring full        -> immediate ERROR{kQueueFull} ("door shed"):
 //                          the request never reaches the service.
-//   2. service pending  -> above pending_high_water the loop pauses
-//                          EPOLLIN on data connections; reads resume when
-//                          the service thread reports the queue drained.
-//   3. outbuf overflow  -> a connection slower than its result stream has
-//                          its reads paused until the outbuf flushes.
+//   2. outbuf overflow  -> a connection slower than its result stream
+//                          has its reads paused while its outbuf holds
+//                          more than 4 MiB (counters().reads_paused).
 // Requests that reach the service are shed by *its* policy (priority-
 // aware, typed kShed results) — the door never reorders tenants.
 //
@@ -60,15 +59,6 @@ struct RpcServerOptions {
   int port = 0;  ///< 0 = ephemeral; the bound port is port() after start()
   /// Seed of the per-tenant handshake secrets (wire.h tenant_secret).
   std::uint64_t auth_seed = 1;
-  /// FrameReader limit: a declared length above this is kNetFrame.
-  std::size_t max_frame_bytes = kMaxFrameBytesDefault;
-  /// Loop -> service queue depth; a full ring is a door shed.
-  std::size_t ring_capacity = 1024;
-  /// Pause reading a connection whose outbuf exceeds this.
-  std::size_t outbuf_limit = 4u << 20;
-  /// Pause reading all data connections while service pending exceeds
-  /// this; 0 disables loop-level backpressure.
-  std::size_t pending_high_water = 0;
   /// Drain whenever the ring is empty and requests are pending. Off for
   /// the deterministic replay mode (drains only at DRAIN frames).
   bool auto_drain = true;
@@ -86,7 +76,7 @@ struct ServerCounters {
   std::uint64_t door_sheds = 0;       ///< ring-full ERROR{kQueueFull}
   std::uint64_t handshake_rejects = 0;
   std::uint64_t proto_errors = 0;     ///< kNetProto / kNetFrame closes
-  std::uint64_t reads_paused = 0;     ///< backpressure pause transitions
+  std::uint64_t reads_paused = 0;     ///< outbuf-overflow pause transitions
 };
 
 class RpcServer {
@@ -136,11 +126,10 @@ class RpcServer {
     int tenant = 0;
     std::uint64_t client_nonce = 0;
     std::uint64_t server_nonce = 0;
-    bool read_paused = false;   ///< by global or per-conn backpressure
+    bool read_paused = false;   ///< outbuf over its limit (ring 2)
     bool closing = false;       ///< close once outbuf flushes
 
-    Session(std::unique_ptr<net::Conn> c, std::size_t max_frame)
-        : conn(std::move(c)), reader(max_frame) {}
+    explicit Session(std::unique_ptr<net::Conn> c) : conn(std::move(c)) {}
   };
 
   // --- loop thread ----------------------------------------------------------
@@ -157,11 +146,12 @@ class RpcServer {
                   const std::string& message, bool close_after);
   void close_session(std::uint64_t conn_id);
   void update_interest(Session& s);
-  void apply_backpressure();
   /// Remote SHUTDOWN path, on the loop thread: stop accepting, then stop
   /// the loop once every outbuf has flushed.
   void initiate_loop_shutdown();
-  void check_flush_and_stop();
+  /// While shutting down: stops the loop if no live connection holds
+  /// unsent bytes. Called wherever a flush or a close may have finished.
+  void stop_loop_if_flushed();
   /// Sends a frame to a (possibly gone) connection; service-thread safe
   /// via post().
   void post_frame(std::uint64_t conn_id, FrameType type, std::uint64_t corr,
@@ -172,7 +162,6 @@ class RpcServer {
   void service_handle(const ServiceOp& op);
   void service_drain(std::uint64_t ack_conn, std::uint64_t ack_corr,
                      bool send_ack);
-  void publish_pending();
 
   ReconfigService* service_;
   RpcServerOptions opts_;
@@ -184,14 +173,13 @@ class RpcServer {
   std::thread service_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> service_stop_{false};
-  std::atomic<bool> shutting_down_{false};
   std::mutex stop_mutex_;  ///< serializes stop() callers
 
   // loop-thread state
   std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions_;
   std::uint64_t next_conn_id_ = 1;
   std::uint64_t nonce_seq_ = 0;
-  bool reads_globally_paused_ = false;
+  bool shutting_down_ = false;
 
   // loop -> service
   net::MpscRing<ServiceOp> ops_;
@@ -201,7 +189,6 @@ class RpcServer {
   // service-thread state: submit corr -> where the eventual result goes
   std::map<RequestId, std::pair<std::uint64_t, std::uint64_t>> result_route_;
 
-  std::atomic<std::size_t> service_pending_{0};
   /// Published by the service thread after every op so the loop thread
   /// can stamp AUTH_OK with the service's next request id race-free.
   std::atomic<long long> service_next_id_{0};

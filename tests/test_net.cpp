@@ -1,7 +1,7 @@
-// Network-layer tests: the MPSC ring, the timer wheel on a manual clock,
-// the event loop over real socketpairs, connection fault injection, and
-// the vbs.rpc.v1 frame codec (round-trip, truncation, bad checksum,
-// oversized length prefix, handshake payloads and proofs).
+// Network-layer tests: the MPSC ring, the event loop over real
+// socketpairs, connection fault injection, and the vbs.rpc.v1 frame codec
+// (round-trip, truncation, bad checksum, oversized length prefix,
+// handshake payloads and proofs).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -17,11 +17,9 @@
 #include "net/event_loop.h"
 #include "net/poller.h"
 #include "net/ring.h"
-#include "net/timer_wheel.h"
 #include "rtc/server/wire.h"
 #include "util/bytes.h"
 #include "util/error.h"
-#include "util/telemetry.h"
 
 namespace vbs {
 namespace {
@@ -30,7 +28,6 @@ using net::Conn;
 using net::EventLoop;
 using net::IoStatus;
 using net::MpscRing;
-using net::TimerWheel;
 
 // --- MpscRing ---------------------------------------------------------------
 
@@ -98,65 +95,6 @@ TEST(MpscRing, ConcurrentProducersLoseNothing) {
   EXPECT_EQ(sum.load(), expect);
 }
 
-// --- TimerWheel -------------------------------------------------------------
-
-TEST(TimerWheel, FiresAtDeadlineNotBefore) {
-  TimerWheel wheel(0);
-  int fired = 0;
-  wheel.arm(10, [&] { ++fired; });
-  EXPECT_EQ(wheel.advance_to(9), 0u);
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(wheel.advance_to(10), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(wheel.size(), 0u);
-}
-
-TEST(TimerWheel, CancelPreventsFiring) {
-  TimerWheel wheel(0);
-  int fired = 0;
-  const net::TimerId id = wheel.arm(5, [&] { ++fired; });
-  EXPECT_TRUE(wheel.cancel(id));
-  EXPECT_FALSE(wheel.cancel(id));  // already gone
-  wheel.advance_to(100);
-  EXPECT_EQ(fired, 0);
-}
-
-TEST(TimerWheel, MultiRevolutionDeadlines) {
-  TimerWheel wheel(0);  // 256 slots: 1000ms is multiple revolutions out
-  int fired = 0;
-  wheel.arm(1000, [&] { ++fired; });
-  wheel.arm(300, [&] { ++fired; });
-  EXPECT_EQ(wheel.advance_to(299), 0u);
-  EXPECT_EQ(wheel.advance_to(300), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(wheel.advance_to(999), 0u);
-  EXPECT_EQ(wheel.advance_to(1005), 1u);
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(TimerWheel, NextTimeoutHint) {
-  TimerWheel wheel(0);
-  EXPECT_EQ(wheel.next_timeout_ms(0), -1);
-  wheel.arm(40, [] {});
-  EXPECT_EQ(wheel.next_timeout_ms(0), 40);
-  EXPECT_EQ(wheel.next_timeout_ms(38), 2);
-  EXPECT_EQ(wheel.next_timeout_ms(45), 0);  // already due
-}
-
-TEST(TimerWheel, CallbackMayRearmWithinSameAdvance) {
-  TimerWheel wheel(0);
-  std::vector<int> order;
-  wheel.arm(5, [&] {
-    order.push_back(1);
-    wheel.arm(8, [&] { order.push_back(2); });
-  });
-  // Both the original and the re-armed timer are due by t=10.
-  EXPECT_EQ(wheel.advance_to(10), 2u);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 2);
-}
-
 // --- EventLoop ---------------------------------------------------------------
 
 struct SocketPair {
@@ -206,35 +144,6 @@ TEST(EventLoop, PostFromAnotherThreadWakesParkedLoop) {
   loop.run();  // parked in epoll_wait until the post's eventfd wake
   poster.join();
   EXPECT_TRUE(ran.load());
-}
-
-TEST(EventLoop, TimerFiresOnSteadyClock) {
-  EventLoop loop;
-  bool fired = false;
-  loop.arm_timer(5, [&] {
-    fired = true;
-    loop.stop();
-  });
-  loop.run();
-  EXPECT_TRUE(fired);
-}
-
-// The loop's time is the telemetry clock: a manual clock fires a timer
-// exactly when it is advanced past the deadline, with no sleeping.
-TEST(EventLoop, TimerFiresOnManualTelemetryClock) {
-  telem::ManualClock clock;
-  telem::ScopedClock scoped(&clock);
-  EventLoop loop;
-  bool fired = false;
-  loop.arm_timer(5, [&] { fired = true; });
-  loop.run_once(0);
-  EXPECT_FALSE(fired);
-  clock.advance_ns(4'000'000);
-  loop.run_once(0);
-  EXPECT_FALSE(fired);
-  clock.advance_ns(1'000'000);
-  EXPECT_GE(loop.run_once(0), 1u);
-  EXPECT_TRUE(fired);
 }
 
 TEST(EventLoop, RunOnceProcessesPostedWork) {

@@ -1,13 +1,21 @@
 // RPC server tests: loopback end-to-end traffic, handshake auth,
-// per-tenant session isolation, admission control under overload, the
-// closed-loop load generator, hostile-socket fault schedules, remote
-// shutdown — and the headline determinism contract: a journaled server
-// replaying a trace over the wire lands on a state fingerprint identical
-// to the offline replay of the same trace, before AND after recovery.
+// per-tenant session isolation, admission control under overload (door
+// sheds, typed service sheds, read pauses for a slow reader), the
+// closed-loop load generator and its run guard, hostile-socket fault
+// schedules, remote shutdown — and the headline determinism contract: a
+// journaled server replaying a trace over the wire lands on a state
+// fingerprint identical to the offline replay of the same trace, before
+// AND after recovery.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <thread>
@@ -17,6 +25,7 @@
 #include "rtc/server/client.h"
 #include "rtc/server/server.h"
 #include "rtc/service/trace.h"
+#include "util/telemetry.h"
 #include "vbs/encoder.h"
 
 namespace vbs {
@@ -178,6 +187,71 @@ std::vector<RequestResult> wire_replay(rpc::RpcClient& admin) {
     all.insert(all.end(), results.begin(), results.end());
   }
   return all;
+}
+
+sockaddr_in loopback_addr(int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  return addr;
+}
+
+/// A listening loopback socket on an ephemeral port, stored in `*port`.
+int listen_loopback(int* port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr = loopback_addr(0);
+  auto* sa = reinterpret_cast<sockaddr*>(&addr);
+  EXPECT_EQ(::bind(fd, sa, sizeof(addr)), 0);
+  EXPECT_EQ(::listen(fd, 16), 0);
+  socklen_t len = sizeof(addr);
+  EXPECT_EQ(::getsockname(fd, sa, &len), 0);
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
+/// A blocking socket connected to `port`, with a 10 s receive timeout.
+int dial_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  // A small receive window, set before connect, keeps the bytes the
+  // kernel buffers for a slow reader small next to the server's outbuf.
+  const int rcvbuf = 16 * 1024;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const timeval tv{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const sockaddr_in addr = loopback_addr(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  return fd;
+}
+
+void send_all(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+rpc::Frame recv_frame(int fd, rpc::FrameReader& reader, std::string& in) {
+  rpc::Frame f;
+  while (!reader.next(in, f)) {
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    EXPECT_GT(n, 0) << "connection closed or timed out";
+    if (n <= 0) break;
+    in.append(buf, static_cast<std::size_t>(n));
+  }
+  return f;
+}
+
+long long loop_posts() {
+  const telem::MetricsSnapshot snap = telem::snapshot();
+  const auto it = snap.counters.find("net.loop_posts");
+  return it == snap.counters.end() ? 0 : it->second;
 }
 
 rpc::RpcClientOptions client_opts(int port, int tenant,
@@ -376,6 +450,38 @@ TEST(Server, JournaledWireReplayRecoversToSameFingerprint) {
   EXPECT_EQ(recovered->state_fingerprint(), offline_fp);
 }
 
+// Every frame the service thread produces reaches the loop in exactly one
+// post: no per-pass or per-drain bookkeeping closures ride along.
+TEST(Server, ServiceThreadPostsOncePerFrame) {
+  const Workload& w = workload();
+  telem::ScopedEnable telemetry_on;
+  const long long posts0 = loop_posts();
+  ReconfigService served(w.arch, w.trace.fabric_w, w.trace.fabric_h,
+                         replay_service_options());
+  rpc::RpcServerOptions sopts;
+  sopts.auto_drain = false;
+  rpc::RpcServer server(&served, sopts);
+  const int port = server.start();
+  std::vector<RequestResult> results;
+  {
+    rpc::RpcClient admin(client_opts(port, rpc::kAdminTenant));
+    results = wire_replay(admin);
+  }
+  server.stop();
+
+  // wire_replay receives an ACK per priority change and per submit, every
+  // RESULT, and an ACK per DRAIN (one per tick group).
+  long long drains = 0;
+  for (std::size_t i = 0; i < w.trace.events.size(); ++i) {
+    if (i == 0 || w.trace.events[i].tick != w.trace.events[i - 1].tick) {
+      ++drains;
+    }
+  }
+  const auto frames = static_cast<long long>(
+      kPriorities.size() + w.trace.events.size() + results.size());
+  EXPECT_EQ(loop_posts() - posts0, frames + drains);
+}
+
 // --- overload ----------------------------------------------------------------
 
 TEST(Server, OverloadShedsWithTypedResults) {
@@ -406,7 +512,120 @@ TEST(Server, OverloadShedsWithTypedResults) {
   EXPECT_EQ(svc.stats().shed, 4);
 }
 
+// A client that writes without reading: once its outbuf passes the limit
+// the server stops reading it, and every reply still arrives, in order,
+// when the client catches up.
+TEST(Server, SlowReaderPausesReads) {
+  ReconfigService svc(test_arch(), 10, 8, replay_service_options());
+  rpc::RpcServer server(&svc, rpc::RpcServerOptions{});
+  const int port = server.start();
+  const int fd = dial_loopback(port);
+
+  rpc::FrameReader reader;
+  std::string in;
+  constexpr std::uint64_t kNonce = 0x5105;
+  send_all(fd, rpc::encode_frame(rpc::FrameType::kHello, 1,
+                                 rpc::encode_hello({0, kNonce})));
+  const rpc::Frame challenge = recv_frame(fd, reader, in);
+  ASSERT_EQ(challenge.type, rpc::FrameType::kChallenge);
+  const std::uint64_t proof =
+      rpc::auth_proof(rpc::tenant_secret(1, 0), 0, kNonce,
+                      rpc::decode_challenge(challenge.payload).server_nonce);
+  send_all(fd, rpc::encode_frame(rpc::FrameType::kAuth, 1,
+                                 rpc::encode_auth({proof})));
+  ASSERT_EQ(recv_frame(fd, reader, in).type, rpc::FrameType::kAuthOk);
+  constexpr std::uint64_t kHandshakeFrames = 2;
+
+  // Write PING batches and never read, until the server pauses. Each
+  // batch waits until the server has read the previous one: FrameReader
+  // erases every frame from the front of the inbuf, so a deep inbuf
+  // costs the server time quadratic in its depth.
+  constexpr std::uint64_t kBatch = 512;
+  constexpr std::uint64_t kMaxPings = 1'000'000;  // ~22 MB: 5x the limit
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::string out;
+  std::size_t off = 0;
+  std::uint64_t pings = 0;
+  while (server.counters().reads_paused == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "reads never paused after " << pings << " PINGs";
+    if (off < out.size()) {
+      const ssize_t n = ::send(fd, out.data() + off, out.size() - off,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) {
+        off += static_cast<std::size_t>(n);
+        continue;
+      }
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+    } else if (server.counters().frames_in >= kHandshakeFrames + pings) {
+      ASSERT_LT(pings, kMaxPings) << "reads never paused";
+      out.clear();
+      off = 0;
+      for (std::uint64_t i = 0; i < kBatch; ++i) {
+        out += rpc::encode_frame(rpc::FrameType::kPing, ++pings, "");
+      }
+      continue;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+
+  // Catch up: read every PONG in order while the rest of the batch goes
+  // out, which the server reads once its outbuf has drained.
+  std::uint64_t expect = 1;
+  while (expect <= pings) {
+    pollfd p{fd, static_cast<short>(POLLIN | (off < out.size() ? POLLOUT : 0)),
+             0};
+    ASSERT_GT(::poll(&p, 1, 10'000), 0) << "stalled before PONG " << expect;
+    if (p.revents & POLLOUT) {
+      const ssize_t n = ::send(fd, out.data() + off, out.size() - off,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) off += static_cast<std::size_t>(n);
+    }
+    if (p.revents & POLLIN) {
+      char buf[4096];  // small reads keep `in` shallow (see above)
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+      ASSERT_GT(n, 0);
+      in.append(buf, static_cast<std::size_t>(n));
+      rpc::Frame f;
+      while (reader.next(in, f)) {
+        ASSERT_EQ(f.type, rpc::FrameType::kPong);
+        ASSERT_EQ(f.corr, expect);
+        ++expect;
+      }
+    }
+  }
+  ::close(fd);
+  server.stop();
+  EXPECT_GE(server.counters().reads_paused, 1u);
+  EXPECT_EQ(server.counters().frames_in, kHandshakeFrames + pings);
+}
+
 // --- closed-loop load generator ---------------------------------------------
+
+// A peer that accepts TCP but never answers the HELLO: the run's guard
+// ends the loadgen, which reports that no connection came up.
+TEST(Server, LoadGenGuardEndsSilentPeer) {
+  int port = 0;
+  const int listen_fd = listen_loopback(&port);  // never accept()ed
+  rpc::LoadGenOptions lopts;
+  lopts.port = port;
+  lopts.connections = 2;
+  TraceEvent load;
+  load.task_kind = 0;
+  lopts.trace.events = {load, load};
+  lopts.kind_streams = {BitVector()};  // never sent: no handshake completes
+  lopts.timeout_ms = 200;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    (void)rpc::run_loadgen(lopts);
+    ADD_FAILURE() << "expected kNetClosed";
+  } catch (const VbsError& e) {
+    EXPECT_EQ(e.code(), VbsErrc::kNetClosed);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  ::close(listen_fd);
+}
 
 TEST(Server, LoadGenClosedLoopSmoke) {
   const Workload& w = workload();
