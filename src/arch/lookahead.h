@@ -1,7 +1,7 @@
 // Map lookahead for A*: a table of unit-cost lower bounds on the distance
 // from any routing node to any macro port, after the map lookahead of VPR 8
 // (Murray et al., "VTR 8", ACM TRETS 2020). It aims both the global router
-// (route/router.h) and the de-virtualizer (stream version 2).
+// (route/router.h) and the de-virtualizer (vbs/devirtualizer.h).
 //
 // Construction. One breadth-first search per macro port type (4W + L of
 // them) over a full 5 x 5 virtual region, with the target at the centre

@@ -35,19 +35,18 @@ std::uint64_t hash_bool(std::uint64_t h, bool v) {
   return hash_u64(h, v ? 1 : 0);
 }
 
-// Retired flow.meta slots and route/encode fingerprint terms: the values
-// of router and encoder settings that were options once and are constants
-// of route/router.cpp and vbs/encoder.cpp now. Kept here, in their old
-// order, so flow.meta bytes and stage fingerprints do not move. They must
-// equal those constants: changing one there and here moves the stage's
-// fingerprint, so checkpoints made with the old value no longer resume.
-// PathFinder's first-iteration, initial and growth present-congestion
-// factors and its history factor:
-constexpr double kRetiredNegotiation[4] = {0.0, 0.5, 1.8, 1.0};
+// Retired flow.meta slots and route/encode fingerprint terms: router and
+// encoder settings that were options once. Those that are constants now
+// are written and folded from the live constants (router.h, encoder.h),
+// so changing one moves flow.meta and the stage fingerprint, and
+// checkpoints made under the old value no longer resume. The rest hold the
+// value a default run wrote, in their old order: the stall restarts, and
+// the encoder's retired fan-out coding (false) and size fallback (true).
+constexpr double kNegotiation[4] = {kFirstIterPres, kInitialPres, kPresMult,
+                                    kHistFac};
 constexpr int kRetiredStallRestarts = 0;
-constexpr int kRetiredBbMargin = 3;
-constexpr int kRetiredReorderAttempts = 24;
-constexpr std::uint64_t kRetiredEncodeSeed = 0x5eed;
+constexpr bool kRetiredCompactFanout = false;
+constexpr bool kRetiredSizeFallback = true;
 
 }  // namespace
 
@@ -105,25 +104,25 @@ std::uint64_t FlowPipeline::stage_fingerprint(Stage s) const {
     const RouterOptions& r = opts_.route;
     h = hash_u64(h, kRouterHeuristicTag);
     h = hash_u64(h, static_cast<std::uint64_t>(r.max_iterations));
-    for (const double v : kRetiredNegotiation) h = hash_double(h, v);
+    for (const double v : kNegotiation) h = hash_double(h, v);
     h = hash_double(h, r.astar_fac);
     h = hash_u64(h, static_cast<std::uint64_t>(r.stall_abort));
     h = hash_u64(h, static_cast<std::uint64_t>(kRetiredStallRestarts));
     h = hash_bool(h, r.bounded_box);
-    h = hash_u64(h, static_cast<std::uint64_t>(kRetiredBbMargin));
+    h = hash_u64(h, static_cast<std::uint64_t>(kBbMargin));
     h = hash_bool(h, r.incremental_reroute);
     return h;
   }
   h = hash_u64(h, stage_fingerprint(Stage::kRoute));
   const EncodeOptions& e = encode_opts_;
   h = hash_u64(h, static_cast<std::uint64_t>(e.cluster));
-  h = hash_u64(h, static_cast<std::uint64_t>(kRetiredReorderAttempts));
-  h = hash_u64(h, kRetiredEncodeSeed);
+  h = hash_u64(h, static_cast<std::uint64_t>(kReorderAttempts));
+  h = hash_u64(h, kReorderSeed);
   h = hash_u64(h, static_cast<std::uint64_t>(e.decode_iterations));
-  h = hash_bool(h, e.compact_fanout);
+  h = hash_bool(h, kRetiredCompactFanout);
   h = hash_bool(h, e.force_raw);
   h = hash_bool(h, e.no_reorder);
-  h = hash_bool(h, e.size_fallback);
+  h = hash_bool(h, kRetiredSizeFallback);
   return h;
 }
 
@@ -271,10 +270,9 @@ const EncodeStats& FlowPipeline::encode_stats() {
 
 BitVector FlowPipeline::serialize_meta() const {
   // The "retired" slots belonged to removed options: the parallel engines'
-  // thread counts, and router and encoder settings that are now constants
-  // of the module that reads them. They hold the values a default run
-  // wrote, so the layout and a default run's bytes are unchanged;
-  // parse_meta reads and ignores them.
+  // thread counts, and the router and encoder settings named above
+  // kNegotiation. A default run's bytes are unchanged; parse_meta reads
+  // and ignores them.
   BitWriter w;
   put_i32(w, grid_w_);
   put_i32(w, grid_h_);
@@ -289,23 +287,23 @@ BitVector FlowPipeline::serialize_meta() const {
   w.write_bit(opts_.place.incremental_bbox);
   put_i32(w, 0);  // retired: placer thread count
   put_i32(w, opts_.route.max_iterations);
-  for (const double v : kRetiredNegotiation) put_f64(w, v);
+  for (const double v : kNegotiation) put_f64(w, v);
   put_f64(w, opts_.route.astar_fac);
   put_i32(w, opts_.route.stall_abort);
   put_i32(w, kRetiredStallRestarts);
   w.write_bit(opts_.route.bounded_box);
-  put_i32(w, kRetiredBbMargin);
+  put_i32(w, kBbMargin);
   w.write_bit(opts_.route.incremental_reroute);
   put_i32(w, 0);  // retired: router thread count
   put_i32(w, 1);  // retired: router batch size
   put_i32(w, encode_opts_.cluster);
-  put_i32(w, kRetiredReorderAttempts);
-  w.write(kRetiredEncodeSeed, 64);
+  put_i32(w, kReorderAttempts);
+  w.write(kReorderSeed, 64);
   put_i32(w, encode_opts_.decode_iterations);
-  w.write_bit(encode_opts_.compact_fanout);
+  w.write_bit(kRetiredCompactFanout);
   w.write_bit(encode_opts_.force_raw);
   w.write_bit(encode_opts_.no_reorder);
-  w.write_bit(encode_opts_.size_fallback);
+  w.write_bit(kRetiredSizeFallback);
   return w.take();
 }
 
@@ -348,10 +346,10 @@ MetaContents parse_meta(const BitVector& bits) {
   get_i32(r);  // retired: encoder reorder attempts
   r.read(64);  // retired: encoder shuffle seed
   m.eopts.decode_iterations = get_i32(r);
-  m.eopts.compact_fanout = r.read_bit();
+  r.read_bit();  // retired: fan-out coding
   m.eopts.force_raw = r.read_bit();
   m.eopts.no_reorder = r.read_bit();
-  m.eopts.size_fallback = r.read_bit();
+  r.read_bit();  // retired: size fallback
   if (!r.at_end()) throw ArtifactError("flow.meta: trailing bits");
   return m;
 }

@@ -138,19 +138,6 @@ void PathfinderRouter::seed_routes(const std::vector<NetRoute>& prior) {
 
 namespace {
 
-// PathFinder's negotiation schedule (McMurchie & Ebeling): the present-
-// congestion factor is free on the first iteration, kInitialPres on the
-// second and grows by kPresMult per iteration after that; every overused
-// node's history cost grows by kHistFac per excess occupant. flow.meta and
-// the route stage's fingerprint (flow/pipeline.cpp) record these values and
-// kBbMargin: a change here must change them there too.
-constexpr double kFirstIterPres = 0.0;
-constexpr double kInitialPres = 0.5;
-constexpr double kPresMult = 1.8;
-constexpr double kHistFac = 1.0;
-/// Tiles added on every side of a connection's bounding box.
-constexpr int kBbMargin = 3;
-
 inline double congestion_cost(double hist, double pres_fac, int occ) {
   return (1.0 + hist) * (1.0 + pres_fac * occ);
 }

@@ -71,6 +71,19 @@ struct NetRoute {
 /// under an earlier estimate are never resumed as if this router made them.
 inline constexpr std::uint64_t kRouterHeuristicTag = 2;
 
+// PathFinder's negotiation schedule (McMurchie & Ebeling): the present-
+// congestion factor is free on the first iteration, kInitialPres on the
+// second and grows by kPresMult per iteration after that; every overused
+// node's history cost grows by kHistFac per excess occupant. flow.meta and
+// the route stage's fingerprint (flow/pipeline.cpp) record these values and
+// kBbMargin, so changing one moves every route checkpoint.
+inline constexpr double kFirstIterPres = 0.0;
+inline constexpr double kInitialPres = 0.5;
+inline constexpr double kPresMult = 1.8;
+inline constexpr double kHistFac = 1.0;
+/// Tiles added on every side of a connection's bounding box.
+inline constexpr int kBbMargin = 3;
+
 struct RouterOptions {
   int max_iterations = 50;
   /// Weight of the Manhattan term added to the admissible lookahead bound
@@ -92,9 +105,9 @@ struct RouterOptions {
   int stall_abort = 0;
   /// Restrict each connection's expansion (and its tree seeds) to the box
   /// around the sink and the nearest point of the current route tree,
-  /// grown by 3 tiles (default on). A failing connection automatically
-  /// retries with the whole terminal box and then unbounded, so this is a
-  /// pure pruning optimization, never a routability change.
+  /// grown by kBbMargin tiles (default on). A failing connection
+  /// automatically retries with the whole terminal box and then unbounded,
+  /// so this is a pure pruning optimization, never a routability change.
   bool bounded_box = true;
   /// On reroute iterations, keep the legal part of a congested net's tree
   /// and reroute only the connections whose path crosses an overused node,

@@ -16,7 +16,7 @@ void BitWriter::write(std::uint64_t value, unsigned nbits) {
 std::uint64_t BitReader::read(unsigned nbits) {
   if (nbits == 0) return 0;
   if (nbits > remaining()) {
-    throw BitstreamError("bit-stream truncated: read past end");
+    throw VbsError(VbsErrc::kTruncated, "bit-stream truncated: read past end");
   }
   const std::uint64_t v = bits_->get_bits(pos_, nbits);
   pos_ += nbits;
@@ -25,7 +25,7 @@ std::uint64_t BitReader::read(unsigned nbits) {
 
 bool BitReader::read_bit() {
   if (pos_ >= bits_->size()) {
-    throw BitstreamError("bit-stream truncated: read past end");
+    throw VbsError(VbsErrc::kTruncated, "bit-stream truncated: read past end");
   }
   return bits_->get(pos_++);
 }
@@ -34,7 +34,7 @@ BitVector BitReader::read_vector(std::size_t nbits) {
   // Against remaining(), not pos_ + nbits: a declared length near SIZE_MAX
   // would wrap the sum and move the reader backwards.
   if (nbits > remaining()) {
-    throw BitstreamError("bit-stream truncated: read past end");
+    throw VbsError(VbsErrc::kTruncated, "bit-stream truncated: read past end");
   }
   BitVector out = bits_->slice(pos_, pos_ + nbits);
   pos_ += nbits;

@@ -7,23 +7,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "util/bitvector.h"
 #include "util/error.h"
 
 namespace vbs {
-
-/// Thrown on any malformed Virtual Bit-Stream: BitReader throws it with
-/// the default kTruncated code on a read past the end of the stream, and
-/// the format layer (vbs/vbs_format.cpp) throws it with a specific
-/// VbsErrc for every structural rejection.
-class BitstreamError : public VbsError {
- public:
-  explicit BitstreamError(const std::string& what,
-                          VbsErrc code = VbsErrc::kTruncated)
-      : VbsError(code, what) {}
-};
 
 class BitWriter {
  public:
@@ -45,6 +33,7 @@ class BitWriter {
   BitVector bits_;
 };
 
+/// Throws VbsError{kTruncated} on a read past the end of the stream.
 class BitReader {
  public:
   explicit BitReader(const BitVector& bits) : bits_(&bits) {}

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "arch/lookahead.h"
@@ -12,53 +10,6 @@
 #include "util/telemetry.h"
 
 namespace vbs {
-
-namespace {
-
-/// Version 1: Manhattan tile distance times the cheapest tile crossing.
-class ManhattanHeuristic {
- public:
-  explicit ManhattanHeuristic(const RegionModel& rm)
-      : rm_(rm),
-        scale_(std::min(rm.spec().pins_on_x(), rm.spec().pins_on_y()) + 1) {}
-  void aim(int target) { tp_ = rm_.node_tile(target); }
-  float operator()(int v) const {
-    const Point p = rm_.node_tile(v);
-    return static_cast<float>(scale_ *
-                              (std::abs(p.x - tp_.x) + std::abs(p.y - tp_.y)));
-  }
-
- private:
-  const RegionModel& rm_;
-  int scale_;
-  Point tp_{};
-};
-
-/// Version 2: the architecture's lookahead table.
-class LookaheadHeuristic {
- public:
-  LookaheadHeuristic(const RegionModel& rm, const Lookahead& la)
-      : rm_(rm), la_(la) {}
-  void aim(int target) {
-    tp_ = rm_.node_tile(target);
-    // Targets are region ports, so their node carries a macro port.
-    port_ = rm_.macro().node_port(rm_.node_local(target));
-    assert(port_ >= 0);
-  }
-  float operator()(int v) const {
-    const Point p = rm_.node_tile(v);
-    return static_cast<float>(
-        la_.bound(port_, rm_.node_local(v), p.x - tp_.x, p.y - tp_.y));
-  }
-
- private:
-  const RegionModel& rm_;
-  const Lookahead& la_;
-  Point tp_{};
-  int port_ = 0;
-};
-
-}  // namespace
 
 DecodeStats& DecodeStats::operator+=(const DecodeStats& o) {
   pairs_routed += o.pairs_routed;
@@ -70,13 +21,8 @@ DecodeStats& DecodeStats::operator+=(const DecodeStats& o) {
   return *this;
 }
 
-Devirtualizer::Devirtualizer(const RegionModel& region, unsigned version)
-    : region_(&region) {
-  if (version == kVbsVersionLookahead) {
-    lookahead_ = Lookahead::of(region.spec());
-  } else if (version != kVbsVersionManhattan) {
-    throw std::invalid_argument("Devirtualizer: unknown stream version");
-  }
+Devirtualizer::Devirtualizer(const RegionModel& region)
+    : region_(&region), lookahead_(Lookahead::of(region.spec())) {
   const auto n = static_cast<std::size_t>(region.num_nodes());
   occ_.assign(n, 0);
   hist_.assign(n, 0.0f);
@@ -99,10 +45,9 @@ void Devirtualizer::add_to_tree(Group& g, std::int32_t node,
   ++occ_[static_cast<std::size_t>(node)];
 }
 
-template <class Heuristic>
-bool Devirtualizer::route_group_with(Group& g, double pres_fac,
-                                     Heuristic heur) {
+bool Devirtualizer::route_group(Group& g, double pres_fac) {
   const RegionModel& rm = *region_;
+  const Lookahead& la = *lookahead_;
   g.tree.clear();
   bump_epoch(tree_epoch_, kEpochWrapMetric, {&tree_stamp_});
   add_to_tree(g, g.source_node, -1);
@@ -117,7 +62,16 @@ bool Devirtualizer::route_group_with(Group& g, double pres_fac,
         });
     heap_.clear();
     ++counts_.searches;
-    heur.aim(target);
+    // The estimate: the lookahead bound from a node to the target's port.
+    // Targets are region ports, so their node carries a macro port.
+    const Point tp = rm.node_tile(target);
+    const int tport = rm.macro().node_port(rm.node_local(target));
+    assert(tport >= 0);
+    const auto heur = [&rm, &la, tp, tport](int v) {
+      const Point p = rm.node_tile(v);
+      return static_cast<float>(
+          la.bound(tport, rm.node_local(v), p.x - tp.x, p.y - tp.y));
+    };
     for (const TreeNode& tn : g.tree) {
       visit_[static_cast<std::size_t>(tn.node)] = {epoch, 0.0f, -1, -1};
       heap_.push(heur(tn.node), 0.0f, tn.node);
@@ -162,14 +116,6 @@ bool Devirtualizer::route_group_with(Group& g, double pres_fac,
     }
   }
   return true;
-}
-
-bool Devirtualizer::route_group(Group& g, double pres_fac) {
-  if (lookahead_) {
-    return route_group_with(g, pres_fac,
-                            LookaheadHeuristic(*region_, *lookahead_));
-  }
-  return route_group_with(g, pres_fac, ManhattanHeuristic(*region_));
 }
 
 void Devirtualizer::rip_up(Group& g) {
@@ -349,8 +295,7 @@ RegionDecoderCache::Slot& RegionDecoderCache::slot_for(const VbsImage& header,
       std::find_if(slots_.begin(), slots_.end(), [&](const auto& s) {
         const RegionModel& rm = *s->region;
         return rm.cluster() == header.cluster && rm.extent_w() == w &&
-               rm.extent_h() == h && s->version == header.version &&
-               rm.spec() == header.spec;
+               rm.extent_h() == h && rm.spec() == header.spec;
       });
   if (hit != slots_.end()) {
     std::rotate(slots_.begin(), hit, hit + 1);
@@ -358,11 +303,11 @@ RegionDecoderCache::Slot& RegionDecoderCache::slot_for(const VbsImage& header,
   }
   auto region =
       std::make_unique<RegionModel>(header.spec, header.cluster, w, h);
-  auto decoder = std::make_unique<Devirtualizer>(*region, header.version);
+  auto decoder = std::make_unique<Devirtualizer>(*region);
   const std::size_t bytes = region->bytes() + decoder->state_bytes();
   slots_.insert(slots_.begin(),
-                std::make_unique<Slot>(Slot{header.version, std::move(region),
-                                            std::move(decoder), bytes}));
+                std::make_unique<Slot>(
+                    Slot{std::move(region), std::move(decoder), bytes}));
   while (slots_.size() > 1 &&
          (slots_.size() > kMaxShapes || retained_bytes() > kMaxBytes)) {
     slots_.pop_back();
@@ -379,15 +324,8 @@ std::size_t RegionDecoderCache::retained_bytes() const {
     // Count each architecture's shared macro model and lookahead table
     // at the first (most recent) shape that holds them.
     auto same_arch = [&](const auto& o) { return o->region->spec() == spec; };
-    auto same_table = [&](const auto& o) {
-      return o->version == kVbsVersionLookahead && same_arch(o);
-    };
     if (std::none_of(slots_.begin(), it, same_arch)) {
-      bytes += s.region->macro().bytes();
-    }
-    if (s.version == kVbsVersionLookahead &&
-        std::none_of(slots_.begin(), it, same_table)) {
-      bytes += Lookahead::table_bytes(spec);
+      bytes += s.region->macro().bytes() + Lookahead::table_bytes(spec);
     }
   }
   return bytes;

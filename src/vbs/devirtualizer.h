@@ -19,16 +19,12 @@
 // is guaranteed to decode online (paper Section III-B). That makes this A*
 // the hot loop of both the designer's compile and a tenant's cold load.
 //
-// Heuristic: the one thing the stream version selects (vbs_format.h).
-// Version 1 estimates the remaining cost as the Manhattan tile distance
-// times (min(pins_on_x, pins_on_y) + 1); it is 0 inside a single tile, so
-// every version-1 search at c = 1 is plain Dijkstra. Version 2 reads the
-// lookahead table (arch/lookahead.h), a far tighter unit-cost lower bound.
-// Both are admissible, so both find a cheapest path, but they break ties
-// between equally cheap paths differently and therefore decode different
-// switches: a stream must be decoded with the heuristic the encoder
-// validated it with. The search kernel is one template, instantiated once
-// per heuristic.
+// Heuristic: A* estimates the remaining cost from the architecture's
+// lookahead table (arch/lookahead.h), a unit-cost lower bound from any
+// node to the target's port. It is admissible, so every search finds a
+// cheapest path, but which of several equally cheap paths it takes, and
+// so which switches a stream decodes to, depends on the heuristic: this is
+// the decoder contract that the stream's version 2 names (vbs_format.h).
 //
 // Search queue: the shared SearchHeap (util/search_heap.h), one per
 // decoder, reused for every target. Entries pack key = bit_cast<u32>(est)
@@ -81,11 +77,8 @@ class Lookahead;
 /// thread-safe (use one instance per decode thread).
 class Devirtualizer {
  public:
-  /// Decodes under the contract of stream `version` (kVbsVersion*; throws
-  /// std::invalid_argument for any other value). Version 2 shares the
-  /// process-wide lookahead table of the region's architecture.
-  explicit Devirtualizer(const RegionModel& region,
-                         unsigned version = kVbsVersionManhattan);
+  /// Shares the process-wide lookahead table of the region's architecture.
+  explicit Devirtualizer(const RegionModel& region);
 
   /// Decodes one connection-list entry into the region's routing payload
   /// (c^2 * (Nraw-NLB) bits, region row-major). Returns false if no valid
@@ -138,13 +131,10 @@ class Devirtualizer {
   bool decode(const VbsEntry& entry, BitVector& routing_out,
               DecodeStats& stats);
   bool route_group(Group& g, double pres_fac);
-  template <class Heuristic>
-  bool route_group_with(Group& g, double pres_fac, Heuristic heur);
   void rip_up(Group& g);
   void add_to_tree(Group& g, std::int32_t node, std::int32_t switch_bit);
 
   const RegionModel* region_;
-  /// Version 2's table; null under version 1.
   std::shared_ptr<const Lookahead> lookahead_;
   int max_iterations_ = 24;
   std::vector<Group> groups_;
@@ -168,11 +158,10 @@ class Devirtualizer {
 };
 
 /// The region models and decoders of the region shapes decodes meet, keyed
-/// by (architecture, cluster size c, extent, stream version). A task has
+/// by (architecture, cluster size c, extent). A task has
 /// the full c x c shape plus up to three partial extents when its size is
 /// not a multiple of c. The encoder's feedback loop, decode_stream and the
-/// service's batch decode all decode through this class, so the decode
-/// contract is chosen here, from the image header, and nowhere else.
+/// service's batch decode all decode through this class.
 ///
 /// Lifetime. A cache is not thread-safe: one per decoding thread. A
 /// one-image decode_stream (devirtualize_image, and the run-time
@@ -199,19 +188,18 @@ class RegionDecoderCache {
 
   /// Extent of the cluster at cluster-grid position (cx, cy) of `header`.
   static std::pair<int, int> extent_of(const VbsImage& header, int cx, int cy);
-  /// Reads only the header fields of `header` (spec, cluster, task size,
-  /// version); throws VbsError{kBadEntry} for a position outside the task.
+  /// Reads only the header fields of `header` (spec, cluster, task size);
+  /// throws VbsError{kBadEntry} for a position outside the task.
   const RegionModel& region_for(const VbsImage& header, int cx, int cy);
   Devirtualizer& decoder_for(const VbsImage& header, const VbsEntry& entry);
 
   /// Bytes the retained shapes keep alive: each region model and its
   /// decoder's search state, plus once per architecture the macro model
-  /// and, under version 2, the lookahead table its shapes share.
+  /// and the lookahead table its shapes share.
   std::size_t retained_bytes() const;
 
  private:
   struct Slot {
-    unsigned version;
     std::unique_ptr<RegionModel> region;
     std::unique_ptr<Devirtualizer> decoder;
     std::size_t bytes;  ///< region and decoder state, without shared tables

@@ -14,13 +14,6 @@ namespace vbs {
 
 namespace {
 
-/// Seeded shuffles the feedback loop tries after the two deterministic
-/// orders fail, and the seed of their RNG. flow.meta and the encode stage's
-/// fingerprint (flow/pipeline.cpp) record both: a change here must change
-/// them there too.
-constexpr int kReorderAttempts = 24;
-constexpr std::uint64_t kReorderSeed = 0x5eed;
-
 /// Maps a macro-level port of region macro (ux,uy) to the region port id.
 int region_port_of(const RegionModel& rm, int ux, int uy, int macro_port) {
   const int w = rm.spec().chan_width;
@@ -44,52 +37,6 @@ struct Component {
   int in_depth = 1 << 30;
   std::vector<std::pair<int, int>> outs;  // (depth, port)
 };
-
-/// Re-groups a connection list so all pairs sharing an `in` are contiguous
-/// (first-appearance order), as compact fan-out coding requires.
-/// Single-pass stable bucketing: each `in` gets a bucket at its first
-/// appearance, O(n + max_in) instead of the quadratic scan-per-group.
-void regroup_by_in(std::vector<VbsConnection>& conns) {
-  if (conns.empty()) return;
-  std::uint16_t max_in = 0;
-  for (const VbsConnection& c : conns) max_in = std::max(max_in, c.in);
-  // Bucket ids in first-appearance order, then count -> prefix-sum ->
-  // scatter into one pre-sized buffer (no per-bucket allocations).
-  std::vector<std::int32_t> bucket_of(static_cast<std::size_t>(max_in) + 1, -1);
-  std::int32_t n_buckets = 0;
-  for (const VbsConnection& c : conns) {
-    if (bucket_of[c.in] < 0) bucket_of[c.in] = n_buckets++;
-  }
-  std::vector<std::uint32_t> offset(static_cast<std::size_t>(n_buckets) + 1, 0);
-  for (const VbsConnection& c : conns) {
-    ++offset[static_cast<std::size_t>(bucket_of[c.in]) + 1];
-  }
-  for (std::size_t b = 1; b < offset.size(); ++b) offset[b] += offset[b - 1];
-  std::vector<VbsConnection> out(conns.size());
-  for (const VbsConnection& c : conns) {
-    out[offset[static_cast<std::size_t>(bucket_of[c.in])]++] = c;
-  }
-  conns = std::move(out);
-}
-
-/// Grouping-preserving shuffle: permutes whole signals and the outs within
-/// each signal.
-void shuffle_grouped(std::vector<VbsConnection>& conns, Rng& rng) {
-  regroup_by_in(conns);
-  std::vector<std::vector<VbsConnection>> groups;
-  for (const VbsConnection& c : conns) {
-    if (groups.empty() || groups.back().front().in != c.in) {
-      groups.emplace_back();
-    }
-    groups.back().push_back(c);
-  }
-  rng.shuffle(groups);
-  conns.clear();
-  for (auto& g : groups) {
-    rng.shuffle(g);
-    conns.insert(conns.end(), g.begin(), g.end());
-  }
-}
 
 /// Small union-find keyed by route-tree node index.
 class TreeDsu {
@@ -130,8 +77,6 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
   img.task_w = fabric.width();
   img.task_h = fabric.height();
   img.cluster = c;
-  img.compact_fanout = opts.compact_fanout;
-  img.version = kVbsVersionLookahead;
   const int cw = img.cluster_grid_w();
   const int ch = img.cluster_grid_h();
   const int n_clusters = cw * ch;
@@ -289,29 +234,17 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
 
       auto make_raw = [&](int* counter) {
         e.raw = true;
-        e.compact = false;
         e.conns.clear();
         e.raw_routing = cluster_raw_routing(cx, cy);
         if (counter) ++(*counter);
       };
 
-      // Per-entry coding choice: Table I pair list vs compact fan-out
-      // coding (when enabled), whichever is smaller.
-      const std::size_t plain_bits = rc_bits + e.conns.size() * 2 * m_bits;
-      std::size_t list_bits = plain_bits;
-      if (opts.compact_fanout && !e.conns.empty()) {
-        const std::size_t compact_bits =
-            1 + rc_bits + fanout_groups(e.conns).size() * (m_bits + rc_bits) +
-            e.conns.size() * m_bits;
-        e.compact = compact_bits < 1 + plain_bits;
-        list_bits = std::min(compact_bits, 1 + plain_bits);
-      }
+      const std::size_t list_bits = rc_bits + e.conns.size() * 2 * m_bits;
       if (opts.force_raw) {
         make_raw(nullptr);
       } else if (e.conns.size() > max_conns) {
         make_raw(&st.overflow_fallbacks);
-      } else if (opts.size_fallback &&
-                 list_bits >= static_cast<std::size_t>(c) * c * rbits) {
+      } else if (list_bits >= static_cast<std::size_t>(c) * c * rbits) {
         make_raw(&st.size_fallbacks);
       } else {
         // Feedback loop: decode offline with the online algorithm.
@@ -330,11 +263,8 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
                                });
             } else if (attempt == 1) {
               std::reverse(order.begin(), order.end());
-              if (opts.compact_fanout) regroup_by_in(order);
-            } else if (!opts.compact_fanout) {
-              rng.shuffle(order);
             } else {
-              shuffle_grouped(order, rng);
+              rng.shuffle(order);
             }
             e.conns = order;
             ok = dv.decode_entry(e, scratch);

@@ -5,12 +5,13 @@
 //      region, each connected piece becomes one signal described by
 //      (in, out*) port pairs — `in` being the terminal nearest the driver;
 //   2. the online de-virtualization algorithm is run offline as a feedback
-//      loop; if the greedy decode fails for the emitted order, the
-//      connection list is re-ordered (two deterministic heuristics, then 24
-//      shuffles from a fixed seed);
-//   3. if no feasible order is found — or the coded list is no smaller —
-//      the region falls back to raw coding, which keeps the stream always
-//      decodable and never larger than necessary.
+//      loop; if the decode fails for the emitted order, the connection list
+//      is re-ordered: sorted by (in, out), then that order reversed, then
+//      kReorderAttempts shuffles from an RNG seeded with kReorderSeed;
+//   3. if no feasible order is found — or the Table I pair list is no
+//      smaller than the region's raw switch bits — the region falls back
+//      to raw coding, which keeps the stream always decodable and never
+//      larger than necessary.
 #pragma once
 
 #include <cstdint>
@@ -24,20 +25,21 @@
 
 namespace vbs {
 
+/// Seeded shuffles the feedback loop tries after the two deterministic
+/// orders fail, and the seed of their RNG. flow.meta and the encode stage's
+/// fingerprint (flow/pipeline.cpp) record both, so changing one moves
+/// every encode checkpoint.
+inline constexpr int kReorderAttempts = 24;
+inline constexpr std::uint64_t kReorderSeed = 0x5eed;
+
 struct EncodeOptions {
   int cluster = 1;
   /// Negotiation budget of the decode feedback loop; 1 = pure greedy
   /// decoding (the decoder must then use the same budget online).
   int decode_iterations = 24;
-  /// Fan-out-compact connection coding (the "smarter coding" extension of
-  /// paper Section V): each signal's `in` port is stored once with an
-  /// out-list instead of once per connection. Re-ordering then permutes
-  /// whole signals (and outs within a signal) to keep the stream groupable.
-  bool compact_fanout = false;
   /// Ablation switches (the feedback-loop ablation of tools/vbspaper):
-  bool force_raw = false;      ///< code every region raw (no virtualization)
-  bool no_reorder = false;     ///< first-order-only feedback, raw on failure
-  bool size_fallback = true;   ///< raw when the list coding is not smaller
+  bool force_raw = false;   ///< code every region raw (no virtualization)
+  bool no_reorder = false;  ///< first-order-only feedback, raw on failure
 };
 
 struct EncodeStats {
@@ -59,8 +61,8 @@ struct EncodeStats {
 };
 
 /// Encodes a routed design whose task footprint is the whole `fabric`.
-/// The returned image is format version 2 (the feedback loop validates it
-/// with the lookahead decoder) and decodes (devirtualize_image) at any
+/// The returned image is validated by the feedback loop with the decoder
+/// that reads it (vbs_format.h) and decodes (devirtualize_image) at any
 /// origin of any compatible fabric. Throws std::logic_error on malformed route trees.
 /// `stats`, when given, is overwritten with this call's counts. With
 /// telemetry on, each call also adds vbs.encode.entries, .raw_entries,

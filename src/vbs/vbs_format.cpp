@@ -1,7 +1,6 @@
 #include "vbs/vbs_format.h"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 #include "arch/lookahead.h"
@@ -44,24 +43,6 @@ FieldWidths widths_of(const VbsImage& img) {
 
 }  // namespace
 
-std::vector<std::size_t> fanout_groups(
-    const std::vector<VbsConnection>& conns) {
-  std::vector<std::size_t> runs;
-  std::set<std::uint16_t> seen;
-  for (std::size_t i = 0; i < conns.size(); ++i) {
-    if (i > 0 && conns[i].in == conns[i - 1].in) {
-      ++runs.back();
-      continue;
-    }
-    if (!seen.insert(conns[i].in).second) {
-      throw std::invalid_argument(
-          "fanout_groups: connection list is not grouped by `in`");
-    }
-    runs.push_back(1);
-  }
-  return runs;
-}
-
 std::size_t raw_size_bits(const ArchSpec& spec, int task_w, int task_h) {
   return static_cast<std::size_t>(task_w) * static_cast<std::size_t>(task_h) *
          static_cast<std::size_t>(spec.nraw_bits());
@@ -70,16 +51,12 @@ std::size_t raw_size_bits(const ArchSpec& spec, int task_w, int task_h) {
 BitVector serialize_vbs(const VbsImage& img) {
   const FieldWidths fw = widths_of(img);
   const int c = img.cluster;
-  if (img.version != kVbsVersionManhattan &&
-      img.version != kVbsVersionLookahead) {
-    throw std::invalid_argument("serialize_vbs: unknown format version");
-  }
   BitWriter w;
-  w.write(img.version, 4);
+  w.write(kVbsVersion, 4);
   w.write(static_cast<std::uint64_t>(img.spec.chan_width), 8);
   w.write(static_cast<std::uint64_t>(img.spec.lut_k), 4);
   w.write(static_cast<std::uint64_t>(img.spec.sb_pattern), 2);
-  w.write_bit(img.compact_fanout);
+  w.write_bit(false);  // compact: always 0
   w.write(static_cast<std::uint64_t>(c), 6);
   w.write(fw.dim, 6);
   w.write(static_cast<std::uint64_t>(img.task_w), fw.dim);
@@ -116,43 +93,14 @@ BitVector serialize_vbs(const VbsImage& img) {
       w.write_vector(e.raw_routing);
       continue;
     }
-    if (img.compact_fanout) w.write_bit(e.compact);
-    if (!e.compact) {
-      // Table I coding: (in, out) per connection.
-      if (e.conns.size() >= (std::uint64_t{1} << fw.route)) {
-        throw std::invalid_argument(
-            "serialize_vbs: connection list exceeds route-count field");
-      }
-      w.write(e.conns.size(), fw.route);
-      for (const VbsConnection& conn : e.conns) {
-        w.write(conn.in, fw.port);
-        w.write(conn.out, fw.port);
-      }
-    } else {
-      if (!img.compact_fanout) {
-        throw std::invalid_argument(
-            "serialize_vbs: compact entry in a non-compact stream");
-      }
-      // Fan-out coding: runs of pairs sharing an `in` become one record.
-      const auto groups = fanout_groups(e.conns);
-      if (groups.size() >= (std::uint64_t{1} << fw.route)) {
-        throw std::invalid_argument(
-            "serialize_vbs: group list exceeds route-count field");
-      }
-      w.write(groups.size(), fw.route);
-      std::size_t cursor = 0;
-      for (const std::size_t len : groups) {
-        w.write(e.conns[cursor].in, fw.port);
-        if (len >= (std::uint64_t{1} << fw.route)) {
-          throw std::invalid_argument(
-              "serialize_vbs: fan-out exceeds count field");
-        }
-        w.write(len, fw.route);
-        for (std::size_t k = 0; k < len; ++k) {
-          w.write(e.conns[cursor + k].out, fw.port);
-        }
-        cursor += len;
-      }
+    if (e.conns.size() >= (std::uint64_t{1} << fw.route)) {
+      throw std::invalid_argument(
+          "serialize_vbs: connection list exceeds route-count field");
+    }
+    w.write(e.conns.size(), fw.route);
+    for (const VbsConnection& conn : e.conns) {
+      w.write(conn.in, fw.port);
+      w.write(conn.out, fw.port);
     }
   }
   return w.take();
@@ -176,54 +124,45 @@ std::size_t vbs_size_bits(const VbsImage& img) {
       bits += static_cast<std::size_t>(c) * c * fw.route_bits;
       continue;
     }
-    if (img.compact_fanout) bits += 1;  // per-entry coding-select bit
-    if (!e.compact) {
-      bits += fw.route + e.conns.size() * 2 * fw.port;
-    } else {
-      const std::size_t groups = fanout_groups(e.conns).size();
-      bits += fw.route + groups * (fw.port + fw.route) +
-              e.conns.size() * fw.port;
-    }
+    bits += fw.route + e.conns.size() * 2 * fw.port;
   }
   return bits;
 }
 
 VbsImage deserialize_vbs(const BitVector& bits) {
   BitReader r(bits);
-  const auto version = static_cast<unsigned>(r.read(4));
-  if (version != kVbsVersionManhattan && version != kVbsVersionLookahead) {
-    throw BitstreamError("VBS: unsupported format version",
-                         VbsErrc::kBadVersion);
+  if (r.read(4) != kVbsVersion) {
+    throw VbsError(VbsErrc::kBadVersion, "VBS: unsupported format version");
   }
   VbsImage img;
-  img.version = version;
   img.spec.chan_width = static_cast<int>(r.read(8));
   img.spec.lut_k = static_cast<int>(r.read(4));
   const auto pattern = r.read(2);
   if (pattern > 1) {
-    throw BitstreamError("VBS: unknown switch-box pattern",
-                         VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: unknown switch-box pattern");
   }
   img.spec.sb_pattern = static_cast<SbPattern>(pattern);
-  img.compact_fanout = r.read_bit();
+  if (r.read_bit()) {
+    throw VbsError(VbsErrc::kBadHeader, "VBS: compact coding bit set");
+  }
   try {
     img.spec.validate();
   } catch (const std::exception& ex) {
-    throw BitstreamError(std::string("VBS: bad architecture: ") + ex.what(),
-                         VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader,
+                   std::string("VBS: bad architecture: ") + ex.what());
   }
   img.cluster = static_cast<int>(r.read(6));
   if (img.cluster < 1) {
-    throw BitstreamError("VBS: bad cluster size", VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: bad cluster size");
   }
   const unsigned dim = static_cast<unsigned>(r.read(6));
   if (dim == 0 || dim > 16) {
-    throw BitstreamError("VBS: bad dimension width", VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: bad dimension width");
   }
   img.task_w = static_cast<int>(r.read(dim));
   img.task_h = static_cast<int>(r.read(dim));
   if (img.task_w < 1 || img.task_h < 1) {
-    throw BitstreamError("VBS: bad task dimensions", VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: bad task dimensions");
   }
   // Resource guards: a well-formed header may still describe a task whose
   // decode-time footprint (region models, per-entry raw payloads) would be
@@ -232,32 +171,30 @@ VbsImage deserialize_vbs(const BitVector& bits) {
   // fabrics (or this repo's encoder) produce.
   if (static_cast<std::uint64_t>(img.task_w) * img.task_h >
       kMaxTaskMacros) {
-    throw BitstreamError("VBS: task area exceeds resource limit",
-                         VbsErrc::kResourceLimit);
+    throw VbsError(VbsErrc::kResourceLimit,
+                   "VBS: task area exceeds resource limit");
   }
   if (static_cast<std::uint64_t>(img.cluster) * img.cluster *
           static_cast<std::uint64_t>(img.spec.nraw_bits()) >
       kMaxEntryConfigBits) {
-    throw BitstreamError("VBS: per-entry region exceeds resource limit",
-                         VbsErrc::kResourceLimit);
+    throw VbsError(VbsErrc::kResourceLimit,
+                   "VBS: per-entry region exceeds resource limit");
   }
-  if (img.version == kVbsVersionLookahead &&
-      Lookahead::table_bytes(img.spec) > kMaxLookaheadBytes) {
-    throw BitstreamError("VBS: lookahead table exceeds resource limit",
-                         VbsErrc::kResourceLimit);
+  if (Lookahead::table_bytes(img.spec) > kMaxLookaheadBytes) {
+    throw VbsError(VbsErrc::kResourceLimit,
+                   "VBS: lookahead table exceeds resource limit");
   }
   const FieldWidths fw = widths_of(img);
   if (fw.dim != dim) {
-    throw BitstreamError("VBS: inconsistent dimension width",
-                         VbsErrc::kBadHeader);
+    throw VbsError(VbsErrc::kBadHeader, "VBS: inconsistent dimension width");
   }
   const auto n_entries = r.read(fw.entry);
   const int c = img.cluster;
   const std::uint64_t grid_cells =
       static_cast<std::uint64_t>(img.cluster_grid_w()) * img.cluster_grid_h();
   if (n_entries > grid_cells) {
-    throw BitstreamError("VBS: more entries than cluster positions",
-                         VbsErrc::kBadEntry);
+    throw VbsError(VbsErrc::kBadEntry,
+                   "VBS: more entries than cluster positions");
   }
   std::vector<bool> seen_pos(static_cast<std::size_t>(grid_cells), false);
 
@@ -267,14 +204,12 @@ VbsImage deserialize_vbs(const BitVector& bits) {
     e.cx = static_cast<std::uint16_t>(r.read(fw.dim));
     e.cy = static_cast<std::uint16_t>(r.read(fw.dim));
     if (e.cx >= img.cluster_grid_w() || e.cy >= img.cluster_grid_h()) {
-      throw BitstreamError("VBS: entry position out of range",
-                           VbsErrc::kBadEntry);
+      throw VbsError(VbsErrc::kBadEntry, "VBS: entry position out of range");
     }
     const std::size_t pos =
         static_cast<std::size_t>(e.cy) * img.cluster_grid_w() + e.cx;
     if (seen_pos[pos]) {
-      throw BitstreamError("VBS: duplicate entry position",
-                           VbsErrc::kBadEntry);
+      throw VbsError(VbsErrc::kBadEntry, "VBS: duplicate entry position");
     }
     seen_pos[pos] = true;
     e.logic.resize(static_cast<std::size_t>(c) * c);
@@ -300,64 +235,34 @@ VbsImage deserialize_vbs(const BitVector& bits) {
           static_cast<std::uint64_t>(c) * c * img.spec.lb_pins();
       auto checked = [&](std::uint64_t v) {
         if (v >= max_port) {
-          throw BitstreamError("VBS: connection endpoint out of range",
-                               VbsErrc::kBadConnection);
+          throw VbsError(VbsErrc::kBadConnection,
+                         "VBS: connection endpoint out of range");
         }
         return static_cast<std::uint16_t>(v);
       };
-      e.compact = img.compact_fanout ? r.read_bit() : false;
-      if (!e.compact) {
-        const auto n_conns = r.read(fw.route);
-        // Each connection claims a distinct output port, so any valid list
-        // has at most num_ports entries; rejecting larger counts up front
-        // also bounds the reserve below by the region size.
-        if (n_conns > max_port) {
-          throw BitstreamError("VBS: connection count exceeds region ports",
-                               VbsErrc::kBadConnection);
+      const auto n_conns = r.read(fw.route);
+      // Each connection claims a distinct output port, so any valid list
+      // has at most num_ports entries; rejecting larger counts up front
+      // also bounds the reserve below by the region size.
+      if (n_conns > max_port) {
+        throw VbsError(VbsErrc::kBadConnection,
+                       "VBS: connection count exceeds region ports");
+      }
+      e.conns.reserve(static_cast<std::size_t>(n_conns));
+      for (std::uint64_t k = 0; k < n_conns; ++k) {
+        VbsConnection conn;
+        conn.in = checked(r.read(fw.port));
+        conn.out = checked(r.read(fw.port));
+        if (conn.in == conn.out) {
+          throw VbsError(VbsErrc::kBadConnection, "VBS: connection to itself");
         }
-        e.conns.reserve(static_cast<std::size_t>(n_conns));
-        for (std::uint64_t k = 0; k < n_conns; ++k) {
-          VbsConnection conn;
-          conn.in = checked(r.read(fw.port));
-          conn.out = checked(r.read(fw.port));
-          if (conn.in == conn.out) {
-            throw BitstreamError("VBS: connection to itself",
-                                 VbsErrc::kBadConnection);
-          }
-          e.conns.push_back(conn);
-        }
-      } else {
-        const auto n_groups = r.read(fw.route);
-        if (n_groups > max_port) {
-          throw BitstreamError("VBS: fan-out group count exceeds region ports",
-                               VbsErrc::kBadConnection);
-        }
-        for (std::uint64_t g = 0; g < n_groups; ++g) {
-          const std::uint16_t in = checked(r.read(fw.port));
-          const auto n_outs = r.read(fw.route);
-          if (n_outs == 0) {
-            throw BitstreamError("VBS: empty fan-out group",
-                                 VbsErrc::kBadConnection);
-          }
-          if (e.conns.size() + n_outs > max_port) {
-            throw BitstreamError("VBS: fan-out total exceeds region ports",
-                                 VbsErrc::kBadConnection);
-          }
-          for (std::uint64_t k = 0; k < n_outs; ++k) {
-            const std::uint16_t out = checked(r.read(fw.port));
-            if (in == out) {
-              throw BitstreamError("VBS: connection to itself",
-                                   VbsErrc::kBadConnection);
-            }
-            e.conns.push_back({in, out});
-          }
-        }
+        e.conns.push_back(conn);
       }
     }
     img.entries.push_back(std::move(e));
   }
   if (!r.at_end()) {
-    throw BitstreamError("VBS: trailing bits", VbsErrc::kTrailingBits);
+    throw VbsError(VbsErrc::kTrailingBits, "VBS: trailing bits");
   }
   return img;
 }

@@ -12,27 +12,16 @@
 //   logic    c = 1:  NLB bits (LUT mask LSB-first + FF bit; Table I)
 //            c > 1:  c^2 occupancy bitmap, then NLB bits per used LB
 //   routing  flag=1: raw fallback, c^2 * (Nraw - NLB) switch bits
-//            flag=0: when the stream's compact(1) preamble bit is set, one
-//            more per-entry bit selects the coding (the encoder picks the
-//            smaller); otherwise Table I coding is implied:
-//              Table I coding:
-//                route_count(RC) then per connection in(M) out(M)
-//              fan-out coding (the "smarter coding" extension of paper
-//              Section V):
-//                group_count(RC) then per signal in(M) out_count(RC)
-//                out(M)*; connections sharing an `in` are coded once
+//            flag=0: Table I coding, route_count(RC) then per connection
+//            in(M) out(M)
 //
-// The version nibble names the decoder contract, not a layout change:
-// both versions share every field above. The encoder proves decodability
-// by running the de-virtualizer (paper Section III-B), and which paths the
-// de-virtualizer's A* finds depends on its heuristic, so a stream must be
-// decoded with the heuristic it was validated against:
-//
-//   1  est = cost + Manhattan tile distance x (min(pins_on_x, pins_on_y)+1)
-//   2  est = cost + the per-architecture lookahead table (arch/lookahead.h)
-//
-// The encoder writes version 2; version-1 streams still decode exactly as
-// they did when they were written.
+// The version nibble is always 2 and the compact(1) bit, reserved so that
+// the layout does not move, always 0; any other value is rejected.
+// Version 2 names the decoder contract: the encoder proves decodability by
+// running the de-virtualizer (paper Section III-B), whose A* estimates
+// est = cost + the per-architecture lookahead table (arch/lookahead.h),
+// and a stream decodes to the switches the encoder validated only under
+// that same heuristic.
 //
 // RC = ceil(log2(2W)) at c=1 (Table I) and the endpoint width M for
 // clusters; M = ceil(log2(4cW + c^2 L + 1)) as in the paper. The preamble,
@@ -61,10 +50,6 @@ struct VbsEntry {
   std::uint16_t cx = 0;  ///< cluster-grid position within the task
   std::uint16_t cy = 0;
   bool raw = false;
-  /// Fan-out-compact coding for this entry (only meaningful when the
-  /// stream's compact_fanout flag is set; the encoder picks per entry
-  /// whichever coding is smaller).
-  bool compact = false;
   /// c^2 logic configurations, region row-major ((0,0),(1,0),...).
   std::vector<LogicConfig> logic;
   /// Connection list (flag=0): the de-virtualizer routes these in order.
@@ -73,21 +58,14 @@ struct VbsEntry {
   BitVector raw_routing;
 };
 
-/// Preamble versions (see the layout comment above).
-inline constexpr unsigned kVbsVersionManhattan = 1;
-inline constexpr unsigned kVbsVersionLookahead = 2;
+/// The preamble version every stream carries (see the layout comment).
+inline constexpr unsigned kVbsVersion = 2;
 
 struct VbsImage {
-  /// Decoder contract; serialize_vbs accepts only the two versions above.
-  /// encode_vbs writes kVbsVersionLookahead.
-  unsigned version = kVbsVersionManhattan;
   ArchSpec spec;
   int task_w = 0;  ///< task footprint in macros
   int task_h = 0;
   int cluster = 1;
-  /// Fan-out-compact connection coding; requires every entry's connection
-  /// list to be grouped (all pairs sharing an `in` contiguous).
-  bool compact_fanout = false;
   std::vector<VbsEntry> entries;
 
   int cluster_grid_w() const { return (task_w + cluster - 1) / cluster; }
@@ -99,8 +77,8 @@ struct VbsImage {
 /// kResourceLimit error, so a hostile 31-bit preamble cannot demand
 /// gigabytes of region-model or payload memory. Both are far above any
 /// fabric the paper (W=20, c<=8) or this repo's encoder produces. A
-/// version-2 header is also rejected when its architecture's lookahead
-/// table would exceed kMaxLookaheadBytes (arch/lookahead.h).
+/// header is also rejected when its architecture's lookahead table would
+/// exceed kMaxLookaheadBytes (arch/lookahead.h).
 inline constexpr std::uint64_t kMaxTaskMacros = std::uint64_t{1} << 20;
 inline constexpr std::uint64_t kMaxEntryConfigBits = std::uint64_t{1} << 22;
 
@@ -108,9 +86,9 @@ inline constexpr std::uint64_t kMaxEntryConfigBits = std::uint64_t{1} << 22;
 /// measured as serialize(img).size().
 BitVector serialize_vbs(const VbsImage& img);
 
-/// Parses a serialized stream back (versions 1 and 2); throws
-/// BitstreamError carrying a specific VbsErrc on malformed input —
-/// truncation, any other version (kBadVersion), bad header,
+/// Parses a serialized stream back; throws VbsError carrying a specific
+/// VbsErrc on malformed input — truncation, a version other than 2
+/// (kBadVersion), a set compact bit or another bad header (kBadHeader),
 /// duplicate or out-of-range entries, invalid connection lists, trailing
 /// bits, or a resource-limit violation. Round-trips exactly with
 /// serialize_vbs. Never crashes or reads out of bounds on arbitrary input
@@ -119,11 +97,6 @@ VbsImage deserialize_vbs(const BitVector& bits);
 
 /// Size in bits the image will serialize to, without serializing.
 std::size_t vbs_size_bits(const VbsImage& img);
-
-/// Run lengths of consecutive same-`in` connections. Throws
-/// std::invalid_argument if an `in` port recurs non-contiguously (the list
-/// is then not groupable for compact fan-out coding).
-std::vector<std::size_t> fanout_groups(const std::vector<VbsConnection>& conns);
 
 /// Raw (uncompressed) size of the same task: w*h*Nraw bits.
 std::size_t raw_size_bits(const ArchSpec& spec, int task_w, int task_h);

@@ -1,8 +1,7 @@
-// Lowercase hex of a byte string, and back, for tests that pin exact
-// on-disk or on-wire bytes or embed frozen streams.
+// Lowercase hex of a byte string, for tests that pin exact on-disk or
+// on-wire bytes.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace vbs {
@@ -14,18 +13,6 @@ inline std::string hex_of(const std::string& bytes) {
     const auto b = static_cast<unsigned char>(c);
     out.push_back(kDigits[b >> 4]);
     out.push_back(kDigits[b & 0xf]);
-  }
-  return out;
-}
-
-/// Inverse of hex_of; `hex` must hold an even number of hex digits.
-inline std::string bytes_of_hex(const std::string& hex) {
-  auto nibble = [](char c) {
-    return c <= '9' ? c - '0' : (c | 0x20) - 'a' + 10;
-  };
-  std::string out;
-  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
-    out.push_back(static_cast<char>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
   }
   return out;
 }

@@ -15,9 +15,6 @@
 #include "rtc/service/stream_cache.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/region_model.h"
-#include "vbs/vbs_file.h"
-#include "devirt_v1_streams.h"
-#include "hex.h"
 
 namespace vbs {
 namespace {
@@ -197,6 +194,23 @@ TEST(Devirtualizer, ClusterCrossRegionRoute) {
   ASSERT_TRUE(dv.decode_entry(entry_with({{in, pin}}, 2), payload));
   PayloadConn pc(rm, payload);
   EXPECT_TRUE(pc.connected(in, pin));
+
+  // A fan-out signal across the cluster plus a disjoint pin-to-side one.
+  const auto port = [](int p) { return static_cast<std::uint16_t>(p); };
+  const std::vector<VbsConnection> conns = {
+      {port(rm.port_of_side(Side::kWest, 0, 1)),
+       port(rm.port_of_side(Side::kEast, 1, 3))},
+      {port(rm.port_of_side(Side::kWest, 0, 1)),
+       port(rm.port_of_pin(1, 0, 2))},
+      {port(rm.port_of_pin(0, 1, 6)),
+       port(rm.port_of_side(Side::kNorth, 1, 0))},
+  };
+  ASSERT_TRUE(dv.decode_entry(entry_with(conns, 2), payload));
+  PayloadConn pc2(rm, payload);
+  for (const VbsConnection& conn : conns) {
+    EXPECT_TRUE(pc2.connected(conn.in, conn.out));
+  }
+  EXPECT_FALSE(pc2.connected(conns[0].in, conns[2].in));
 }
 
 TEST(Devirtualizer, SaturatedMacroFailsGracefully) {
@@ -234,14 +248,8 @@ TEST(Devirtualizer, SaturatedMacroFailsGracefully) {
 // and decoded at every cluster size. Heap order, tie-breaks and the float
 // cost arithmetic of both A* kernels (router and de-virtualizer) feed
 // every number below, so a kernel change that is not exactly
-// order-preserving fails here.
-//
-// Version-1 streams are frozen as fixtures (tests/devirt_v1_streams.h):
-// the encoder writes version 2, but a version-1 stream must keep decoding
-// to the same configuration with the same search counts, which were
-// recorded with the std::priority_queue kernel that SearchHeap replaced.
-// The version-2 pins come from the encoder itself, and every version-2
-// decode must implement the netlist.
+// order-preserving fails here. Every decode must also implement the
+// netlist.
 
 struct GoldenCase {
   int cluster;
@@ -256,38 +264,6 @@ ArchSpec golden_arch() {
   ArchSpec s;
   s.chan_width = 5;
   return s;
-}
-
-TEST(DevirtGolden, FrozenVersion1StreamsDecodeExactly) {
-  const GoldenCase kCases[] = {
-      {1, 0x2ee4b49b30f8e48aull, 0x4c1f510f533e18ecull, 25133, 139, 406},
-      {2, 0x50530139b4c6eb53ull, 0x237b2d21e47757c2ull, 48867, 71, 279},
-      {4, 0xb7d14ba65a461335ull, 0xed0e499e2912f99dull, 110809, 41, 191},
-      {8, 0x1954f8206233f250ull, 0xfcf67043231e3370ull, 114180, 5, 147},
-  };
-  const Fabric fabric(golden_arch(), 8, 8);
-  bool negotiated = false;
-  for (std::size_t i = 0; i < std::size(kCases); ++i) {
-    const GoldenCase& gc = kCases[i];
-    const FrozenStream& fs = kV1GoldenStreams[i];
-    SCOPED_TRACE("cluster " + std::to_string(gc.cluster));
-    ASSERT_EQ(fs.cluster, gc.cluster);
-    const BitVector stream = unpack_bits(bytes_of_hex(fs.hex), fs.bits);
-    ASSERT_EQ(stream_content_hash(stream), gc.stream_hash);
-    const VbsImage img = deserialize_vbs(stream);
-    EXPECT_EQ(img.cluster, gc.cluster);
-    DecodeStats st;
-    const BitVector config = devirtualize_image(img, fabric, {0, 0}, &st);
-    EXPECT_EQ(stream_content_hash(config), gc.config_hash);
-    EXPECT_EQ(st.nodes_expanded, gc.nodes_expanded);
-    EXPECT_EQ(st.negotiation_iterations, gc.negotiation_iterations);
-    EXPECT_EQ(st.pairs_routed, gc.pairs_routed);
-    // More iterations than decoded lists: some entry went past the greedy
-    // first pass into negotiated congestion.
-    negotiated |=
-        st.negotiation_iterations > st.entries_decoded - st.raw_entries;
-  }
-  EXPECT_TRUE(negotiated);
 }
 
 TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
@@ -316,7 +292,7 @@ TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
     EncodeOptions eo;
     eo.cluster = gc.cluster;
     pipe.set_encode_options(eo);
-    EXPECT_EQ(pipe.vbs_image().version, kVbsVersionLookahead);
+    EXPECT_EQ(pipe.vbs_stream().get_bits(0, 4), kVbsVersion);
     EXPECT_EQ(stream_content_hash(pipe.vbs_stream()), gc.stream_hash);
     DecodeStats st;
     const BitVector config =
@@ -334,7 +310,7 @@ TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
   EXPECT_TRUE(negotiated);
 }
 
-// --- version 2: the lookahead heuristic ----------------------------------------
+// --- the lookahead heuristic ------------------------------------------------
 
 /// Unit-cost hop counts from every region node to `target`, ignoring port
 /// reservations: the distances A* with unit node costs would find.
@@ -407,7 +383,7 @@ TEST(Lookahead, IsTightAndSmall) {
   ArchSpec spec;  // the paper's W = 20, K = 6
   const Lookahead la(spec);
   EXPECT_LE(Lookahead::table_bytes(spec), std::size_t{1} << 20);
-  // Inside one macro (c = 1), where version 1's Manhattan bound is 0
+  // Inside one macro (c = 1), where a Manhattan tile-distance bound is 0
   // everywhere, the table is exact.
   const RegionModel rm(spec, 1);
   for (int port = 0; port < rm.num_ports(); ++port) {
@@ -426,7 +402,7 @@ TEST(Lookahead, IsTightAndSmall) {
   EXPECT_EQ(Lookahead::of(spec).get(), Lookahead::of(spec).get());
 }
 
-TEST(Devirtualizer, Version2DecodesOnFourThreadsFromAColdTable) {
+TEST(Devirtualizer, DecodesOnFourThreadsFromAColdTable) {
   // An architecture no other test in this binary uses, so the first
   // decoders to ask for its lookahead table race to build it.
   GenParams p;
@@ -468,28 +444,6 @@ TEST(Devirtualizer, Version2DecodesOnFourThreadsFromAColdTable) {
   EXPECT_EQ(verify_connectivity(pipe.fabric(), serial, pipe.netlist(),
                                 pipe.packed(), pipe.placement()),
             "");
-}
-
-TEST(Devirtualizer, Version2HandCraftedListsConnect) {
-  const RegionModel rm(spec5(), 2);
-  Devirtualizer dv(rm, kVbsVersionLookahead);
-  const auto port = [](int p) { return static_cast<std::uint16_t>(p); };
-  const std::vector<VbsConnection> conns = {
-      {port(rm.port_of_side(Side::kWest, 0, 1)),
-       port(rm.port_of_side(Side::kEast, 1, 3))},
-      {port(rm.port_of_side(Side::kWest, 0, 1)),
-       port(rm.port_of_pin(1, 0, 2))},
-      {port(rm.port_of_pin(0, 1, 6)),
-       port(rm.port_of_side(Side::kNorth, 1, 0))},
-  };
-  BitVector payload;
-  ASSERT_TRUE(dv.decode_entry(entry_with(conns, 2), payload));
-  PayloadConn pc(rm, payload);
-  for (const VbsConnection& conn : conns) {
-    EXPECT_TRUE(pc.connected(conn.in, conn.out));
-  }
-  EXPECT_FALSE(pc.connected(conns[0].in, conns[2].in));
-  EXPECT_THROW(Devirtualizer(rm, 3), std::invalid_argument);
 }
 
 }  // namespace

@@ -220,36 +220,6 @@ TEST(Encoder, WorksWithWiltonSwitchBoxes) {
             "");
 }
 
-TEST(Encoder, CompactFanoutDecodesAndNeverCostsMoreThanOneBitPerEntry) {
-  Pipeline p;
-  EncodeStats plain, compact;
-  p.encode({}, &plain);
-  EncodeOptions o;
-  o.compact_fanout = true;
-  const VbsImage img = p.encode(o, &compact);
-  // Adaptive per-entry choice: worst case is the 1-bit selector per entry.
-  EXPECT_LE(compact.vbs_bits,
-            plain.vbs_bits + static_cast<std::size_t>(plain.entries));
-  EXPECT_EQ(p.decode_and_verify(img), "");
-}
-
-TEST(Encoder, CompactFanoutWinsOnClusteredRegions) {
-  // Bigger regions hold whole fan-out trees, where deduplicating the `in`
-  // endpoint pays off.
-  Pipeline p;
-  EncodeOptions o;
-  o.cluster = 4;
-  EncodeStats plain, compact;
-  p.encode(o, &plain);
-  o.compact_fanout = true;
-  const VbsImage img = p.encode(o, &compact);
-  EXPECT_LT(compact.vbs_bits, plain.vbs_bits);
-  int compact_entries = 0;
-  for (const VbsEntry& e : img.entries) compact_entries += e.compact;
-  EXPECT_GT(compact_entries, 0);
-  EXPECT_EQ(p.decode_and_verify(img), "");
-}
-
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, EndToEndProperty) {

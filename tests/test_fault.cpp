@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "flow/artifact_io.h"
-#include "util/bitio.h"
 #include "util/error.h"
 #include "util/fault.h"
 
@@ -69,13 +68,10 @@ TEST(ErrorTaxonomy, CodesAndExitCodesAreStable) {
 }
 
 TEST(ErrorTaxonomy, LegacyExceptionTypesDeriveFromVbsError) {
-  // Existing catch (BitstreamError) / catch (std::runtime_error) sites
+  // Existing catch (ArtifactError) / catch (std::runtime_error) sites
   // must keep working while new code dispatches on VbsError::code().
-  const BitstreamError b("bits", VbsErrc::kBadEntry);
   const ArtifactError a("artifact");
-  const VbsError* vb = &b;
   const VbsError* va = &a;
-  EXPECT_EQ(vb->code(), VbsErrc::kBadEntry);
   EXPECT_EQ(va->code(), VbsErrc::kBadContainer);
 }
 

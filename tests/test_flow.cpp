@@ -101,17 +101,14 @@ TEST(RegionCache, ExtentsCoverTheTask) {
 }
 
 TEST(RegionCache, DropsLeastRecentlyUsedShapes) {
-  // Version, architecture and c are each part of the key: 20 shapes.
+  // Architecture and c are each part of the key: 20 shapes.
   std::vector<VbsImage> shapes;
-  for (const unsigned version : {kVbsVersionManhattan, kVbsVersionLookahead}) {
-    for (const int width : {4, 5}) {
-      for (int c = 1; c <= 5; ++c) {
-        VbsImage header;
-        header.version = version;
-        header.spec.chan_width = width;
-        header.cluster = header.task_w = header.task_h = c;
-        shapes.push_back(header);
-      }
+  for (int width = 4; width <= 7; ++width) {
+    for (int c = 1; c <= 5; ++c) {
+      VbsImage header;
+      header.spec.chan_width = width;
+      header.cluster = header.task_w = header.task_h = c;
+      shapes.push_back(header);
     }
   }
   const std::size_t n = RegionDecoderCache::kMaxShapes;
@@ -134,13 +131,12 @@ TEST(RegionCache, DropsLeastRecentlyUsedShapes) {
   EXPECT_EQ(built(), static_cast<long long>(n) + 2);
 }
 
-// A version-2 shape keeps its architecture's lookahead table alive, so the
-// byte bound counts it: wide-channel shapes push each other out long
+// A shape keeps its architecture's lookahead table alive, so the byte
+// bound counts it: wide-channel shapes push each other out long
 // before the shape bound would.
 TEST(RegionCache, ByteBoundCountsLookaheadTables) {
   auto wide = [](int width) {
     VbsImage header;
-    header.version = kVbsVersionLookahead;
     header.spec.chan_width = width;
     header.cluster = header.task_w = header.task_h = 1;
     return header;

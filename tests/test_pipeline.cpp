@@ -412,8 +412,9 @@ TEST(Pipeline, ResumeIgnoresRetiredThreadSlots) {
   // placer thread counts; the router's negotiation schedule (first-
   // iteration, initial and growth present-congestion factors, history
   // factor), stall restarts, bounding-box margin, thread count and batch
-  // size; the encoder's reorder attempts and shuffle seed. Each is patched
-  // from the value a default run writes to one no run ever used.
+  // size; the encoder's reorder attempts and shuffle seed, its retired
+  // fan-out coding flag and size fallback flag. Each is patched from the
+  // value a default run writes to one no run ever used.
   const std::string meta = (fs::path(patched.path) / "flow.meta").string();
   std::uint64_t fingerprint = 0;
   BitVector payload =
@@ -430,6 +431,7 @@ TEST(Pipeline, ResumeIgnoresRetiredThreadSlots) {
       {809, 32, 0, 0x7fffffff},           {842, 32, 3, 0x7fffffff},
       {875, 32, 0, 0x7fffffff},           {907, 32, 1, 0x7fffffff},
       {971, 32, 24, 0x7fffffff},          {1003, 64, 0x5eed, ~0ull},
+      {1099, 1, 0, 1},                    {1102, 1, 1, 0},
   };
   for (const auto& s : slots) {
     EXPECT_EQ(payload.get_bits(s.pos, s.bits), s.written)

@@ -44,23 +44,19 @@ TEST_P(ArchSweep, PipelineInvariantHolds) {
                                 r.placement),
             "");
 
-  // VBS round trip verifies, for both coding modes.
-  for (const bool compact : {false, true}) {
-    EncodeOptions eo;
-    eo.cluster = cluster;
-    eo.compact_fanout = compact;
-    EncodeStats stats;
-    const VbsImage img = encode_vbs(*r.fabric, r.netlist, r.packed,
-                                    r.placement, r.routing.routes, eo, &stats);
-    const BitVector decoded = devirtualize_image(
-        deserialize_vbs(serialize_vbs(img)), *r.fabric, {0, 0});
-    EXPECT_EQ(verify_connectivity(*r.fabric, decoded, r.netlist, r.packed,
-                                  r.placement),
-              "")
-        << "W=" << w << " K=" << k << " cluster=" << cluster
-        << " compact=" << compact;
-    EXPECT_LE(stats.vbs_bits, stats.raw_bits + stats.entries + 64u);
-  }
+  // VBS round trip verifies.
+  EncodeOptions eo;
+  eo.cluster = cluster;
+  EncodeStats stats;
+  const VbsImage img = encode_vbs(*r.fabric, r.netlist, r.packed, r.placement,
+                                  r.routing.routes, eo, &stats);
+  const BitVector decoded = devirtualize_image(
+      deserialize_vbs(serialize_vbs(img)), *r.fabric, {0, 0});
+  EXPECT_EQ(verify_connectivity(*r.fabric, decoded, r.netlist, r.packed,
+                                r.placement),
+            "")
+      << "W=" << w << " K=" << k << " cluster=" << cluster;
+  EXPECT_LE(stats.vbs_bits, stats.raw_bits + stats.entries + 64u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

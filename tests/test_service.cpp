@@ -401,7 +401,6 @@ TEST(Service, ReusedDecodersMatchFreshDecodes) {
     ASSERT_EQ(e.cx, 0);
     ASSERT_EQ(e.cy, 0);
     e.raw = false;
-    e.compact = false;
     e.conns.clear();
     auto port = [](int p) { return static_cast<std::uint16_t>(p); };
     for (int k = 0; k < 2; ++k) {
@@ -538,7 +537,7 @@ TEST(Service, SeenShapesBuildNoRegionModels) {
 }
 
 // Headers that parse, one empty entry each, in more distinct region shapes
-// than a rank keeps, ending in wide-channel version-2 shapes whose
+// than a rank keeps, ending in wide-channel shapes whose
 // lookahead tables together exceed the byte bound of both ranks: every
 // rank stays within its retention bound, and the service keeps serving.
 TEST(Service, RegionShapeFloodStaysWithinTheRankBound) {
@@ -546,7 +545,6 @@ TEST(Service, RegionShapeFloodStaysWithinTheRankBound) {
   std::size_t wide_tables = 0;
   auto add = [&](const ArchSpec& arch, int c, int w, int h) {
     VbsImage img;
-    img.version = kVbsVersionLookahead;
     img.spec = arch;
     img.cluster = c;
     img.task_w = w;

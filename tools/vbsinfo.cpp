@@ -57,7 +57,7 @@ void print_json(const BitVector& stream, const VbsImage& img,
   std::printf("{\n");
   std::printf("  \"stream_bits\": %zu,\n", stream.size());
   std::printf("  \"stream_bytes\": %zu,\n", (stream.size() + 7) / 8);
-  std::printf("  \"version\": %u,\n", img.version);
+  std::printf("  \"version\": %u,\n", kVbsVersion);
   std::printf(
       "  \"arch\": {\"chan_width\": %d, \"lut_k\": %d, \"sb_pattern\": "
       "\"%s\"},\n",
@@ -112,8 +112,8 @@ void print_text(const BitVector& stream, const VbsImage& img,
   const ArchSpec& spec = img.spec;
   std::printf("stream           : %zu bits (%zu bytes on disk)\n",
               stream.size(), (stream.size() + 7) / 8);
-  std::printf("format version   : %u (%s decoder heuristic)\n", img.version,
-              img.version == kVbsVersionLookahead ? "lookahead" : "Manhattan");
+  std::printf("format version   : %u (lookahead decoder heuristic)\n",
+              kVbsVersion);
   std::printf("architecture     : W=%d, K=%d, %s switch boxes\n",
               spec.chan_width, spec.lut_k,
               spec.sb_pattern == SbPattern::kWilton ? "wilton" : "disjoint");
