@@ -11,10 +11,8 @@
 
 #include "flow/flow.h"
 #include "route/routing_stats.h"
-#include "util/bitio.h"
 #include "util/table.h"
 #include "vbs/encoder.h"
-#include "vbs/region_model.h"
 
 using namespace vbs;
 
@@ -57,19 +55,15 @@ int main(int argc, char** argv) {
   }
 
   // Per-macro VBS record size vs density: encode at the finest grain and
-  // price each entry like the serializer does.
+  // take each entry's routing bits (list or raw payload) from the format.
   const VbsImage img = encode_vbs(*r.fabric, r.netlist, r.packed, r.placement,
                                   r.routing.routes, {});
-  const RegionModel region(img.spec, 1);
-  const unsigned m_bits = region.port_field_bits();
-  const unsigned rc_bits = region.route_count_bits();
   std::vector<double> density, record_bits;
   for (const VbsEntry& e : img.entries) {
     const int m = r.fabric->macro_index(e.cx, e.cy);
     density.push_back(st.switches_per_macro[static_cast<std::size_t>(m)]);
-    record_bits.push_back(
-        e.raw ? static_cast<double>(r.fabric->spec().nroute_bits())
-              : static_cast<double>(rc_bits + e.conns.size() * 2 * m_bits));
+    const VbsSizeBreakdown b = vbs_entry_size(img, e);
+    record_bits.push_back(static_cast<double>(b.count + b.list + b.raw));
   }
   std::printf(
       "\nper-macro record size vs switch density: r = %.3f over %zu "

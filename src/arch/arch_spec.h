@@ -17,8 +17,6 @@
 
 #include <cstdint>
 
-#include "util/bitio.h"
-
 namespace vbs {
 
 /// Which track indices meet at each switch-box point. The paper's formula
@@ -60,11 +58,6 @@ struct ArchSpec {
   /// Black-box I/O count of a single macro: W track ports on each of the
   /// four sides plus the L logic-block pins.
   int ports_per_macro() const { return 4 * chan_width + lb_pins(); }
-
-  /// M of the paper: bits per connection endpoint, ceil(log2(4W + L + 1)).
-  unsigned port_field_bits() const {
-    return bits_for(static_cast<std::uint64_t>(ports_per_macro()) + 1);
-  }
 
   /// Sanity checks (positive W, K in [1,6], ...); throws std::invalid_argument.
   void validate() const;

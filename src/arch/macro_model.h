@@ -1,9 +1,9 @@
 // Detailed routing-resource model of a single macro (paper Fig. 1).
 //
-// Geometry (free choices documented in DESIGN.md): the logic block (LB) sits
-// in the north-east region of the tile, ChanX runs along the south edge,
-// ChanY along the west edge, and the switch box (SB) sits at the south-west
-// corner where they meet. Track wires are single-length: they end at the
+// Geometry (Eq. 1 fixes only the switch counts, so these are free choices
+// of this model): the logic block (LB) sits in the north-east region of
+// the tile, ChanX runs along the south edge, ChanY along the west edge,
+// and the switch box (SB) sits at the south-west corner where they meet. Track wires are single-length: they end at the
 // tile boundary where they abut the neighbouring tile's collinear wire.
 //
 // Electrical segments ("nodes"):

@@ -16,6 +16,10 @@ constexpr std::size_t kHeaderBytes = 29;
 
 }  // namespace
 
+void bad_artifact(const std::string& what) {
+  throw VbsError(VbsErrc::kBadContainer, what);
+}
+
 BitVector serialize_packed(const PackedDesign& pd) {
   BitWriter w;
   put_i32(w, pd.num_luts());
@@ -34,7 +38,7 @@ PackedDesign deserialize_packed(const BitVector& bits) {
   const int num_luts = get_i32(r);
   const int num_ios = get_i32(r);
   if (num_luts < 0 || num_ios < 0) {
-    throw ArtifactError("pack artifact: negative instance count");
+    bad_artifact("pack artifact: negative instance count");
   }
   pd.luts.resize(static_cast<std::size_t>(num_luts));
   pd.ios.resize(static_cast<std::size_t>(num_ios));
@@ -44,7 +48,7 @@ PackedDesign deserialize_packed(const BitVector& bits) {
   for (auto& pins : pd.lut_pins) {
     for (NetId& n : pins) n = get_i32(r);
   }
-  if (!r.at_end()) throw ArtifactError("pack artifact: trailing bits");
+  if (!r.at_end()) bad_artifact("pack artifact: trailing bits");
   return pd;
 }
 
@@ -79,18 +83,18 @@ void deserialize_placement(const BitVector& bits, Placement* pl,
   out.grid_w = get_i32(r);
   out.grid_h = get_i32(r);
   const int luts = get_i32(r);
-  if (luts < 0) throw ArtifactError("place artifact: negative LUT count");
+  if (luts < 0) bad_artifact("place artifact: negative LUT count");
   out.lut_loc.resize(static_cast<std::size_t>(luts));
   for (Point& p : out.lut_loc) {
     p.x = get_i32(r);
     p.y = get_i32(r);
   }
   const int ios = get_i32(r);
-  if (ios < 0) throw ArtifactError("place artifact: negative I/O count");
+  if (ios < 0) bad_artifact("place artifact: negative I/O count");
   out.io_loc.resize(static_cast<std::size_t>(ios));
   for (IoSlot& s : out.io_loc) {
     const auto side = r.read(8);
-    if (side > 3) throw ArtifactError("place artifact: bad I/O side");
+    if (side > 3) bad_artifact("place artifact: bad I/O side");
     s.side = static_cast<Side>(side);
     s.tile = get_i32(r);
     s.track = get_i32(r);
@@ -102,7 +106,7 @@ void deserialize_placement(const BitVector& bits, Placement* pl,
   st.accepted = get_i64(r);
   st.temperatures = get_i32(r);
   st.cost_drift = get_f64(r);
-  if (!r.at_end()) throw ArtifactError("place artifact: trailing bits");
+  if (!r.at_end()) bad_artifact("place artifact: trailing bits");
   *pl = std::move(out);
   if (stats != nullptr) *stats = st;
 }
@@ -137,11 +141,11 @@ RoutingResult deserialize_routing(const BitVector& bits) {
   rr.heap_pops = get_i64(r);
   rr.bbox_retries = get_i64(r);
   const int nets = get_i32(r);
-  if (nets < 0) throw ArtifactError("route artifact: negative net count");
+  if (nets < 0) bad_artifact("route artifact: negative net count");
   rr.routes.resize(static_cast<std::size_t>(nets));
   for (NetRoute& net : rr.routes) {
     const int nodes = get_i32(r);
-    if (nodes < 0) throw ArtifactError("route artifact: negative node count");
+    if (nodes < 0) bad_artifact("route artifact: negative node count");
     net.nodes.resize(static_cast<std::size_t>(nodes));
     for (NetRoute::TreeNode& n : net.nodes) {
       n.rr = get_i32(r);
@@ -149,7 +153,7 @@ RoutingResult deserialize_routing(const BitVector& bits) {
       n.fabric_edge = get_i64(r);
     }
   }
-  if (!r.at_end()) throw ArtifactError("route artifact: trailing bits");
+  if (!r.at_end()) bad_artifact("route artifact: trailing bits");
   return rr;
 }
 
@@ -173,21 +177,21 @@ BitVector parse_artifact_container(std::string_view bytes,
                                    std::uint64_t* fingerprint_out,
                                    const std::string& context) {
   if (bytes.size() < kHeaderBytes) {
-    throw ArtifactError("truncated artifact header: " + context,
-                        VbsErrc::kTruncated);
+    throw VbsError(VbsErrc::kTruncated,
+                   "truncated artifact header: " + context);
   }
   ByteReader r(bytes, VbsErrc::kTruncated, "artifact");
   if (r.take(kMagic.size()) != kMagic) {
-    throw ArtifactError("not a vbs.artifact.v1 container: " + context);
+    bad_artifact("not a vbs.artifact.v1 container: " + context);
   }
   if (r.u8() != static_cast<std::uint8_t>(stage)) {
-    throw ArtifactError("artifact stage mismatch: " + context);
+    bad_artifact("artifact stage mismatch: " + context);
   }
   const std::uint64_t fingerprint = r.u64();
   const std::uint64_t stored_hash = r.u64();
   const std::uint64_t bit_count = r.u64();
   if (expected_fingerprint != nullptr && fingerprint != *expected_fingerprint) {
-    throw ArtifactError(
+    bad_artifact(
         "artifact fingerprint mismatch (stale or foreign checkpoint): " +
         context);
   }
@@ -195,13 +199,11 @@ BitVector parse_artifact_container(std::string_view bytes,
   // byte count before allocating, so a corrupted length field can neither
   // demand exabytes nor smuggle trailing bytes past the content hash.
   if (packed_size(bit_count) != r.remaining()) {
-    throw ArtifactError("artifact size mismatch (corrupted length): " +
-                        context);
+    bad_artifact("artifact size mismatch (corrupted length): " + context);
   }
   const std::string_view payload = r.take(r.remaining());
   if (content_hash(payload, bit_count) != stored_hash) {
-    throw ArtifactError("artifact content-hash mismatch (corrupted): " +
-                        context);
+    bad_artifact("artifact content-hash mismatch (corrupted): " + context);
   }
   if (fingerprint_out != nullptr) *fingerprint_out = fingerprint;
   return unpack_bits(payload, static_cast<std::size_t>(bit_count));

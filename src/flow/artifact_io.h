@@ -19,8 +19,9 @@
 //   bytes 29-    payload: pack_bits of the payload bits
 //
 // Readers verify magic, version, stage tag, fingerprint and content hash
-// and throw ArtifactError on any mismatch, so a stale, truncated or
-// foreign checkpoint can never be silently resumed. Wall times are NOT
+// and throw VbsError (kBadContainer, or kTruncated for a cut header) on
+// any mismatch, so a stale, truncated or foreign checkpoint can never be
+// silently resumed. Wall times are NOT
 // part of any payload, so two runs of the same flow save identical bytes.
 #pragma once
 
@@ -39,14 +40,9 @@
 
 namespace vbs {
 
-/// Thrown on any malformed, corrupted, version-mismatched or
-/// fingerprint-mismatched artifact file.
-class ArtifactError : public VbsError {
- public:
-  explicit ArtifactError(const std::string& what,
-                         VbsErrc code = VbsErrc::kBadContainer)
-      : VbsError(code, what) {}
-};
+/// Throws VbsError{kBadContainer}: a malformed, corrupted,
+/// version-mismatched or fingerprint-mismatched artifact.
+[[noreturn]] void bad_artifact(const std::string& what);
 
 /// Stage tag stored in the container header. kMeta is the checkpoint's
 /// flow-description artifact (grid + options), not a pipeline stage.
@@ -125,8 +121,9 @@ std::string artifact_container_bytes(ArtifactStage stage,
 
 /// Parses bytes produced by artifact_container_bytes, verifying magic,
 /// stage tag, declared size and content hash (and the fingerprint when
-/// `expected_fingerprint` is non-null). Throws ArtifactError on any
-/// mismatch; `context` names the source in error messages.
+/// `expected_fingerprint` is non-null). Throws VbsError (kBadContainer,
+/// kTruncated for a cut header) on any mismatch; `context` names the
+/// source in error messages.
 BitVector parse_artifact_container(std::string_view bytes,
                                    ArtifactStage stage,
                                    const std::uint64_t* expected_fingerprint,
@@ -145,7 +142,7 @@ void write_artifact_file(const std::string& path, ArtifactStage stage,
 
 /// Reads an artifact written by write_artifact_file: the whole file
 /// (util/io.h read_file), parsed by parse_artifact_container with the path
-/// as context. Throws ArtifactError on any mismatch or truncation,
+/// as context. Throws VbsError on any mismatch or truncation,
 /// std::runtime_error on I/O failure.
 BitVector read_artifact_file(const std::string& path, ArtifactStage stage,
                              const std::uint64_t* expected_fingerprint,

@@ -323,7 +323,7 @@ MetaContents parse_meta(const BitVector& bits) {
   m.opts.arch.chan_width = get_i32(r);
   m.opts.arch.lut_k = get_i32(r);
   const auto sb = r.read(8);
-  if (sb > 1) throw ArtifactError("flow.meta: bad sb_pattern");
+  if (sb > 1) bad_artifact("flow.meta: bad sb_pattern");
   m.opts.arch.sb_pattern = static_cast<SbPattern>(sb);
   m.opts.seed = r.read(64);
   get_i32(r);  // retired: flow thread count
@@ -350,7 +350,7 @@ MetaContents parse_meta(const BitVector& bits) {
   m.eopts.force_raw = r.read_bit();
   m.eopts.no_reorder = r.read_bit();
   r.read_bit();  // retired: size fallback
-  if (!r.at_end()) throw ArtifactError("flow.meta: trailing bits");
+  if (!r.at_end()) bad_artifact("flow.meta: trailing bits");
   return m;
 }
 
@@ -452,7 +452,7 @@ FlowPipeline FlowPipeline::resume_from(const std::string& dir) {
         pipe.encode_stats_.connections = get_i64(r);
         pipe.encode_stats_.vbs_bits = static_cast<std::size_t>(r.read(64));
         pipe.encode_stats_.raw_bits = static_cast<std::size_t>(r.read(64));
-        if (!r.at_end()) throw ArtifactError("encode artifact: trailing bits");
+        if (!r.at_end()) bad_artifact("encode artifact: trailing bits");
         pipe.image_ = deserialize_vbs(pipe.stream_);
         break;
       }

@@ -116,7 +116,7 @@ class FlowPipeline {
 
   /// Reloads a checkpoint directory: netlist and options come from the
   /// checkpoint itself; completed stage artifacts are loaded in order until
-  /// the first missing file. Throws ArtifactError on a corrupted,
+  /// the first missing file. Throws VbsError{kBadContainer} on a corrupted,
   /// version-mismatched or fingerprint-mismatched artifact and
   /// std::runtime_error on a malformed directory.
   static FlowPipeline resume_from(const std::string& dir);

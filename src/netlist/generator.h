@@ -3,8 +3,8 @@
 // The MCNC benchmark netlists the paper uses are not redistributable, so the
 // evaluation runs on seeded synthetic circuits calibrated to the published
 // characteristics (Table II: logic-block count, array size, and — via the
-// locality parameters — routed channel-width demand). See DESIGN.md for the
-// substitution rationale.
+// locality parameters — routed channel-width demand). The per-circuit
+// calibration is mcnc_gen_params (netlist/mcnc.h).
 //
 // Structure: LUTs are arranged on a virtual sqrt(n) x sqrt(n) grid that the
 // generator alone sees; each LUT draws its fan-in from blocks within a small

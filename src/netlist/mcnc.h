@@ -1,6 +1,7 @@
 // The 20 largest MCNC circuits as used by the paper (Table II), plus a
 // factory producing a calibrated synthetic stand-in for each (the original
-// BLIF files are not redistributable; see DESIGN.md).
+// BLIF files are not redistributable, so netlist/generator.h synthesizes a
+// circuit from each Table II row).
 //
 // `size` is the logic array side, `mcw` the published minimum channel width
 // found by VPR, `lbs` the number of occupied logic blocks. I/O counts are

@@ -101,9 +101,8 @@ void ReconfigController::check_payloads(
   // Every decoded payload (and every raw fallback) is exactly the region's
   // c^2 * (Nraw - NLB) routing bits; anything else would read or write out
   // of bounds in write_entry_config.
-  const std::size_t want = static_cast<std::size_t>(img.cluster) *
-                           static_cast<std::size_t>(img.cluster) *
-                           static_cast<std::size_t>(img.spec.nroute_bits());
+  const std::size_t want =
+      vbs_field_widths(img.spec, img.cluster, img.task_w, img.task_h).raw;
   for (const BitVector& p : payloads) {
     if (p.size() != want) {
       throw std::logic_error("rtc: payload size mismatch");

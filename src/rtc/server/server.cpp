@@ -163,8 +163,7 @@ void RpcServer::on_conn_event(std::uint64_t conn_id, std::uint32_t events) {
       }
     } catch (const VbsError& e) {
       // The byte stream can no longer be framed: typed error, then close.
-      c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-      send_error(s, 0, e.code(), e.what(), /*close_after=*/true);
+      proto_error(s, 0, e.code(), e.what());
     }
   }
 
@@ -197,10 +196,8 @@ void RpcServer::handle_handshake(Session& s, const Frame& f) {
   try {
     if (s.state == SessionState::kAwaitHello) {
       if (f.type != FrameType::kHello) {
-        c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-        send_error(s, f.corr, VbsErrc::kNetProto,
-                   "expected HELLO before anything else", true);
-        return;
+        return proto_error(s, f.corr, VbsErrc::kNetProto,
+                           "expected HELLO before anything else");
       }
       const HelloMsg hello = decode_hello(f.payload);
       s.tenant = hello.tenant;
@@ -216,9 +213,7 @@ void RpcServer::handle_handshake(Session& s, const Frame& f) {
     }
     // kAwaitAuth
     if (f.type != FrameType::kAuth) {
-      c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-      send_error(s, f.corr, VbsErrc::kNetProto, "expected AUTH", true);
-      return;
+      return proto_error(s, f.corr, VbsErrc::kNetProto, "expected AUTH");
     }
     const AuthMsg auth = decode_auth(f.payload);
     const std::uint64_t want =
@@ -235,13 +230,21 @@ void RpcServer::handle_handshake(Session& s, const Frame& f) {
     ok.session = s.conn->id();
     send_frame(s, FrameType::kAuthOk, f.corr, encode_auth_ok(ok));
   } catch (const VbsError& e) {
-    c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-    send_error(s, f.corr, e.code(), e.what(), true);
+    proto_error(s, f.corr, e.code(), e.what());
   }
 }
 
 void RpcServer::handle_request(Session& s, const Frame& f) {
   const bool is_admin = s.tenant == kAdminTenant;
+  const auto reject = [&](const std::string& why) {
+    proto_error(s, f.corr, VbsErrc::kNetProto, why);
+  };
+  const auto tenant_locked = [&](int tenant) {
+    if (is_admin || tenant == s.tenant) return false;
+    reject("tenant mismatch: session is locked to tenant " +
+           std::to_string(s.tenant));
+    return true;
+  };
   ServiceOp op;
   op.conn_id = s.conn->id();
   op.corr = f.corr;
@@ -249,14 +252,7 @@ void RpcServer::handle_request(Session& s, const Frame& f) {
     switch (f.type) {
       case FrameType::kLoad: {
         LoadMsg m = decode_load(f.payload);
-        if (!is_admin && m.tenant != s.tenant) {
-          c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-          send_error(s, f.corr, VbsErrc::kNetProto,
-                     "tenant mismatch: session is locked to tenant " +
-                         std::to_string(s.tenant),
-                     true);
-          return;
-        }
+        if (tenant_locked(m.tenant)) return;
         op.kind = ServiceOp::Kind::kLoad;
         op.tenant = m.tenant;
         op.stream = std::move(m.stream);
@@ -265,14 +261,7 @@ void RpcServer::handle_request(Session& s, const Frame& f) {
       case FrameType::kUnload:
       case FrameType::kRelocate: {
         const TargetMsg m = decode_target(f.payload);
-        if (!is_admin && m.tenant != s.tenant) {
-          c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-          send_error(s, f.corr, VbsErrc::kNetProto,
-                     "tenant mismatch: session is locked to tenant " +
-                         std::to_string(s.tenant),
-                     true);
-          return;
-        }
+        if (tenant_locked(m.tenant)) return;
         op.kind = f.type == FrameType::kUnload ? ServiceOp::Kind::kUnload
                                                : ServiceOp::Kind::kRelocate;
         op.tenant = m.tenant;
@@ -280,12 +269,7 @@ void RpcServer::handle_request(Session& s, const Frame& f) {
         break;
       }
       case FrameType::kSetPriority: {
-        if (!is_admin) {
-          c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-          send_error(s, f.corr, VbsErrc::kNetProto,
-                     "SET_PRIORITY is admin-only", true);
-          return;
-        }
+        if (!is_admin) return reject("SET_PRIORITY is admin-only");
         const PriorityMsg m = decode_priority(f.payload);
         op.kind = ServiceOp::Kind::kSetPriority;
         op.tenant = m.tenant;
@@ -293,31 +277,18 @@ void RpcServer::handle_request(Session& s, const Frame& f) {
         break;
       }
       case FrameType::kDrain:
-        if (!is_admin) {
-          c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-          send_error(s, f.corr, VbsErrc::kNetProto, "DRAIN is admin-only",
-                     true);
-          return;
-        }
+        if (!is_admin) return reject("DRAIN is admin-only");
         op.kind = ServiceOp::Kind::kDrain;
         break;
       case FrameType::kStat:
         op.kind = ServiceOp::Kind::kStat;
         break;
       case FrameType::kShutdown:
-        if (!is_admin) {
-          c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-          send_error(s, f.corr, VbsErrc::kNetProto, "SHUTDOWN is admin-only",
-                     true);
-          return;
-        }
+        if (!is_admin) return reject("SHUTDOWN is admin-only");
         op.kind = ServiceOp::Kind::kShutdown;
         break;
       default:
-        c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
-        send_error(s, f.corr, VbsErrc::kNetProto,
-                   "frame type not valid from a client session", true);
-        return;
+        return reject("frame type not valid from a client session");
     }
   } catch (const VbsError& e) {
     // Payload decode failure: the frame boundary held, so the stream is
@@ -356,6 +327,12 @@ void RpcServer::send_error(Session& s, std::uint64_t corr, VbsErrc code,
                            const std::string& message, bool close_after) {
   send_frame(s, FrameType::kError, corr, encode_error({code, message}));
   if (close_after) s.closing = true;
+}
+
+void RpcServer::proto_error(Session& s, std::uint64_t corr, VbsErrc code,
+                            const std::string& message) {
+  c_proto_errors_.fetch_add(1, std::memory_order_relaxed);
+  send_error(s, corr, code, message, /*close_after=*/true);
 }
 
 void RpcServer::close_session(std::uint64_t conn_id) {
@@ -451,20 +428,15 @@ void RpcServer::service_main() {
 
 void RpcServer::service_handle(const ServiceOp& op) {
   switch (op.kind) {
-    case ServiceOp::Kind::kLoad: {
-      const RequestId id = service_->submit_load(op.stream, op.tenant);
-      result_route_[id] = {op.conn_id, op.corr};
-      post_frame(op.conn_id, FrameType::kAck, op.corr, encode_ack({id}));
-      break;
-    }
-    case ServiceOp::Kind::kUnload: {
-      const RequestId id = service_->submit_unload(op.target, op.tenant);
-      result_route_[id] = {op.conn_id, op.corr};
-      post_frame(op.conn_id, FrameType::kAck, op.corr, encode_ack({id}));
-      break;
-    }
+    case ServiceOp::Kind::kLoad:
+    case ServiceOp::Kind::kUnload:
     case ServiceOp::Kind::kRelocate: {
-      const RequestId id = service_->submit_relocate(op.target, op.tenant);
+      const RequestId id =
+          op.kind == ServiceOp::Kind::kLoad
+              ? service_->submit_load(op.stream, op.tenant)
+          : op.kind == ServiceOp::Kind::kUnload
+              ? service_->submit_unload(op.target, op.tenant)
+              : service_->submit_relocate(op.target, op.tenant);
       result_route_[id] = {op.conn_id, op.corr};
       post_frame(op.conn_id, FrameType::kAck, op.corr, encode_ack({id}));
       break;

@@ -144,6 +144,10 @@ class RpcServer {
                   const std::string& payload);
   void send_error(Session& s, std::uint64_t corr, VbsErrc code,
                   const std::string& message, bool close_after);
+  /// A protocol violation: counts proto_errors, sends ERROR, then closes
+  /// the session once its outbuf flushes.
+  void proto_error(Session& s, std::uint64_t corr, VbsErrc code,
+                   const std::string& message);
   void close_session(std::uint64_t conn_id);
   void update_interest(Session& s);
   /// Remote SHUTDOWN path, on the loop thread: stop accepting, then stop

@@ -195,7 +195,7 @@ LoadMsg decode_load(const std::string& payload) {
                                         /*expected_fingerprint=*/nullptr,
                                         /*fingerprint_out=*/nullptr,
                                         "rpc load");
-  } catch (const ArtifactError& e) {
+  } catch (const VbsError& e) {
     // A torn/tampered container is a wire-level reject, typed as such.
     bad_frame(std::string("load container: ") + e.what());
   }

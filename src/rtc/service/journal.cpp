@@ -237,7 +237,7 @@ BitVector ServiceJournal::read_snapshot(const std::string& path,
   try {
     return read_artifact_file(path, ArtifactStage::kServiceSnapshot, nullptr,
                               fingerprint_out);
-  } catch (const ArtifactError& e) {
+  } catch (const VbsError& e) {
     bad(std::string("snapshot: ") + e.what());
   }
 }

@@ -126,7 +126,8 @@ class ServiceJournal {
   /// VbsError{kBadJournal} on any violation.
   static ScanResult scan(const std::string& dir);
 
-  /// Reads a snapshot artifact; ArtifactError is rethrown as kBadJournal.
+  /// Reads a snapshot artifact; a container VbsError is rethrown as
+  /// kBadJournal.
   static BitVector read_snapshot(const std::string& path,
                                  std::uint64_t* fingerprint_out);
 

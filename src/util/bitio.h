@@ -1,9 +1,10 @@
 // Most-significant-bit-first bit stream writer/reader.
 //
-// The Virtual Bit-Stream binary format (DESIGN.md, paper Table I) packs
-// variable-width fields back to back; these classes are the only place in
-// the code base that performs that packing, so the on-stream layout is
-// defined entirely here plus the field order in vbs/vbs_format.cpp.
+// The Virtual Bit-Stream binary format (vbs/vbs_format.h, paper Table I)
+// packs variable-width fields back to back; these classes are the only
+// place in the code base that performs that packing, so the on-stream
+// layout is defined entirely here plus the one field walk in
+// vbs/vbs_format.cpp.
 #pragma once
 
 #include <cstdint>

@@ -5,9 +5,8 @@
 // Anything that consumes bytes it did not produce (a serialized VBS, a
 // .vbs/.art file, a journal) rejects malformed input by throwing a
 // VbsError carrying a stable VbsErrc code — never an assert, never
-// undefined behaviour, never silent garbage. The one legacy subtype,
-// ArtifactError, derives from VbsError so its catch sites keep working
-// while new code can dispatch on the code alone.
+// undefined behaviour, never silent garbage. VbsError has no subtypes:
+// callers dispatch on the code alone.
 //
 // The numeric code values are a stable contract: tools expose them as
 // process exit codes (exit_code_for) and in --json error objects, so they

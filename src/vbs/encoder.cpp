@@ -181,6 +181,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
   const std::vector<LogicConfig> logic = extract_logic_configs(nl, pd, pl);
   const std::vector<MacroSwitches> switches = collect_switches(fabric, routes);
   const int rbits = spec.nroute_bits();
+  const VbsFieldWidths fw = vbs_field_widths(spec, c, img.task_w, img.task_h);
 
   auto cluster_logic = [&](int cx, int cy) {
     std::vector<LogicConfig> out(static_cast<std::size_t>(c) * c);
@@ -195,7 +196,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
     return out;
   };
   auto cluster_raw_routing = [&](int cx, int cy) {
-    BitVector out(static_cast<std::size_t>(c) * c * rbits);
+    BitVector out(fw.raw);
     for (int uy = 0; uy < c; ++uy) {
       for (int ux = 0; ux < c; ++ux) {
         const int tx = cx * c + ux, ty = cy * c + uy;
@@ -213,10 +214,6 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
   // ---- 3. Assembly + feedback loop -----------------------------------------
   BitVector scratch;
   Rng rng(kReorderSeed);
-  const RegionModel& full_region = regions.region_for(img, 0, 0);
-  const unsigned rc_bits = full_region.route_count_bits();
-  const unsigned m_bits = full_region.port_field_bits();
-  const std::uint64_t max_conns = (std::uint64_t{1} << rc_bits) - 1;
 
   for (int cy = 0; cy < ch; ++cy) {
     for (int cx = 0; cx < cw; ++cx) {
@@ -239,12 +236,12 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
         if (counter) ++(*counter);
       };
 
-      const std::size_t list_bits = rc_bits + e.conns.size() * 2 * m_bits;
       if (opts.force_raw) {
         make_raw(nullptr);
-      } else if (e.conns.size() > max_conns) {
+      } else if (e.conns.size() > fw.max_conns()) {
         make_raw(&st.overflow_fallbacks);
-      } else if (list_bits >= static_cast<std::size_t>(c) * c * rbits) {
+      } else if (const VbsSizeBreakdown list = vbs_entry_size(img, e);
+                 list.count + list.list >= fw.raw) {
         make_raw(&st.size_fallbacks);
       } else {
         // Feedback loop: decode offline with the online algorithm.
@@ -289,7 +286,7 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
     telem::counter_add("vbs.encode.conflict_fallbacks", st.conflict_fallbacks);
   }
   if (stats) {
-    st.vbs_bits = vbs_size_bits(img);
+    st.vbs_bits = vbs_size(img).total();
     st.raw_bits = raw_size_bits(spec, img.task_w, img.task_h);
     *stats = st;
   }

@@ -173,18 +173,4 @@ std::size_t RegionModel::bytes() const {
          of(port_node_) + of(node_port_) + of(adj_begin_) + of(adj_data_);
 }
 
-unsigned RegionModel::port_field_bits() const {
-  return bits_for(static_cast<std::uint64_t>(num_ports()) + 1);
-}
-
-unsigned RegionModel::route_count_bits() const {
-  // c = 1 follows Table I exactly: ceil(log2(2W)). For clusters the list
-  // can legitimately hold up to one connection per out-port, so the field
-  // is sized like the endpoint field (DESIGN.md documents the extension).
-  if (c_ == 1) {
-    return bits_for(static_cast<std::uint64_t>(2 * spec().chan_width));
-  }
-  return port_field_bits();
-}
-
 }  // namespace vbs

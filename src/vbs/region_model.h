@@ -5,7 +5,7 @@
 // block of macros (paper Section IV-B); c = 1 is the finest grain, a single
 // macro. The region's I/O ports are the 4*c*W perimeter track wires plus
 // the c^2*L logic-block pins, giving connection endpoints coded on
-// M = ceil(log2(4cW + c^2 L + 1)) bits.
+// M = ceil(log2(4cW + c^2 L + 1)) bits (vbs_field_widths, vbs_format.h).
 //
 // Both the offline encoder's feedback loop and the online de-virtualizer
 // route on this model, which is what guarantees that a stream validated
@@ -80,13 +80,6 @@ class RegionModel {
   bool is_pin_port(int port) const {
     return port >= 4 * c_ * spec().chan_width;
   }
-
-  /// M: bits per connection-list endpoint for this region size.
-  unsigned port_field_bits() const;
-  /// Bits of the route-count field: Table I's ceil(log2(2W)) for c = 1,
-  /// widened to the endpoint-field width for clusters (which can hold one
-  /// connection per out-port).
-  unsigned route_count_bits() const;
 
   // --- switch adjacency ------------------------------------------------------
   struct Adj {

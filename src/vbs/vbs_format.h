@@ -24,10 +24,11 @@
 // that same heuristic.
 //
 // RC = ceil(log2(2W)) at c=1 (Table I) and the endpoint width M for
-// clusters; M = ceil(log2(4cW + c^2 L + 1)) as in the paper. The preamble,
-// the per-entry flag bit and the cluster occupancy bitmap are additions
-// Table I leaves implicit (self-description, the paper's raw-fallback
-// behaviour, and per-LB logic presence); DESIGN.md documents them.
+// clusters, whose list can hold one connection per out-port;
+// M = ceil(log2(4cW + c^2 L + 1)) as in the paper. Table I leaves the
+// preamble (self-description), the flag bit (the paper's raw fallback)
+// and the occupancy bitmap (which LBs carry logic) implicit. One walk in
+// vbs_format.cpp lists these fields, and vbs_field_widths their widths.
 #pragma once
 
 #include <cstdint>
@@ -82,8 +83,39 @@ struct VbsImage {
 inline constexpr std::uint64_t kMaxTaskMacros = std::uint64_t{1} << 20;
 inline constexpr std::uint64_t kMaxEntryConfigBits = std::uint64_t{1} << 22;
 
+/// Field widths of one task's stream, from its header values.
+struct VbsFieldWidths {
+  unsigned dim;        ///< D: task size and entry positions
+  unsigned entry;      ///< E: entry count
+  unsigned count;      ///< RC: route count
+  unsigned port;       ///< M: one connection endpoint
+  std::uint64_t ports; ///< endpoint values: 4cW + c^2 L region ports
+  std::size_t raw;     ///< one entry's raw payload: c^2 (Nraw - NLB)
+  /// The longest list the route-count field carries.
+  std::uint64_t max_conns() const { return (std::uint64_t{1} << count) - 1; }
+};
+
+VbsFieldWidths vbs_field_widths(const ArchSpec& spec, int cluster, int task_w,
+                                int task_h);
+
+/// Bits of a stream by part; total() == serialize_vbs(img).size().
+struct VbsSizeBreakdown {
+  std::size_t header = 0;     ///< preamble, task size, entry count
+  std::size_t position = 0;   ///< per-entry flag bit and position
+  std::size_t occupancy = 0;  ///< per-entry LB occupancy bitmaps (c > 1)
+  std::size_t logic = 0;      ///< NLB per coded logic block
+  std::size_t count = 0;      ///< route-count fields
+  std::size_t list = 0;       ///< connection endpoints, 2M per connection
+  std::size_t raw = 0;        ///< raw-fallback routing payloads
+
+  std::size_t total() const {
+    return header + position + occupancy + logic + count + list + raw;
+  }
+};
+
 /// Serializes to the on-wire bit format; the paper's compressed sizes are
-/// measured as serialize(img).size().
+/// measured as serialize(img).size(). Throws std::invalid_argument on an
+/// image the format cannot carry.
 BitVector serialize_vbs(const VbsImage& img);
 
 /// Parses a serialized stream back; throws VbsError carrying a specific
@@ -95,8 +127,11 @@ BitVector serialize_vbs(const VbsImage& img);
 /// (tools/vbsfuzz.cpp holds this as a hard invariant).
 VbsImage deserialize_vbs(const BitVector& bits);
 
-/// Size in bits the image will serialize to, without serializing.
-std::size_t vbs_size_bits(const VbsImage& img);
+/// serialize_vbs's bits by part, without serializing.
+VbsSizeBreakdown vbs_size(const VbsImage& img);
+
+/// One entry's bits within its image's stream (header excluded).
+VbsSizeBreakdown vbs_entry_size(const VbsImage& img, const VbsEntry& e);
 
 /// Raw (uncompressed) size of the same task: w*h*Nraw bits.
 std::size_t raw_size_bits(const ArchSpec& spec, int task_w, int task_h);

@@ -23,17 +23,12 @@ TEST(ArchSpec, PaperExampleW5) {
   EXPECT_EQ(s.tee_points(), 7);
   EXPECT_EQ(s.sb_points(), 5);
   EXPECT_EQ(s.nraw_bits(), 284);
-  // M = ceil(log2(4W + L + 1)) = 5 (paper Section II-B).
-  EXPECT_EQ(s.port_field_bits(), 5u);
-  // "we can code up to floor(Nraw / 2M) = 28 connections" (paper).
-  EXPECT_EQ(s.nraw_bits() / (2 * static_cast<int>(s.port_field_bits())), 28);
 }
 
 TEST(ArchSpec, NormalizedW20) {
   ArchSpec s;  // defaults: W=20, K=6
   EXPECT_EQ(s.nraw_bits(), 1004);
   EXPECT_EQ(s.ports_per_macro(), 87);
-  EXPECT_EQ(s.port_field_bits(), 7u);
 }
 
 TEST(ArchSpec, ValidateRejectsBadValues) {

@@ -3,7 +3,6 @@
 // that tools expose as exit codes and --json error objects.
 #include <gtest/gtest.h>
 
-#include "flow/artifact_io.h"
 #include "util/error.h"
 #include "util/fault.h"
 
@@ -65,14 +64,6 @@ TEST(ErrorTaxonomy, CodesAndExitCodesAreStable) {
   EXPECT_STREQ(to_string(VbsErrc::kNetProto), "net-proto");
   EXPECT_STREQ(to_string(VbsErrc::kNetClosed), "net-closed");
   EXPECT_STREQ(to_string(VbsErrc::kNetTimeout), "net-timeout");
-}
-
-TEST(ErrorTaxonomy, LegacyExceptionTypesDeriveFromVbsError) {
-  // Existing catch (ArtifactError) / catch (std::runtime_error) sites
-  // must keep working while new code dispatches on VbsError::code().
-  const ArtifactError a("artifact");
-  const VbsError* va = &a;
-  EXPECT_EQ(va->code(), VbsErrc::kBadContainer);
 }
 
 // --- fault plan --------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "flow/artifact_io.h"
 #include "flow/flow.h"
 #include "flow/pipeline.h"
+#include "errc.h"
 #include "hex.h"
 #include "netlist/generator.h"
 #include "netlist/mcnc.h"
@@ -161,13 +162,15 @@ TEST(ArtifactIo, FileRoundTripAndRejection) {
   const std::uint64_t good_fp = 42;
   EXPECT_EQ(read_artifact_file(path, ArtifactStage::kPack, &good_fp), payload);
 
+  const auto read_errc = [&](ArtifactStage stage, const std::uint64_t* fp) {
+    return errc_of([&] { read_artifact_file(path, stage, fp); });
+  };
   // Wrong expected stage tag.
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kRoute, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_errc(ArtifactStage::kRoute, &good_fp),
+            VbsErrc::kBadContainer);
   // Fingerprint mismatch (stale / foreign checkpoint).
   const std::uint64_t bad_fp = 43;
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &bad_fp),
-               ArtifactError);
+  EXPECT_EQ(read_errc(ArtifactStage::kPack, &bad_fp), VbsErrc::kBadContainer);
 
   const auto read_bytes = [&] {
     std::ifstream is(path, std::ios::binary);
@@ -183,28 +186,24 @@ TEST(ArtifactIo, FileRoundTripAndRejection) {
   std::string bad = original;
   bad[3] = '2';
   write_bytes(bad);
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_errc(ArtifactStage::kPack, &good_fp), VbsErrc::kBadContainer);
 
   // Corrupted payload: content hash catches a flipped byte.
   bad = original;
   bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0x40);
   write_bytes(bad);
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_errc(ArtifactStage::kPack, &good_fp), VbsErrc::kBadContainer);
 
   // Truncated payload and truncated header.
   write_bytes(original.substr(0, original.size() - 2));
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_errc(ArtifactStage::kPack, &good_fp), VbsErrc::kBadContainer);
   write_bytes(original.substr(0, 10));
-  EXPECT_THROW(read_artifact_file(path, ArtifactStage::kPack, &good_fp),
-               ArtifactError);
+  EXPECT_EQ(read_errc(ArtifactStage::kPack, &good_fp), VbsErrc::kTruncated);
 }
 
 // Systematic single-bit corruption of the whole vbs.artifact.v1 header
 // (magic, stage, fingerprint, content hash, bit count — 29 bytes): every
-// one of the 232 possible flips must be caught by a typed ArtifactError.
+// one of the 232 possible flips must be rejected as kBadContainer.
 // No header bit is slack; none silently decodes to garbage.
 TEST(ArtifactIo, EveryHeaderBitFlipIsRejected) {
   TempDir dir("artifact_flip");
@@ -232,13 +231,11 @@ TEST(ArtifactIo, EveryHeaderBitFlipIsRejected) {
         std::ofstream os(path, std::ios::binary | std::ios::trunc);
         os.write(bad.data(), static_cast<std::streamsize>(bad.size()));
       }
-      try {
-        read_artifact_file(path, ArtifactStage::kPack, &good_fp);
-        FAIL() << "header byte " << byte << " bit " << bit
-               << " flip was accepted";
-      } catch (const ArtifactError&) {
-        // Typed rejection: exactly what the contract requires.
-      }
+      EXPECT_EQ(errc_of([&] {
+                  read_artifact_file(path, ArtifactStage::kPack, &good_fp);
+                }),
+                VbsErrc::kBadContainer)
+          << "header byte " << byte << " bit " << bit;
     }
   }
 }
@@ -340,7 +337,8 @@ TEST(Pipeline, ResumeRejectsForeignArtifacts) {
   fs::copy_file(fs::path(dir_b.path) / "place.art",
                 fs::path(dir_a.path) / "place.art",
                 fs::copy_options::overwrite_existing);
-  EXPECT_THROW(FlowPipeline::resume_from(dir_a.path), ArtifactError);
+  EXPECT_EQ(errc_of([&] { FlowPipeline::resume_from(dir_a.path); }),
+            VbsErrc::kBadContainer);
 }
 
 // Route checkpoints of the router that aimed with Manhattan distance alone
@@ -368,7 +366,8 @@ TEST(Pipeline, ResumeRejectsManhattanRoutedCheckpoints) {
         read_artifact_file(route, ArtifactStage::kRoute, nullptr, &written);
     EXPECT_NE(written, fingerprint);
     write_artifact_file(route, ArtifactStage::kRoute, fingerprint, payload);
-    EXPECT_THROW(FlowPipeline::resume_from(dir.path), ArtifactError);
+    EXPECT_EQ(errc_of([&] { FlowPipeline::resume_from(dir.path); }),
+            VbsErrc::kBadContainer);
   }
 }
 

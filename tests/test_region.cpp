@@ -1,4 +1,4 @@
-// RegionModel tests: clustering geometry, port numbering, field widths.
+// RegionModel tests: clustering geometry, port numbering, switch bits.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -23,7 +23,6 @@ TEST(RegionModel, ClusterOneMatchesMacroModel) {
   for (int port = 0; port < rm.num_ports(); ++port) {
     EXPECT_EQ(rm.port_node(port), mm.port_node(port));
   }
-  EXPECT_EQ(rm.port_field_bits(), spec5().port_field_bits());
 }
 
 TEST(RegionModel, PortCountsScaleWithCluster) {
@@ -61,17 +60,6 @@ TEST(RegionModel, InteriorNodesHaveNoPort) {
   int interior = 0;
   for (int n = 0; n < rm.num_nodes(); ++n) interior += (rm.node_port(n) < 0);
   EXPECT_EQ(interior, rm.num_nodes() - rm.num_ports());
-}
-
-TEST(RegionModel, FieldWidthsMatchPaperFormulas) {
-  const RegionModel r1(spec5(), 1);
-  EXPECT_EQ(r1.port_field_bits(), 5u);   // ceil(log2(4*5+7+1))
-  EXPECT_EQ(r1.route_count_bits(), 4u);  // ceil(log2(2*5))
-  const RegionModel r2(spec5(), 2);
-  // 4cW + c^2 L + 1 = 40 + 28 + 1 = 69 -> 7 bits.
-  EXPECT_EQ(r2.port_field_bits(), 7u);
-  // Clusters widen the route-count field to the endpoint width.
-  EXPECT_EQ(r2.route_count_bits(), 7u);
 }
 
 TEST(RegionModel, SwitchBitsCoverRegionPayload) {

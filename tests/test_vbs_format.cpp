@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "errc.h"
 #include "hex.h"
 #include "util/bitio.h"
 #include "util/error.h"
@@ -50,21 +51,10 @@ VbsImage sample_image(int cluster = 1) {
   return img;
 }
 
-/// The code of the VbsError `f` throws; kNone when it throws none.
-template <class F>
-VbsErrc errc_of(F&& f) {
-  try {
-    f();
-  } catch (const VbsError& e) {
-    return e.code();
-  }
-  return VbsErrc::kNone;
-}
-
 TEST(VbsFormat, RoundTripFineGrain) {
   const VbsImage img = sample_image();
   const BitVector bits = serialize_vbs(img);
-  EXPECT_EQ(bits.size(), vbs_size_bits(img));
+  EXPECT_EQ(bits.size(), vbs_size(img).total());
   const VbsImage back = deserialize_vbs(bits);
   EXPECT_EQ(back.task_w, 6);
   EXPECT_EQ(back.task_h, 4);
@@ -85,7 +75,7 @@ TEST(VbsFormat, RoundTripFineGrain) {
 TEST(VbsFormat, RoundTripClustered) {
   const VbsImage img = sample_image(2);
   const BitVector bits = serialize_vbs(img);
-  EXPECT_EQ(bits.size(), vbs_size_bits(img));
+  EXPECT_EQ(bits.size(), vbs_size(img).total());
   const VbsImage back = deserialize_vbs(bits);
   EXPECT_EQ(back.cluster, 2);
   ASSERT_EQ(back.entries.size(), 2u);
@@ -93,6 +83,24 @@ TEST(VbsFormat, RoundTripClustered) {
   EXPECT_TRUE(back.entries[0].logic[0].used);
   EXPECT_FALSE(back.entries[0].logic[1].used);
   EXPECT_EQ(serialize_vbs(back), bits);
+}
+
+TEST(VbsFormat, FieldWidthsMatchPaperFormulas) {
+  ArchSpec s;
+  s.chan_width = 5;
+  const VbsFieldWidths w1 = vbs_field_widths(s, 1, 6, 4);
+  // M = ceil(log2(4W + L + 1)) = 5 (paper Section II-B).
+  EXPECT_EQ(w1.port, 5u);
+  // "we can code up to floor(Nraw / 2M) = 28 connections" (paper).
+  EXPECT_EQ(static_cast<unsigned>(s.nraw_bits()) / (2 * w1.port), 28u);
+  EXPECT_EQ(w1.count, 4u);  // ceil(log2(2W))
+  // 4cW + c^2 L + 1 = 40 + 28 + 1 = 69 -> 7 bits; clusters widen the
+  // route-count field to the endpoint width.
+  const VbsFieldWidths w2 = vbs_field_widths(s, 2, 6, 4);
+  EXPECT_EQ(w2.port, 7u);
+  EXPECT_EQ(w2.count, 7u);
+  s.chan_width = 20;
+  EXPECT_EQ(vbs_field_widths(s, 1, 6, 4).port, 7u);  // 4W + L = 87 ports
 }
 
 TEST(VbsFormat, HeaderSizesMatchTableOne) {
@@ -108,8 +116,15 @@ TEST(VbsFormat, HeaderSizesMatchTableOne) {
   EXPECT_EQ(m, 5u);  // paper's example value
   const std::size_t preamble = 4 + 8 + 4 + 2 + 1 + 6 + 6 + 2 * d;
   const std::size_t entry_field = bits_for(6 * 4 + 1);
-  const std::size_t macro_rec = 1 + 2 * d + 65 + rc + 3 * 2 * m;
-  EXPECT_EQ(vbs_size_bits(img), preamble + entry_field + macro_rec);
+  const VbsSizeBreakdown b = vbs_size(img);
+  EXPECT_EQ(b.header, preamble + entry_field);
+  EXPECT_EQ(b.position, 1 + 2 * d);
+  EXPECT_EQ(b.occupancy, 0u);
+  EXPECT_EQ(b.logic, 65u);
+  EXPECT_EQ(b.count, rc);
+  EXPECT_EQ(b.list, 3 * 2 * m);
+  EXPECT_EQ(b.raw, 0u);
+  EXPECT_EQ(b.total(), serialize_vbs(img).size());
 }
 
 TEST(VbsFormat, EmptyImageSerializes) {
@@ -200,12 +215,44 @@ TEST(VbsFormat, RawSizeMatchesPaperFormula) {
   EXPECT_EQ(raw_size_bits(s, 3, 2), 6u * 284u);
 }
 
+// The breakdown totals the stream at c = 1 and 2 over a raw entry, a
+// routing-only entry and, at c = 2, a cluster the task edge cuts to one
+// column; each added connection costs 2M list bits.
 TEST(VbsFormat, SizeScalesWithConnections) {
-  VbsImage img = sample_image();
-  const std::size_t base = vbs_size_bits(img);
-  img.entries[0].conns.push_back({3, 9});
-  const unsigned m = bits_for(4 * 5 + 7 + 1);
-  EXPECT_EQ(vbs_size_bits(img), base + 2 * m);
+  for (const int c : {1, 2}) {
+    SCOPED_TRACE("c = " + std::to_string(c));
+    VbsImage img = sample_image(c);
+    img.task_w = 5;  // at c = 2 grid column 2 holds one macro column
+    VbsEntry routing_only;
+    routing_only.cx = 2;
+    routing_only.logic.resize(static_cast<std::size_t>(c) * c);
+    routing_only.conns.push_back({0, 3});
+    img.entries.push_back(routing_only);
+    const VbsFieldWidths fw = vbs_field_widths(img.spec, c, 5, 4);
+
+    const VbsSizeBreakdown b = vbs_size(img);
+    const BitVector bits = serialize_vbs(img);
+    EXPECT_EQ(b.total(), bits.size());
+    EXPECT_EQ(serialize_vbs(deserialize_vbs(bits)), bits);
+    const std::size_t nlb = 65;
+    if (c == 1) {
+      // Every c = 1 entry carries its NLB bits, used or not.
+      EXPECT_EQ(b.logic, 3 * nlb);
+      EXPECT_EQ(b.occupancy, 0u);
+    } else {
+      EXPECT_EQ(b.logic, nlb);
+      EXPECT_EQ(b.occupancy, 3u * 4);
+    }
+    EXPECT_EQ(b.raw, fw.raw);
+    EXPECT_EQ(b.count, 2u * fw.count);
+    EXPECT_EQ(b.list, 3u * 2 * fw.port);
+
+    img.entries[0].conns.push_back({3, 9});
+    const VbsSizeBreakdown more = vbs_size(img);
+    EXPECT_EQ(more.list, b.list + 2 * fw.port);
+    EXPECT_EQ(more.total(), b.total() + 2 * fw.port);
+    EXPECT_EQ(more.total(), serialize_vbs(img).size());
+  }
 }
 
 // Pins the on-disk bytes of one small VBS2 file. Round trips alone would

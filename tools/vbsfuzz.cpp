@@ -581,7 +581,12 @@ int main(int argc, char** argv) {
             const BitVector back =
                 read_artifact_file(apath, ArtifactStage::kEncode, &want_fp);
             if (back != bits) return fail("mutated artifact read garbage");
-          } catch (const ArtifactError&) {
+          } catch (const VbsError& e) {
+            if (e.code() != VbsErrc::kBadContainer &&
+                e.code() != VbsErrc::kTruncated) {
+              return fail(std::string("artifact error of another code: ") +
+                          e.what());
+            }
           } catch (const std::exception& e) {
             return fail(std::string("untyped artifact error: ") + e.what());
           }

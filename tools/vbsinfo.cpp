@@ -9,11 +9,9 @@
 // per-entry table / array in either mode.
 #include <cstdio>
 
-#include "util/bitio.h"
 #include "util/build_info.h"
 #include "util/cli.h"
 #include "util/table.h"
-#include "vbs/region_model.h"
 #include "vbs/vbs_file.h"
 #include "vbs/vbs_format.h"
 
@@ -23,10 +21,16 @@ namespace {
 
 struct StreamSummary {
   std::size_t conns = 0, raw_entries = 0, logic_used = 0, max_conns = 0;
-  std::size_t logic_bits = 0, conn_bits = 0, raw_payload_bits = 0;
+  VbsFieldWidths widths{};
+  VbsSizeBreakdown bits;
+  /// Everything but logic, connection list and raw payload: header,
+  /// entry positions, occupancy bitmaps and route-count fields.
+  std::size_t framing_bits() const {
+    return bits.header + bits.position + bits.occupancy + bits.count;
+  }
 };
 
-StreamSummary summarize(const VbsImage& img, const RegionModel& region) {
+StreamSummary summarize(const VbsImage& img) {
   StreamSummary s;
   for (const VbsEntry& e : img.entries) {
     s.conns += e.conns.size();
@@ -34,12 +38,8 @@ StreamSummary summarize(const VbsImage& img, const RegionModel& region) {
     s.raw_entries += e.raw;
     for (const LogicConfig& lc : e.logic) s.logic_used += lc.used;
   }
-  s.logic_bits =
-      s.logic_used * static_cast<std::size_t>(img.spec.nlb_bits());
-  s.conn_bits = s.conns * 2 * region.port_field_bits();
-  s.raw_payload_bits = s.raw_entries * static_cast<std::size_t>(img.cluster) *
-                       img.cluster *
-                       static_cast<std::size_t>(img.spec.nroute_bits());
+  s.widths = vbs_field_widths(img.spec, img.cluster, img.task_w, img.task_h);
+  s.bits = vbs_size(img);
   return s;
 }
 
@@ -50,7 +50,7 @@ std::size_t entry_used_lbs(const VbsEntry& e) {
 }
 
 void print_json(const BitVector& stream, const VbsImage& img,
-                const RegionModel& region, const StreamSummary& s,
+                const StreamSummary& s,
                 bool with_entries) {
   const ArchSpec& spec = img.spec;
   const std::size_t raw_bits = raw_size_bits(spec, img.task_w, img.task_h);
@@ -70,7 +70,7 @@ void print_json(const BitVector& stream, const VbsImage& img,
       img.cluster_grid_h());
   std::printf(
       "  \"field_bits\": {\"endpoint\": %u, \"route_count\": %u},\n",
-      region.port_field_bits(), region.route_count_bits());
+      s.widths.port, s.widths.count);
   std::printf(
       "  \"raw\": {\"bits\": %zu, \"bits_per_macro\": %d, \"ratio\": "
       "%.4f},\n",
@@ -86,8 +86,7 @@ void print_json(const BitVector& stream, const VbsImage& img,
   std::printf(
       "  \"size_breakdown\": {\"logic\": %zu, \"connections\": %zu, "
       "\"raw_payload\": %zu, \"framing\": %zu},\n",
-      s.logic_bits, s.conn_bits, s.raw_payload_bits,
-      stream.size() - s.logic_bits - s.conn_bits - s.raw_payload_bits);
+      s.bits.logic, s.bits.list, s.bits.raw, s.framing_bits());
   std::printf("  \"build\": %s,\n", build_info_json(2).c_str());
   std::printf("  \"metrics\": %s%s\n",
               telem::snapshot().to_json(2).c_str(), with_entries ? "," : "");
@@ -107,7 +106,7 @@ void print_json(const BitVector& stream, const VbsImage& img,
 }
 
 void print_text(const BitVector& stream, const VbsImage& img,
-                const RegionModel& region, const StreamSummary& s,
+                const StreamSummary& s,
                 bool with_entries) {
   const ArchSpec& spec = img.spec;
   std::printf("stream           : %zu bits (%zu bytes on disk)\n",
@@ -121,7 +120,7 @@ void print_text(const BitVector& stream, const VbsImage& img,
               img.task_w, img.task_h, img.cluster, img.cluster_grid_w(),
               img.cluster_grid_h());
   std::printf("field widths     : M=%u bits/endpoint, route count %u bits\n",
-              region.port_field_bits(), region.route_count_bits());
+              s.widths.port, s.widths.count);
   std::printf("raw equivalent   : %zu bits (%d bits/macro) -> ratio %.1f%%\n",
               raw_size_bits(spec, img.task_w, img.task_h), spec.nraw_bits(),
               100.0 * static_cast<double>(stream.size()) /
@@ -133,9 +132,7 @@ void print_text(const BitVector& stream, const VbsImage& img,
               s.max_conns);
   std::printf("size breakdown   : logic %zu, connections %zu, raw payload "
               "%zu, framing %zu bits\n",
-              s.logic_bits, s.conn_bits, s.raw_payload_bits,
-              stream.size() - s.logic_bits - s.conn_bits -
-                  s.raw_payload_bits);
+              s.bits.logic, s.bits.list, s.bits.raw, s.framing_bits());
   if (with_entries) {
     TablePrinter table({"cx", "cy", "coding", "used LBs", "conns"});
     for (const VbsEntry& e : img.entries) {
@@ -162,12 +159,11 @@ int main(int argc, char** argv) {
     }
     const BitVector stream = read_vbs_file(args.positional()[0]);
     const VbsImage img = deserialize_vbs(stream);
-    const RegionModel region(img.spec, img.cluster);
-    const StreamSummary summary = summarize(img, region);
+    const StreamSummary summary = summarize(img);
     if (args.has_flag("--json")) {
-      print_json(stream, img, region, summary, args.has_flag("--entries"));
+      print_json(stream, img, summary, args.has_flag("--entries"));
     } else {
-      print_text(stream, img, region, summary, args.has_flag("--entries"));
+      print_text(stream, img, summary, args.has_flag("--entries"));
     }
     return 0;
   });
