@@ -106,7 +106,8 @@ RoutingResult deserialize_routing(const BitVector& bits);
 
 // The encode stage's payload is the serialized VBS stream itself
 // (self-describing via deserialize_vbs) followed by the deterministic
-// EncodeStats fields; FlowPipeline assembles it inline.
+// EncodeStats counts; FlowPipeline assembles it inline. The size breakdown
+// is not stored: a resume recounts it from the parsed stream.
 
 // --- container codec ---------------------------------------------------------
 

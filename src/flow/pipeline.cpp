@@ -454,6 +454,7 @@ FlowPipeline FlowPipeline::resume_from(const std::string& dir) {
         pipe.encode_stats_.raw_bits = static_cast<std::size_t>(r.read(64));
         if (!r.at_end()) bad_artifact("encode artifact: trailing bits");
         pipe.image_ = deserialize_vbs(pipe.stream_);
+        pipe.encode_stats_.size = vbs_size(pipe.image_);
         break;
       }
     }

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 
+#include "util/bytes.h"
 #include "util/hash.h"
 
 namespace vbs::net {
@@ -63,8 +64,8 @@ IoStatus Conn::on_readable() {
 
 IoStatus Conn::on_writable() {
   if (fd_ < 0) return IoStatus::kClosed;
-  while (!outbuf_.empty()) {
-    std::size_t want = outbuf_.size();
+  while (wants_write()) {
+    std::size_t want = outbuf_.size() - out_sent_;
     if (faults_.enabled()) {
       const std::uint64_t seq = fault_seq();
       if (faults_.net_drops(seq)) {
@@ -76,9 +77,10 @@ IoStatus Conn::on_writable() {
         want = kShortBytes;
       }
     }
-    const ssize_t n = ::send(fd_, outbuf_.data(), want, MSG_NOSIGNAL);
+    const ssize_t n =
+        ::send(fd_, outbuf_.data() + out_sent_, want, MSG_NOSIGNAL);
     if (n > 0) {
-      outbuf_.erase(0, static_cast<std::size_t>(n));
+      consume_front(outbuf_, out_sent_, static_cast<std::size_t>(n));
       total_out_ += static_cast<std::size_t>(n);
       continue;
     }
@@ -97,7 +99,7 @@ IoStatus Conn::queue_write(const void* data, std::size_t n) {
   outbuf_.append(static_cast<const char*>(data), n);
   const IoStatus st = on_writable();
   // A partial flush is not an error: bytes stay buffered for the poller.
-  return st == IoStatus::kBlocked && !outbuf_.empty() ? IoStatus::kBlocked : st;
+  return st == IoStatus::kBlocked && wants_write() ? IoStatus::kBlocked : st;
 }
 
 }  // namespace vbs::net

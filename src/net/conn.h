@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/fault.h"
 
@@ -46,7 +47,9 @@ class Conn {
 
   /// Drains the socket into inbuf() until EAGAIN/EOF/error.
   IoStatus on_readable();
-  /// Flushes outbuf() to the socket until empty or EAGAIN.
+  /// Flushes outbuf() to the socket until empty or EAGAIN. Sent bytes leave
+  /// the buffer through an offset (consume_front, util/bytes.h), so a deep
+  /// outbuf drains in time linear in its size.
   IoStatus on_writable();
 
   /// Appends bytes and opportunistically flushes. kOk means fully sent or
@@ -58,8 +61,11 @@ class Conn {
   }
 
   std::string& inbuf() { return inbuf_; }
-  const std::string& outbuf() const { return outbuf_; }
-  bool wants_write() const { return !outbuf_.empty(); }
+  /// Bytes queued and not yet sent.
+  std::string_view outbuf() const {
+    return std::string_view(outbuf_).substr(out_sent_);
+  }
+  bool wants_write() const { return out_sent_ < outbuf_.size(); }
   std::size_t bytes_in() const { return total_in_; }
   std::size_t bytes_out() const { return total_out_; }
   int last_error() const { return last_errno_; }
@@ -78,6 +84,7 @@ class Conn {
   std::uint64_t op_count_ = 0;
   std::string inbuf_;
   std::string outbuf_;
+  std::size_t out_sent_ = 0;  ///< bytes at the front of outbuf_ already sent
   std::size_t total_in_ = 0;
   std::size_t total_out_ = 0;
   int last_errno_ = 0;

@@ -51,8 +51,8 @@ std::string encode_frame(FrameType type, std::uint64_t corr,
 }
 
 bool FrameReader::next(std::string& buf, Frame& out) {
-  if (buf.size() < 4) return false;
-  ByteReader r = payload_reader(buf);
+  if (buf.size() < consumed_ + 4) return false;
+  ByteReader r = payload_reader(std::string_view(buf).substr(consumed_));
   const std::uint32_t n = r.u32();
   if (n < 18) bad_frame("declared length " + std::to_string(n) + " < 18");
   if (n > max_frame_) {
@@ -79,7 +79,7 @@ bool FrameReader::next(std::string& buf, Frame& out) {
   out.type = static_cast<FrameType>(type);
   out.corr = corr;
   out.payload.assign(payload);
-  buf.erase(0, r.pos());
+  consume_front(buf, consumed_, r.pos());
   return true;
 }
 

@@ -102,11 +102,17 @@ std::string encode_frame(FrameType type, std::uint64_t corr,
 /// Incremental frame parser over a connection's receive buffer.
 ///
 /// next() consumes at most one complete frame from the front of `buf`:
-/// returns false (buffer untouched beyond what a complete frame needs)
-/// when bytes are still missing, true with `out` filled when a frame was
-/// consumed, and throws VbsError{kNetFrame} when the bytes can never
-/// become a valid frame (bad version/type/length/checksum). The oversize
-/// check fires on the *declared* length, before any payload bytes arrive.
+/// returns false (nothing consumed) when bytes are still missing, true
+/// with `out` filled when a frame was consumed, and throws
+/// VbsError{kNetFrame} when the bytes can never become a valid frame (bad
+/// version/type/length/checksum). The oversize check fires on the
+/// *declared* length, before any payload bytes arrive.
+///
+/// Consumed frames leave `buf` through a read offset the reader keeps
+/// (consume_front, util/bytes.h): the prefix is erased only once it passes
+/// half the buffer, and a fully consumed buffer is left empty. So a reader
+/// serves one buffer for its life: pass the same one on every call, append
+/// to it freely, and never remove bytes from it yourself.
 class FrameReader {
  public:
   explicit FrameReader(std::size_t max_frame_bytes = kMaxFrameBytesDefault)
@@ -116,6 +122,7 @@ class FrameReader {
 
  private:
   std::size_t max_frame_;
+  std::size_t consumed_ = 0;  ///< bytes of `buf` already parsed
 };
 
 // --- handshake ---------------------------------------------------------------

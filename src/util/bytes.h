@@ -81,6 +81,20 @@ inline std::uint64_t packed_size(std::uint64_t bit_count) {
 /// over the packed bytes, then the bit count folded in.
 std::uint64_t content_hash(std::string_view packed, std::uint64_t bit_count);
 
+/// Marks `n` more bytes at the front of `buf` consumed, where `consumed` is
+/// the offset of the first byte still live, and drops the consumed prefix
+/// once it passes half the buffer. Each drop moves fewer bytes than it
+/// frees, so draining N bytes a frame at a time moves O(N) bytes in all,
+/// not O(N) per frame as an erase per frame does.
+inline void consume_front(std::string& buf, std::size_t& consumed,
+                          std::size_t n) {
+  consumed += n;
+  if (2 * consumed > buf.size()) {
+    buf.erase(0, consumed);
+    consumed = 0;
+  }
+}
+
 /// Bounds-checked little-endian reader over a byte range it does not own.
 class ByteReader {
  public:

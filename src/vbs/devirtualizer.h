@@ -160,12 +160,16 @@ class Devirtualizer {
 /// The region models and decoders of the region shapes decodes meet, keyed
 /// by (architecture, cluster size c, extent). A task has
 /// the full c x c shape plus up to three partial extents when its size is
-/// not a multiple of c. The encoder's feedback loop, decode_stream and the
-/// service's batch decode all decode through this class.
+/// not a multiple of c. decode_stream and the service's batch decode decode
+/// through this class.
 ///
 /// Lifetime. A cache is not thread-safe: one per decoding thread. A
 /// one-image decode_stream (devirtualize_image, and the run-time
 /// controller's load_at and relocate) keeps a local cache for that image.
+/// The encoder's feedback loop does not use one: it decodes a single image
+/// on several threads, so it builds that image's (at most four) region
+/// models once, shares them read-only and gives each thread its own
+/// decoders; an LRU per thread could drop a shape another still uses.
 /// The service keeps one cache per pool rank for its whole life, so a rank
 /// builds each shape once instead of once per load, and its
 /// uncached-relocation re-decode passes rank 0's to decode_stream. A reused

@@ -7,7 +7,18 @@
 //   2. the online de-virtualization algorithm is run offline as a feedback
 //      loop; if the decode fails for the emitted order, the connection list
 //      is re-ordered: sorted by (in, out), then that order reversed, then
-//      kReorderAttempts shuffles from an RNG seeded with kReorderSeed;
+//      kReorderAttempts shuffles from an RNG seeded with kReorderSeed.
+//      The loop runs in three phases. Extraction, assembly and the raw
+//      fallbacks below are serial and mark the entries that need the loop.
+//      A thread pool then tries the three fixed orders of those entries,
+//      largest entry first; they use no RNG, and a decode is pure per entry,
+//      so no verdict depends on the thread that reached it. Last, one serial
+//      pass in entry order runs the shuffles of the entries still failing,
+//      so the one RNG is drawn from in the same order as by a loop that
+//      takes one entry at a time. The stream is therefore the same at any
+//      thread count; the count is min(hardware threads, 4), not an option.
+//      Each thread decodes on its own decoders, built on the calling thread,
+//      over region models that all threads share read-only;
 //   3. if no feasible order is found — or the Table I pair list is no
 //      smaller than the region's raw switch bits — the region falls back
 //      to raw coding, which keeps the stream always decodable and never
@@ -50,7 +61,8 @@ struct EncodeStats {
   int overflow_fallbacks = 0;     ///< raw because of route-count overflow
   int reordered_entries = 0;      ///< decoded only after re-ordering
   long long connections = 0;
-  std::size_t vbs_bits = 0;
+  VbsSizeBreakdown size;          ///< the stream's bits by Table I part
+  std::size_t vbs_bits = 0;       ///< size.total(): the serialized stream
   std::size_t raw_bits = 0;       ///< size of the equivalent raw bit-stream
 
   double compression_ratio() const {

@@ -143,6 +143,8 @@ TEST(Encoder, StatsAreConsistent) {
                                    stats.size_fallbacks +
                                    stats.overflow_fallbacks);
   EXPECT_EQ(stats.vbs_bits, serialize_vbs(img).size());
+  EXPECT_EQ(stats.vbs_bits, stats.size.total());
+  EXPECT_EQ(stats.size.list, vbs_size(img).list);
   long long conns = 0;
   int raws = 0;
   for (const VbsEntry& e : img.entries) {

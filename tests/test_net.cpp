@@ -269,6 +269,37 @@ TEST(Wire, TwoFramesInOneBuffer) {
   EXPECT_TRUE(buf.empty());
 }
 
+// A deep buffer drains in order and byte for byte: 4,096 PINGs parsed from
+// one buffer, then a frame that arrives in two halves behind them.
+TEST(Wire, ManyFramesFromOneBufferKeepOrderAndBytes) {
+  constexpr std::uint64_t kFrames = 4096;
+  std::vector<std::string> sent;
+  std::string buf;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    sent.push_back(rpc::encode_frame(rpc::FrameType::kPing, i,
+                                     "ping-" + std::to_string(i)));
+    buf += sent.back();
+  }
+  rpc::FrameReader reader;
+  rpc::Frame f;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(reader.next(buf, f)) << "frame " << i;
+    ASSERT_EQ(f.type, rpc::FrameType::kPing);
+    ASSERT_EQ(f.corr, i);
+    ASSERT_EQ(rpc::encode_frame(f.type, f.corr, f.payload), sent[i]);
+  }
+  EXPECT_FALSE(reader.next(buf, f));
+  EXPECT_TRUE(buf.empty());
+
+  const std::string last = rpc::encode_frame(rpc::FrameType::kPong, 7, "tail");
+  buf += last.substr(0, last.size() / 2);
+  EXPECT_FALSE(reader.next(buf, f));
+  buf += last.substr(last.size() / 2);
+  ASSERT_TRUE(reader.next(buf, f));
+  EXPECT_EQ(rpc::encode_frame(f.type, f.corr, f.payload), last);
+  EXPECT_TRUE(buf.empty());
+}
+
 TEST(Wire, BadChecksumIsNetFrame) {
   rpc::FrameReader reader;
   std::string buf = rpc::encode_frame(rpc::FrameType::kPing, 7, "xyz");

@@ -491,6 +491,9 @@ TEST(Pipeline, CheckpointSurvivesCrashAtEveryIoSite) {
   FlowPipeline re = FlowPipeline::resume_from(dir.path);
   EXPECT_TRUE(re.completed(Stage::kEncode));
   EXPECT_EQ(re.vbs_stream(), pipe.vbs_stream());
+  // The size breakdown is not stored; the resume recounts it.
+  EXPECT_EQ(re.encode_stats().size.list, pipe.encode_stats().size.list);
+  EXPECT_EQ(re.encode_stats().size.total(), re.encode_stats().vbs_bits);
 }
 
 // The acceptance bar of the redesign: for every circuit of the perf suite,

@@ -120,6 +120,9 @@ std::vector<std::string> ablation_row(const std::string& circuit,
 int run_figures(const std::vector<McncCircuit>& circuits) {
   const FlowOptions opts = paper_flow_options();
   std::vector<Summary> sizes(kNumClusters), ratios(kNumClusters);
+  // Per c, summed over circuits: stream, connection-list and logic bits.
+  std::vector<double> vbs_bits(kNumClusters), list_bits(kNumClusters),
+      logic_bits(kNumClusters);
   TablePrinter fig4({"Name", "BS (bits)", "VBS (bits)", "VBS/BS", "factor",
                      "raw-coded macros", "verified"});
   std::vector<TablePrinter> ablation(
@@ -161,6 +164,9 @@ int run_figures(const std::vector<McncCircuit>& circuits) {
 
       const double ratio = s.compression_ratio();
       sizes[ci].add(static_cast<double>(s.vbs_bits));
+      vbs_bits[ci] += static_cast<double>(s.vbs_bits);
+      list_bits[ci] += static_cast<double>(s.size.list);
+      logic_bits[ci] += static_cast<double>(s.size.logic);
       ratios[ci].add(ratio);
       rows.add_row({TablePrinter::fmt_int(kClusters[ci]),
                     TablePrinter::fmt_int(s.entries),
@@ -212,14 +218,20 @@ int run_figures(const std::vector<McncCircuit>& circuits) {
       "Paper: ratio drops from 41%% (c=1) to 9-15%% for c>=2, with\n"
       "diminishing returns (or worse) at large sizes.\n\n");
   TablePrinter fig5({"cluster", "geomean VBS (bits)", "min (bits)",
-                     "max (bits)", "avg ratio", "factor"});
+                     "max (bits)", "avg ratio", "factor", "list share",
+                     "logic share"});
   for (std::size_t ci = 0; ci < kNumClusters; ++ci) {
     fig5.add_row({TablePrinter::fmt_int(kClusters[ci]),
                   bits(sizes[ci].geomean()), bits(sizes[ci].min()),
                   bits(sizes[ci].max()), percent(ratios[ci].mean()),
-                  TablePrinter::fmt(1.0 / ratios[ci].mean(), 2) + "x"});
+                  TablePrinter::fmt(1.0 / ratios[ci].mean(), 2) + "x",
+                  percent(list_bits[ci] / vbs_bits[ci]),
+                  percent(logic_bits[ci] / vbs_bits[ci])});
   }
   fig5.print();
+  std::printf(
+      "\nlist share, logic share: connection-list and logic bits as a share\n"
+      "of all circuits' VBS bits at that cluster size.\n");
   std::printf("\nc=1 -> c=2 compression gain: %.2fx (paper: ~4x)\n",
               ratios[0].mean() / ratios[1].mean());
 
