@@ -99,6 +99,20 @@ class Fabric : public FabricLayout {
   std::size_t edge_offset(int g) const { return edge_begin_[g]; }
   const Edge& edge_at(std::size_t idx) const { return edge_data_[idx]; }
 
+  /// The switch an edge crosses: the macro owning it and its routing bit,
+  /// the switch's index within that macro's routing region (MacroModel
+  /// canonical order).
+  struct Switch {
+    int macro;
+    int bit;
+  };
+  Switch edge_switch(const Edge& e) const {
+    return {e.macro,
+            macro_.switch_points()[static_cast<std::size_t>(e.point)]
+                    .bit_offset +
+                e.pair};
+  }
+
   // --- ports carried by a node ---------------------------------------------
   struct MacroPort {
     std::int32_t macro;

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "fabric/fabric.h"
+#include "util/hash.h"
 
 namespace vbs {
 namespace {
@@ -80,6 +83,44 @@ TEST(Fabric, EdgesAreSymmetricAndTagged) {
       EXPECT_TRUE(back);
     }
   }
+}
+
+/// FNV-1a-64 over the graph in CSR order: every node's edge offset, each
+/// edge's (to, macro, point, pair), then the edge count. The point and pair
+/// of a switch come from its routing bit through the macro model.
+std::uint64_t graph_hash(const Fabric& f) {
+  const auto& points = f.macro().switch_points();
+  std::vector<std::pair<int, int>> point_pair(
+      static_cast<std::size_t>(f.spec().nroute_bits()), {-1, -1});
+  for (std::size_t pi = 0; pi < points.size(); ++pi) {
+    for (int pair = 0; pair < points[pi].n_switches(); ++pair) {
+      point_pair[static_cast<std::size_t>(points[pi].bit_offset + pair)] = {
+          static_cast<int>(pi), pair};
+    }
+  }
+  std::uint64_t h = kFnvOffset64;
+  for (int g = 0; g < f.num_nodes(); ++g) {
+    h = hash_u64(h, f.edge_offset(g));
+    for (const Fabric::Edge& e : f.edges(g)) {
+      const Fabric::Switch sw = f.edge_switch(e);
+      const auto [point, pair] =
+          point_pair.at(static_cast<std::size_t>(sw.bit));
+      for (const int v : {static_cast<int>(e.to), sw.macro, point, pair}) {
+        h = hash_u64(h, static_cast<std::uint64_t>(v));
+      }
+    }
+  }
+  return hash_u64(h, f.num_edges());
+}
+
+// The graph's node numbering, CSR order and switch tags: route trees name
+// switches by their index in this order (NetRoute::fabric_edge, route.art),
+// so a layout change must leave every one of them where it was.
+TEST(Fabric, GraphIsPinned) {
+  const ArchSpec paper;  // W = 20, K = 6
+  EXPECT_EQ(graph_hash(Fabric(paper, 6, 6)), 18033116760182886516ull);
+  EXPECT_EQ(graph_hash(Fabric(paper, 28, 28)), 6647217861739617147ull);
+  EXPECT_EQ(graph_hash(Fabric(small_spec(), 2, 3)), 16479732158274134940ull);
 }
 
 TEST(Fabric, SwitchConfigBitsUniqueAcrossFabric) {
