@@ -55,15 +55,12 @@ std::vector<MacroSwitches> collect_switches(const Fabric& fabric,
                                             const std::vector<NetRoute>& routes) {
   std::vector<MacroSwitches> per_macro(
       static_cast<std::size_t>(fabric.num_macros()));
-  const auto& points = fabric.macro().switch_points();
   for (const NetRoute& route : routes) {
     for (const NetRoute::TreeNode& tn : route.nodes) {
       if (tn.fabric_edge < 0) continue;
-      const Fabric::Edge& e =
-          fabric.edge_at(static_cast<std::size_t>(tn.fabric_edge));
-      const int bit = points[static_cast<std::size_t>(e.point)].bit_offset +
-                      e.pair;
-      per_macro[static_cast<std::size_t>(e.macro)].push_back(bit);
+      const Fabric::Switch sw = fabric.edge_switch(
+          fabric.edge_at(static_cast<std::size_t>(tn.fabric_edge)));
+      per_macro[static_cast<std::size_t>(sw.macro)].push_back(sw.bit);
     }
   }
   return per_macro;

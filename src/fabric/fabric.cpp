@@ -1,8 +1,12 @@
 #include "fabric/fabric.h"
 
 #include <cassert>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+
+#include "util/error.h"
 
 namespace vbs {
 
@@ -29,6 +33,8 @@ class DisjointSet {
 
 }  // namespace
 
+static_assert(sizeof(Fabric::Edge) == 8);
+
 FabricLayout::FabricLayout(const ArchSpec& spec, int width, int height)
     : spec_(spec), width_(width), height_(height) {
   if (width < 1 || height < 1) {
@@ -37,7 +43,21 @@ FabricLayout::FabricLayout(const ArchSpec& spec, int width, int height)
 }
 
 Fabric::Fabric(const ArchSpec& spec, int width, int height)
-    : FabricLayout(spec, width, height), macro_(spec) {
+    : FabricLayout(spec, width, height),
+      macro_(spec),
+      route_bits_(static_cast<std::uint32_t>(spec.nroute_bits())) {
+  // Refuse, before any graph array is allocated, a fabric whose indices
+  // overflow: the router keeps edge indices as int32 (RouterScratch::
+  // back_edge), and with two directed edges per switch the switch ids then
+  // fit uint32. Every local node touches a switch, so node ids fit too.
+  const std::uint64_t macros =
+      static_cast<std::uint64_t>(width) * static_cast<std::uint64_t>(height);
+  if (macros > static_cast<std::uint64_t>(
+                   std::numeric_limits<std::int32_t>::max()) /
+                   (2 * std::uint64_t{route_bits_})) {
+    throw VbsError(VbsErrc::kResourceLimit,
+                   "Fabric: switch edges exceed resource limit");
+  }
   const int nloc = macro_.num_nodes();
   const int w = spec.chan_width;
   const int px = spec.pins_on_x();
@@ -93,24 +113,25 @@ Fabric::Fabric(const ArchSpec& spec, int width, int height)
     }
   }
 
-  // Switch edges (both directions) in CSR form.
-  const auto& points = macro_.switch_points();
+  // Switch edges (both directions) in CSR form. Switches are visited in
+  // switch-id order (macro, then canonical bit), so each node lists its
+  // edges in that order.
   std::vector<std::uint32_t> degree(num_nodes_, 0);
   auto for_each_switch = [&](auto&& fn) {
     for (int m = 0; m < num_macros(); ++m) {
       const Point mp = macro_pos(m);
-      for (std::size_t pi = 0; pi < points.size(); ++pi) {
-        const SwitchPoint& pt = points[pi];
+      const std::uint32_t first = static_cast<std::uint32_t>(m) * route_bits_;
+      for (const SwitchPoint& pt : macro_.switch_points()) {
         for (int pair = 0; pair < pt.n_switches(); ++pair) {
           const auto [ai, bi] = pt.pair_arms(pair);
           const int ga = node_of_raw_[raw_id(mp.x, mp.y, pt.arms[ai])];
           const int gb = node_of_raw_[raw_id(mp.x, mp.y, pt.arms[bi])];
-          fn(m, static_cast<int>(pi), pair, ga, gb);
+          fn(first + static_cast<std::uint32_t>(pt.bit_offset + pair), ga, gb);
         }
       }
     }
   };
-  for_each_switch([&](int, int, int, int ga, int gb) {
+  for_each_switch([&](std::uint32_t, int ga, int gb) {
     ++degree[ga];
     ++degree[gb];
   });
@@ -119,12 +140,11 @@ Fabric::Fabric(const ArchSpec& spec, int width, int height)
     edge_begin_[g + 1] = edge_begin_[g] + degree[g];
   }
   edge_data_.resize(edge_begin_[num_nodes_]);
-  std::vector<std::size_t> cursor(edge_begin_.begin(), edge_begin_.end() - 1);
-  for_each_switch([&](int m, int pi, int pair, int ga, int gb) {
-    edge_data_[cursor[ga]++] = {gb, m, static_cast<std::int16_t>(pi),
-                                static_cast<std::int8_t>(pair), 0};
-    edge_data_[cursor[gb]++] = {ga, m, static_cast<std::int16_t>(pi),
-                                static_cast<std::int8_t>(pair), 0};
+  std::vector<std::uint32_t> cursor(edge_begin_.begin(),
+                                    edge_begin_.end() - 1);
+  for_each_switch([&](std::uint32_t sw, int ga, int gb) {
+    edge_data_[cursor[ga]++] = {gb, sw};
+    edge_data_[cursor[gb]++] = {ga, sw};
   });
 
   // (macro, port) identities per node, CSR keyed by global node.
@@ -141,7 +161,7 @@ Fabric::Fabric(const ArchSpec& spec, int width, int height)
     port_begin_[g + 1] = port_begin_[g] + pdeg[g];
   }
   port_data_.resize(port_begin_[num_nodes_]);
-  std::vector<std::size_t> pcur(port_begin_.begin(), port_begin_.end() - 1);
+  std::vector<std::uint32_t> pcur(port_begin_.begin(), port_begin_.end() - 1);
   for (int m = 0; m < num_macros(); ++m) {
     const Point mp = macro_pos(m);
     for (int port = 0; port < nports; ++port) {
@@ -151,6 +171,13 @@ Fabric::Fabric(const ArchSpec& spec, int width, int height)
   }
 
   (void)py;
+}
+
+std::size_t Fabric::bytes() const {
+  auto of = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  return macro_.bytes() + of(node_of_raw_) + of(pos_x_) + of(pos_y_) +
+         of(local_) + of(edge_begin_) + of(edge_data_) + of(port_begin_) +
+         of(port_data_);
 }
 
 }  // namespace vbs

@@ -15,8 +15,18 @@
 //     connected by programmable switches. The flow needs it: the global
 //     router, the bit-stream generator, the encoder and the connectivity
 //     verifier. On a 32x32 grid at W = 20 that is about 330k nodes and
-//     960k edges, so code that only writes configuration bits should hold
-//     a FabricLayout and build a Fabric only where it checks routing.
+//     960k switches, so code that only writes configuration bits should
+//     hold a FabricLayout and build a Fabric only where it checks routing.
+//
+// Graph layout (Fabric::bytes() counts it): CSR with 32-bit offsets and
+// one 8-byte Edge per switch direction. An edge holds its neighbour and a
+// switch id, macro * nroute_bits + routing bit; edge_switch() splits it,
+// and the routing bit is the macro model's switch_points()[p].bit_offset +
+// pair. Each node lists its edges in switch-id order, so an edge index
+// (NetRoute::fabric_edge, route.art) names a fixed switch;
+// Fabric.GraphIsPinned holds that order. The constructor throws VbsError
+// kResourceLimit, before it allocates the graph, when the directed edges
+// would overflow int32 (switch ids, half as many, then fit uint32).
 #pragma once
 
 #include <cstdint>
@@ -83,11 +93,8 @@ class Fabric : public FabricLayout {
 
   // --- switches (graph edges) ----------------------------------------------
   struct Edge {
-    std::int32_t to;      ///< neighbouring global node
-    std::int32_t macro;   ///< macro owning the switch
-    std::int16_t point;   ///< switch-point index within the macro model
-    std::int8_t pair;     ///< arm-pair index within the point
-    std::int8_t pad = 0;
+    std::int32_t to;   ///< neighbouring global node
+    std::uint32_t sw;  ///< switch id: macro * nroute_bits + routing bit
   };
   std::span<const Edge> edges(int g) const {
     return {edge_data_.data() + edge_begin_[g],
@@ -107,10 +114,8 @@ class Fabric : public FabricLayout {
     int bit;
   };
   Switch edge_switch(const Edge& e) const {
-    return {e.macro,
-            macro_.switch_points()[static_cast<std::size_t>(e.point)]
-                    .bit_offset +
-                e.pair};
+    return {static_cast<int>(e.sw / route_bits_),
+            static_cast<int>(e.sw % route_bits_)};
   }
 
   // --- ports carried by a node ---------------------------------------------
@@ -126,6 +131,10 @@ class Fabric : public FabricLayout {
             port_data_.data() + port_begin_[g + 1]};
   }
 
+  /// Heap bytes of the graph: node, edge and port arrays and the macro
+  /// model.
+  std::size_t bytes() const;
+
   /// Bit index of a routing switch within the full-fabric raw frame.
   std::size_t switch_config_bit(int m, int point, int pair) const {
     return macro_config_offset(m) + spec().nlb_bits() +
@@ -134,12 +143,13 @@ class Fabric : public FabricLayout {
 
  private:
   MacroModel macro_;
+  std::uint32_t route_bits_;  ///< spec().nroute_bits(), the switch-id stride
   int num_nodes_ = 0;
   std::vector<std::int32_t> node_of_raw_;  ///< raw (macro,local) -> global
   std::vector<std::int16_t> pos_x_, pos_y_, local_;
-  std::vector<std::size_t> edge_begin_;
+  std::vector<std::uint32_t> edge_begin_;
   std::vector<Edge> edge_data_;
-  std::vector<std::size_t> port_begin_;
+  std::vector<std::uint32_t> port_begin_;
   std::vector<MacroPort> port_data_;
 };
 

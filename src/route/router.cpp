@@ -289,7 +289,7 @@ bool PathfinderRouter::expand_to_sink(const NetRoute& route, int sink,
         s.epoch_of[sv] = s.epoch;
         s.path_cost[sv] = npc;
         s.back_node[sv] = node;
-        s.back_edge[sv] = static_cast<std::int64_t>(edge_base + k);
+        s.back_edge[sv] = static_cast<std::int32_t>(edge_base + k);
         s.heap.push(npc + estimate(v, sink, astar_fac), npc, v);
       }
     }

@@ -36,10 +36,10 @@ RoutingStats compute_routing_stats(const Fabric& fabric,
   for (const NetRoute& route : routes) {
     for (const NetRoute::TreeNode& tn : route.nodes) {
       if (tn.fabric_edge < 0) continue;
-      const Fabric::Edge& e =
-          fabric.edge_at(static_cast<std::size_t>(tn.fabric_edge));
-      ++st.switches_per_macro[static_cast<std::size_t>(e.macro)];
-      nets[static_cast<std::size_t>(e.macro)].insert(net_id);
+      const Fabric::Switch sw = fabric.edge_switch(
+          fabric.edge_at(static_cast<std::size_t>(tn.fabric_edge)));
+      ++st.switches_per_macro[static_cast<std::size_t>(sw.macro)];
+      nets[static_cast<std::size_t>(sw.macro)].insert(net_id);
     }
     st.total_wire_nodes += route.nodes.size();
     ++net_id;

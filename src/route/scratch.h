@@ -38,14 +38,16 @@ struct RouterScratch {
   /// Wrap resets of every router stamp family are counted under this name.
   static constexpr const char* kEpochWrapMetric = "route.epoch_wrap_resets";
 
-  // Per-connection A* state, epoch-stamped to avoid O(V) clears.
+  // Per-connection A* state, epoch-stamped to avoid O(V) clears. back_edge
+  // is the Fabric::edge_at index of the edge that reached a node; the
+  // Fabric's constructor guarantees every index fits int32.
   std::vector<float> path_cost;
   std::vector<std::int32_t> back_node;
-  std::vector<std::int64_t> back_edge;
+  std::vector<std::int32_t> back_edge;
   std::vector<std::uint32_t> epoch_of;
   std::uint32_t epoch = 0;
   SearchHeap heap;  ///< (est, node)-ordered; entry cost = path cost
-  std::vector<std::pair<int, std::int64_t>> path_scratch;
+  std::vector<std::pair<int, std::int32_t>> path_scratch;
   // Tree compaction scratch: keep flags, usefulness, index remap, and an
   // epoch-stamped sink marker per RR node (stamped under tree_epoch).
   std::vector<std::uint8_t> keep;

@@ -257,9 +257,9 @@ VbsImage encode_vbs(const Fabric& fabric, const Netlist& nl,
     // Tree edges grouped by cluster, clusters ascending.
     edges.clear();
     for (int k = 1; k < n_tree; ++k) {
-      const Fabric::Edge& e =
-          fabric.edge_at(static_cast<std::size_t>(route.nodes[k].fabric_edge));
-      edges.emplace_back(cluster_of_macro(e.macro), k);
+      const Fabric::Switch sw = fabric.edge_switch(
+          fabric.edge_at(static_cast<std::size_t>(route.nodes[k].fabric_edge)));
+      edges.emplace_back(cluster_of_macro(sw.macro), k);
     }
     std::sort(edges.begin(), edges.end());
     comp_of.assign(static_cast<std::size_t>(n_tree), -1);

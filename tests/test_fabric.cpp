@@ -1,11 +1,14 @@
 // Fabric tests: boundary-wire merging, global graph consistency, port maps.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "fabric/fabric.h"
+#include "util/error.h"
 #include "util/hash.h"
 
 namespace vbs {
@@ -68,17 +71,31 @@ TEST(Fabric, EdgeCountMatchesSwitchBudget) {
             static_cast<std::size_t>(f.num_macros()) * s.nroute_bits());
 }
 
+// Every edge's switch lies in its macro's routing region and joins the
+// edge's two nodes there, and the reverse edge names the same switch.
 TEST(Fabric, EdgesAreSymmetricAndTagged) {
   const ArchSpec s = small_spec();
   const Fabric f(s, 2, 2);
+  const auto& points = f.macro().switch_points();
   for (int g = 0; g < f.num_nodes(); ++g) {
     for (const Fabric::Edge& e : f.edges(g)) {
-      EXPECT_GE(e.macro, 0);
-      EXPECT_LT(e.macro, f.num_macros());
+      const Fabric::Switch sw = f.edge_switch(e);
+      ASSERT_GE(sw.macro, 0);
+      ASSERT_LT(sw.macro, f.num_macros());
+      ASSERT_GE(sw.bit, 0);
+      ASSERT_LT(sw.bit, s.nroute_bits());
+      std::size_t pi = 0;
+      while (points[pi].bit_offset + points[pi].n_switches() <= sw.bit) ++pi;
+      const SwitchPoint& pt = points[pi];
+      const auto [ai, bi] = pt.pair_arms(sw.bit - pt.bit_offset);
+      const Point mp = f.macro_pos(sw.macro);
+      EXPECT_EQ((std::set<int>{g, e.to}),
+                (std::set<int>{f.global_node(mp.x, mp.y, pt.arms[ai]),
+                               f.global_node(mp.x, mp.y, pt.arms[bi])}));
       bool back = false;
       for (const Fabric::Edge& b : f.edges(e.to)) {
-        back |= (b.to == g && b.macro == e.macro && b.point == e.point &&
-                 b.pair == e.pair);
+        const Fabric::Switch bs = f.edge_switch(b);
+        back |= (b.to == g && bs.macro == sw.macro && bs.bit == sw.bit);
       }
       EXPECT_TRUE(back);
     }
@@ -180,6 +197,35 @@ TEST(Fabric, NodeLocalIsTheNodesIdAtItsTile) {
   const int shared = f.global_node(1, 1, mm.x(2, s.pins_on_x()));
   EXPECT_EQ(f.node_pos(shared), (Point{2, 1}));
   EXPECT_EQ(f.node_local(shared), mm.xw(2));
+}
+
+// The graph costs 8 bytes per directed edge plus a fixed term per node:
+// CSR offsets, positions, raw-id map and port identities.
+TEST(Fabric, BytesStayWithinEightPerEdge) {
+  const Fabric f(ArchSpec{}, 32, 32);  // W = 20, K = 6
+  const std::size_t directed = 2 * f.num_edges();
+  const auto nodes = static_cast<std::size_t>(f.num_nodes());
+  EXPECT_GE(f.bytes(), 8 * directed + 8 * nodes);
+  EXPECT_LE(f.bytes(), 8 * directed + 24 * nodes + f.macro().bytes());
+}
+
+// A fabric whose directed edges overflow int32 is refused before any graph
+// array is allocated (the test_fabric_guard_ulimit ctest case runs this
+// under an address-space limit), as is one whose macro count overflows int.
+TEST(Fabric, RejectsGraphBeyondInt32Edges) {
+  const ArchSpec s = small_spec();
+  ASSERT_GT(std::int64_t{3000} * 3000 * 2 * s.nroute_bits(),
+            std::int64_t{INT32_MAX});
+  auto expect_limit = [&](int w, int h) {
+    try {
+      const Fabric f(s, w, h);
+      ADD_FAILURE() << w << "x" << h << " fabric constructed";
+    } catch (const VbsError& e) {
+      EXPECT_EQ(e.code(), VbsErrc::kResourceLimit) << e.what();
+    }
+  };
+  expect_limit(3000, 3000);
+  expect_limit(100'000, 100'000);
 }
 
 TEST(Fabric, RejectsBadDimensions) {

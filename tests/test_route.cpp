@@ -76,10 +76,13 @@ TEST(Route, TreesAreWellFormed) {
       const auto& tn = route.nodes[k];
       ASSERT_GE(tn.parent, 0);
       ASSERT_LT(tn.parent, static_cast<std::int32_t>(k));
-      // The recorded fabric edge really joins parent and child wires.
-      const Fabric::Edge& e =
-          r.fabric->edge_at(static_cast<std::size_t>(tn.fabric_edge));
-      EXPECT_EQ(e.to, tn.rr);
+      // The recorded fabric edge really joins parent and child wires: it is
+      // one of the parent wire's edges, and it leads to the child.
+      const auto idx = static_cast<std::size_t>(tn.fabric_edge);
+      const int parent_rr = route.nodes[static_cast<std::size_t>(tn.parent)].rr;
+      EXPECT_GE(idx, r.fabric->edge_offset(parent_rr));
+      EXPECT_LT(idx, r.fabric->edge_offset(parent_rr + 1));
+      EXPECT_EQ(r.fabric->edge_at(idx).to, tn.rr);
     }
   }
 }

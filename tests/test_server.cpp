@@ -537,10 +537,10 @@ TEST(Server, SlowReaderPausesReads) {
   constexpr std::uint64_t kHandshakeFrames = 2;
 
   // Write PING batches and never read, until the server pauses. Each
-  // batch waits until the server has read the previous one: FrameReader
-  // erases every frame from the front of the inbuf, so a deep inbuf
-  // costs the server time quadratic in its depth.
-  constexpr std::uint64_t kBatch = 512;
+  // batch waits until the server has read the previous one, so at most one
+  // batch is in flight when reads pause. A deep inbuf costs the server
+  // linear time: FrameReader consumes through an offset (consume_front).
+  constexpr std::uint64_t kBatch = 4096;
   constexpr std::uint64_t kMaxPings = 1'000'000;  // ~22 MB: 5x the limit
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
@@ -583,7 +583,7 @@ TEST(Server, SlowReaderPausesReads) {
       if (n > 0) off += static_cast<std::size_t>(n);
     }
     if (p.revents & POLLIN) {
-      char buf[4096];  // small reads keep `in` shallow (see above)
+      char buf[4096];
       const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
       ASSERT_GT(n, 0);
       in.append(buf, static_cast<std::size_t>(n));
