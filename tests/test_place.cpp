@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <tuple>
@@ -107,7 +108,37 @@ TEST(Place, IncrementalBboxMatchesFullRecompute) {
   }
   EXPECT_EQ(si.moves, sf.moves);
   EXPECT_EQ(si.accepted, sf.accepted);
-  EXPECT_NEAR(si.final_cost, sf.final_cost, 1e-9);
+  EXPECT_EQ(si.temperatures, sf.temperatures);
+  // Exact bits: with Place.RecomputeFixtureTrajectoryIsPinned this pins
+  // the full-recompute trajectory as well as the incremental one.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(si.final_cost),
+            std::bit_cast<std::uint64_t>(sf.final_cost));
+}
+
+TEST(Place, RecomputeFixtureTrajectoryIsPinned) {
+  // The fixture that once cross-checked incremental box bookkeeping against
+  // a full per-net rescan, pinned: every LUT and I/O position (FNV-1a-64),
+  // the schedule's counts and the exact bits of the final cost.
+  Fixture f(100, 9);
+  PlaceOptions o;
+  o.seed = 11;
+  PlaceStats s;
+  const Placement pl = place_design(f.nl, f.pd, f.spec, 11, 11, o, &s);
+  std::uint64_t h = kFnvOffset64;
+  for (const Point& p : pl.lut_loc) {
+    h = hash_u64(h, static_cast<std::uint64_t>(p.x));
+    h = hash_u64(h, static_cast<std::uint64_t>(p.y));
+  }
+  for (const IoSlot& io : pl.io_loc) {
+    h = hash_u64(h, static_cast<std::uint64_t>(io.side));
+    h = hash_u64(h, static_cast<std::uint64_t>(io.tile));
+    h = hash_u64(h, static_cast<std::uint64_t>(io.track));
+  }
+  EXPECT_EQ(h, 0x4ee397196b084c25ull);
+  EXPECT_EQ(s.moves, 37783);
+  EXPECT_EQ(s.accepted, 16770);
+  EXPECT_EQ(s.temperatures, 88);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(s.final_cost), 0x40801b09d495182bull);
 }
 
 TEST(Place, SoaKernelMatchesAosReference) {
