@@ -1,5 +1,6 @@
 #include "flow/pipeline.h"
 
+#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 
@@ -95,8 +96,8 @@ std::uint64_t FlowPipeline::stage_fingerprint(Stage s) const {
     h = hash_u64(h, p.seed);
     h = hash_double(h, p.effort);
     h = hash_u64(h, static_cast<std::uint64_t>(p.io_per_tile));
-    // incremental_bbox excluded: bit-identical to the full recompute path
-    // by contract (see PlaceOptions).
+    // Never folded: the retired incremental-bbox bit, whose two settings
+    // placed identically.
     return h;
   }
   h = hash_u64(h, stage_fingerprint(Stage::kPlace));
@@ -270,9 +271,9 @@ const EncodeStats& FlowPipeline::encode_stats() {
 
 BitVector FlowPipeline::serialize_meta() const {
   // The "retired" slots belonged to removed options: the parallel engines'
-  // thread counts, and the router and encoder settings named above
-  // kNegotiation. A default run's bytes are unchanged; parse_meta reads
-  // and ignores them.
+  // thread counts, the placer's incremental-bbox switch, and the router and
+  // encoder settings named above kNegotiation. A default run's bytes are
+  // unchanged; parse_meta reads and ignores them.
   BitWriter w;
   put_i32(w, grid_w_);
   put_i32(w, grid_h_);
@@ -284,7 +285,7 @@ BitVector FlowPipeline::serialize_meta() const {
   w.write(opts_.place.seed, 64);
   put_f64(w, opts_.place.effort);
   put_i32(w, opts_.place.io_per_tile);
-  w.write_bit(opts_.place.incremental_bbox);
+  w.write_bit(true);  // retired: placer incremental_bbox
   put_i32(w, 0);  // retired: placer thread count
   put_i32(w, opts_.route.max_iterations);
   for (const double v : kNegotiation) put_f64(w, v);
@@ -329,8 +330,11 @@ MetaContents parse_meta(const BitVector& bits) {
   get_i32(r);  // retired: flow thread count
   m.opts.place.seed = r.read(64);
   m.opts.place.effort = get_f64(r);
+  if (!std::isfinite(m.opts.place.effort) || m.opts.place.effort <= 0) {
+    bad_artifact("flow.meta: bad placer effort");
+  }
   m.opts.place.io_per_tile = get_i32(r);
-  m.opts.place.incremental_bbox = r.read_bit();
+  r.read_bit();  // retired: placer incremental_bbox
   get_i32(r);  // retired: placer thread count
   m.opts.route.max_iterations = get_i32(r);
   for (int i = 0; i < 4; ++i) get_f64(r);  // retired: negotiation schedule

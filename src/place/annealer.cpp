@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "place/net_box.h"
 #include "util/csr.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -29,31 +30,6 @@ long long batch_len_for(double frac) {
   return std::clamp(static_cast<long long>(8.0 / std::max(frac, 0.125)),
                     kMinBatch, kMaxBatch);
 }
-
-double crossing_factor(int terminals) {
-  static constexpr double kQ[] = {1.0,    1.0,    1.0,    1.0,    1.0828,
-                                  1.1536, 1.2206, 1.2823, 1.3385, 1.3991,
-                                  1.4493, 1.4974, 1.5455, 1.5937, 1.6418,
-                                  1.6899, 1.7304, 1.7709, 1.8114, 1.8519,
-                                  1.8924, 1.9288, 1.9652, 2.0015, 2.0379,
-                                  2.0743, 2.1061, 2.1379, 2.1698, 2.2016,
-                                  2.2334};
-  if (terminals < 4) return 1.0;
-  if (terminals <= 30) return kQ[terminals];
-  return 2.2334 + 0.02616 * (terminals - 30);
-}
-
-/// Register-resident working copy of one net's bounding box. The committed
-/// boxes live in NetBoxStore's parallel arrays; a Box is what the kernels
-/// load, mutate and store back.
-struct Box {
-  std::int32_t xmin, xmax, ymin, ymax;
-  // Terminals sitting exactly on each bounding edge. A single-block move
-  // updates the box in O(1); only when the last terminal leaves a bounding
-  // edge (its count hits 0) does the box need a full terminal rescan.
-  std::int32_t nxmin, nxmax, nymin, nymax;
-  double cost;
-};
 
 /// Committed per-net boxes in structure-of-arrays layout: each field is one
 /// contiguous array indexed by net, so the cost-delta accumulation reads a
@@ -91,62 +67,6 @@ struct NetBoxStore {
     cost[i] = b.cost;
   }
 };
-
-/// Folds one terminal at (x, y) into the box — branch-light: every bound
-/// and count is updated with selects, no if/else ladder for the compiler to
-/// serialize on.
-inline void add_point(Box& b, std::int32_t x, std::int32_t y) {
-  b.nxmin = x < b.xmin ? 1 : b.nxmin + (x == b.xmin ? 1 : 0);
-  b.nxmax = x > b.xmax ? 1 : b.nxmax + (x == b.xmax ? 1 : 0);
-  b.nymin = y < b.ymin ? 1 : b.nymin + (y == b.ymin ? 1 : 0);
-  b.nymax = y > b.ymax ? 1 : b.nymax + (y == b.ymax ? 1 : 0);
-  b.xmin = std::min(b.xmin, x);
-  b.xmax = std::max(b.xmax, x);
-  b.ymin = std::min(b.ymin, y);
-  b.ymax = std::max(b.ymax, y);
-}
-
-/// Moves one terminal `from` -> `to`. Returns false when the terminal was
-/// the last one on a bounding edge, i.e. the box may shrink and must be
-/// rescanned (the box is left inconsistent in that case — the caller
-/// discards it). Decrementing all four counts before testing is equivalent
-/// to the short-circuiting formulation: on success every count would have
-/// been decremented anyway, on failure the box is thrown away.
-inline bool move_point(Box& b, Point from, Point to) {
-  add_point(b, to.x, to.y);
-  b.nxmin -= from.x == b.xmin ? 1 : 0;
-  b.nxmax -= from.x == b.xmax ? 1 : 0;
-  b.nymin -= from.y == b.ymin ? 1 : 0;
-  b.nymax -= from.y == b.ymax ? 1 : 0;
-  return b.nxmin != 0 && b.nxmax != 0 && b.nymin != 0 && b.nymax != 0;
-}
-
-/// Branch-light two-pass scan over gathered terminal coordinates: pass one
-/// reduces min/max with selects, pass two counts terminals on each final
-/// bound. Both passes stream two contiguous int32 spans — exactly the shape
-/// the vectorizer wants — and produce the same counts the fold-in
-/// formulation would (a bound's count is the number of terminals equal to
-/// the final bound, however it was reached).
-inline Box scan_box(const std::int32_t* xs, const std::int32_t* ys,
-                    std::size_t n, double q) {
-  std::int32_t xmin = xs[0], xmax = xs[0], ymin = ys[0], ymax = ys[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    xmin = std::min(xmin, xs[i]);
-    xmax = std::max(xmax, xs[i]);
-    ymin = std::min(ymin, ys[i]);
-    ymax = std::max(ymax, ys[i]);
-  }
-  std::int32_t nxmin = 0, nxmax = 0, nymin = 0, nymax = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    nxmin += xs[i] == xmin ? 1 : 0;
-    nxmax += xs[i] == xmax ? 1 : 0;
-    nymin += ys[i] == ymin ? 1 : 0;
-    nymax += ys[i] == ymax ? 1 : 0;
-  }
-  Box b{xmin, xmax, ymin, ymax, nxmin, nxmax, nymin, nymax, 0.0};
-  b.cost = q * ((xmax - xmin) + (ymax - ymin));
-  return b;
-}
 
 /// Per-evaluation scratch: the net -> affected-slot dedup epochs plus the
 /// gather buffers the scan kernel reads, reused across every evaluation.
@@ -189,9 +109,8 @@ struct MoveEval {
 /// mutating the state; commit() applies an accepted one.
 class AnnealState {
  public:
-  AnnealState(const Netlist& nl, const PackedDesign& pd, Placement& pl,
-              bool incremental)
-      : nl_(nl), pd_(pd), pl_(pl), incremental_(incremental) {
+  AnnealState(const Netlist& nl, const PackedDesign& pd, Placement& pl)
+      : nl_(nl), pd_(pd), pl_(pl) {
     ptx_.assign(static_cast<std::size_t>(nl.num_blocks()), 0);
     pty_.assign(static_cast<std::size_t>(nl.num_blocks()), 0);
     for (int i = 0; i < pd.num_luts(); ++i) {
@@ -301,41 +220,6 @@ class AnnealState {
   double total_cost() const { return total_cost_; }
   int num_nets() const { return nl_.num_nets(); }
 
-  /// From-scratch cost over all non-empty nets via the scan kernel — the
-  /// reference the incremental bookkeeping is measured against.
-  double fresh_total_cost() const {
-    double fresh = 0.0;
-    std::vector<std::int32_t> tx, ty;
-    for (NetId n = 0; n < nl_.num_nets(); ++n) {
-      const std::size_t cnt = gather(n, tx, ty);
-      if (cnt == 0) continue;
-      fresh +=
-          scan_box(tx.data(), ty.data(), cnt, q_[static_cast<std::size_t>(n)])
-              .cost;
-    }
-    return fresh;
-  }
-
-  /// Per-net from-scratch costs (0.0 for empty-sink nets); the kernel
-  /// cross-check harness compares these against an independent reference.
-  void fresh_costs(std::vector<double>& out) const {
-    out.assign(static_cast<std::size_t>(nl_.num_nets()), 0.0);
-    std::vector<std::int32_t> tx, ty;
-    for (NetId n = 0; n < nl_.num_nets(); ++n) {
-      const std::size_t cnt = gather(n, tx, ty);
-      if (cnt == 0) continue;
-      out[static_cast<std::size_t>(n)] =
-          scan_box(tx.data(), ty.data(), cnt, q_[static_cast<std::size_t>(n)])
-              .cost;
-    }
-  }
-
-  /// |accumulated cost - from-scratch recomputation| over all nets; bounds
-  /// the drift of thousands of incremental += delta updates.
-  double cost_drift() const {
-    return std::abs(fresh_total_cost() - total_cost_);
-  }
-
   Point lut_loc(int li) const {
     return pl_.lut_loc[static_cast<std::size_t>(li)];
   }
@@ -373,8 +257,7 @@ class AnnealState {
           s.net_slot[sn] = static_cast<std::uint32_t>(slot);
           out.affected.push_back(ref.net);
           out.new_boxes.push_back(boxes_.load(sn));
-          // In full-recompute mode every affected box is rescanned.
-          s.dirty.push_back(incremental_ ? 0 : 1);
+          s.dirty.push_back(0);
         } else {
           // Swap-aware dedup: a net touching both swapped blocks gets one
           // affected slot, its box updated once per moved terminal.
@@ -490,7 +373,6 @@ class AnnealState {
   const Netlist& nl_;
   const PackedDesign& pd_;
   Placement& pl_;
-  const bool incremental_;
   // Block positions, SoA (one contiguous int32 stride per axis).
   std::vector<std::int32_t> ptx_, pty_;
   Csr<NetRef> nets_of_block_;
@@ -580,96 +462,7 @@ void assign_ios(const Netlist& nl, const PackedDesign& pd, Placement& pl,
   }
 }
 
-/// Pre-SoA AoS bounding-box formulation, retained verbatim as the
-/// cross-check oracle for check_place_kernels: an independent code path
-/// (branchy fold-in, struct-of-everything per net) that must produce
-/// bit-identical per-net costs.
-namespace reference {
-
-struct RefBox {
-  int minx, maxx, miny, maxy;
-  int nmin_x, nmax_x, nmin_y, nmax_y;
-  double cost;
-};
-
-void add_point(RefBox& nb, Point q) {
-  if (q.x < nb.minx) {
-    nb.minx = q.x;
-    nb.nmin_x = 1;
-  } else if (q.x == nb.minx) {
-    ++nb.nmin_x;
-  }
-  if (q.x > nb.maxx) {
-    nb.maxx = q.x;
-    nb.nmax_x = 1;
-  } else if (q.x == nb.maxx) {
-    ++nb.nmax_x;
-  }
-  if (q.y < nb.miny) {
-    nb.miny = q.y;
-    nb.nmin_y = 1;
-  } else if (q.y == nb.miny) {
-    ++nb.nmin_y;
-  }
-  if (q.y > nb.maxy) {
-    nb.maxy = q.y;
-    nb.nmax_y = 1;
-  } else if (q.y == nb.maxy) {
-    ++nb.nmax_y;
-  }
-}
-
-/// Per-net costs of `pl` via the AoS fold (driver first, then sinks).
-void sweep_costs(const Netlist& nl, const PackedDesign& pd,
-                 const Placement& pl, std::vector<double>& out) {
-  std::vector<Point> pt(static_cast<std::size_t>(nl.num_blocks()), Point{});
-  for (int i = 0; i < pd.num_luts(); ++i) {
-    pt[static_cast<std::size_t>(pd.luts[i])] =
-        pl.lut_loc[static_cast<std::size_t>(i)];
-  }
-  for (int i = 0; i < pd.num_ios(); ++i) {
-    pt[static_cast<std::size_t>(pd.ios[i])] =
-        pl.io_point(pl.io_loc[static_cast<std::size_t>(i)]);
-  }
-  out.assign(static_cast<std::size_t>(nl.num_nets()), 0.0);
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const Net& net = nl.net(n);
-    if (net.sinks.empty()) continue;
-    const Point p = pt[static_cast<std::size_t>(net.driver)];
-    RefBox nb{p.x, p.x, p.y, p.y, 1, 1, 1, 1, 0.0};
-    for (const Net::Sink& s : net.sinks) {
-      add_point(nb, pt[static_cast<std::size_t>(s.block)]);
-    }
-    out[static_cast<std::size_t>(n)] =
-        crossing_factor(static_cast<int>(net.sinks.size()) + 1) *
-        ((nb.maxx - nb.minx) + (nb.maxy - nb.miny));
-  }
-}
-
-}  // namespace reference
-
 }  // namespace
-
-PlaceKernelCheck check_place_kernels(const Netlist& nl, const PackedDesign& pd,
-                                     const Placement& pl) {
-  PlaceKernelCheck rep;
-  rep.nets = nl.num_nets();
-
-  Placement scratch_pl = pl;  // AnnealState takes the placement by reference
-  AnnealState state(nl, pd, scratch_pl, /*incremental=*/true);
-
-  std::vector<double> soa_costs, ref_costs;
-  state.fresh_costs(soa_costs);
-  reference::sweep_costs(nl, pd, pl, ref_costs);
-
-  rep.identical = soa_costs.size() == ref_costs.size();
-  rep.total_cost = 0.0;
-  for (std::size_t n = 0; rep.identical && n < soa_costs.size(); ++n) {
-    if (soa_costs[n] != ref_costs[n]) rep.identical = false;
-  }
-  for (const double c : soa_costs) rep.total_cost += c;
-  return rep;
-}
 
 Placement place_design(const Netlist& nl, const PackedDesign& pd,
                        const ArchSpec& spec, int grid_w, int grid_h,
@@ -681,6 +474,16 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
       opts.io_per_tile > 0 ? opts.io_per_tile : std::max(1, spec.chan_width / 2);
   if (pd.num_ios() > 2 * (grid_w + grid_h) * io_per_tile) {
     throw std::invalid_argument("place: too many I/Os for the perimeter");
+  }
+  // effort is outside input (flow.meta carries it), and the cast below is
+  // undefined for NaN, infinities and counts past long long.
+  const double moves_per_t_f =
+      opts.effort * std::pow(pd.num_luts(), 4.0 / 3.0);
+  if (!std::isfinite(opts.effort) || opts.effort <= 0 ||
+      !(moves_per_t_f < 0x1p63)) {
+    throw std::invalid_argument(
+        "place: effort must be finite and > 0, with moves per temperature "
+        "within long long");
   }
 
   Rng rng(opts.seed == 0 ? 1 : opts.seed);  // 0 = unset, see PlaceOptions
@@ -702,13 +505,12 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
   pl.io_loc.resize(static_cast<std::size_t>(pd.num_ios()));
   assign_ios(nl, pd, pl, io_per_tile);
 
-  AnnealState state(nl, pd, pl, opts.incremental_bbox);
+  AnnealState state(nl, pd, pl);
   if (stats) stats->initial_cost = state.total_cost();
 
   if (pd.num_luts() > 1) {
-    const long long moves_per_t = std::max<long long>(
-        32, static_cast<long long>(opts.effort *
-                                   std::pow(pd.num_luts(), 4.0 / 3.0)));
+    const long long moves_per_t =
+        std::max<long long>(32, static_cast<long long>(moves_per_t_f));
     double rlim = std::max(grid_w, grid_h);
 
     EvalScratch scratch;
@@ -840,8 +642,13 @@ Placement place_design(const Netlist& nl, const PackedDesign& pd,
   }
 
   // The drift bound is a property of the annealing bookkeeping, so it is
-  // taken before the I/O refinement below invalidates the anneal state.
-  if (stats) stats->cost_drift = state.cost_drift();
+  // taken before the I/O refinement below invalidates the anneal state:
+  // |accumulated cost - from-scratch recomputation| over all nets, which
+  // placement_hpwl gives for the annealed positions.
+  if (stats) {
+    stats->cost_drift =
+        std::abs(placement_hpwl(nl, pd, pl) - state.total_cost());
+  }
 
   // Final I/O refinement against the annealed logic placement.
   assign_ios(nl, pd, pl, io_per_tile);

@@ -8,6 +8,12 @@
 // is evaluated and accepted or rejected against the live state in slot
 // order. The RNG stream, and so the whole schedule, is a pure function of
 // the seed.
+//
+// A proposal is priced incrementally: each affected net's bounding box is
+// updated in O(1) per moved terminal, and rescanned only when a terminal
+// leaves a bounding edge that no other terminal holds. Both paths use the
+// one box kernel (net_box.h), so every delta equals a from-scratch
+// rescan's, bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +34,6 @@ struct PlaceOptions {
   double effort = 1.0;
   /// Max I/Os per (side, tile) boundary; -1 means chan_width / 2.
   int io_per_tile = -1;
-  /// Maintain net bounding boxes incrementally across moves (O(1) amortized
-  /// per affected net) instead of rescanning every terminal of every
-  /// affected net per proposal. Produces bit-identical cost deltas — and so
-  /// an identical placement for a given seed — to the full-recompute path;
-  /// off exists only as the cross-check / benchmark baseline.
-  bool incremental_bbox = true;
 };
 
 struct PlaceStats {
@@ -50,29 +50,19 @@ struct PlaceStats {
   long long moves = 0;
   long long accepted = 0;
   int temperatures = 0;
-  /// |accumulated incremental cost - full recomputation| at annealing exit;
-  /// bounds the floating-point drift of the incremental bookkeeping.
+  /// |accumulated incremental cost - placement_hpwl| at annealing exit,
+  /// before the final I/O refinement; bounds the floating-point drift of
+  /// the incremental bookkeeping.
   double cost_drift = 0.0;
 };
 
 /// Places `pd` on a grid_w x grid_h fabric. Throws std::invalid_argument if
-/// the design does not fit (LUTs > tiles, or I/Os > perimeter capacity).
+/// the design does not fit (LUTs > tiles, or I/Os > perimeter capacity), or
+/// if opts.effort is not finite and > 0 or scales moves per temperature
+/// past long long.
 Placement place_design(const Netlist& nl, const PackedDesign& pd,
                        const ArchSpec& spec, int grid_w, int grid_h,
                        const PlaceOptions& opts = {},
                        PlaceStats* stats = nullptr);
-
-/// Bounding-box kernel cross-check: computes every net's from-scratch box
-/// cost through the annealer's SoA scan kernel and through the retained
-/// pre-SoA AoS reference (branchy fold-in over a struct per net), and
-/// compares the per-net costs for exact double equality.
-/// Place.SoaKernelMatchesAosReference holds the check.
-struct PlaceKernelCheck {
-  int nets = 0;
-  double total_cost = 0.0;    ///< summed per-net cost (either side; they match)
-  bool identical = false;     ///< per-net exact equality across every net
-};
-PlaceKernelCheck check_place_kernels(const Netlist& nl, const PackedDesign& pd,
-                                     const Placement& pl);
 
 }  // namespace vbs

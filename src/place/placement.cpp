@@ -1,32 +1,13 @@
 #include "place/placement.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <tuple>
 
+#include "place/net_box.h"
+
 namespace vbs {
-
-namespace {
-
-// VPR's crossing-count correction factors: HPWL underestimates multi-
-// terminal net wirelength, so the cost of a net with k terminals is scaled
-// by q(k) (Cheng, "RISA: accurate and efficient placement routability
-// modeling").
-double crossing_factor(int terminals) {
-  static constexpr double kQ[] = {1.0,    1.0,    1.0,    1.0,    1.0828,
-                                  1.1536, 1.2206, 1.2823, 1.3385, 1.3991,
-                                  1.4493, 1.4974, 1.5455, 1.5937, 1.6418,
-                                  1.6899, 1.7304, 1.7709, 1.8114, 1.8519,
-                                  1.8924, 1.9288, 1.9652, 2.0015, 2.0379,
-                                  2.0743, 2.1061, 2.1379, 2.1698, 2.2016,
-                                  2.2334};
-  if (terminals < 4) return 1.0;
-  if (terminals <= 30) return kQ[terminals];
-  return 2.2334 + 0.02616 * (terminals - 30);
-}
-
-}  // namespace
 
 Point Placement::io_tile(const IoSlot& slot) const {
   switch (slot.side) {
@@ -71,37 +52,35 @@ void Placement::validate(const PackedDesign& pd) const {
 
 double placement_hpwl(const Netlist& nl, const PackedDesign& pd,
                       const Placement& pl) {
-  // Instance lookup by netlist block.
-  std::vector<int> lut_of_block(static_cast<std::size_t>(nl.num_blocks()), -1);
-  std::vector<int> io_of_block(static_cast<std::size_t>(nl.num_blocks()), -1);
+  std::vector<Point> pos(static_cast<std::size_t>(nl.num_blocks()));
   for (int i = 0; i < pd.num_luts(); ++i) {
-    lut_of_block[static_cast<std::size_t>(pd.luts[i])] = i;
+    pos[static_cast<std::size_t>(pd.luts[i])] =
+        pl.lut_loc[static_cast<std::size_t>(i)];
   }
   for (int i = 0; i < pd.num_ios(); ++i) {
-    io_of_block[static_cast<std::size_t>(pd.ios[i])] = i;
+    pos[static_cast<std::size_t>(pd.ios[i])] =
+        pl.io_point(pl.io_loc[static_cast<std::size_t>(i)]);
   }
-  auto point_of = [&](BlockId b) -> Point {
-    const int li = lut_of_block[static_cast<std::size_t>(b)];
-    if (li >= 0) return pl.lut_loc[static_cast<std::size_t>(li)];
-    return pl.io_point(pl.io_loc[static_cast<std::size_t>(
-        io_of_block[static_cast<std::size_t>(b)])]);
-  };
 
+  // Each net's terminals, driver first, then every sink occurrence: the
+  // order the annealer gathers them in.
   double total = 0.0;
+  std::vector<std::int32_t> xs, ys;
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     const Net& net = nl.net(n);
     if (net.sinks.empty()) continue;
-    Point p = point_of(net.driver);
-    int minx = p.x, maxx = p.x, miny = p.y, maxy = p.y;
-    for (const Net::Sink& s : net.sinks) {
-      const Point q = point_of(s.block);
-      minx = std::min(minx, q.x);
-      maxx = std::max(maxx, q.x);
-      miny = std::min(miny, q.y);
-      maxy = std::max(maxy, q.y);
-    }
-    total += crossing_factor(static_cast<int>(net.sinks.size()) + 1) *
-             ((maxx - minx) + (maxy - miny));
+    xs.clear();
+    ys.clear();
+    auto add = [&](BlockId b) {
+      const Point p = pos[static_cast<std::size_t>(b)];
+      xs.push_back(p.x);
+      ys.push_back(p.y);
+    };
+    add(net.driver);
+    for (const Net::Sink& s : net.sinks) add(s.block);
+    total += scan_box(xs.data(), ys.data(), xs.size(),
+                      crossing_factor(static_cast<int>(xs.size())))
+                 .cost;
   }
   return total;
 }

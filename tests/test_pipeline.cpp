@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -407,8 +408,9 @@ TEST(Pipeline, ResumeIgnoresRetiredThreadSlots) {
   pipe.save_checkpoint(clean.path);
   pipe.save_checkpoint(patched.path);
 
-  // Bit offsets of the retired slots in the flow.meta payload: the flow and
-  // placer thread counts; the router's negotiation schedule (first-
+  // Bit offsets of the retired slots in the flow.meta payload: the flow
+  // thread count, the placer's incremental-bbox bit and thread count; the
+  // router's negotiation schedule (first-
   // iteration, initial and growth present-congestion factors, history
   // factor), stall restarts, bounding-box margin, thread count and batch
   // size; the encoder's reorder attempts and shuffle seed, its retired
@@ -424,7 +426,8 @@ TEST(Pipeline, ResumeIgnoresRetiredThreadSlots) {
     unsigned bits;
     std::uint64_t written, patched;
   } slots[] = {
-      {200, 32, 1, 0x7fffffff},           {393, 32, 0, 0x7fffffff},
+      {200, 32, 1, 0x7fffffff},           {392, 1, 1, 0},
+      {393, 32, 0, 0x7fffffff},
       {457, 64, f64(0.0), f64(7.5)},      {521, 64, f64(0.5), f64(7.5)},
       {585, 64, f64(1.8), f64(7.5)},      {649, 64, f64(1.0), f64(7.5)},
       {809, 32, 0, 0x7fffffff},           {842, 32, 3, 0x7fffffff},
@@ -455,6 +458,33 @@ TEST(Pipeline, ResumeIgnoresRetiredThreadSlots) {
     const std::string want = read_bytes(clean.path, file);
     ASSERT_FALSE(want.empty()) << file;
     EXPECT_EQ(read_bytes(patched.path, file), want) << file;
+  }
+}
+
+// The placer's effort is outside input on resume: flow.meta's effort slot
+// (bit 296) holding a value place_design refuses must fail as a bad
+// container, not reach the annealer's moves-per-temperature cast.
+TEST(Pipeline, ResumeRejectsBadPlacerEffort) {
+  TempDir dir("meta_effort");
+  FlowPipeline pipe(small_netlist(), 7, 7, small_opts());
+  pipe.run_to(Stage::kPack);
+  pipe.save_checkpoint(dir.path);
+  const std::string meta = (fs::path(dir.path) / "flow.meta").string();
+  std::uint64_t fingerprint = 0;
+  const BitVector clean =
+      read_artifact_file(meta, ArtifactStage::kMeta, nullptr, &fingerprint);
+  ASSERT_EQ(clean.get_bits(296, 64), std::bit_cast<std::uint64_t>(1.0));
+  for (const double effort : {std::nan(""), HUGE_VAL, -1.0, 0.0}) {
+    SCOPED_TRACE(effort);
+    BitVector payload = clean;
+    BitVector v;
+    v.append_bits(std::bit_cast<std::uint64_t>(effort), 64);
+    payload.overwrite(296, v);
+    // Re-wrapped under the netlist-hash fingerprint: the container is
+    // sound, only the value is wrong.
+    write_artifact_file(meta, ArtifactStage::kMeta, fingerprint, payload);
+    EXPECT_EQ(errc_of([&] { FlowPipeline::resume_from(dir.path); }),
+              VbsErrc::kBadContainer);
   }
 }
 

@@ -1,5 +1,6 @@
 // Placer tests: legality, determinism, cost improvement, I/O assignment,
-// schedule accounting, and the pinned annealing trajectory.
+// schedule accounting, the pinned annealing trajectories, and the net-box
+// kernel against a plain fold oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,12 +8,15 @@
 #include <cmath>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "netlist/generator.h"
 #include "pack/pack.h"
 #include "place/annealer.h"
+#include "place/net_box.h"
 #include "place/placement.h"
 #include "util/hash.h"
+#include "util/rng.h"
 
 namespace vbs {
 namespace {
@@ -89,32 +93,6 @@ TEST(Place, AnnealingImprovesCost) {
   EXPECT_LT(stats.final_cost, stats.initial_cost);
 }
 
-TEST(Place, IncrementalBboxMatchesFullRecompute) {
-  // The incremental bounding-box bookkeeping must produce the same anneal
-  // trajectory as full per-net recomputation: identical deltas mean an
-  // identical placement and identical accumulated cost.
-  Fixture f(100, 9);
-  PlaceOptions inc;
-  inc.seed = 11;
-  inc.incremental_bbox = true;
-  PlaceOptions full = inc;
-  full.incremental_bbox = false;
-  PlaceStats si, sf;
-  const Placement a = place_design(f.nl, f.pd, f.spec, 11, 11, inc, &si);
-  const Placement b = place_design(f.nl, f.pd, f.spec, 11, 11, full, &sf);
-  EXPECT_EQ(a.lut_loc, b.lut_loc);
-  for (std::size_t i = 0; i < a.io_loc.size(); ++i) {
-    EXPECT_EQ(a.io_loc[i], b.io_loc[i]);
-  }
-  EXPECT_EQ(si.moves, sf.moves);
-  EXPECT_EQ(si.accepted, sf.accepted);
-  EXPECT_EQ(si.temperatures, sf.temperatures);
-  // Exact bits: with Place.RecomputeFixtureTrajectoryIsPinned this pins
-  // the full-recompute trajectory as well as the incremental one.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(si.final_cost),
-            std::bit_cast<std::uint64_t>(sf.final_cost));
-}
-
 TEST(Place, RecomputeFixtureTrajectoryIsPinned) {
   // The fixture that once cross-checked incremental box bookkeeping against
   // a full per-net rescan, pinned: every LUT and I/O position (FNV-1a-64),
@@ -141,18 +119,124 @@ TEST(Place, RecomputeFixtureTrajectoryIsPinned) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(s.final_cost), 0x40801b09d495182bull);
 }
 
-TEST(Place, SoaKernelMatchesAosReference) {
-  // The SoA bounding-box kernel (gathered-span two-pass scan) must produce
-  // bit-identical per-net costs to the retained AoS reference sweep.
+// Box kernel oracle: a plain min/max fold and count per axis, times the
+// crossing factor — no selects, no two-pass scan.
+Box oracle_box(const std::vector<std::int32_t>& xs,
+               const std::vector<std::int32_t>& ys) {
+  const auto [xlo, xhi] = std::minmax_element(xs.begin(), xs.end());
+  const auto [ylo, yhi] = std::minmax_element(ys.begin(), ys.end());
+  const auto on = [](const std::vector<std::int32_t>& v, std::int32_t bound) {
+    return static_cast<std::int32_t>(std::count(v.begin(), v.end(), bound));
+  };
+  Box b{*xlo, *xhi, *ylo, *yhi,
+        on(xs, *xlo), on(xs, *xhi), on(ys, *ylo), on(ys, *yhi), 0.0};
+  b.cost = crossing_factor(static_cast<int>(xs.size())) *
+           ((b.xmax - b.xmin) + (b.ymax - b.ymin));
+  return b;
+}
+
+void expect_same_bounds(const Box& a, const Box& b) {
+  EXPECT_EQ(std::tie(a.xmin, a.xmax, a.ymin, a.ymax),
+            std::tie(b.xmin, b.xmax, b.ymin, b.ymax));
+  EXPECT_EQ(std::tie(a.nxmin, a.nxmax, a.nymin, a.nymax),
+            std::tie(b.nxmin, b.nxmax, b.nymin, b.nymax));
+}
+
+/// Sum of the oracle's per-net costs over a placement, nets in id order.
+double oracle_hpwl(const Netlist& nl, const PackedDesign& pd,
+                   const Placement& pl) {
+  std::vector<Point> pos(static_cast<std::size_t>(nl.num_blocks()));
+  for (int i = 0; i < pd.num_luts(); ++i) {
+    pos[static_cast<std::size_t>(pd.luts[i])] =
+        pl.lut_loc[static_cast<std::size_t>(i)];
+  }
+  for (int i = 0; i < pd.num_ios(); ++i) {
+    pos[static_cast<std::size_t>(pd.ios[i])] =
+        pl.io_point(pl.io_loc[static_cast<std::size_t>(i)]);
+  }
+  double total = 0.0;
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    const Net& net = nl.net(n);
+    if (net.sinks.empty()) continue;
+    std::vector<std::int32_t> xs, ys;
+    const auto add = [&](BlockId b) {
+      xs.push_back(pos[static_cast<std::size_t>(b)].x);
+      ys.push_back(pos[static_cast<std::size_t>(b)].y);
+    };
+    add(net.driver);
+    for (const Net::Sink& s : net.sinks) add(s.block);
+    total += oracle_box(xs, ys).cost;
+  }
+  return total;
+}
+
+/// Random terminal set of 1..40 points on a small grid, so bounds tie often.
+void random_terminals(Rng& rng, std::vector<std::int32_t>& xs,
+                      std::vector<std::int32_t>& ys) {
+  const int n = rng.next_int(1, 40);
+  const int span = rng.next_int(0, 6);
+  xs.clear();
+  ys.clear();
+  for (int i = 0; i < n; ++i) {
+    xs.push_back(rng.next_int(0, span));
+    ys.push_back(rng.next_int(0, span));
+  }
+}
+
+TEST(NetBox, ScanMatchesFoldOracle) {
+  Rng rng(3);
+  std::vector<std::int32_t> xs, ys;
+  for (int trial = 0; trial < 2000; ++trial) {
+    random_terminals(rng, xs, ys);
+    const Box want = oracle_box(xs, ys);
+    const Box got = scan_box(xs.data(), ys.data(), xs.size(),
+                             crossing_factor(static_cast<int>(xs.size())));
+    expect_same_bounds(got, want);
+    EXPECT_EQ(got.cost, want.cost);
+    if (::testing::Test::HasFailure()) FAIL() << "trial " << trial;
+  }
+}
+
+TEST(NetBox, MovePointMatchesRescan) {
+  // The annealer moves up to two blocks per proposal, each carrying one or
+  // more terminals of a net, through move_point on one box. Whenever no
+  // move asks for a rescan, the box must equal a rescan of the moved set.
+  Rng rng(7);
+  std::vector<std::int32_t> xs, ys;
+  int kept = 0, rescans = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    random_terminals(rng, xs, ys);
+    Box b = scan_box(xs.data(), ys.data(), xs.size(), 1.0);
+    bool ok = true;
+    for (int m = rng.next_int(1, 3); ok && m > 0; --m) {
+      const auto k = static_cast<std::size_t>(
+          rng.next_below(static_cast<std::uint64_t>(xs.size())));
+      const Point from{xs[k], ys[k]};
+      const Point to{rng.next_int(-1, 7), rng.next_int(-1, 7)};
+      xs[k] = to.x;
+      ys[k] = to.y;
+      ok = move_point(b, from, to);
+    }
+    if (!ok) {
+      ++rescans;
+      continue;
+    }
+    ++kept;
+    expect_same_bounds(b, scan_box(xs.data(), ys.data(), xs.size(), 1.0));
+    if (::testing::Test::HasFailure()) FAIL() << "trial " << trial;
+  }
+  EXPECT_GT(kept, 1000);
+  EXPECT_GT(rescans, 100);
+}
+
+TEST(Place, HpwlMatchesOracle) {
   Fixture f(100, 9);
   PlaceOptions o;
   o.seed = 11;
   const Placement pl = place_design(f.nl, f.pd, f.spec, 11, 11, o);
-  const PlaceKernelCheck kr = check_place_kernels(f.nl, f.pd, pl);
-  EXPECT_EQ(kr.nets, f.nl.num_nets());
-  EXPECT_GT(kr.total_cost, 0.0);
-  EXPECT_TRUE(kr.identical)
-      << "SoA sweep costs diverged from the AoS reference";
+  const double want = oracle_hpwl(f.nl, f.pd, pl);
+  EXPECT_GT(want, 0.0);
+  EXPECT_EQ(placement_hpwl(f.nl, f.pd, pl), want);
 }
 
 TEST(Place, MovesCountOnlyEvaluatedProposals) {
@@ -223,14 +307,27 @@ TEST(Place, HpwlConsistentWithStats) {
   const Placement pl = place_design(f.nl, f.pd, f.spec, 10, 10, {}, &stats);
   // final_cost is measured after the last I/O refinement pass, so an
   // independent recomputation over the returned placement matches exactly.
-  const double recomputed = placement_hpwl(f.nl, f.pd, pl);
-  EXPECT_DOUBLE_EQ(recomputed, stats.final_cost);
+  EXPECT_EQ(stats.final_cost, oracle_hpwl(f.nl, f.pd, pl));
 }
 
 TEST(Place, RejectsOverfullGrid) {
   Fixture f(60);
   EXPECT_THROW(place_design(f.nl, f.pd, f.spec, 7, 7, {}),
                std::invalid_argument);
+}
+
+TEST(Place, RejectsInvalidEffort) {
+  // effort scales the moves per temperature; a value that is not finite
+  // and > 0, or that scales the count past long long, is refused rather
+  // than cast.
+  Fixture f;
+  for (const double effort : {std::nan(""), HUGE_VAL, -1.0, 0.0, 1e300}) {
+    PlaceOptions o;
+    o.effort = effort;
+    EXPECT_THROW(place_design(f.nl, f.pd, f.spec, 9, 9, o),
+                 std::invalid_argument)
+        << effort;
+  }
 }
 
 TEST(Place, RejectsTooManyIosForPerimeter) {
