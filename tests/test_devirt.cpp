@@ -12,6 +12,7 @@
 #include "bitstream/connectivity.h"
 #include "flow/pipeline.h"
 #include "netlist/generator.h"
+#include "netlist/mcnc.h"
 #include "rtc/service/stream_cache.h"
 #include "vbs/devirtualizer.h"
 #include "vbs/region_model.h"
@@ -308,6 +309,48 @@ TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
         st.negotiation_iterations > st.entries_decoded - st.raw_entries;
   }
   EXPECT_TRUE(negotiated);
+}
+
+// The same pins at the paper's W = 20 on des (seed 1), the compile
+// workload's circuit: the decoded configuration and the decode's search
+// counts, and the encoder's feedback-loop verdicts, at every cluster size.
+// None of them reads a stream bit, so they hold across stream codings.
+TEST(DevirtGolden, W20PinsEveryClusterSize) {
+  struct W20Case {
+    int cluster;
+    std::uint64_t config_hash;  ///< stream_content_hash of the decoded config
+    long long nodes_expanded;
+    long long negotiation_iterations;
+    long long entries_decoded;
+    int reordered_entries;
+    int conflict_fallbacks;
+  };
+  const W20Case kCases[] = {
+      {1, 0xbc16afaf4922894dull, 339971, 2399, 812, 3, 0},
+      {2, 0xc6b774f5c35773d9ull, 588379, 862, 216, 1, 0},
+      {4, 0x77817d8742154ebbull, 980338, 288, 58, 0, 0},
+      {8, 0x720b24682e40aea7ull, 1353021, 89, 16, 0, 0},
+  };
+  const McncCircuit& des = mcnc_by_name("des");
+  FlowOptions o;
+  o.arch.chan_width = 20;
+  FlowPipeline pipe(make_mcnc_like(des, o.seed), des.size, des.size, o);
+  ASSERT_TRUE(pipe.routing().success);
+  for (const W20Case& wc : kCases) {
+    SCOPED_TRACE("cluster " + std::to_string(wc.cluster));
+    EncodeOptions eo;
+    eo.cluster = wc.cluster;
+    pipe.set_encode_options(eo);
+    DecodeStats st;
+    const BitVector config =
+        devirtualize_image(pipe.vbs_image(), pipe.fabric(), {0, 0}, &st);
+    EXPECT_EQ(stream_content_hash(config), wc.config_hash);
+    EXPECT_EQ(st.nodes_expanded, wc.nodes_expanded);
+    EXPECT_EQ(st.negotiation_iterations, wc.negotiation_iterations);
+    EXPECT_EQ(st.entries_decoded, wc.entries_decoded);
+    EXPECT_EQ(pipe.encode_stats().reordered_entries, wc.reordered_entries);
+    EXPECT_EQ(pipe.encode_stats().conflict_fallbacks, wc.conflict_fallbacks);
+  }
 }
 
 // --- the lookahead heuristic ------------------------------------------------

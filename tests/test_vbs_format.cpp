@@ -10,8 +10,11 @@
 
 #include "errc.h"
 #include "hex.h"
+#include "rtc/service/stream_cache.h"
 #include "util/bitio.h"
+#include "util/bytes.h"
 #include "util/error.h"
+#include "vbs/devirtualizer.h"
 #include "vbs/vbs_file.h"
 #include "vbs/vbs_format.h"
 
@@ -252,6 +255,57 @@ TEST(VbsFormat, SizeScalesWithConnections) {
     EXPECT_EQ(more.list, b.list + 2 * fw.port);
     EXPECT_EQ(more.total(), b.total() + 2 * fw.port);
     EXPECT_EQ(more.total(), serialize_vbs(img).size());
+  }
+}
+
+// Three version-2 streams as the encoder wrote them, packed (pack_bits) and
+// in hex: generated 3-PI, 3-PO designs at W = 8 on a 4x4 fabric (seed =
+// the netlist and flow seed), the first two from test_journal's
+// make_stream(8, 4, 11). Journals, snapshots and files already hold such
+// streams: each must still parse, re-serialize to its own bits and decode
+// to the configuration it decoded to when it was written.
+TEST(VbsFormat, Version2StreamsStillDecode) {
+  struct Stored {
+    const char* what;
+    std::size_t bits;
+    const char* hex;
+    std::uint64_t config_hash;  ///< stream_content_hash of the decoded config
+  };
+  const Stored kStreams[] = {
+      {"8 LUTs, seed 11, c = 1", 1418,
+       "2086008722044c770e6e38462bbf9cb86652660d8d38933958080e394939ba9e6cc7"
+       "6265930d32d385515535588680c1e7d921bcc3b1eb5103855885826584b425127bc3"
+       "1e466420b85c35c8cc6cc82676624f888f8da2cc1454820b935e59e8a66e60c58453"
+       "5575590e10e50e8018d71ccacf745519a004f745c575585e19e8168a65e620970e22"
+       "eaab62c72ae61e86676635c81c30e8cf88f7cd5d30873ebdd218b5e488c574584482"
+       "61a67a629f1df880",
+       0xbec03513e22a7aa5ull},
+      {"8 LUTs, seed 11, c = 2", 1286,
+       "208601072300b31dc39b8e118aefe684a24f7863c8cc80c2720dd69a766b89b60aca"
+       "3954e49385ad99b71cfd711e38e524e6ea79b31d3cfb243798763d6a78da2cc14548"
+       "20b9167ba2a8cd0027ba25e3268d42a0ba80ea41a9206cf1b252d24a152c24b1d6d6"
+       "9b5668c9a926ce0d004d15d5edafb66138f139c388baaad8b1cab9ba610e7d7ba431"
+       "6b8d2129b418cd633d8d21a40691e6be9b0e6927f09fc97edc",
+       0xd953fca794923f82ull},
+      {"12 LUTs, seed 13, c = 4", 1601,
+       "208602072407ff831a1d636770bc6567e0f08b976ed7943b9deadee499cb82121589"
+       "a89355c20fe51d42a402a8ca125f09d7f561313c745d46ca55e3f1303591c11d9cc3"
+       "bae607bd23f733a0a9a1a256c2386950f1878da510be4e179eef0c579e2e77253663"
+       "7bf02b97945a885c88de5f4edf41df445f47df55c6ce46ddc6c746e14a554a44ca41"
+       "4a384a4aca66d848584b585a515d51045140515fd145d152c34f435c4343c3604dd6"
+       "4dd9cdd24dc54dc8e9d8e2d1e2e3d4e0d4cfd4c0e653665966185be75be300",
+       0xa0826907315b7f1dull},
+  };
+  for (const Stored& s : kStreams) {
+    SCOPED_TRACE(s.what);
+    const BitVector bits = unpack_bits(bytes_of_hex(s.hex), s.bits);
+    ASSERT_EQ(bits.get_bits(0, 4), 2u);
+    const VbsImage img = deserialize_vbs(bits);
+    EXPECT_EQ(serialize_vbs(img), bits);
+    EXPECT_EQ(vbs_size(img).total(), s.bits);
+    const BitVector config =
+        devirtualize_image(img, FabricLayout(img.spec, 4, 4), {0, 0});
+    EXPECT_EQ(stream_content_hash(config), s.config_hash);
   }
 }
 
