@@ -38,7 +38,7 @@ namespace vbs {
 
 /// Largest table Lookahead builds. The table grows with W^2 (0.8 MB at
 /// the paper's W = 20); this bound is reached at W ~ 96. deserialize_vbs
-/// also rejects version-2 streams whose table would exceed it.
+/// also rejects streams whose table would exceed it.
 inline constexpr std::uint64_t kMaxLookaheadBytes = std::uint64_t{1} << 24;
 
 class Lookahead {

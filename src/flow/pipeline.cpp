@@ -124,6 +124,9 @@ std::uint64_t FlowPipeline::stage_fingerprint(Stage s) const {
   h = hash_bool(h, e.force_raw);
   h = hash_bool(h, e.no_reorder);
   h = hash_bool(h, kRetiredSizeFallback);
+  // The stream coding the encoder writes: an encode checkpointed under
+  // another version no longer matches, so resume rejects it, not reuses it.
+  h = hash_u64(h, kVbsVersion);
   return h;
 }
 

@@ -9,8 +9,8 @@
 //
 // est is the path cost so far plus an estimate of the rest: the router's
 // lookahead bound plus its astar_fac-weighted Manhattan term
-// (route/router.h), and the de-virtualizer's heuristic chosen by the
-// stream version (vbs/devirtualizer.h).
+// (route/router.h), and the de-virtualizer's lookahead bound, the decoder
+// contract every stream version names (vbs/devirtualizer.h).
 //
 // Key exactness. Both kernels require est >= 0 (never -0, never NaN) and
 // node >= 0. For non-negative IEEE floats the u32 bit pattern orders

@@ -24,7 +24,7 @@
 // node to the target's port. It is admissible, so every search finds a
 // cheapest path, but which of several equally cheap paths it takes, and
 // so which switches a stream decodes to, depends on the heuristic: this is
-// the decoder contract that the stream's version 2 names (vbs_format.h).
+// the decoder contract that stream versions 2 and 3 name (vbs_format.h).
 //
 // Search queue: the shared SearchHeap (util/search_heap.h), one per
 // decoder, reused for every target. Entries pack key = bit_cast<u32>(est)

@@ -171,8 +171,25 @@ void walk_entry(Ar& ar, const VbsImage& img, const VbsFieldWidths& fw,
   }
   // The header's resource guards keep `ports` below 2^16, so M <= 16 and
   // every endpoint read fits its uint16_t.
+  const VbsConnection* prev = nullptr;
   for (auto& conn : e.conns) {
-    ar.field(kList, conn.in, fw.port);
+    if (img.version == kVbsVersion) {
+      // same_in(1), then in(M) only when it differs from the previous in;
+      // a reader overwrites the value computed here.
+      bool same_in = prev && conn.in == prev->in;
+      ar.field(kList, same_in, 1);
+      check_read(ar, prev || !same_in, VbsErrc::kBadConnection,
+                 "same-in bit on an entry's first connection");
+      if (!same_in) {
+        ar.field(kList, conn.in, fw.port);
+        check_read(ar, !prev || conn.in != prev->in, VbsErrc::kBadConnection,
+                   "repeated in port coded in full");
+      } else if constexpr (Ar::kReading) {
+        conn.in = prev->in;
+      }
+    } else {
+      ar.field(kList, conn.in, fw.port);
+    }
     check_read(ar, conn.in < fw.ports, VbsErrc::kBadConnection,
                "connection endpoint out of range");
     ar.field(kList, conn.out, fw.port);
@@ -180,16 +197,21 @@ void walk_entry(Ar& ar, const VbsImage& img, const VbsFieldWidths& fw,
                "connection endpoint out of range");
     check_read(ar, conn.in != conn.out, VbsErrc::kBadConnection,
                "connection to itself");
+    prev = &conn;
   }
 }
 
 /// The whole stream: preamble, header, then the entries.
 template <class Ar, class Img>
 void walk_vbs(Ar& ar, Img& img) {
-  unsigned version = kVbsVersion;
-  ar.field(kHeader, version, 4);
-  check_read(ar, version == kVbsVersion, VbsErrc::kBadVersion,
-             "unsupported format version");
+  const auto check_version = [&] {
+    check(ar,
+          img.version == kVbsVersion || img.version == kVbsVersionFullPairs,
+          VbsErrc::kBadVersion, "unsupported format version");
+  };
+  if constexpr (!Ar::kReading) check_version();
+  ar.field(kHeader, img.version, 4);
+  if constexpr (Ar::kReading) check_version();
   ar.field(kHeader, img.spec.chan_width, 8);
   ar.field(kHeader, img.spec.lut_k, 4);
   ar.field(kHeader, img.spec.sb_pattern, 2);

@@ -13,15 +13,25 @@
 //            c > 1:  c^2 occupancy bitmap, then NLB bits per used LB
 //   routing  flag=1: raw fallback, c^2 * (Nraw - NLB) switch bits
 //            flag=0: Table I coding, route_count(RC) then per connection
-//            in(M) out(M)
+//            version 2: in(M) out(M)
+//            version 3: same_in(1) [in(M) if same_in = 0] out(M)
 //
-// The version nibble is always 2 and the compact(1) bit, reserved so that
-// the layout does not move, always 0; any other value is rejected.
-// Version 2 names the decoder contract: the encoder proves decodability by
-// running the de-virtualizer (paper Section III-B), whose A* estimates
-// est = cost + the per-architecture lookahead table (arch/lookahead.h),
-// and a stream decodes to the switches the encoder validated only under
-// that same heuristic.
+// Version 3 (the paper's Fig. 5, recoding the list) sets same_in exactly
+// when a connection's in port equals the previous connection's in port in
+// the same entry; the encoder lists a fan-out's pairs next to each other,
+// so a repeated in costs one bit instead of M. The coding is canonical:
+// the reader rejects same_in = 1 on an entry's first connection and an in
+// field that repeats the previous in, so every accepted stream
+// re-serializes to its own bits. Both versions list the same connections
+// in the same order and name the same decoder contract: the encoder
+// proves decodability by running the de-virtualizer (paper Section
+// III-B), whose A* estimates est = cost + the per-architecture lookahead
+// table (arch/lookahead.h), and a stream decodes to the switches the
+// encoder validated only under that same heuristic. The encoder writes
+// version 3; version 2 streams (journals and files written before it)
+// still parse, and an image keeps the version it was read with. Any other
+// version nibble is rejected, and so is a set compact(1) bit, reserved so
+// that the layout does not move.
 //
 // RC = ceil(log2(2W)) at c=1 (Table I) and the endpoint width M for
 // clusters, whose list can hold one connection per out-port;
@@ -59,10 +69,16 @@ struct VbsEntry {
   BitVector raw_routing;
 };
 
-/// The preamble version every stream carries (see the layout comment).
-inline constexpr unsigned kVbsVersion = 2;
+/// The preamble version the encoder writes: the same_in list coding (see
+/// the layout comment).
+inline constexpr unsigned kVbsVersion = 3;
+/// The oldest version deserialize_vbs parses: every in port written out.
+inline constexpr unsigned kVbsVersionFullPairs = 2;
 
 struct VbsImage {
+  /// kVbsVersion or kVbsVersionFullPairs: serialize_vbs writes this
+  /// coding, and deserialize_vbs records the one it read.
+  unsigned version = kVbsVersion;
   ArchSpec spec;
   int task_w = 0;  ///< task footprint in macros
   int task_h = 0;
@@ -105,7 +121,9 @@ struct VbsSizeBreakdown {
   std::size_t occupancy = 0;  ///< per-entry LB occupancy bitmaps (c > 1)
   std::size_t logic = 0;      ///< NLB per coded logic block
   std::size_t count = 0;      ///< route-count fields
-  std::size_t list = 0;       ///< connection endpoints, 2M per connection
+  /// Connection lists: M per out port, and per in port M (version 2) or
+  /// 1 + M, or 1 when it repeats the previous pair's (version 3).
+  std::size_t list = 0;
   std::size_t raw = 0;        ///< raw-fallback routing payloads
 
   std::size_t total() const {
@@ -113,17 +131,18 @@ struct VbsSizeBreakdown {
   }
 };
 
-/// Serializes to the on-wire bit format; the paper's compressed sizes are
-/// measured as serialize(img).size(). Throws std::invalid_argument on an
-/// image the format cannot carry.
+/// Serializes to the on-wire bit format in img.version's coding; the
+/// paper's compressed sizes are measured as serialize(img).size(). Throws
+/// std::invalid_argument on an image the format cannot carry.
 BitVector serialize_vbs(const VbsImage& img);
 
 /// Parses a serialized stream back; throws VbsError carrying a specific
-/// VbsErrc on malformed input — truncation, a version other than 2
+/// VbsErrc on malformed input — truncation, a version other than 2 or 3
 /// (kBadVersion), a set compact bit or another bad header (kBadHeader),
-/// duplicate or out-of-range entries, invalid connection lists, trailing
-/// bits, or a resource-limit violation. Round-trips exactly with
-/// serialize_vbs. Never crashes or reads out of bounds on arbitrary input
+/// duplicate or out-of-range entries, invalid or non-canonical connection
+/// lists, trailing bits, or a resource-limit violation. The image records
+/// the version it read, so it round-trips exactly with serialize_vbs.
+/// Never crashes or reads out of bounds on arbitrary input
 /// (tools/vbsfuzz.cpp holds this as a hard invariant).
 VbsImage deserialize_vbs(const BitVector& bits);
 

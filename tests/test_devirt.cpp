@@ -282,10 +282,10 @@ TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
   EXPECT_EQ(pipe.routing().iterations, 9);
 
   const GoldenCase kCases[] = {
-      {1, 0x96a880c0eb5b2ef9ull, 0x84746d9ad642d9c1ull, 8388, 155, 425},
-      {2, 0xded005314ac1aed6ull, 0x86752e2ac9eff207ull, 14004, 70, 290},
-      {4, 0x61d2e55261687141ull, 0xaa054b1609e3f345ull, 58925, 34, 192},
-      {8, 0x15c314ef58902821ull, 0xd35fb8ee2f56acabull, 44537, 7, 147},
+      {1, 0xcd916569fd873c14ull, 0x84746d9ad642d9c1ull, 8388, 155, 425},
+      {2, 0x19ea84b100295194ull, 0x86752e2ac9eff207ull, 14004, 70, 290},
+      {4, 0x6745d6e0639ac462ull, 0xaa054b1609e3f345ull, 58925, 34, 192},
+      {8, 0x57b2a304cccb59daull, 0xd35fb8ee2f56acabull, 44537, 7, 147},
   };
   bool negotiated = false;
   for (const GoldenCase& gc : kCases) {

@@ -238,12 +238,12 @@ TEST(Encoder, FeedbackLoopBytesArePinned) {
     int conflicts;
   };
   const Case kCases[] = {
-      {24, 1, 0x9b7f4aad93702edeull, 0, 0},
-      {24, 2, 0xef420834343ca274ull, 1, 0},
-      {24, 4, 0x67e1c2869a14d9c9ull, 0, 0},
-      {2, 1, 0x216983f2adb37f9eull, 79, 60},
-      {2, 2, 0x466a541e4d9497b8ull, 6, 56},
-      {2, 4, 0xf1e55b539a318f75ull, 0, 16},
+      {24, 1, 0x771498b749437110ull, 0, 0},
+      {24, 2, 0x3cbe1e42d8b99466ull, 1, 0},
+      {24, 4, 0x5607988fc286299eull, 0, 0},
+      {2, 1, 0xcde7e95848072aa3ull, 79, 60},
+      {2, 2, 0x3b5e58ad4e9b899full, 6, 56},
+      {2, 4, 0x9e41fb9787c224cdull, 0, 16},
   };
   Pipeline p(250, 7, 8, 16);
   for (const Case& k : kCases) {

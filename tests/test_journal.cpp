@@ -420,9 +420,9 @@ TEST(ServiceDurabilityTest, JournalBytesArePinned) {
   svc.drain();
   const std::uint64_t wal_after = file_fnv(wal);
 
-  EXPECT_EQ(wal_before, 0xdc50fddc54d128efull);
-  EXPECT_EQ(snap, 0x5f77cb3badfb9251ull);
-  EXPECT_EQ(wal_after, 0xd669baf77aea4c52ull);
+  EXPECT_EQ(wal_before, 0x4ab4c9e7aecdf7c4ull);
+  EXPECT_EQ(snap, 0xe4901b525f10357bull);
+  EXPECT_EQ(wal_after, 0xffaa59cb83264433ull);
 }
 
 // Pins a snapshot taken with work still queued: a live load, a load shed
@@ -456,8 +456,8 @@ TEST(ServiceDurabilityTest, SnapshotWithQueuedWorkIsPinned) {
 
   svc.compact_journal();
   const std::uint64_t fp = svc.state_fingerprint();
-  EXPECT_EQ(file_fnv(dir.path + "/snap.1"), 0xb2a7037e6a7ef2aeull);
-  EXPECT_EQ(fp, 0xb6ed8defdddb3e68ull);
+  EXPECT_EQ(file_fnv(dir.path + "/snap.1"), 0x1805441e6d463108ull);
+  EXPECT_EQ(fp, 0x14ba7d8b64f7f3e9ull);
 
   fs::copy(dir.path, copy.path, fs::copy_options::recursive);
   ReconfigService::RecoveryInfo info;

@@ -372,6 +372,35 @@ TEST(Pipeline, ResumeRejectsManhattanRoutedCheckpoints) {
   }
 }
 
+// The encode fingerprint folds the stream version the encoder writes. An
+// encode checkpointed when the encoder wrote version 2 carries the
+// fingerprint below (this design, stamped on this run's encode.art), and
+// is rejected rather than reused; without it the checkpoint resumes
+// through route and encodes afresh.
+TEST(Pipeline, ResumeRejectsVersion2EncodeCheckpoints) {
+  constexpr std::uint64_t kVersion2Fingerprint = 0x3463ddd04c3fee3cull;
+  TempDir dir("ckpt_v2_encode");
+  FlowPipeline pipe(small_netlist(), 7, 7, small_opts());
+  pipe.run_to(Stage::kEncode);
+  pipe.save_checkpoint(dir.path);
+  const std::string encode = (fs::path(dir.path) / "encode.art").string();
+  std::uint64_t written = 0;
+  const BitVector payload =
+      read_artifact_file(encode, ArtifactStage::kEncode, nullptr, &written);
+  EXPECT_NE(written, kVersion2Fingerprint);
+  write_artifact_file(encode, ArtifactStage::kEncode, kVersion2Fingerprint,
+                      payload);
+  EXPECT_EQ(errc_of([&] { FlowPipeline::resume_from(dir.path); }),
+            VbsErrc::kBadContainer);
+
+  fs::remove(encode);
+  FlowPipeline re = FlowPipeline::resume_from(dir.path);
+  EXPECT_TRUE(re.completed(Stage::kRoute));
+  EXPECT_FALSE(re.completed(Stage::kEncode));
+  EXPECT_EQ(re.vbs_stream(), pipe.vbs_stream());
+  EXPECT_EQ(re.vbs_image().version, kVbsVersion);
+}
+
 TEST(Pipeline, SaveDropsStaleDownstreamArtifacts) {
   TempDir dir("ckpt_stale");
   FlowPipeline pipe(small_netlist(), 7, 7, small_opts());

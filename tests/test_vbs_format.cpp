@@ -108,8 +108,9 @@ TEST(VbsFormat, FieldWidthsMatchPaperFormulas) {
 
 TEST(VbsFormat, HeaderSizesMatchTableOne) {
   // The per-macro fields of Table I: position on D bits each, logic on NLB
-  // bits, route count on ceil(log2(2W)), endpoints on M bits.
+  // bits, route count on ceil(log2(2W)), endpoints on M bits (version 2).
   VbsImage img = sample_image();
+  img.version = kVbsVersionFullPairs;
   img.entries.resize(1);
   img.entries[0].conns.resize(3);
   for (auto& c : img.entries[0].conns) c = {1, 2};
@@ -128,6 +129,12 @@ TEST(VbsFormat, HeaderSizesMatchTableOne) {
   EXPECT_EQ(b.list, 3 * 2 * m);
   EXPECT_EQ(b.raw, 0u);
   EXPECT_EQ(b.total(), serialize_vbs(img).size());
+  // Version 3 codes the two repeats of in port 1 with one same_in bit each.
+  img.version = kVbsVersion;
+  const VbsSizeBreakdown v3 = vbs_size(img);
+  EXPECT_EQ(v3.list, (1 + 2 * m) + 2 * (1 + m));
+  EXPECT_EQ(v3.total(), b.total() - b.list + v3.list);
+  EXPECT_EQ(v3.total(), serialize_vbs(img).size());
 }
 
 TEST(VbsFormat, EmptyImageSerializes) {
@@ -157,19 +164,129 @@ TEST(VbsFormat, RejectsBadVersion) {
   EXPECT_EQ(errc_of([&] { deserialize_vbs(bits); }), VbsErrc::kBadVersion);
 }
 
-TEST(VbsFormat, ParsesVersion2AndRejectsEveryOtherNibble) {
-  const BitVector v2 = serialize_vbs(sample_image());
-  for (unsigned version = 0; version < 16; ++version) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    BitVector bits = v2;
-    for (unsigned b = 0; b < 4; ++b) bits.set(b, (version >> (3 - b)) & 1u);
-    if (version == kVbsVersion) {
-      EXPECT_EQ(bits, v2);
-      EXPECT_EQ(serialize_vbs(deserialize_vbs(bits)), bits);
-      continue;
+// Each stream parses under its own version nibble and round-trips; under
+// the other supported version it is a different coding, which may parse
+// or throw a VbsError (VbsFormat.FlippedVersionNibbleIsTyped); any other
+// nibble is kBadVersion.
+TEST(VbsFormat, ParsesVersions2And3AndRejectsEveryOtherNibble) {
+  for (const unsigned written : {kVbsVersionFullPairs, kVbsVersion}) {
+    VbsImage img = sample_image();
+    img.version = written;
+    const BitVector stream = serialize_vbs(img);
+    for (unsigned version = 0; version < 16; ++version) {
+      SCOPED_TRACE("written " + std::to_string(written) + ", nibble " +
+                   std::to_string(version));
+      BitVector bits = stream;
+      for (unsigned b = 0; b < 4; ++b) bits.set(b, (version >> (3 - b)) & 1u);
+      if (version == written) {
+        EXPECT_EQ(bits, stream);
+        const VbsImage back = deserialize_vbs(bits);
+        EXPECT_EQ(back.version, written);
+        EXPECT_EQ(serialize_vbs(back), bits);
+        continue;
+      }
+      if (version == kVbsVersionFullPairs || version == kVbsVersion) continue;
+      EXPECT_EQ(errc_of([&] { deserialize_vbs(bits); }), VbsErrc::kBadVersion);
     }
-    EXPECT_EQ(errc_of([&] { deserialize_vbs(bits); }), VbsErrc::kBadVersion);
   }
+}
+
+TEST(VbsFormat, SerializeRejectsUnknownVersion) {
+  VbsImage img = sample_image();
+  img.version = 1;
+  EXPECT_THROW(serialize_vbs(img), std::invalid_argument);
+  img.version = 18;  // wider than the nibble
+  EXPECT_THROW(vbs_size(img), std::invalid_argument);
+}
+
+/// The first bit of entry `k`'s connection list in `img`'s stream, whose
+/// entries before `k` are all written in full.
+std::size_t list_offset(const VbsImage& img, std::size_t k) {
+  std::size_t at = vbs_size(img).header;
+  for (std::size_t i = 0; i < k; ++i) {
+    at += vbs_entry_size(img, img.entries[i]).total();
+  }
+  const VbsSizeBreakdown e = vbs_entry_size(img, img.entries[k]);
+  return at + e.position + e.occupancy + e.logic + e.count;
+}
+
+/// `bits` with `n` zero bits inserted at `at`.
+BitVector insert_zeros(const BitVector& bits, std::size_t at, unsigned n) {
+  BitVector out = bits.slice(0, at);
+  out.append(BitVector(n));
+  out.append(bits.slice(at, bits.size()));
+  return out;
+}
+
+// Version 3 is canonical: same_in = 1 is only valid after a first pair,
+// and an in port equal to the previous one must take the one-bit form.
+TEST(VbsFormat, RejectsNonCanonicalSameIn) {
+  const VbsImage img = sample_image();  // entry 0: {0, 21}, {0, 7}
+  ASSERT_EQ(img.version, kVbsVersion);
+  const BitVector bits = serialize_vbs(img);
+  const unsigned m = vbs_field_widths(img.spec, 1, 6, 4).port;
+  const std::size_t first = list_offset(img, 0);
+  const std::size_t second = first + 1 + 2 * m;
+  ASSERT_FALSE(bits.get(first));
+  ASSERT_TRUE(bits.get(second));
+
+  // same_in = 1 on the first pair.
+  BitVector lead = bits;
+  lead.set(first, true);
+  EXPECT_EQ(errc_of([&] { deserialize_vbs(lead); }),
+            VbsErrc::kBadConnection);
+
+  // The second pair's in (0) coded in full: same_in = 0, then in(M) = 0.
+  BitVector full = insert_zeros(bits, second + 1, m);
+  full.set(second, false);
+  EXPECT_EQ(errc_of([&] { deserialize_vbs(full); }),
+            VbsErrc::kBadConnection);
+  // The same bits with a different in port are canonical and parse.
+  full.set(second + m, true);  // in = 1
+  const VbsImage other = deserialize_vbs(full);
+  EXPECT_EQ(other.entries[0].conns[1], (VbsConnection{1, 7}));
+  EXPECT_EQ(serialize_vbs(other), full);
+}
+
+TEST(VbsFormat, RejectsStreamCutAfterSameInBit) {
+  const VbsImage img = sample_image();
+  const BitVector bits = serialize_vbs(img);
+  const unsigned m = vbs_field_widths(img.spec, 1, 6, 4).port;
+  const std::size_t second = list_offset(img, 0) + 1 + 2 * m;
+  for (const std::size_t cut : {list_offset(img, 0) + 1, second + 1}) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    EXPECT_EQ(errc_of([&] { deserialize_vbs(bits.slice(0, cut)); }),
+              VbsErrc::kTruncated);
+  }
+}
+
+// A version nibble flipped between 2 and 3 reads the list in the other
+// coding: every such stream either parses into an image that re-serializes
+// to the same bits or throws a VbsError, whatever its content.
+TEST(VbsFormat, FlippedVersionNibbleIsTyped) {
+  std::vector<VbsImage> images = {sample_image(1), sample_image(2)};
+  VbsImage fanout = sample_image(1);
+  fanout.entries[0].conns = {{0, 21}, {0, 7}, {0, 3}, {21, 2}, {21, 4}};
+  images.push_back(fanout);
+  int parsed = 0, rejected = 0;
+  for (VbsImage& img : images) {
+    for (const unsigned written : {kVbsVersionFullPairs, kVbsVersion}) {
+      img.version = written;
+      BitVector bits = serialize_vbs(img);
+      bits.set(3, !bits.get(3));  // 2 <-> 3
+      try {
+        const VbsImage back = deserialize_vbs(bits);
+        EXPECT_EQ(back.version, written ^ 1u);
+        EXPECT_EQ(serialize_vbs(back), bits);
+        ++parsed;
+      } catch (const VbsError& e) {
+        EXPECT_NE(e.code(), VbsErrc::kNone);
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_EQ(parsed + rejected, 6);
+  EXPECT_GT(rejected, 0);
 }
 
 // The preamble keeps the bit that once selected the fan-out coding; a
@@ -220,11 +337,18 @@ TEST(VbsFormat, RawSizeMatchesPaperFormula) {
 
 // The breakdown totals the stream at c = 1 and 2 over a raw entry, a
 // routing-only entry and, at c = 2, a cluster the task edge cuts to one
-// column; each added connection costs 2M list bits.
+// column. Each added connection costs 2M list bits in version 2; in
+// version 3 it costs 1 + 2M, or 1 + M when it repeats the previous in.
 TEST(VbsFormat, SizeScalesWithConnections) {
-  for (const int c : {1, 2}) {
-    SCOPED_TRACE("c = " + std::to_string(c));
+  for (const auto& [c, version] : {std::pair{1, kVbsVersionFullPairs},
+                                  {2, kVbsVersionFullPairs},
+                                  {1, kVbsVersion},
+                                  {2, kVbsVersion}}) {
+    SCOPED_TRACE("c = " + std::to_string(c) + ", version " +
+                 std::to_string(version));
+    const bool v3 = version == kVbsVersion;
     VbsImage img = sample_image(c);
+    img.version = version;
     img.task_w = 5;  // at c = 2 grid column 2 holds one macro column
     VbsEntry routing_only;
     routing_only.cx = 2;
@@ -248,13 +372,23 @@ TEST(VbsFormat, SizeScalesWithConnections) {
     }
     EXPECT_EQ(b.raw, fw.raw);
     EXPECT_EQ(b.count, 2u * fw.count);
-    EXPECT_EQ(b.list, 3u * 2 * fw.port);
+    // Three pairs; in version 3 one of them, {0, 7}, repeats in port 0.
+    EXPECT_EQ(b.list, v3 ? 3 + 5 * fw.port : 3u * 2 * fw.port);
 
     img.entries[0].conns.push_back({3, 9});
     const VbsSizeBreakdown more = vbs_size(img);
-    EXPECT_EQ(more.list, b.list + 2 * fw.port);
-    EXPECT_EQ(more.total(), b.total() + 2 * fw.port);
+    const std::size_t added = (v3 ? 1 : 0) + 2 * fw.port;
+    EXPECT_EQ(more.list, b.list + added);
+    EXPECT_EQ(more.total(), b.total() + added);
     EXPECT_EQ(more.total(), serialize_vbs(img).size());
+
+    img.entries[0].conns.push_back({3, 10});
+    const std::size_t repeat = v3 ? 1 + fw.port : 2 * fw.port;
+    EXPECT_EQ(vbs_size(img).list, more.list + repeat);
+    EXPECT_EQ(vbs_entry_size(img, img.entries[0]).list,
+              vbs_size(img).list - vbs_entry_size(img, img.entries[2]).list);
+    EXPECT_EQ(serialize_vbs(deserialize_vbs(serialize_vbs(img))),
+              serialize_vbs(img));
   }
 }
 
@@ -309,15 +443,13 @@ TEST(VbsFormat, Version2StreamsStillDecode) {
   }
 }
 
-// Pins the on-disk bytes of one small VBS2 file. Round trips alone would
-// pass a change to the bit coding or the checksum that breaks files
-// already written.
-TEST(VbsFormat, Vbs2FileBytesArePinned) {
+/// The bytes of a VBS2 file holding `img`'s stream.
+std::string file_bytes(const VbsImage& img) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("vbs_format_pin_" + std::to_string(::getpid())))
           .string();
-  write_vbs_file(path, serialize_vbs(sample_image()));
+  write_vbs_file(path, serialize_vbs(img));
   std::string bytes;
   {
     std::ifstream is(path, std::ios::binary);
@@ -325,9 +457,27 @@ TEST(VbsFormat, Vbs2FileBytesArePinned) {
                  std::istreambuf_iterator<char>());
   }
   std::filesystem::remove(path);
-  EXPECT_EQ(hex_of(bytes),
+  return bytes;
+}
+
+// Pins the on-disk bytes of one small VBS2 file holding a version-2
+// stream. Round trips alone would pass a change to the bit coding or the
+// checksum that breaks files already written.
+TEST(VbsFormat, Vbs2FileBytesArePinned) {
+  VbsImage img = sample_image();
+  img.version = kVbsVersionFullPairs;
+  EXPECT_EQ(hex_of(file_bytes(img)),
             "56425332ad0100000000000047b413ec1cf8802620560087a0857bd9eac8f351"
             "6240481501e00000000000000000040000000000000000000000020000000000"
+            "00000000000000000000");
+}
+
+// The same file with the stream in version 3: one same_in bit per pair,
+// and entry 0's second in port coded by it alone.
+TEST(VbsFormat, Vbs3FileBytesArePinned) {
+  EXPECT_EQ(hex_of(file_bytes(sample_image())),
+            "56425332aa010000000000000565454a0ed2f26f30560087a0857bd9eac8f351"
+            "6240480acf000000000000000000200000000000000000000000100000000000"
             "00000000000000000000");
 }
 

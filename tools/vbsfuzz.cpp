@@ -3,14 +3,16 @@
 // controller's load path, and the service's submit/drain loop.
 //
 // The harness builds a small vbsgen-style corpus in-process (two routed
-// tasks, cluster 1 and cluster 2), then repeatedly mutates a corpus
+// tasks, cluster 1 and cluster 2, each as the encoder writes it, version
+// 3, and re-serialized in version 2), then repeatedly mutates a corpus
 // stream — truncation at a random bit, 1-8 random bit flips, targeted
 // flips in the preamble/header bits, appended garbage bits, spliced
 // runs — and feeds the mutant to the decode stack. The contract under
 // test (the PR's fuzz invariant):
 //
-//   * deserialize_vbs either succeeds or throws a typed VbsError — never
-//     any other exception type, never a crash or sanitizer report;
+//   * deserialize_vbs either succeeds, and then serialize_vbs gives back
+//     exactly the parsed bits, or throws a typed VbsError — never any
+//     other exception type, never a crash or sanitizer report;
 //   * a stream that parses but fails later (decode, placement, arch)
 //     rolls the controller back completely: configuration memory all
 //     zero and occupancy 0 after the rejected load;
@@ -96,6 +98,15 @@ CorpusEntry make_entry(int n_lut, std::uint64_t seed, int grid, int cluster) {
                                       r.placement, r.routing.routes, eo));
   e.spec = r.fabric->spec();
   e.grid = grid;
+  return e;
+}
+
+/// `e` with its stream re-serialized in version 2, the coding journals and
+/// files written before version 3 hold.
+CorpusEntry as_version2(CorpusEntry e) {
+  VbsImage img = deserialize_vbs(e.stream);
+  img.version = kVbsVersionFullPairs;
+  e.stream = serialize_vbs(img);
   return e;
 }
 
@@ -457,10 +468,12 @@ int main(int argc, char** argv) {
 
     if (args.has_flag("--rpc-frame")) return run_rpc_frame_fuzz(iters, seed);
 
-    const std::vector<CorpusEntry> corpus = {
+    std::vector<CorpusEntry> corpus = {
         make_entry(18, 5, 5, 1),
         make_entry(25, 31, 6, 2),
     };
+    corpus.push_back(as_version2(corpus[0]));
+    corpus.push_back(as_version2(corpus[1]));
     const auto tmp = std::filesystem::temp_directory_path() /
                      ("vbsfuzz." + std::to_string(seed));
     std::filesystem::create_directories(tmp);
@@ -498,7 +511,8 @@ int main(int argc, char** argv) {
         return 1;
       };
 
-      // 1. Parse: success or typed VbsError, nothing else.
+      // 1. Parse: success or typed VbsError, nothing else. Every coding
+      // is canonical, so a parsed stream re-serializes to its own bits.
       bool ok = false;
       VbsImage img;
       try {
@@ -510,6 +524,14 @@ int main(int argc, char** argv) {
         ++rejected;
       } catch (const std::exception& e) {
         return fail(std::string("untyped exception: ") + e.what());
+      }
+      try {
+        if (ok && serialize_vbs(img) != bits) {
+          return fail("parsed stream re-serializes to other bits");
+        }
+      } catch (const std::exception& e) {
+        return fail(std::string("parsed stream does not serialize: ") +
+                    e.what());
       }
 
       // 2. Survivors meet the controller: load either commits or rolls

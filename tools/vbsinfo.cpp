@@ -21,6 +21,9 @@ namespace {
 
 struct StreamSummary {
   std::size_t conns = 0, raw_entries = 0, logic_used = 0, max_conns = 0;
+  /// Pairs whose in port repeats the previous pair's in the same entry:
+  /// version 3 codes each such in with one same_in bit.
+  std::size_t same_in = 0;
   VbsFieldWidths widths{};
   VbsSizeBreakdown bits;
   /// Everything but logic, connection list and raw payload: header,
@@ -35,6 +38,9 @@ StreamSummary summarize(const VbsImage& img) {
   for (const VbsEntry& e : img.entries) {
     s.conns += e.conns.size();
     s.max_conns = std::max(s.max_conns, e.conns.size());
+    for (std::size_t i = 1; i < e.conns.size(); ++i) {
+      s.same_in += e.conns[i].in == e.conns[i - 1].in;
+    }
     s.raw_entries += e.raw;
     for (const LogicConfig& lc : e.logic) s.logic_used += lc.used;
   }
@@ -57,7 +63,7 @@ void print_json(const BitVector& stream, const VbsImage& img,
   std::printf("{\n");
   std::printf("  \"stream_bits\": %zu,\n", stream.size());
   std::printf("  \"stream_bytes\": %zu,\n", (stream.size() + 7) / 8);
-  std::printf("  \"version\": %u,\n", kVbsVersion);
+  std::printf("  \"version\": %u,\n", img.version);
   std::printf(
       "  \"arch\": {\"chan_width\": %d, \"lut_k\": %d, \"sb_pattern\": "
       "\"%s\"},\n",
@@ -81,8 +87,9 @@ void print_json(const BitVector& stream, const VbsImage& img,
       "%zu},\n",
       img.entries.size(), s.raw_entries, s.logic_used);
   std::printf(
-      "  \"connections\": {\"total\": %zu, \"max_per_entry\": %zu},\n",
-      s.conns, s.max_conns);
+      "  \"connections\": {\"total\": %zu, \"max_per_entry\": %zu, "
+      "\"same_in\": %zu},\n",
+      s.conns, s.max_conns, s.same_in);
   std::printf(
       "  \"size_breakdown\": {\"logic\": %zu, \"connections\": %zu, "
       "\"raw_payload\": %zu, \"framing\": %zu},\n",
@@ -111,8 +118,9 @@ void print_text(const BitVector& stream, const VbsImage& img,
   const ArchSpec& spec = img.spec;
   std::printf("stream           : %zu bits (%zu bytes on disk)\n",
               stream.size(), (stream.size() + 7) / 8);
-  std::printf("format version   : %u (lookahead decoder heuristic)\n",
-              kVbsVersion);
+  std::printf("format version   : %u (%s list, lookahead decoder heuristic)\n",
+              img.version,
+              img.version == kVbsVersion ? "same-in" : "full-pair");
   std::printf("architecture     : W=%d, K=%d, %s switch boxes\n",
               spec.chan_width, spec.lut_k,
               spec.sb_pattern == SbPattern::kWilton ? "wilton" : "disjoint");
@@ -128,8 +136,9 @@ void print_text(const BitVector& stream, const VbsImage& img,
                       raw_size_bits(spec, img.task_w, img.task_h)));
   std::printf("entries          : %zu (%zu raw-coded), %zu used LBs\n",
               img.entries.size(), s.raw_entries, s.logic_used);
-  std::printf("connections      : %zu total, %zu max per entry\n", s.conns,
-              s.max_conns);
+  std::printf("connections      : %zu total, %zu max per entry, %zu repeat "
+              "the previous in port\n",
+              s.conns, s.max_conns, s.same_in);
   std::printf("size breakdown   : logic %zu, connections %zu, raw payload "
               "%zu, framing %zu bits\n",
               s.bits.logic, s.bits.list, s.bits.raw, s.framing_bits());
