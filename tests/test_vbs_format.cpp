@@ -10,6 +10,7 @@
 
 #include "errc.h"
 #include "hex.h"
+#include "rtc/service/service.h"
 #include "rtc/service/stream_cache.h"
 #include "util/bitio.h"
 #include "util/bytes.h"
@@ -441,6 +442,41 @@ TEST(VbsFormat, Version2StreamsStillDecode) {
         devirtualize_image(img, FabricLayout(img.spec, 4, 4), {0, 0});
     EXPECT_EQ(stream_content_hash(config), s.config_hash);
   }
+}
+
+// tests/data/sample_v3.vbs: a version-3 stream as the encoder wrote it
+// (netlistgen --luts 30 --seed 7, then vbsgen --grid 6 --cluster 2
+// --seed 7; W = 20, 9 entries, 175 connections). Files and journals hold
+// such streams: it must decode to the configuration it decoded to when it
+// was written, with the same search counts, both directly and when the
+// service loads it.
+TEST(VbsFormat, Version3FileStillDecodes) {
+  constexpr std::uint64_t kConfigHash = 0x7bf1f717e5f39729ull;
+  constexpr long long kNodesExpanded = 14005;
+  constexpr long long kNegotiationIterations = 39;
+  const BitVector bits =
+      read_vbs_file(std::string(VBS_TEST_DATA_DIR) + "/sample_v3.vbs");
+  ASSERT_EQ(bits.get_bits(0, 4), 3u);
+  const VbsImage img = deserialize_vbs(bits);
+  EXPECT_EQ(serialize_vbs(img), bits);
+
+  DecodeStats st;
+  const BitVector config = devirtualize_image(
+      img, FabricLayout(img.spec, img.task_w, img.task_h), {0, 0}, &st);
+  EXPECT_EQ(stream_content_hash(config), kConfigHash);
+  EXPECT_EQ(st.nodes_expanded, kNodesExpanded);
+  EXPECT_EQ(st.negotiation_iterations, kNegotiationIterations);
+
+  ReconfigService svc(img.spec, img.task_w, img.task_h);
+  svc.submit_load(bits);
+  const std::vector<RequestResult> results = svc.drain();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, RequestStatus::kDone);
+  EXPECT_EQ(stream_content_hash(svc.controller().config_memory()),
+            kConfigHash);
+  EXPECT_EQ(svc.stats().decode.nodes_expanded, kNodesExpanded);
+  EXPECT_EQ(svc.stats().decode.negotiation_iterations,
+            kNegotiationIterations);
 }
 
 /// The bytes of a VBS2 file holding `img`'s stream.
