@@ -21,7 +21,8 @@
 // Readers verify magic, version, stage tag, fingerprint and content hash
 // and throw VbsError (kBadContainer, or kTruncated for a cut header) on
 // any mismatch, so a stale, truncated or foreign checkpoint can never be
-// silently resumed. Wall times are NOT
+// silently resumed (FlowPipeline::resume_from reads the fingerprint
+// instead of matching it, and reruns a stale stage). Wall times are NOT
 // part of any payload, so two runs of the same flow save identical bytes.
 #pragma once
 

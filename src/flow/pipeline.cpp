@@ -428,13 +428,26 @@ FlowPipeline FlowPipeline::resume_from(const std::string& dir) {
   FlowPipeline pipe(std::move(nl), meta.grid_w, meta.grid_h, meta.opts,
                     meta.eopts);
   pipe.netlist_hash_ = expected_meta;  // just computed above
+  // The resume keeps the stages up to the last one whose fingerprint still
+  // matches. A stale stage (an option or a folded constant, such as the
+  // stream version, changed since the save) is dropped with every stage
+  // after it, and those rerun. Pack's fingerprint folds only what
+  // flow.meta already fixes, so a stale pack means a foreign checkpoint:
+  // rejected. Every artifact read, dropped or not, must be intact.
+  bool stale = false;
   for (int i = 0; i < kNumStages; ++i) {
     const Stage s = static_cast<Stage>(i);
     const std::string path = join(dir, kArtifactFiles[i]);
     if (!std::filesystem::exists(path)) break;
-    const std::uint64_t expected = pipe.stage_fingerprint(s);
-    const BitVector payload =
-        read_artifact_file(path, static_cast<ArtifactStage>(i), &expected);
+    std::uint64_t fingerprint = 0;
+    const BitVector payload = read_artifact_file(
+        path, static_cast<ArtifactStage>(i), nullptr, &fingerprint);
+    stale = stale || fingerprint != pipe.stage_fingerprint(s);
+    if (stale && s == Stage::kPack) {
+      bad_artifact("artifact fingerprint mismatch (foreign checkpoint): " +
+                   path);
+    }
+    if (stale) continue;
     switch (s) {
       case Stage::kPack:
         pipe.packed_ = deserialize_packed(payload);

@@ -116,9 +116,11 @@ class FlowPipeline {
 
   /// Reloads a checkpoint directory: netlist and options come from the
   /// checkpoint itself; completed stage artifacts are loaded in order until
-  /// the first missing file. Throws VbsError{kBadContainer} on a corrupted,
-  /// version-mismatched or fingerprint-mismatched artifact and
-  /// std::runtime_error on a malformed directory.
+  /// the first missing file or the first stage after pack whose
+  /// fingerprint no longer matches (that stage and the later ones rerun
+  /// when next needed). Throws VbsError{kBadContainer} on a corrupted or
+  /// version-mismatched artifact and on a pack fingerprint mismatch (a
+  /// foreign checkpoint), and std::runtime_error on a malformed directory.
   static FlowPipeline resume_from(const std::string& dir);
 
   /// Moves the artifacts out into the legacy FlowResult shape (the

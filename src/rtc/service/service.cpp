@@ -529,8 +529,8 @@ void ReconfigService::process_load_batch(const std::vector<Request*>& batch,
         const VbsEntry& e = decoded.image.entries[item.entry];
         Devirtualizer& dv = decoders_[static_cast<std::size_t>(rank)]
                                 .decoder_for(decoded.image, e);
-        if (!dv.decode_entry(e, decoded.payloads[item.entry],
-                             &item_stats[idx])) {
+        if (!dv.decode_entry(e, decoded.image.version,
+                             decoded.payloads[item.entry], &item_stats[idx])) {
           item_errors[idx] = "entry " + std::to_string(e.cx) + "," +
                              std::to_string(e.cy) + " failed to decode";
           item_codes[idx] = VbsErrc::kDecodeFailed;

@@ -18,6 +18,14 @@
 // answer as the lexicographic (est, node) comparison the kernels used
 // before.
 //
+// The tie field. The de-virtualizer under stream version 4 builds its own
+// key (push_key): it puts min(h, 255), its lookahead bound, in bits 24..31
+// below est and the node id in bits 0..23, so equal estimates pop nearest
+// the target first, then by node id. Its regions stay below 2^24 nodes.
+// The router keeps key_of and Entry::node(): its node ids span the whole
+// fabric graph, which can exceed 24 bits, and its pop order, heap_pops and
+// routed trees are pinned. Versions 2 and 3 decode with key_of too.
+//
 // The algorithm. Entries live in e[0..n) with the children of i at 2i+1
 // and 2i+2. One sift-down and one sift-up do all the work:
 //   sift_down(hole, len, value): while the hole has two children, move the
@@ -92,7 +100,11 @@ class SearchHeap {
   void clear() { entries_.clear(); }
 
   void push(float est, float cost, std::int32_t node) {
-    entries_.push_back({key_of(est, node), cost});
+    push_key(key_of(est, node), cost);
+  }
+  /// Pushes an entry whose key the caller packed (the tie field above).
+  void push_key(std::uint64_t key, float cost) {
+    entries_.push_back({key, cost});
     sift_up(entries_.size() - 1, 0, entries_.back());
   }
 

@@ -21,8 +21,16 @@ DecodeStats& DecodeStats::operator+=(const DecodeStats& o) {
   return *this;
 }
 
+void Devirtualizer::check_region_nodes(long long num_nodes) {
+  if (num_nodes > kMaxRegionNodes) {
+    throw VbsError(VbsErrc::kResourceLimit,
+                   "decode: region has more nodes than the queue key holds");
+  }
+}
+
 Devirtualizer::Devirtualizer(const RegionModel& region)
     : region_(&region), lookahead_(Lookahead::of(region.spec())) {
+  check_region_nodes(region.num_nodes());
   const auto n = static_cast<std::size_t>(region.num_nodes());
   occ_.assign(n, 0);
   hist_.assign(n, 0.0f);
@@ -45,7 +53,8 @@ void Devirtualizer::add_to_tree(Group& g, std::int32_t node,
   ++occ_[static_cast<std::size_t>(node)];
 }
 
-bool Devirtualizer::route_group(Group& g, double pres_fac) {
+bool Devirtualizer::route_group(Group& g, double pres_fac,
+                                std::uint64_t tie_mask) {
   const RegionModel& rm = *region_;
   const Lookahead& la = *lookahead_;
   g.tree.clear();
@@ -62,25 +71,33 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
         });
     heap_.clear();
     ++counts_.searches;
-    // The estimate: the lookahead bound from a node to the target's port.
-    // Targets are region ports, so their node carries a macro port.
+    // The estimate: h, the lookahead bound from a node to the target's
+    // port. Targets are region ports, so their node carries a macro port.
     const Point tp = rm.node_tile(target);
     const int tport = rm.macro().node_port(rm.node_local(target));
     assert(tport >= 0);
-    const auto heur = [&rm, &la, tp, tport](int v) {
+    const auto bound = [&rm, &la, tp, tport](int v) {
       const Point p = rm.node_tile(v);
-      return static_cast<float>(
-          la.bound(tport, rm.node_local(v), p.x - tp.x, p.y - tp.y));
+      return la.bound(tport, rm.node_local(v), p.x - tp.x, p.y - tp.y);
+    };
+    // The queue key of est = cost + h: under tie_mask (version 4) equal
+    // estimates pop the smaller h first, then the lower node id.
+    const auto push = [this, tie_mask](float cost, int h, int node) {
+      const std::uint64_t tie =
+          static_cast<std::uint64_t>(std::min(h, kMaxTieBound)) << kNodeBits;
+      heap_.push_key(SearchHeap::key_of(cost + static_cast<float>(h), node) |
+                         (tie & tie_mask),
+                     cost);
     };
     for (const TreeNode& tn : g.tree) {
       visit_[static_cast<std::size_t>(tn.node)] = {epoch, 0.0f, -1, -1};
-      heap_.push(heur(tn.node), 0.0f, tn.node);
+      push(0.0f, bound(tn.node), tn.node);
     }
     bool found = false;
     while (!heap_.empty()) {
       const SearchHeap::Entry top = heap_.pop();
       ++expanded_;
-      const int node = top.node();
+      const int node = static_cast<int>(top.key & kNodeMask);
       const Visit& at = visit_[static_cast<std::size_t>(node)];
       if (at.epoch != epoch || at.cost != top.cost) {
         ++counts_.stale_pops;
@@ -104,7 +121,7 @@ bool Devirtualizer::route_group(Group& g, double pres_fac) {
         Visit& to = visit_[v];
         if (to.epoch != epoch || nc < to.cost) {
           to = {epoch, nc, node, adj.bit};
-          heap_.push(nc + heur(adj.to), nc, adj.to);
+          push(nc, bound(adj.to), adj.to);
         }
       }
     }
@@ -125,10 +142,15 @@ void Devirtualizer::rip_up(Group& g) {
   g.tree.clear();
 }
 
-bool Devirtualizer::decode_entry(const VbsEntry& entry, BitVector& routing_out,
-                                 DecodeStats* stats) {
+bool Devirtualizer::decode_entry(const VbsEntry& entry, unsigned version,
+                                 BitVector& routing_out, DecodeStats* stats) {
+  if (!vbs_version_supported(version)) {
+    throw VbsError(VbsErrc::kBadVersion, "decode: unsupported format version");
+  }
   DecodeStats st;
-  const bool ok = decode(entry, routing_out, st);
+  const bool ok =
+      decode(entry, vbs_ties_toward_target(version) ? kTieMask : 0,
+             routing_out, st);
   if (stats) *stats += st;
   if (telem::enabled()) {
     telem::counter_add("vbs.decode.entries", st.entries_decoded);
@@ -143,8 +165,8 @@ bool Devirtualizer::decode_entry(const VbsEntry& entry, BitVector& routing_out,
   return ok;
 }
 
-bool Devirtualizer::decode(const VbsEntry& entry, BitVector& routing_out,
-                           DecodeStats& stats) {
+bool Devirtualizer::decode(const VbsEntry& entry, std::uint64_t tie_mask,
+                           BitVector& routing_out, DecodeStats& stats) {
   const RegionModel& rm = *region_;
   const int c = rm.cluster();
   const std::size_t payload_bits =
@@ -217,7 +239,7 @@ bool Devirtualizer::decode(const VbsEntry& entry, BitVector& routing_out,
         if (!congested) continue;
         rip_up(g);
       }
-      if (!route_group(g, pres_fac)) {
+      if (!route_group(g, pres_fac, tie_mask)) {
         ++stats.pairs_failed;
         stats.nodes_expanded += expanded_;
         return false;
@@ -364,7 +386,8 @@ std::shared_ptr<DecodedStream> decode_stream(VbsImage image,
     const VbsEntry& e = img.entries[i];
     DecodeStats cost;
     const bool ok =
-        decoders.decoder_for(img, e).decode_entry(e, out->payloads[i], &cost);
+        decoders.decoder_for(img, e).decode_entry(e, img.version,
+                                                  out->payloads[i], &cost);
     out->decode += cost;
     if (spent != nullptr) *spent += cost;
     if (!ok) {

@@ -19,22 +19,34 @@
 // is guaranteed to decode online (paper Section III-B). That makes this A*
 // the hot loop of both the designer's compile and a tenant's cold load.
 //
-// Heuristic: A* estimates the remaining cost from the architecture's
-// lookahead table (arch/lookahead.h), a unit-cost lower bound from any
+// Heuristic: A* estimates the remaining cost with h, the architecture's
+// lookahead bound (arch/lookahead.h), a unit-cost lower bound from any
 // node to the target's port. It is admissible, so every search finds a
 // cheapest path, but which of several equally cheap paths it takes, and
-// so which switches a stream decodes to, depends on the heuristic: this is
-// the decoder contract that stream versions 2 and 3 name (vbs_format.h).
+// so which switches a stream decodes to, depends on the heuristic and on
+// the order in which entries of equal est = cost + h leave the queue:
+// this is the decoder contract a stream's version names (vbs_format.h).
+// Every decode_entry call takes that version, so one decoder serves
+// streams of every version.
 //
 // Search queue: the shared SearchHeap (util/search_heap.h), one per
-// decoder, reused for every target. Entries pack key = bit_cast<u32>(est)
-// << 32 | u32(node); est = cost + heuristic is never negative or NaN, so
-// the key orders exactly like the (est, node) comparison (lowest
-// estimate, then lowest node id), and the heap's branch-free sift code
-// makes move for move what libstdc++'s std::priority_queue did — same
-// pops, same trees, same nodes_expanded. It is deliberately not a d-ary
-// heap: that would pop equal keys in a different order and change the
-// decoded switches.
+// decoder, reused for every target, with h computed once per push. With
+// unit costs most pops tie on est. Versions 2 and 3 break those ties by
+// node id: key = bit_cast<u32>(est) << 32 | u32(node), which orders
+// exactly like the (est, node) comparison, and the heap's branch-free
+// sift code makes move for move what libstdc++'s std::priority_queue did
+// — same pops, same trees, same nodes_expanded as when those streams were
+// written. Version 4 breaks them toward the target (Asai & Fukunaga's
+// tie-breaking for A* plateaus): key = bit_cast<u32>(est) << 32 |
+// min(h, 255) << 24 | node, so of equal estimates the smaller h (the
+// longer path so far) pops first, then the lower node id. That pushes the
+// search down one cheapest path instead of across the whole plateau of
+// equal est: on des and ex5p at W = 20 it cuts decode pops by 20-50%. A
+// node id must then fit 24 bits; the header guards keep every region
+// well below that (at most about 1.75 M nodes), and the constructor still
+// rejects a larger region with VbsError{kResourceLimit}. The heap is
+// deliberately not d-ary: that would pop equal keys in a different order
+// and change the decoded switches.
 //
 // Telemetry (when enabled), once per decoded entry: vbs.decode.entries,
 // vbs.decode.raw_entries, vbs.decode.nodes_expanded and
@@ -80,13 +92,22 @@ class Devirtualizer {
   /// Shares the process-wide lookahead table of the region's architecture.
   explicit Devirtualizer(const RegionModel& region);
 
+  /// Node ids the version-4 queue key holds (bits 0..23).
+  static constexpr int kNodeBits = 24;
+  static constexpr long long kMaxRegionNodes = 1LL << kNodeBits;
+  /// Throws VbsError{kResourceLimit} for a region larger than
+  /// kMaxRegionNodes; the constructor's guard.
+  static void check_region_nodes(long long num_nodes);
+
   /// Decodes one connection-list entry into the region's routing payload
-  /// (c^2 * (Nraw-NLB) bits, region row-major). Returns false if no valid
+  /// (c^2 * (Nraw-NLB) bits, region row-major) under the decoder contract
+  /// of stream version `version` (its image's). Returns false if no valid
   /// switch assignment is found within the iteration budget (the offline
   /// encoder then re-orders or falls back to raw coding). Raw entries are
-  /// copied through unchanged.
-  bool decode_entry(const VbsEntry& entry, BitVector& routing_out,
-                    DecodeStats* stats = nullptr);
+  /// copied through unchanged. Throws VbsError{kBadVersion} for a version
+  /// deserialize_vbs does not take.
+  bool decode_entry(const VbsEntry& entry, unsigned version,
+                    BitVector& routing_out, DecodeStats* stats = nullptr);
 
   const RegionModel& region() const { return *region_; }
   /// Heap bytes of the per-node and per-port search state, sized at
@@ -118,6 +139,11 @@ class Devirtualizer {
   };
   /// node_owner_ value of interior nodes: usable by every signal.
   static constexpr std::int32_t kAnyGroup = -2;
+  /// The version-4 key's tie field: min(h, kMaxTieBound) in bits 24..31.
+  static constexpr int kMaxTieBound = 255;
+  static constexpr std::uint64_t kNodeMask =
+      (std::uint64_t{1} << kNodeBits) - 1;
+  static constexpr std::uint64_t kTieMask = std::uint64_t{0xff} << kNodeBits;
   static constexpr const char* kEpochWrapMetric =
       "vbs.decode.epoch_wrap_resets";
 
@@ -128,9 +154,10 @@ class Devirtualizer {
     long long stale_pops = 0;
   };
 
-  bool decode(const VbsEntry& entry, BitVector& routing_out,
-              DecodeStats& stats);
-  bool route_group(Group& g, double pres_fac);
+  /// tie_mask: kTieMask under version 4's tie rule, else 0.
+  bool decode(const VbsEntry& entry, std::uint64_t tie_mask,
+              BitVector& routing_out, DecodeStats& stats);
+  bool route_group(Group& g, double pres_fac, std::uint64_t tie_mask);
   void rip_up(Group& g);
   void add_to_tree(Group& g, std::int32_t node, std::int32_t switch_bit);
 

@@ -124,21 +124,27 @@ int feedback_threads() {
 /// Where an entry stands in the feedback loop.
 enum class Verdict : std::uint8_t { kDecoded, kReordered, kFailing };
 
+/// Whether `e` decodes under the contract of the version the encoder
+/// writes: the loop's one proof of decodability.
+bool decodes(Devirtualizer& dv, const VbsEntry& e, BitVector& scratch) {
+  return dv.decode_entry(e, kVbsVersion, scratch);
+}
+
 /// The loop's fixed orders: decodes `e` as emitted, then (if `reorder`)
 /// sorted by (in, out), then that order reversed, and leaves e.conns in
 /// the order that decoded or, when none did, in the last order tried.
 Verdict decode_fixed_orders(Devirtualizer& dv, VbsEntry& e, bool reorder,
                             BitVector& scratch) {
-  if (dv.decode_entry(e, scratch)) return Verdict::kDecoded;
+  if (decodes(dv, e, scratch)) return Verdict::kDecoded;
   if (!reorder) return Verdict::kFailing;
   std::stable_sort(e.conns.begin(), e.conns.end(),
                    [](const VbsConnection& a, const VbsConnection& b) {
                      if (a.in != b.in) return a.in < b.in;
                      return a.out < b.out;
                    });
-  if (dv.decode_entry(e, scratch)) return Verdict::kReordered;
+  if (decodes(dv, e, scratch)) return Verdict::kReordered;
   std::reverse(e.conns.begin(), e.conns.end());
-  if (dv.decode_entry(e, scratch)) return Verdict::kReordered;
+  if (decodes(dv, e, scratch)) return Verdict::kReordered;
   return Verdict::kFailing;
 }
 
@@ -200,7 +206,7 @@ std::vector<Verdict> run_feedback_loop(VbsImage& img,
     for (int a = 0; a < kReorderAttempts && verdict[k] == Verdict::kFailing;
          ++a) {
       rng.shuffle(e.conns);
-      if (decoder(0, e).decode_entry(e, scratch[0])) {
+      if (decodes(decoder(0, e), e, scratch[0])) {
         verdict[k] = Verdict::kReordered;
       }
     }

@@ -173,7 +173,7 @@ void walk_entry(Ar& ar, const VbsImage& img, const VbsFieldWidths& fw,
   // every endpoint read fits its uint16_t.
   const VbsConnection* prev = nullptr;
   for (auto& conn : e.conns) {
-    if (img.version == kVbsVersion) {
+    if (vbs_codes_same_in(img.version)) {
       // same_in(1), then in(M) only when it differs from the previous in;
       // a reader overwrites the value computed here.
       bool same_in = prev && conn.in == prev->in;
@@ -205,9 +205,8 @@ void walk_entry(Ar& ar, const VbsImage& img, const VbsFieldWidths& fw,
 template <class Ar, class Img>
 void walk_vbs(Ar& ar, Img& img) {
   const auto check_version = [&] {
-    check(ar,
-          img.version == kVbsVersion || img.version == kVbsVersionFullPairs,
-          VbsErrc::kBadVersion, "unsupported format version");
+    check(ar, vbs_version_supported(img.version), VbsErrc::kBadVersion,
+          "unsupported format version");
   };
   if constexpr (!Ar::kReading) check_version();
   ar.field(kHeader, img.version, 4);

@@ -13,8 +13,8 @@
 //            c > 1:  c^2 occupancy bitmap, then NLB bits per used LB
 //   routing  flag=1: raw fallback, c^2 * (Nraw - NLB) switch bits
 //            flag=0: Table I coding, route_count(RC) then per connection
-//            version 2: in(M) out(M)
-//            version 3: same_in(1) [in(M) if same_in = 0] out(M)
+//            version 2:     in(M) out(M)
+//            version 3, 4:  same_in(1) [in(M) if same_in = 0] out(M)
 //
 // Version 3 (the paper's Fig. 5, recoding the list) sets same_in exactly
 // when a connection's in port equals the previous connection's in port in
@@ -22,16 +22,28 @@
 // so a repeated in costs one bit instead of M. The coding is canonical:
 // the reader rejects same_in = 1 on an entry's first connection and an in
 // field that repeats the previous in, so every accepted stream
-// re-serializes to its own bits. Both versions list the same connections
-// in the same order and name the same decoder contract: the encoder
-// proves decodability by running the de-virtualizer (paper Section
-// III-B), whose A* estimates est = cost + the per-architecture lookahead
-// table (arch/lookahead.h), and a stream decodes to the switches the
-// encoder validated only under that same heuristic. The encoder writes
-// version 3; version 2 streams (journals and files written before it)
-// still parse, and an image keeps the version it was read with. Any other
-// version nibble is rejected, and so is a set compact(1) bit, reserved so
-// that the layout does not move.
+// re-serializes to its own bits.
+//
+// The decoder contract. The encoder proves decodability by running the
+// de-virtualizer (paper Section III-B), whose A* estimates est = cost +
+// h, h the per-architecture lookahead bound (arch/lookahead.h); a stream
+// decodes to the switches the encoder validated only under the same
+// heuristic and the same pop order among queue entries of equal est (the
+// tie rule). The version names both:
+//
+//   version  list coding  tie rule among equal est
+//   2        full-pair    lower node id first
+//   3        same-in      lower node id first
+//   4        same-in      smaller h first (nearer the target), then lower
+//                         node id
+//
+// Version 4 lists connections exactly as version 3 does; only the tie
+// rule differs, and it cuts the decoder's pops (vbs/devirtualizer.h). The
+// encoder writes version 4 and validates under its rule. Streams of
+// versions 2 and 3 (journals and files written before) still parse and
+// decode under their own rule, and an image keeps the version it was read
+// with. Any other version nibble is rejected, and so is a set compact(1)
+// bit, reserved so that the layout does not move.
 //
 // RC = ceil(log2(2W)) at c=1 (Table I) and the endpoint width M for
 // clusters, whose list can hold one connection per out-port;
@@ -69,15 +81,31 @@ struct VbsEntry {
   BitVector raw_routing;
 };
 
-/// The preamble version the encoder writes: the same_in list coding (see
-/// the layout comment).
-inline constexpr unsigned kVbsVersion = 3;
+/// The preamble version the encoder writes: the same_in list coding and
+/// the toward-target tie rule (see the layout comment).
+inline constexpr unsigned kVbsVersion = 4;
 /// The oldest version deserialize_vbs parses: every in port written out.
 inline constexpr unsigned kVbsVersionFullPairs = 2;
+/// The first version with the same_in list coding.
+inline constexpr unsigned kVbsVersionSameIn = 3;
+
+/// Whether serialize_vbs and deserialize_vbs take `version`.
+constexpr bool vbs_version_supported(unsigned version) {
+  return version >= kVbsVersionFullPairs && version <= kVbsVersion;
+}
+/// Whether a supported version codes repeated in ports with same_in.
+constexpr bool vbs_codes_same_in(unsigned version) {
+  return version >= kVbsVersionSameIn;
+}
+/// Whether a supported version's decoder pops equal estimates nearest the
+/// target first (version 4), not by node id alone.
+constexpr bool vbs_ties_toward_target(unsigned version) {
+  return version >= 4;
+}
 
 struct VbsImage {
-  /// kVbsVersion or kVbsVersionFullPairs: serialize_vbs writes this
-  /// coding, and deserialize_vbs records the one it read.
+  /// A supported version: serialize_vbs writes its coding, the decoder
+  /// follows its tie rule, and deserialize_vbs records the one it read.
   unsigned version = kVbsVersion;
   ArchSpec spec;
   int task_w = 0;  ///< task footprint in macros
@@ -122,7 +150,7 @@ struct VbsSizeBreakdown {
   std::size_t logic = 0;      ///< NLB per coded logic block
   std::size_t count = 0;      ///< route-count fields
   /// Connection lists: M per out port, and per in port M (version 2) or
-  /// 1 + M, or 1 when it repeats the previous pair's (version 3).
+  /// 1 + M, or 1 when it repeats the previous pair's (versions 3 and 4).
   std::size_t list = 0;
   std::size_t raw = 0;        ///< raw-fallback routing payloads
 
@@ -137,8 +165,8 @@ struct VbsSizeBreakdown {
 BitVector serialize_vbs(const VbsImage& img);
 
 /// Parses a serialized stream back; throws VbsError carrying a specific
-/// VbsErrc on malformed input — truncation, a version other than 2 or 3
-/// (kBadVersion), a set compact bit or another bad header (kBadHeader),
+/// VbsErrc on malformed input — truncation, a version other than 2, 3 or
+/// 4 (kBadVersion), a set compact bit or another bad header (kBadHeader),
 /// duplicate or out-of-range entries, invalid or non-canonical connection
 /// lists, trailing bits, or a resource-limit violation. The image records
 /// the version it read, so it round-trips exactly with serialize_vbs.

@@ -13,8 +13,10 @@
 #include "flow/pipeline.h"
 #include "netlist/generator.h"
 #include "netlist/mcnc.h"
+#include "errc.h"
 #include "rtc/service/stream_cache.h"
 #include "vbs/devirtualizer.h"
+#include "vbs/vbs_file.h"
 #include "vbs/region_model.h"
 
 namespace vbs {
@@ -85,7 +87,7 @@ TEST(Devirtualizer, StraightThroughTrack) {
   BitVector payload;
   ASSERT_TRUE(dv.decode_entry(entry_with({{static_cast<std::uint16_t>(in),
                                            static_cast<std::uint16_t>(out)}}),
-                              payload));
+                              kVbsVersion, payload));
   EXPECT_GT(payload.popcount(), 0u);
   PayloadConn pc(rm, payload);
   EXPECT_TRUE(pc.connected(in, out));
@@ -102,7 +104,8 @@ TEST(Devirtualizer, TrackToPinAndFanout) {
   BitVector payload;
   DecodeStats stats;
   ASSERT_TRUE(
-      dv.decode_entry(entry_with({{in, pin}, {in, east}}), payload, &stats));
+      dv.decode_entry(entry_with({{in, pin}, {in, east}}), kVbsVersion,
+                      payload, &stats));
   EXPECT_EQ(stats.pairs_routed, 2);
   PayloadConn pc(rm, payload);
   EXPECT_TRUE(pc.connected(in, pin));
@@ -116,7 +119,8 @@ TEST(Devirtualizer, PinToPinThroughChannel) {
   const auto out_pin = static_cast<std::uint16_t>(rm.port_of_pin(0, 0, 6));
   const auto in_pin = static_cast<std::uint16_t>(rm.port_of_pin(0, 0, 3));
   BitVector payload;
-  ASSERT_TRUE(dv.decode_entry(entry_with({{out_pin, in_pin}}), payload));
+  ASSERT_TRUE(
+      dv.decode_entry(entry_with({{out_pin, in_pin}}), kVbsVersion, payload));
   PayloadConn pc(rm, payload);
   EXPECT_TRUE(pc.connected(out_pin, in_pin));
 }
@@ -130,7 +134,8 @@ TEST(Devirtualizer, TwoSignalsStayDisjoint) {
   const auto out2 = static_cast<std::uint16_t>(rm.port_of_side(Side::kEast, 0, 3));
   BitVector payload;
   ASSERT_TRUE(
-      dv.decode_entry(entry_with({{in1, out1}, {in2, out2}}), payload));
+      dv.decode_entry(entry_with({{in1, out1}, {in2, out2}}), kVbsVersion,
+                      payload));
   PayloadConn pc(rm, payload);
   EXPECT_TRUE(pc.connected(in1, out1));
   EXPECT_TRUE(pc.connected(in2, out2));
@@ -144,14 +149,15 @@ TEST(Devirtualizer, RejectsSharedOutAcrossSignals) {
   const auto in2 = static_cast<std::uint16_t>(rm.port_of_side(Side::kWest, 0, 1));
   const auto out = static_cast<std::uint16_t>(rm.port_of_side(Side::kEast, 0, 2));
   BitVector payload;
-  EXPECT_FALSE(dv.decode_entry(entry_with({{in1, out}, {in2, out}}), payload));
+  EXPECT_FALSE(dv.decode_entry(entry_with({{in1, out}, {in2, out}}),
+                               kVbsVersion, payload));
 }
 
 TEST(Devirtualizer, RejectsSelfLoop) {
   const RegionModel rm(spec5(), 1);
   Devirtualizer dv(rm);
   BitVector payload;
-  EXPECT_FALSE(dv.decode_entry(entry_with({{3, 3}}), payload));
+  EXPECT_FALSE(dv.decode_entry(entry_with({{3, 3}}), kVbsVersion, payload));
 }
 
 TEST(Devirtualizer, RawEntryCopiedThrough) {
@@ -163,7 +169,7 @@ TEST(Devirtualizer, RawEntryCopiedThrough) {
   e.raw_routing.set(17, true);
   BitVector payload;
   DecodeStats stats;
-  ASSERT_TRUE(dv.decode_entry(e, payload, &stats));
+  ASSERT_TRUE(dv.decode_entry(e, kVbsVersion, payload, &stats));
   EXPECT_EQ(payload, e.raw_routing);
   EXPECT_EQ(stats.raw_entries, 1);
 }
@@ -178,9 +184,10 @@ TEST(Devirtualizer, DeterministicAcrossInstancesAndRepeats) {
   });
   Devirtualizer dv1(rm), dv2(rm);
   BitVector p1, p2, p3;
-  ASSERT_TRUE(dv1.decode_entry(e, p1));
-  ASSERT_TRUE(dv2.decode_entry(e, p2));
-  ASSERT_TRUE(dv1.decode_entry(e, p3));  // reuse after prior decode
+  ASSERT_TRUE(dv1.decode_entry(e, kVbsVersion, p1));
+  ASSERT_TRUE(dv2.decode_entry(e, kVbsVersion, p2));
+  // Reuse after a prior decode.
+  ASSERT_TRUE(dv1.decode_entry(e, kVbsVersion, p3));
   EXPECT_EQ(p1, p2);
   EXPECT_EQ(p1, p3);
 }
@@ -192,7 +199,8 @@ TEST(Devirtualizer, ClusterCrossRegionRoute) {
   const auto in = static_cast<std::uint16_t>(rm.port_of_side(Side::kWest, 1, 2));
   const auto pin = static_cast<std::uint16_t>(rm.port_of_pin(1, 0, 4));
   BitVector payload;
-  ASSERT_TRUE(dv.decode_entry(entry_with({{in, pin}}, 2), payload));
+  ASSERT_TRUE(
+      dv.decode_entry(entry_with({{in, pin}}, 2), kVbsVersion, payload));
   PayloadConn pc(rm, payload);
   EXPECT_TRUE(pc.connected(in, pin));
 
@@ -206,7 +214,7 @@ TEST(Devirtualizer, ClusterCrossRegionRoute) {
       {port(rm.port_of_pin(0, 1, 6)),
        port(rm.port_of_side(Side::kNorth, 1, 0))},
   };
-  ASSERT_TRUE(dv.decode_entry(entry_with(conns, 2), payload));
+  ASSERT_TRUE(dv.decode_entry(entry_with(conns, 2), kVbsVersion, payload));
   PayloadConn pc2(rm, payload);
   for (const VbsConnection& conn : conns) {
     EXPECT_TRUE(pc2.connected(conn.in, conn.out));
@@ -230,7 +238,8 @@ TEST(Devirtualizer, SaturatedMacroFailsGracefully) {
                      static_cast<std::uint16_t>(rm.port_of_side(Side::kSouth, 0, t))});
   }
   BitVector payload;
-  ASSERT_TRUE(dv.decode_entry(entry_with(conns), payload));  // 2W signals fit
+  // 2W signals fit
+  ASSERT_TRUE(dv.decode_entry(entry_with(conns), kVbsVersion, payload));
   PayloadConn pc(rm, payload);
   EXPECT_TRUE(pc.connected(rm.port_of_side(Side::kWest, 0, 0),
                            rm.port_of_side(Side::kEast, 0, 0)));
@@ -240,8 +249,86 @@ TEST(Devirtualizer, SaturatedMacroFailsGracefully) {
   conns.push_back({static_cast<std::uint16_t>(rm.port_of_pin(0, 0, 6)),
                    static_cast<std::uint16_t>(rm.port_of_pin(0, 0, 0))});
   DecodeStats stats;
-  EXPECT_FALSE(dv.decode_entry(entry_with(conns), payload, &stats));
+  EXPECT_FALSE(
+      dv.decode_entry(entry_with(conns), kVbsVersion, payload, &stats));
   EXPECT_EQ(stats.pairs_failed, 1);
+}
+
+// Version 4's queue key holds a node id in 24 bits. The header guards
+// (c <= 63, kMaxEntryConfigBits, kMaxLookaheadBytes and ArchSpec's K <= 6)
+// keep every region a stream can name below that, and the decoder refuses
+// a larger one; both checked without building a large region.
+TEST(Devirtualizer, RegionsFitTheKeyNodeField) {
+  EXPECT_NO_THROW(
+      Devirtualizer::check_region_nodes(Devirtualizer::kMaxRegionNodes));
+  EXPECT_EQ(errc_of([] {
+              Devirtualizer::check_region_nodes(
+                  Devirtualizer::kMaxRegionNodes + 1);
+            }),
+            VbsErrc::kResourceLimit);
+
+  // A macro has W (4 + 2L) nodes, a region of c x c macros at most c^2
+  // times that (merged wires only lower it).
+  const auto macro_nodes = [](const ArchSpec& s) {
+    return static_cast<long long>(s.chan_width) * (4 + 2 * s.lb_pins());
+  };
+  EXPECT_EQ(MacroModel::of(spec5())->num_nodes(), macro_nodes(spec5()));
+  long long largest = 0;
+  for (int k = 0; k < 16; ++k) {
+    for (int w = 0; w < 256; ++w) {
+      for (const SbPattern sb : {SbPattern::kDisjoint, SbPattern::kWilton}) {
+        ArchSpec s;
+        s.chan_width = w;
+        s.lut_k = k;
+        s.sb_pattern = sb;
+        try {
+          s.validate();
+        } catch (const std::invalid_argument&) {
+          continue;
+        }
+        if (Lookahead::table_bytes(s) > kMaxLookaheadBytes) continue;
+        long long c = 63;
+        while (c * c * s.nraw_bits() >
+               static_cast<long long>(kMaxEntryConfigBits)) {
+          --c;
+        }
+        largest = std::max(largest, c * c * macro_nodes(s));
+      }
+    }
+  }
+  EXPECT_GT(largest, 0);
+  EXPECT_LT(largest, Devirtualizer::kMaxRegionNodes);
+}
+
+// Each call decodes under the tie rule of the version it names: the
+// entries of tests/data/sample_v3.vbs, validated under version 3's rule,
+// decode with the search counts VbsFormat.Version3FileStillDecodes pins
+// when named version 3, and search differently (here with a third of the
+// pops) when named version 4. A
+// version deserialize_vbs does not take is refused.
+TEST(Devirtualizer, TieRuleFollowsTheNamedVersion) {
+  const VbsImage img = deserialize_vbs(
+      read_vbs_file(std::string(VBS_TEST_DATA_DIR) + "/sample_v3.vbs"));
+  ASSERT_EQ(img.version, kVbsVersionSameIn);
+  RegionDecoderCache cache;
+  DecodeStats v3, v4;
+  BitVector payload;
+  for (const VbsEntry& e : img.entries) {
+    Devirtualizer& dv = cache.decoder_for(img, e);
+    EXPECT_TRUE(dv.decode_entry(e, kVbsVersionSameIn, payload, &v3));
+    dv.decode_entry(e, kVbsVersion, payload, &v4);
+  }
+  EXPECT_EQ(v3.nodes_expanded, 14005);
+  EXPECT_EQ(v3.negotiation_iterations, 39);
+  EXPECT_EQ(v4.nodes_expanded, 4745);
+  EXPECT_EQ(v4.negotiation_iterations, 29);
+  for (const unsigned version : {1u, 5u}) {
+    EXPECT_EQ(errc_of([&] {
+                cache.decoder_for(img, img.entries[0])
+                    .decode_entry(img.entries[0], version, payload);
+              }),
+              VbsErrc::kBadVersion);
+  }
 }
 
 // --- golden pins -------------------------------------------------------------
@@ -282,10 +369,10 @@ TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
   EXPECT_EQ(pipe.routing().iterations, 9);
 
   const GoldenCase kCases[] = {
-      {1, 0xcd916569fd873c14ull, 0x84746d9ad642d9c1ull, 8388, 155, 425},
-      {2, 0x19ea84b100295194ull, 0x86752e2ac9eff207ull, 14004, 70, 290},
-      {4, 0x6745d6e0639ac462ull, 0xaa054b1609e3f345ull, 58925, 34, 192},
-      {8, 0x57b2a304cccb59daull, 0xd35fb8ee2f56acabull, 44537, 7, 147},
+      {1, 0x7d6d2d971623887eull, 0xf2082a80c36462ceull, 5564, 140, 425},
+      {2, 0x7c35e01ae6b98a4eull, 0xfead7fb69933ca9eull, 12757, 70, 290},
+      {4, 0x4e74e41c64c04e68ull, 0xdf61befda6f99d5eull, 92671, 52, 192},
+      {8, 0xba5413cc57fb8f50ull, 0x62ad3a9f36ff4d90ull, 32141, 7, 147},
   };
   bool negotiated = false;
   for (const GoldenCase& gc : kCases) {
@@ -314,7 +401,9 @@ TEST(DevirtGolden, FlowPipelinePinsEveryClusterSize) {
 // The same pins at the paper's W = 20 on des (seed 1), the compile
 // workload's circuit: the decoded configuration and the decode's search
 // counts, and the encoder's feedback-loop verdicts, at every cluster size.
-// None of them reads a stream bit, so they hold across stream codings.
+// None of them reads a stream bit, so they hold across list codings; they
+// move with the decoder contract the encoder writes (the tie rule of
+// version 4).
 TEST(DevirtGolden, W20PinsEveryClusterSize) {
   struct W20Case {
     int cluster;
@@ -326,10 +415,10 @@ TEST(DevirtGolden, W20PinsEveryClusterSize) {
     int conflict_fallbacks;
   };
   const W20Case kCases[] = {
-      {1, 0xbc16afaf4922894dull, 339971, 2399, 812, 3, 0},
-      {2, 0xc6b774f5c35773d9ull, 588379, 862, 216, 1, 0},
-      {4, 0x77817d8742154ebbull, 980338, 288, 58, 0, 0},
-      {8, 0x720b24682e40aea7ull, 1353021, 89, 16, 0, 0},
+      {1, 0xe44265eda61fa582ull, 194712, 2035, 812, 2, 0},
+      {2, 0x2358c84285e62b0dull, 468243, 839, 216, 1, 0},
+      {4, 0x70d587583d35fd21ull, 520795, 249, 58, 0, 0},
+      {8, 0xdb54b66c6e48541full, 788376, 87, 16, 0, 0},
   };
   const McncCircuit& des = mcnc_by_name("des");
   FlowOptions o;

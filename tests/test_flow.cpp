@@ -241,7 +241,7 @@ TEST(Flow, DecoderRespectsEncoderIterationContract) {
   for (const VbsEntry& e : img.entries) {
     Devirtualizer& dv = cache.decoder_for(img, e);
     dv.set_max_iterations(1);
-    EXPECT_TRUE(dv.decode_entry(e, payload));
+    EXPECT_TRUE(dv.decode_entry(e, img.version, payload));
   }
 }
 

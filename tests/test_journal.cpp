@@ -420,9 +420,9 @@ TEST(ServiceDurabilityTest, JournalBytesArePinned) {
   svc.drain();
   const std::uint64_t wal_after = file_fnv(wal);
 
-  EXPECT_EQ(wal_before, 0x4ab4c9e7aecdf7c4ull);
-  EXPECT_EQ(snap, 0xe4901b525f10357bull);
-  EXPECT_EQ(wal_after, 0xffaa59cb83264433ull);
+  EXPECT_EQ(wal_before, 0x54c23bbe03f0fe8eull);
+  EXPECT_EQ(snap, 0x4ee5aadc95526292ull);
+  EXPECT_EQ(wal_after, 0x5fbb39eb8c6a56efull);
 }
 
 // Pins a snapshot taken with work still queued: a live load, a load shed
@@ -456,8 +456,8 @@ TEST(ServiceDurabilityTest, SnapshotWithQueuedWorkIsPinned) {
 
   svc.compact_journal();
   const std::uint64_t fp = svc.state_fingerprint();
-  EXPECT_EQ(file_fnv(dir.path + "/snap.1"), 0x1805441e6d463108ull);
-  EXPECT_EQ(fp, 0x14ba7d8b64f7f3e9ull);
+  EXPECT_EQ(file_fnv(dir.path + "/snap.1"), 0xfea520c1461d16a8ull);
+  EXPECT_EQ(fp, 0x786c29dc090b12aaull);
 
   fs::copy(dir.path, copy.path, fs::copy_options::recursive);
   ReconfigService::RecoveryInfo info;

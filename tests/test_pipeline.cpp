@@ -321,6 +321,7 @@ TEST(Pipeline, EncodeThrowsOnUnroutedDesign) {
 TEST(Pipeline, ResumeRejectsForeignArtifacts) {
   TempDir dir_a("ckpt_a");
   TempDir dir_b("ckpt_b");
+  TempDir dir_c("ckpt_c");
   FlowOptions opts_a = small_opts();
   FlowOptions opts_b = small_opts();
   opts_b.seed = opts_a.seed + 1;  // different placement seed
@@ -330,25 +331,38 @@ TEST(Pipeline, ResumeRejectsForeignArtifacts) {
   FlowPipeline b(small_netlist(), 7, 7, opts_b);
   b.run_to(Stage::kPlace);
   b.save_checkpoint(dir_b.path);
+  FlowPipeline c(small_netlist(), 8, 8, opts_a);  // another grid
+  c.run_to(Stage::kPack);
+  c.save_checkpoint(dir_c.path);
 
   // A clean resume works...
   EXPECT_TRUE(FlowPipeline::resume_from(dir_a.path).completed(Stage::kPlace));
-  // ...but a place artifact produced under another seed is rejected by its
-  // fingerprint, even though the file itself is intact.
+  // ...a place artifact produced under another seed is stale by its
+  // fingerprint, though the file itself is intact: the resume keeps pack
+  // and places again, as this checkpoint's own options say...
   fs::copy_file(fs::path(dir_b.path) / "place.art",
                 fs::path(dir_a.path) / "place.art",
+                fs::copy_options::overwrite_existing);
+  FlowPipeline re = FlowPipeline::resume_from(dir_a.path);
+  EXPECT_TRUE(re.completed(Stage::kPack));
+  EXPECT_FALSE(re.completed(Stage::kPlace));
+  expect_identical_placement(re.placement(), a.placement());
+  // ...but a pack artifact of another flow makes the checkpoint foreign.
+  fs::copy_file(fs::path(dir_c.path) / "pack.art",
+                fs::path(dir_a.path) / "pack.art",
                 fs::copy_options::overwrite_existing);
   EXPECT_EQ(errc_of([&] { FlowPipeline::resume_from(dir_a.path); }),
             VbsErrc::kBadContainer);
 }
 
 // Route checkpoints of the router that aimed with Manhattan distance alone
-// must not resume under the lookahead router, whatever astar_fac their
-// flow.meta names. These are the route fingerprints that router wrote for
-// this design: at its default astar_fac 1.5, and with 1.0 (the lookahead
+// are stale under the lookahead router, whatever astar_fac their flow.meta
+// names. These are the route fingerprints that router wrote for this
+// design: at its default astar_fac 1.5, and with 1.0 (the lookahead
 // router's default) given explicitly. Re-stamping this run's route.art
-// with them stands in for such a checkpoint.
-TEST(Pipeline, ResumeRejectsManhattanRoutedCheckpoints) {
+// with them stands in for such a checkpoint, which resumes through place
+// and routes again.
+TEST(Pipeline, ResumeReroutesManhattanRoutedCheckpoints) {
   const std::pair<double, std::uint64_t> manhattan[] = {
       {1.5, 0x63ffe89519acc1a7ull}, {1.0, 0x9e24f8008f74d5dfull}};
   for (const auto& [astar_fac, fingerprint] : manhattan) {
@@ -367,17 +381,19 @@ TEST(Pipeline, ResumeRejectsManhattanRoutedCheckpoints) {
         read_artifact_file(route, ArtifactStage::kRoute, nullptr, &written);
     EXPECT_NE(written, fingerprint);
     write_artifact_file(route, ArtifactStage::kRoute, fingerprint, payload);
-    EXPECT_EQ(errc_of([&] { FlowPipeline::resume_from(dir.path); }),
-            VbsErrc::kBadContainer);
+    FlowPipeline re = FlowPipeline::resume_from(dir.path);
+    EXPECT_TRUE(re.completed(Stage::kPlace));
+    EXPECT_FALSE(re.completed(Stage::kRoute));
+    expect_identical_routing(re.routing(), pipe.routing());
   }
 }
 
 // The encode fingerprint folds the stream version the encoder writes. An
 // encode checkpointed when the encoder wrote version 2 carries the
-// fingerprint below (this design, stamped on this run's encode.art), and
-// is rejected rather than reused; without it the checkpoint resumes
-// through route and encodes afresh.
-TEST(Pipeline, ResumeRejectsVersion2EncodeCheckpoints) {
+// fingerprint below (this design, stamped on this run's encode.art): the
+// resume keeps pack, place and route and encodes afresh, to the stream an
+// uninterrupted run writes. A corrupted encode.art is still rejected.
+TEST(Pipeline, ResumeReencodesVersion2EncodeCheckpoints) {
   constexpr std::uint64_t kVersion2Fingerprint = 0x3463ddd04c3fee3cull;
   TempDir dir("ckpt_v2_encode");
   FlowPipeline pipe(small_netlist(), 7, 7, small_opts());
@@ -390,15 +406,37 @@ TEST(Pipeline, ResumeRejectsVersion2EncodeCheckpoints) {
   EXPECT_NE(written, kVersion2Fingerprint);
   write_artifact_file(encode, ArtifactStage::kEncode, kVersion2Fingerprint,
                       payload);
-  EXPECT_EQ(errc_of([&] { FlowPipeline::resume_from(dir.path); }),
-            VbsErrc::kBadContainer);
-
-  fs::remove(encode);
   FlowPipeline re = FlowPipeline::resume_from(dir.path);
   EXPECT_TRUE(re.completed(Stage::kRoute));
   EXPECT_FALSE(re.completed(Stage::kEncode));
   EXPECT_EQ(re.vbs_stream(), pipe.vbs_stream());
   EXPECT_EQ(re.vbs_image().version, kVbsVersion);
+
+  // One payload byte flipped: the content hash catches it, whether the
+  // encode is current or stale, and also behind a stale route, where the
+  // resume would drop it anyway.
+  const std::string route = (fs::path(dir.path) / "route.art").string();
+  std::uint64_t route_fingerprint = 0;
+  const BitVector route_payload = read_artifact_file(
+      route, ArtifactStage::kRoute, nullptr, &route_fingerprint);
+  for (const bool stale_route : {false, true}) {
+    for (const std::uint64_t fingerprint : {written, kVersion2Fingerprint}) {
+      SCOPED_TRACE(std::to_string(stale_route) + " " +
+                   std::to_string(fingerprint));
+      write_artifact_file(route, ArtifactStage::kRoute,
+                          route_fingerprint ^ stale_route,
+                          route_payload);
+      write_artifact_file(encode, ArtifactStage::kEncode, fingerprint,
+                          payload);
+      std::string bytes = read_file(encode);
+      bytes.back() = static_cast<char>(bytes.back() ^ 0x10);
+      AtomicFile out(encode);
+      out.write(bytes);
+      out.commit();
+      EXPECT_EQ(errc_of([&] { FlowPipeline::resume_from(dir.path); }),
+                VbsErrc::kBadContainer);
+    }
+  }
 }
 
 TEST(Pipeline, SaveDropsStaleDownstreamArtifacts) {

@@ -627,8 +627,8 @@ TEST(Service, ConfigMemoryBytesArePinned) {
   const struct {
     std::size_t cache_bits;
     std::uint64_t fingerprint;
-  } runs[] = {{std::size_t{64} << 20, 0x313f6b84456a2a70ull},
-              {0, 0x63a6375ae2c77ad9ull}};
+  } runs[] = {{std::size_t{64} << 20, 0x6063c8a29ed60180ull},
+              {0, 0xcd82d19621953cc0ull}};
   for (const auto& run : runs) {
     SCOPED_TRACE(run.cache_bits);
     ServiceOptions opts;
@@ -668,7 +668,7 @@ TEST(Service, ConfigMemoryBytesArePinned) {
               (Rect{0, 0, 4, 4}));
     EXPECT_EQ(svc.stats().relocates_cached + svc.stats().relocates_decoded, 2);
     EXPECT_NE(svc.task_of(b1), kNoTask);
-    EXPECT_EQ(h, 0xc89aa31d7dbcc42aull);
+    EXPECT_EQ(h, 0xc3306119eca4b713ull);
     EXPECT_EQ(svc.state_fingerprint(), run.fingerprint);
   }
 }

@@ -166,11 +166,12 @@ TEST(VbsFormat, RejectsBadVersion) {
 }
 
 // Each stream parses under its own version nibble and round-trips; under
-// the other supported version it is a different coding, which may parse
+// another supported version it may be a different coding, which may parse
 // or throw a VbsError (VbsFormat.FlippedVersionNibbleIsTyped); any other
 // nibble is kBadVersion.
-TEST(VbsFormat, ParsesVersions2And3AndRejectsEveryOtherNibble) {
-  for (const unsigned written : {kVbsVersionFullPairs, kVbsVersion}) {
+TEST(VbsFormat, ParsesVersions2To4AndRejectsEveryOtherNibble) {
+  for (const unsigned written :
+       {kVbsVersionFullPairs, kVbsVersionSameIn, kVbsVersion}) {
     VbsImage img = sample_image();
     img.version = written;
     const BitVector stream = serialize_vbs(img);
@@ -186,7 +187,7 @@ TEST(VbsFormat, ParsesVersions2And3AndRejectsEveryOtherNibble) {
         EXPECT_EQ(serialize_vbs(back), bits);
         continue;
       }
-      if (version == kVbsVersionFullPairs || version == kVbsVersion) continue;
+      if (vbs_version_supported(version)) continue;
       EXPECT_EQ(errc_of([&] { deserialize_vbs(bits); }), VbsErrc::kBadVersion);
     }
   }
@@ -271,7 +272,7 @@ TEST(VbsFormat, FlippedVersionNibbleIsTyped) {
   images.push_back(fanout);
   int parsed = 0, rejected = 0;
   for (VbsImage& img : images) {
-    for (const unsigned written : {kVbsVersionFullPairs, kVbsVersion}) {
+    for (const unsigned written : {kVbsVersionFullPairs, kVbsVersionSameIn}) {
       img.version = written;
       BitVector bits = serialize_vbs(img);
       bits.set(3, !bits.get(3));  // 2 <-> 3
@@ -288,6 +289,25 @@ TEST(VbsFormat, FlippedVersionNibbleIsTyped) {
   }
   EXPECT_EQ(parsed + rejected, 6);
   EXPECT_GT(rejected, 0);
+}
+
+// Versions 3 and 4 share the list coding: relabelling a stream's nibble
+// between them parses to the same entries and changes no other bit.
+TEST(VbsFormat, Versions3And4DifferOnlyInTheNibble) {
+  for (const int cluster : {1, 2}) {
+    VbsImage img = sample_image(cluster);
+    img.version = kVbsVersionSameIn;
+    const BitVector v3 = serialize_vbs(img);
+    img.version = kVbsVersion;
+    const BitVector v4 = serialize_vbs(img);
+    ASSERT_EQ(v3.size(), v4.size());
+    EXPECT_EQ(v3.get_bits(0, 4), 3u);
+    EXPECT_EQ(v4.get_bits(0, 4), 4u);
+    EXPECT_EQ(v3.slice(4, v3.size()), v4.slice(4, v4.size()));
+    const VbsImage back = deserialize_vbs(v3);
+    EXPECT_EQ(back.version, kVbsVersionSameIn);
+    EXPECT_EQ(back.entries[0].conns, img.entries[0].conns);
+  }
 }
 
 // The preamble keeps the bit that once selected the fan-out coding; a
@@ -511,8 +531,19 @@ TEST(VbsFormat, Vbs2FileBytesArePinned) {
 // The same file with the stream in version 3: one same_in bit per pair,
 // and entry 0's second in port coded by it alone.
 TEST(VbsFormat, Vbs3FileBytesArePinned) {
-  EXPECT_EQ(hex_of(file_bytes(sample_image())),
+  VbsImage img = sample_image();
+  img.version = kVbsVersionSameIn;
+  EXPECT_EQ(hex_of(file_bytes(img)),
             "56425332aa010000000000000565454a0ed2f26f30560087a0857bd9eac8f351"
+            "6240480acf000000000000000000200000000000000000000000100000000000"
+            "00000000000000000000");
+}
+
+// And in version 4: the version-3 bits under another nibble, so only the
+// nibble and the container checksum differ.
+TEST(VbsFormat, Vbs4FileBytesArePinned) {
+  EXPECT_EQ(hex_of(file_bytes(sample_image())),
+            "56425332aa010000000000009513978353d6803840560087a0857bd9eac8f351"
             "6240480acf000000000000000000200000000000000000000000100000000000"
             "00000000000000000000");
 }

@@ -4,11 +4,13 @@
 //
 // The harness builds a small vbsgen-style corpus in-process (two routed
 // tasks, cluster 1 and cluster 2, each as the encoder writes it, version
-// 3, and re-serialized in version 2), then repeatedly mutates a corpus
-// stream — truncation at a random bit, 1-8 random bit flips, targeted
-// flips in the preamble/header bits, appended garbage bits, spliced
-// runs — and feeds the mutant to the decode stack. The contract under
-// test (the PR's fuzz invariant):
+// 4) and adds the checked-in version-2 and version-3 samples
+// (tests/data/sample_v2.vbs, sample_v3.vbs), each valid under its own
+// version's decoder contract, then repeatedly mutates a corpus stream —
+// truncation at a random bit, 1-8 random bit flips, targeted flips in the
+// preamble/header bits, appended garbage bits, spliced runs — and feeds
+// the mutant to the decode stack. The contract under test (the fuzz
+// invariant):
 //
 //   * deserialize_vbs either succeeds, and then serialize_vbs gives back
 //     exactly the parsed bits, or throws a typed VbsError — never any
@@ -47,6 +49,7 @@
 // --smoke caps the run at the CI budget (600 iterations) regardless of
 // --iters; the asan-ubsan CI job runs `vbsfuzz --smoke` and
 // `vbsfuzz --rpc-frame --smoke`.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -101,12 +104,15 @@ CorpusEntry make_entry(int n_lut, std::uint64_t seed, int grid, int cluster) {
   return e;
 }
 
-/// `e` with its stream re-serialized in version 2, the coding journals and
-/// files written before version 3 hold.
-CorpusEntry as_version2(CorpusEntry e) {
-  VbsImage img = deserialize_vbs(e.stream);
-  img.version = kVbsVersionFullPairs;
-  e.stream = serialize_vbs(img);
+/// A checked-in stream of an older version, as files and journals hold
+/// it. A fresh encode relabelled to that version would not do: its lists
+/// were validated under version 4's decoder contract, not the old one.
+CorpusEntry legacy_entry(const char* file) {
+  CorpusEntry e;
+  e.stream = read_vbs_file(std::string(VBS_TEST_DATA_DIR) + "/" + file);
+  const VbsImage img = deserialize_vbs(e.stream);
+  e.spec = img.spec;
+  e.grid = std::max(img.task_w, img.task_h);
   return e;
 }
 
@@ -472,8 +478,8 @@ int main(int argc, char** argv) {
         make_entry(18, 5, 5, 1),
         make_entry(25, 31, 6, 2),
     };
-    corpus.push_back(as_version2(corpus[0]));
-    corpus.push_back(as_version2(corpus[1]));
+    corpus.push_back(legacy_entry("sample_v2.vbs"));
+    corpus.push_back(legacy_entry("sample_v3.vbs"));
     const auto tmp = std::filesystem::temp_directory_path() /
                      ("vbsfuzz." + std::to_string(seed));
     std::filesystem::create_directories(tmp);

@@ -19,10 +19,20 @@ using namespace vbs;
 
 namespace {
 
+/// The list coding a supported version names (vbs_format.h).
+const char* coding_name(unsigned version) {
+  return vbs_codes_same_in(version) ? "same-in" : "full-pair";
+}
+
+/// The decoder's tie rule among queue entries of equal estimate.
+const char* tie_rule_name(unsigned version) {
+  return vbs_ties_toward_target(version) ? "toward-target" : "node-id";
+}
+
 struct StreamSummary {
   std::size_t conns = 0, raw_entries = 0, logic_used = 0, max_conns = 0;
   /// Pairs whose in port repeats the previous pair's in the same entry:
-  /// version 3 codes each such in with one same_in bit.
+  /// versions 3 and 4 code each such in with one same_in bit.
   std::size_t same_in = 0;
   VbsFieldWidths widths{};
   VbsSizeBreakdown bits;
@@ -64,6 +74,8 @@ void print_json(const BitVector& stream, const VbsImage& img,
   std::printf("  \"stream_bits\": %zu,\n", stream.size());
   std::printf("  \"stream_bytes\": %zu,\n", (stream.size() + 7) / 8);
   std::printf("  \"version\": %u,\n", img.version);
+  std::printf("  \"coding\": \"%s\",\n", coding_name(img.version));
+  std::printf("  \"tie_rule\": \"%s\",\n", tie_rule_name(img.version));
   std::printf(
       "  \"arch\": {\"chan_width\": %d, \"lut_k\": %d, \"sb_pattern\": "
       "\"%s\"},\n",
@@ -118,9 +130,10 @@ void print_text(const BitVector& stream, const VbsImage& img,
   const ArchSpec& spec = img.spec;
   std::printf("stream           : %zu bits (%zu bytes on disk)\n",
               stream.size(), (stream.size() + 7) / 8);
-  std::printf("format version   : %u (%s list, lookahead decoder heuristic)\n",
-              img.version,
-              img.version == kVbsVersion ? "same-in" : "full-pair");
+  std::printf("format version   : %u (%s list, lookahead decoder heuristic, "
+              "%s ties)\n",
+              img.version, coding_name(img.version),
+              tie_rule_name(img.version));
   std::printf("architecture     : W=%d, K=%d, %s switch boxes\n",
               spec.chan_width, spec.lut_k,
               spec.sb_pattern == SbPattern::kWilton ? "wilton" : "disjoint");
